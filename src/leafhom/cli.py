@@ -24,6 +24,7 @@ from .models import (
     LieFrameModel,
     ModeWindow,
     make_model,
+    torus_of,
 )
 from .reports import SCHEMA_VERSION, write_report
 
@@ -49,17 +50,6 @@ class RunConfig:
                 raise SpecParseError(f"unknown analysis {a!r}")
         if self.format not in ("json", "markdown", "csv"):
             raise SpecParseError(f"unknown output format {self.format!r}")
-
-
-def _torus_of(model: FoliatedModel) -> KroneckerTorus:
-    if isinstance(model, KroneckerTorus):
-        return model
-    base = getattr(model, "base", None)
-    if isinstance(base, KroneckerTorus):
-        return base
-    raise UnsupportedModelError(
-        f"analysis needs a torus-based model, got {type(model).__name__}"
-    )
 
 
 def _window_json(window: ModeWindow) -> dict:
@@ -110,7 +100,7 @@ def _run_poisson(model: FoliatedModel, cfg: RunConfig) -> tuple[dict, bool]:
     elif isinstance(model, LieFrameModel) and model.leaf_dim == 1:
         conic = ConicDualModel(model)
     else:
-        conic = ConicDualModel(_torus_of(model))
+        conic = ConicDualModel(torus_of(model))
     star = poisson.verify_star_delta_identity(conic, cfg.window)
     doc = {
         "source_ops": [
@@ -129,7 +119,7 @@ def _run_poisson(model: FoliatedModel, cfg: RunConfig) -> tuple[dict, bool]:
 
 
 def _run_gysin(model: FoliatedModel, cfg: RunConfig) -> tuple[dict, bool]:
-    base = _torus_of(model)
+    base = torus_of(model)
     reports = {}
     passed = True
     for h in range(0, base.codim + 1):
@@ -146,7 +136,7 @@ def _run_gysin(model: FoliatedModel, cfg: RunConfig) -> tuple[dict, bool]:
 
 
 def _run_specseq(model: FoliatedModel, cfg: RunConfig) -> tuple[dict, bool]:
-    conic = model if isinstance(model, ConicDualModel) else ConicDualModel(_torus_of(model))
+    conic = model if isinstance(model, ConicDualModel) else ConicDualModel(torus_of(model))
     top = conic.leaf_dim + conic.codim
     p = conic.leaf_dim // 2
     out = {}
@@ -180,7 +170,7 @@ def _run_specseq(model: FoliatedModel, cfg: RunConfig) -> tuple[dict, bool]:
 
 
 def _run_hochschild(model: FoliatedModel, cfg: RunConfig) -> tuple[dict, bool]:
-    torus = _torus_of(model)
+    torus = torus_of(model)
     bridge = hochschild.e1_to_e2(torus, cfg.window)
     bottom_top = hochschild.hh0_and_top(torus, cfg.window)
     doc = {
@@ -211,7 +201,7 @@ def _run_hochschild(model: FoliatedModel, cfg: RunConfig) -> tuple[dict, bool]:
 
 
 def _run_symbols(model: FoliatedModel, cfg: RunConfig) -> tuple[dict, bool]:
-    torus = _torus_of(model)
+    torus = torus_of(model)
     if torus.resonant:
         return (
             {
@@ -283,7 +273,7 @@ def run(config: RunConfig) -> int:
     }
     torus = None
     try:
-        torus = _torus_of(model)
+        torus = torus_of(model)
     except UnsupportedModelError:
         pass
     if torus is not None:
@@ -299,7 +289,7 @@ def run(config: RunConfig) -> int:
         runner = _RUNNERS[name]
         try:
             doc, passed = runner(model, config)
-        except UnsupportedModelError as exc:
+        except LeafhomError as exc:
             print(f"error: analysis {name!r} cannot run on this model: {exc}", file=sys.stderr)
             return 2
         doc = {"schema_version": SCHEMA_VERSION, "analysis": name, **doc}

@@ -12,16 +12,27 @@ on the conic model), so the complex is a direct sum of small exact-arithmetic
 complexes indexed by the window.  Blocks whose leafwise multiplier is nonzero
 come out exact; this is observed in the computation, never assumed, which is
 what makes the window-stability guarantee checkable.
+
+One block engine turns a block into numbers for derham, poisson and specseq.
+A block is given as its monomial bases by degree; `block_differentials`
+assembles each differential d_t once, applying the operator once per source
+monomial, and `linalg.homology_dims` ranks each d_t once and returns
+dim C^t - rank d_t - rank d_(t-1).  Its invariants: d_(t+1) d_t = 0 is checked
+once per consecutive pair; an image term outside the next degree of the block
+raises (the leak check), so a wrong block split or grading is never counted;
+and no dimension is negative.  Each failure raises ComplexViolationError
+naming the block and the degrees.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import ComplexViolationError, UnsupportedModelError, ValidationError
-from .linalg import SparseMatrix, quotient_dim, rank, rank_kernel
+from .linalg import SparseMatrix, homology_dims, rank, rank_kernel
 from .models import (
     ConicDualModel,
     FoliatedModel,
@@ -30,6 +41,8 @@ from .models import (
     KroneckerTorus,
     ModeWindow,
     _CircleBundleModel,
+    resonance_lattice,
+    torus_of,
 )
 from .scalars import Scalar
 
@@ -58,22 +71,6 @@ def differential(model: FoliatedModel, component: str, form: Form) -> Form:
             else:
                 out.pop(mono2, None)
     return Form(model, out)
-
-
-def d(model: FoliatedModel, form: Form) -> Form:
-    return differential(model, "d", form)
-
-
-def d_leaf(model: FoliatedModel, form: Form) -> Form:
-    return differential(model, "d_F", form)
-
-
-def d_transverse(model: FoliatedModel, form: Form) -> Form:
-    return differential(model, "d_perp", form)
-
-
-def d_curvature(model: FoliatedModel, form: Form) -> Form:
-    return differential(model, "boundary", form)
 
 
 # -- identity suite -----------------------------------------------------------
@@ -208,6 +205,43 @@ def operator_matrix(
     return SparseMatrix(len(target), len(source), entries, model.field)
 
 
+def block_differentials(
+    model: FoliatedModel,
+    op: Callable[[Form], Form],
+    graded: dict[int, Sequence[FormMonomial]],
+) -> dict[int, SparseMatrix]:
+    """Matrices d_t: graded[t] -> graded[t + 1] of a degree-raising operator.
+
+    Every degree t whose successor is in ``graded`` is a source: the operator
+    is applied once to each of its monomials, and an image term outside
+    graded[t + 1] raises ComplexViolationError.  A caller that wants the top
+    degree checked to map to zero adds an empty successor for it.
+    """
+    return {
+        t: operator_matrix(model, op, source, graded[t + 1])
+        for t, source in graded.items()
+        if t + 1 in graded
+    }
+
+
+def block_homology(
+    model: FoliatedModel,
+    op: Callable[[Form], Form],
+    graded: dict[int, Sequence[FormMonomial]],
+    block: str,
+) -> dict[int, int]:
+    """Homology dims of one block complex, degree by degree.
+
+    Each differential is assembled once and ranked once; a broken complex
+    raises ComplexViolationError naming ``block`` and the degrees.
+    """
+    try:
+        diffs = block_differentials(model, op, graded)
+        return homology_dims({t: len(b) for t, b in graded.items()}, diffs)
+    except ComplexViolationError as exc:
+        raise ComplexViolationError(f"block {block}: {exc}") from exc
+
+
 @dataclass
 class BigradedDims:
     """Exact dimension table (r, s) -> count with provenance flags."""
@@ -256,16 +290,16 @@ def _block_bidegree_dims(
     window: ModeWindow,
     op: Callable[[Form], Form],
 ) -> dict[tuple[int, int], int]:
-    """ker/im quotient dims of one block for a (1,0)-shift operator."""
-    monos = model.block_monomials(key, window)
+    """H^{r,s} of one block for a (1,0)-shift operator: one chain in r per s."""
     by_deg: dict[tuple[int, int], list[FormMonomial]] = {}
-    for m in monos:
+    for m in model.block_monomials(key, window):
         by_deg.setdefault(model.bidegree(m.ext), []).append(m)
     out: dict[tuple[int, int], int] = {}
-    for (r, s), basis in sorted(by_deg.items()):
-        outgoing = operator_matrix(model, op, basis, by_deg.get((r + 1, s), []))
-        incoming = operator_matrix(model, op, by_deg.get((r - 1, s), []), basis)
-        out[(r, s)] = quotient_dim(outgoing, incoming)
+    for s in sorted({s for _r, s in by_deg}):
+        # r = leaf_dim + 1 stays empty, so the top degree must map to zero
+        chain = {r: by_deg.get((r, s), []) for r in range(model.leaf_dim + 2)}
+        for r, h in block_homology(model, op, chain, f"{key}, s = {s}").items():
+            out[(r, s)] = h
     return out
 
 
@@ -288,7 +322,7 @@ def cohomology_dims(
     is_conic = isinstance(model, ConicDualModel)
     if is_conic and homogeneity is None:
         raise ValidationError("conic cohomology needs a homogeneity degree")
-    res_basis = _resonance_basis_of(model)
+    base = _torus_base_of(model)
     if is_conic:
         keys: list[tuple] = [
             (comp, m, homogeneity)
@@ -304,14 +338,13 @@ def cohomology_dims(
                 totals[rs] = totals.get(rs, 0) + v
     cert = None
     formal = False
-    base = _torus_base_of(model)
     if base is not None:
         cert = diophantine_certificate(base.alpha)
         formal = cert.verdict != "diophantine"
     # every resonant mode block has a vanishing leafwise differential, so a
     # nonzero lattice makes the in-range entries grow with the window; on the
     # cone this happens only in the radially invariant slice
-    unbounded = bool(res_basis) and (not is_conic or homogeneity == 0)
+    unbounded = base is not None and base.resonant and (not is_conic or homogeneity == 0)
     return BigradedDims(
         dims=totals,
         model=repr(model),
@@ -325,15 +358,10 @@ def cohomology_dims(
 
 
 def _torus_base_of(model: FoliatedModel) -> KroneckerTorus | None:
-    if isinstance(model, KroneckerTorus):
-        return model
-    base = getattr(model, "base", None)
-    return base if isinstance(base, KroneckerTorus) else None
-
-
-def _resonance_basis_of(model: FoliatedModel) -> list[tuple[int, ...]]:
-    base = _torus_base_of(model)
-    return base.resonance_basis if base is not None else []
+    try:
+        return torus_of(model)
+    except UnsupportedModelError:
+        return None
 
 
 # -- Diophantine certificates ---------------------------------------------------
@@ -374,20 +402,7 @@ def diophantine_certificate(alpha: Sequence[Scalar]) -> DiophantineCertificate:
     for a in alpha:
         if not a.is_real():
             raise ValidationError("alpha entries must be real")
-    # resonance lattice
-    rows: list[list[int]] = []
-    used_masks: set[int] = set()
-    for mask in range(field.dim):
-        row = [a.coeffs[mask] for a in alpha]
-        if any(row):
-            used_masks.add(mask)
-            denom = 1
-            for x in row:
-                denom = denom * x.denominator // _igcd2(denom, x.denominator)
-            rows.append([int(x * denom) for x in row])
-    from .linalg import integer_kernel
-
-    lattice = integer_kernel(rows, len(alpha))
+    lattice = resonance_lattice(alpha)
     if lattice:
         witness = min(lattice, key=lambda v: (sum(abs(x) for x in v), v))
         return DiophantineCertificate(
@@ -397,6 +412,7 @@ def diophantine_certificate(alpha: Sequence[Scalar]) -> DiophantineCertificate:
         )
     # the subfield generated by the entries: subgroup of sign patterns fixing
     # every used basis mask
+    used_masks = {mask for mask in range(field.dim) if any(a.coeffs[mask] for a in alpha)}
     t = len(field.radicals)
     fixers = []
     for bits in range(1 << t):
@@ -408,7 +424,7 @@ def diophantine_certificate(alpha: Sequence[Scalar]) -> DiophantineCertificate:
     cprime = Fraction(0)
     for a in alpha:
         den_a = a.denominator_lcm()
-        den = den * den_a // _igcd2(den, den_a)
+        den = math.lcm(den, den_a)
         cprime = max(cprime, a.abs_upper_bound())
     n_exp = degree - 1
     c_const = Fraction(den) ** degree * cprime**n_exp
@@ -430,12 +446,6 @@ def _mask_fixed(mask: int, signs: tuple[int, ...]) -> bool:
         if mask & (1 << (1 + j)):
             prod *= s
     return prod == 1
-
-
-def _igcd2(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # -- basic and ordinary cohomology ----------------------------------------------
@@ -509,7 +519,8 @@ def basic_cohomology_dims(
         for s in range(q + 1):
             incoming = ranks[s - 1] if s > 0 else 0
             dims[s] += ker_dims[s] - incoming
-    sensitive = bool(_resonance_basis_of(model))
+    base = _torus_base_of(model)
+    sensitive = base is not None and base.resonant
     return BasicCohomology(tuple(dims), sensitive, repr(model))
 
 
@@ -526,15 +537,12 @@ def ordinary_derham_dims(
     dims = [0] * (top + 1)
     op = lambda a: differential(model, "d", a)
     for key in model.block_keys(window):
-        monos = model.block_monomials(key, window)
-        by_deg: dict[int, list[FormMonomial]] = {}
-        for m in monos:
-            by_deg.setdefault(len(m.ext), []).append(m)
-        for k in range(top + 1):
-            basis = by_deg.get(k, [])
-            outgoing = operator_matrix(model, op, basis, by_deg.get(k + 1, []))
-            incoming = operator_matrix(model, op, by_deg.get(k - 1, []), basis)
-            dims[k] += quotient_dim(outgoing, incoming)
+        by_deg: dict[int, list[FormMonomial]] = {k: [] for k in range(top + 2)}
+        for m in model.block_monomials(key, window):
+            by_deg[len(m.ext)].append(m)
+        for k, h in block_homology(model, op, by_deg, str(key)).items():
+            if k <= top:
+                dims[k] += h
     return dims
 
 

@@ -17,24 +17,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .derham import cohomology_dims, ordinary_derham_dims
-from .errors import UnsupportedModelError, WindowError
+from .errors import WindowError
 from .models import (
     ConicDualModel,
     CosphereCircleModel,
     FoliatedModel,
-    KroneckerTorus,
     ModeWindow,
+    torus_of,
 )
 from .poisson import homogeneous_poisson_dims
-
-
-def _torus(model: FoliatedModel) -> KroneckerTorus:
-    if isinstance(model, KroneckerTorus):
-        return model
-    base = getattr(model, "base", None)
-    if isinstance(base, KroneckerTorus):
-        return base
-    raise UnsupportedModelError("this predictor needs a Kronecker torus model")
 
 
 def e2_dims(
@@ -44,7 +35,7 @@ def e2_dims(
 
     Nonzero only for -p <= k <= p and p <= h <= p + q.
     """
-    torus = _torus(model)
+    torus = torus_of(model)
     window = window or ModeWindow()
     p, q = torus.leaf_dim, torus.codim
     circle = CosphereCircleModel(torus)
@@ -64,7 +55,7 @@ def hh_dims_assuming_collapse(
     dim_k = sum_j dim H^{2p+j-k, j} of the cosphere-circle bundle; the
     collapse assumption is certified only by the symbol-level cocycle count.
     """
-    torus = _torus(model)
+    torus = torus_of(model)
     window = window or ModeWindow()
     p, q = torus.leaf_dim, torus.codim
     circle = CosphereCircleModel(torus)
@@ -89,7 +80,7 @@ def hh0_and_top(
     model: FoliatedModel, window: ModeWindow | None = None
 ) -> BottomTopReport:
     """The bottom group (trace space) and the top group (2p+q) dimensions."""
-    torus = _torus(model)
+    torus = torus_of(model)
     window = window or ModeWindow()
     p, q = torus.leaf_dim, torus.codim
     circle = CosphereCircleModel(torus)
@@ -109,7 +100,7 @@ def hp_dims(
     model: FoliatedModel, window: ModeWindow | None = None
 ) -> tuple[int, int]:
     """Even/odd periodic dimensions: alternating Betti sums of the bundle."""
-    torus = _torus(model)
+    torus = torus_of(model)
     window = window or ModeWindow()
     circle = CosphereCircleModel(torus)
     betti = ordinary_derham_dims(circle, window)
@@ -170,7 +161,7 @@ def e1_to_e2(
     applying the boundary operator and taking exact homology gives the second
     page, which must match the shifted circle-bundle table.
     """
-    torus = _torus(model)
+    torus = torus_of(model)
     window = window or ModeWindow()
     p, q = torus.leaf_dim, torus.codim
     if window.l_min > -p - 1 or window.l_max < p + 1:

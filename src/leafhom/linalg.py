@@ -1,6 +1,6 @@
 """Sparse exact linear algebra over a NumberField.
 
-Rank, kernel and quotient dimensions via pivoted Gauss-Jordan elimination
+Rank, kernel and homology dimensions via pivoted Gauss-Jordan elimination
 with exact field arithmetic (pivot rows are normalized to 1 to keep
 coefficient growth under control).  No floating point anywhere.
 """
@@ -224,25 +224,32 @@ def rank_kernel(matrix: SparseMatrix) -> tuple[int, list[SparseVector]]:
     return len(pivots), kernel
 
 
-def kernel_dim(matrix: SparseMatrix) -> int:
-    return matrix.cols - rank(matrix)
+def homology_dims(sizes: dict[int, int], diffs: dict[int, SparseMatrix]) -> dict[int, int]:
+    """Exact homology dimensions of a finite cochain complex.
 
-
-def quotient_dim(kernel_of: SparseMatrix, image_of: SparseMatrix) -> int:
-    """dim ker(kernel_of) - dim im(image_of), with the containment checked.
-
-    The image space im(image_of) must lie inside ker(kernel_of); violation
-    signals a broken differential and raises ComplexViolationError.
+    ``sizes[t]`` is dim C^t and ``diffs[t]`` the matrix of d: C^t -> C^(t+1);
+    a missing differential is the zero map.  d_(t+1) d_t = 0 is checked once
+    per consecutive pair, each d_t is ranked once, and the result
+    dim H^t = dim C^t - rank d_t - rank d_(t-1) is returned for every t in
+    ``sizes``.  A broken complex raises ComplexViolationError naming the
+    degrees.
     """
-    if kernel_of.cols != image_of.rows:
-        raise ShapeError(
-            f"spaces disagree: kernel side has dim {kernel_of.cols}, image side {image_of.rows}"
-        )
-    if not kernel_of.matmul(image_of).is_zero():
-        raise ComplexViolationError("image is not contained in the kernel (d^2 != 0)")
-    out = kernel_dim(kernel_of) - rank(image_of)
-    if out < 0:  # unreachable once containment holds; guards an engine bug
-        raise ComplexViolationError("negative quotient dimension")
+    for t, mat in diffs.items():
+        if mat.cols != sizes.get(t, 0) or mat.rows != sizes.get(t + 1, 0):
+            raise ShapeError(
+                f"differential at degree {t} is {mat.rows}x{mat.cols}, expected "
+                f"{sizes.get(t + 1, 0)}x{sizes.get(t, 0)}"
+            )
+        nxt = diffs.get(t + 1)
+        if nxt is not None and not nxt.matmul(mat).is_zero():
+            raise ComplexViolationError(f"d^2 != 0 between degrees {t} and {t + 2}")
+    ranks = {t: rank(mat) for t, mat in diffs.items()}
+    out = {}
+    for t, n in sorted(sizes.items()):
+        h = n - ranks.get(t, 0) - ranks.get(t - 1, 0)
+        if h < 0:  # unreachable once d^2 = 0 holds; guards an engine bug
+            raise ComplexViolationError(f"negative homology dimension at degree {t}")
+        out[t] = h
     return out
 
 

@@ -22,6 +22,7 @@ and form objects are immutable and freely shareable across threads.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -54,9 +55,6 @@ class ModeWindow:
 
     def homogeneities(self) -> range:
         return range(self.l_min, self.l_max + 1)
-
-    def enlarged(self, extra: int) -> ModeWindow:
-        return ModeWindow(self.bound + extra, self.l_min - extra, self.l_max + extra)
 
 
 @dataclass(frozen=True)
@@ -130,15 +128,6 @@ def merge_ext(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, tuple[int, .
 def insert_gen(gen: int, ext: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
     """Wedge a single generator from the left: gen ^ ext."""
     return merge_ext((gen,), ext)
-
-
-def remove_gen(gen: int, ext: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
-    """Contract the dual vector of gen: sign (-1)^position, or None if absent."""
-    if gen not in ext:
-        return None
-    pos = ext.index(gen)
-    sign = -1 if pos & 1 else 1
-    return sign, ext[:pos] + ext[pos + 1 :]
 
 
 class Form:
@@ -244,9 +233,6 @@ class Form:
         if len(degrees) == 1:
             return degrees.pop()
         return None
-
-    def total_degrees(self) -> set[int]:
-        return {len(m.ext) for m in self.terms}
 
     def homogeneity_decompose(self) -> dict[int, Form]:
         model = self.model
@@ -417,6 +403,56 @@ def _sort_sign(indices: list[int]) -> int:
     return sign
 
 
+def _mode_multiplier_d(
+    field: NumberField, mono: FormMonomial, multipliers: list[tuple[int, Scalar | int]]
+) -> list[tuple[FormMonomial, Scalar]]:
+    """d of a Fourier-mode monomial: sum over (gen, c) of c * gen ^ mono.
+
+    ``c`` is the derivative multiplier of the mode along the frame vector
+    dual to ``gen``; zero multipliers contribute nothing.
+    """
+    out = []
+    for gen, c in multipliers:
+        if not c:
+            continue
+        ins = insert_gen(gen, mono.ext)
+        if ins is not None:
+            sign, ext = ins
+            val = c if sign > 0 else -c
+            out.append(
+                (
+                    FormMonomial(mono.mode, mono.xi, mono.comp, ext),
+                    val if isinstance(val, Scalar) else field.scalar(val),
+                )
+            )
+    return out
+
+
+def _frame_d(
+    dual_d: list[list[tuple[Scalar, tuple[int, int]]]], mono: FormMonomial
+) -> list[tuple[FormMonomial, Scalar]]:
+    """d of a constant-coefficient monomial from d of each generator (Leibniz)."""
+    out: dict[FormMonomial, Scalar] = {}
+    ext = mono.ext
+    for pos, g in enumerate(ext):
+        rest = ext[:pos] + ext[pos + 1 :]
+        outer_sign = -1 if pos & 1 else 1
+        for coeff, (a, b) in dual_d[g]:
+            merged = merge_ext((a, b), rest)
+            if merged is None:
+                continue
+            sign, new_ext = merged
+            total = coeff * (outer_sign * sign)
+            mono2 = FormMonomial(mono.mode, mono.xi, mono.comp, new_ext)
+            cur = out.get(mono2)
+            new = total if cur is None else cur + total
+            if new:
+                out[mono2] = new
+            else:
+                out.pop(mono2, None)
+    return list(out.items())
+
+
 class KroneckerTorus(FoliatedModel):
     """T^n foliated by the constant line field with slope vector alpha.
 
@@ -455,19 +491,7 @@ class KroneckerTorus(FoliatedModel):
         self.components = ("",)
         self.mode_len = n
         self._pairing_cache: dict[Mode, Scalar] = {}
-        self.resonance_basis = self._resonance_basis()
-
-    def _resonance_basis(self) -> list[tuple[int, ...]]:
-        # m . alpha = 0 iff every rational component of sum m_j alpha_j vanishes
-        rows: list[list[int]] = []
-        for mask in range(self.field.dim):
-            row = [a.coeffs[mask] for a in self.alpha]
-            if any(row):
-                denom = 1
-                for x in row:
-                    denom = denom * x.denominator // _igcd(denom, x.denominator)
-                rows.append([int(x * denom) for x in row])
-        return integer_kernel(rows, self.n)
+        self.resonance_basis = resonance_lattice(self.alpha)
 
     @property
     def resonant(self) -> bool:
@@ -486,28 +510,9 @@ class KroneckerTorus(FoliatedModel):
         return cached
 
     def d_full(self, mono: FormMonomial) -> list[tuple[FormMonomial, Scalar]]:
-        out = []
-        lam = self.pairing(mono.mode)
-        if lam:
-            ins = insert_gen(0, mono.ext)
-            if ins is not None:
-                sign, ext = ins
-                out.append(
-                    (FormMonomial(mono.mode, 0, mono.comp, ext), lam if sign > 0 else -lam)
-                )
-        for i in range(1, self.n):
-            mi = mono.mode[i]
-            if mi:
-                ins = insert_gen(i, mono.ext)
-                if ins is not None:
-                    sign, ext = ins
-                    out.append(
-                        (
-                            FormMonomial(mono.mode, 0, mono.comp, ext),
-                            self.field.scalar(mi * sign),
-                        )
-                    )
-        return out
+        mode = mono.mode
+        multipliers = [(0, self.pairing(mode))] + [(i, mode[i]) for i in range(1, self.n)]
+        return _mode_multiplier_d(self.field, mono, multipliers)
 
     def block_keys(self, window: ModeWindow) -> list[tuple]:
         return [(0, m) for m in window.modes(self.n)]
@@ -545,36 +550,10 @@ class _CircleBundleModel(FoliatedModel):
         return self.base.pairing(mode[: self.n])
 
     def d_full(self, mono: FormMonomial) -> list[tuple[FormMonomial, Scalar]]:
-        out = []
-        lam = self.pairing(mono.mode)
-        if lam:
-            ins = insert_gen(0, mono.ext)
-            if ins is not None:
-                sign, ext = ins
-                out.append(
-                    (FormMonomial(mono.mode, 0, mono.comp, ext), lam if sign > 0 else -lam)
-                )
-        k = mono.mode[self.n]
-        if k:
-            ins = insert_gen(1, mono.ext)
-            if ins is not None:
-                sign, ext = ins
-                out.append(
-                    (FormMonomial(mono.mode, 0, mono.comp, ext), self.field.scalar(k * sign))
-                )
-        for i in range(1, self.n):
-            mi = mono.mode[i]
-            if mi:
-                ins = insert_gen(i + 1, mono.ext)
-                if ins is not None:
-                    sign, ext = ins
-                    out.append(
-                        (
-                            FormMonomial(mono.mode, 0, mono.comp, ext),
-                            self.field.scalar(mi * sign),
-                        )
-                    )
-        return out
+        mode = mono.mode
+        multipliers = [(0, self.pairing(mode)), (1, mode[self.n])]
+        multipliers += [(i + 1, mode[i]) for i in range(1, self.n)]
+        return _mode_multiplier_d(self.field, mono, multipliers)
 
     def block_keys(self, window: ModeWindow) -> list[tuple]:
         return [
@@ -706,25 +685,7 @@ class LieFrameModel(FoliatedModel):
         return out
 
     def d_full(self, mono: FormMonomial) -> list[tuple[FormMonomial, Scalar]]:
-        out: dict[FormMonomial, Scalar] = {}
-        ext = mono.ext
-        for pos, g in enumerate(ext):
-            rest = ext[:pos] + ext[pos + 1 :]
-            outer_sign = -1 if pos & 1 else 1
-            for coeff, (a, b) in self._dual_d[g]:
-                merged = merge_ext((a, b), rest)
-                if merged is None:
-                    continue
-                sign, new_ext = merged
-                total = coeff * (outer_sign * sign)
-                mono2 = FormMonomial(mono.mode, mono.xi, mono.comp, new_ext)
-                cur = out.get(mono2)
-                new = total if cur is None else cur + total
-                if new:
-                    out[mono2] = new
-                else:
-                    out.pop(mono2, None)
-        return list(out.items())
+        return _frame_d(self._dual_d, mono)
 
     def block_keys(self, window: ModeWindow) -> list[tuple]:
         return [(0,)]
@@ -751,7 +712,7 @@ class ConicDualModel(FoliatedModel):
 
     def __init__(self, base: KroneckerTorus | LieFrameModel):
         if isinstance(base, KroneckerTorus):
-            self._lie = None
+            self._lie_dual_d = None
             n = base.n
             self.gen_names = ("theta", "dxi") + tuple(f"eta{i}" for i in range(1, n))
             self.mode_len = n
@@ -759,13 +720,21 @@ class ConicDualModel(FoliatedModel):
         elif isinstance(base, LieFrameModel):
             if base.leaf_dim != 1:
                 raise ValidationError("conic extension needs a one-dimensional leaf")
-            self._lie = base
             leaf = next(iter(base.leaf_indices))
             complement = sorted(set(range(base.n)) - {leaf})
-            self._lie_order = [leaf] + complement  # model index -> base frame index
             self.gen_names = (base.gen_names[leaf], "dxi") + tuple(
                 base.gen_names[i] for i in complement
             )
+            # d of each frame covector, re-indexed into the conic generator
+            # order (leaf, dxi, complement...); d(dxi) = 0
+            to_model = {b: (0 if k == 0 else k + 1) for k, b in enumerate([leaf] + complement)}
+            self._lie_dual_d = [[] for _ in self.gen_names]
+            for b, terms in enumerate(base._dual_d):
+                for coeff, (i, j) in terms:
+                    mi, mj = to_model[i], to_model[j]
+                    if mi > mj:
+                        mi, mj, coeff = mj, mi, -coeff
+                    self._lie_dual_d[to_model[b]].append((coeff, (mi, mj)))
             self.mode_len = 0
             self.n = base.n
         else:
@@ -778,80 +747,29 @@ class ConicDualModel(FoliatedModel):
         self.components = ("+", "-")
 
     def pairing(self, mode: Mode) -> Scalar:
-        if self._lie is not None:
+        if self._lie_dual_d is not None:
             return self.field.zero
         return self.base.pairing(mode)
 
-    def _lie_dual_d(self, model_gen: int) -> list[tuple[Scalar, tuple[int, int]]]:
-        """d of a frame covector, re-indexed into the conic generator order."""
-        assert self._lie is not None
-        base_gen = self._lie_order[model_gen if model_gen == 0 else model_gen - 1]
-        out = []
-        to_model = {b: (0 if k == 0 else k + 1) for k, b in enumerate(self._lie_order)}
-        for coeff, (a, b) in self._lie._dual_d[base_gen]:
-            ma, mb = to_model[a], to_model[b]
-            if ma > mb:
-                ma, mb = mb, ma
-                coeff = -coeff
-            out.append((coeff, (ma, mb)))
-        return out
-
     def d_full(self, mono: FormMonomial) -> list[tuple[FormMonomial, Scalar]]:
-        out: dict[FormMonomial, Scalar] = {}
-
-        def accumulate(mono2: FormMonomial, coeff: Scalar) -> None:
-            cur = out.get(mono2)
-            new = coeff if cur is None else cur + coeff
-            if new:
-                out[mono2] = new
-            else:
-                out.pop(mono2, None)
-
+        out = []
         # radial part: d(xi^a) = a xi^(a-1) dxi
         if mono.xi:
             ins = insert_gen(1, mono.ext)
             if ins is not None:
                 sign, ext = ins
-                accumulate(
-                    FormMonomial(mono.mode, mono.xi - 1, mono.comp, ext),
-                    self.field.scalar(mono.xi * sign),
+                out.append(
+                    (
+                        FormMonomial(mono.mode, mono.xi - 1, mono.comp, ext),
+                        self.field.scalar(mono.xi * sign),
+                    )
                 )
-        if self._lie is None:
-            lam = self.pairing(mono.mode)
-            if lam:
-                ins = insert_gen(0, mono.ext)
-                if ins is not None:
-                    sign, ext = ins
-                    accumulate(
-                        FormMonomial(mono.mode, mono.xi, mono.comp, ext),
-                        lam if sign > 0 else -lam,
-                    )
-            for i in range(1, self.n):
-                mi = mono.mode[i]
-                if mi:
-                    ins = insert_gen(i + 1, mono.ext)
-                    if ins is not None:
-                        sign, ext = ins
-                        accumulate(
-                            FormMonomial(mono.mode, mono.xi, mono.comp, ext),
-                            self.field.scalar(mi * sign),
-                        )
-        else:
-            for pos, g in enumerate(mono.ext):
-                rest = mono.ext[:pos] + mono.ext[pos + 1 :]
-                outer_sign = -1 if pos & 1 else 1
-                if g == 1:
-                    continue  # d(dxi) = 0
-                for coeff, (a, b) in self._lie_dual_d(g):
-                    merged = merge_ext((a, b), rest)
-                    if merged is None:
-                        continue
-                    sign, new_ext = merged
-                    accumulate(
-                        FormMonomial(mono.mode, mono.xi, mono.comp, new_ext),
-                        coeff * (outer_sign * sign),
-                    )
-        return list(out.items())
+        # the remaining terms keep the xi power, so they never meet the radial one
+        if self._lie_dual_d is not None:
+            return out + _frame_d(self._lie_dual_d, mono)
+        mode = mono.mode
+        multipliers = [(0, self.pairing(mode))] + [(i + 1, mode[i]) for i in range(1, self.n)]
+        return out + _mode_multiplier_d(self.field, mono, multipliers)
 
     def block_keys(self, window: ModeWindow) -> list[tuple]:
         return [
@@ -873,10 +791,32 @@ class ConicDualModel(FoliatedModel):
         return f"ConicDualModel({self.base!r})"
 
 
-def _igcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+def resonance_lattice(alpha: Sequence[Scalar]) -> list[tuple[int, ...]]:
+    """Basis of the integer vectors m with m . alpha = 0.
+
+    m . alpha vanishes iff every rational component of sum m_j alpha_j does,
+    so the lattice is the integer kernel of the component matrix of alpha
+    (each row cleared of denominators).
+    """
+    rows: list[list[int]] = []
+    for mask in range(alpha[0].field.dim):
+        row = [a.coeffs[mask] for a in alpha]
+        if any(row):
+            denom = math.lcm(*(x.denominator for x in row))
+            rows.append([int(x * denom) for x in row])
+    return integer_kernel(rows, len(alpha))
+
+
+def torus_of(model: FoliatedModel) -> KroneckerTorus:
+    """The Kronecker torus a model is built on: the model itself or its base."""
+    if isinstance(model, KroneckerTorus):
+        return model
+    base = getattr(model, "base", None)
+    if isinstance(base, KroneckerTorus):
+        return base
+    raise UnsupportedModelError(
+        f"needs a Kronecker torus or a model built on one, got {type(model).__name__}"
+    )
 
 
 # -- model specification documents -------------------------------------------
@@ -931,7 +871,7 @@ def _infer_field_spec(spec: dict) -> dict:
                 scan(v)
 
     scan(spec)
-    return {"sqrts": sorted(rads)[:2]}
+    return {"sqrts": sorted(rads)}
 
 
 def _build_family(spec: dict, family: str, field: NumberField):
@@ -968,13 +908,23 @@ def _build_family(spec: dict, family: str, field: NumberField):
             if not (0 <= i < n and 0 <= j < n and i != j):
                 raise SpecParseError(f"bracket indices out of range in {item!r}")
             vec: dict[int, Scalar] = {}
-            for k, coeff in targets:
-                vec[int(k) - 1] = field.parse(str(coeff))
+            try:
+                for k, coeff in targets:
+                    vec[int(k) - 1] = field.parse(str(coeff))
+            except (TypeError, ValueError) as exc:
+                raise SpecParseError(
+                    f"malformed bracket targets in {item!r}; expected [[k, coeff], ...]"
+                ) from exc
+            if not all(0 <= k < n for k in vec):
+                raise SpecParseError(f"bracket target index out of range in {item!r}")
             if i < j:
                 structure[(i, j)] = vec
             else:
                 structure[(j, i)] = {k: -c for k, c in vec.items()}
-        leaf_idx = {int(i) - 1 for i in leaf}
+        try:
+            leaf_idx = {int(i) - 1 for i in leaf}
+        except (TypeError, ValueError) as exc:
+            raise SpecParseError(f"malformed leaf index list {leaf!r}") from exc
         return LieFrameModel.create(field, n, structure, leaf_idx)
     raise SpecParseError(f"unknown model family {family!r}")
 

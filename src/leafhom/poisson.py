@@ -17,15 +17,15 @@ operator identities.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .derham import (
     CheckResult,
+    block_homology,
     cohomology_dims,
     differential,
-    operator_matrix,
 )
 from .errors import UnsupportedModelError, ValidationError
-from .linalg import quotient_dim
 from .models import (
     ConicDualModel,
     CosphereCircleModel,
@@ -246,10 +246,33 @@ def verify_star_delta_identity(
 # -- homogeneous Poisson homology --------------------------------------------------
 
 
-def _block_slice(
-    model: ConicDualModel, comp: int, mode: tuple, l: int, window: ModeWindow
-) -> list[FormMonomial]:
-    return model.block_monomials((comp, mode, l), window)
+def _delta_homology(
+    conic: ConicDualModel,
+    op: Callable[[Form], Form],
+    l: int,
+    window: ModeWindow,
+    in_chain: Callable[[FormMonomial, int], bool],
+) -> dict[str, int]:
+    """Homology of a boundary operator at homogeneity l, per component.
+
+    Each (component, mode) block contributes the chain l+1 -> l -> l-1 in
+    degrees t = -l; ``in_chain(m, j)`` picks the monomials of homogeneity
+    l + j that belong to it.
+    """
+    out = {name: 0 for name in conic.components}
+    for comp in range(conic.components_count):
+        for mode in window.modes(conic.mode_len):
+            chain = {
+                -(l + j): [
+                    m
+                    for m in conic.block_monomials((comp, mode, l + j), window)
+                    if in_chain(m, j)
+                ]
+                for j in (1, 0, -1)
+            }
+            dims = block_homology(conic, op, chain, f"{(comp, mode)}, l = {l}")
+            out[conic.components[comp]] += dims[-l]
+    return out
 
 
 def homogeneous_poisson_dims(
@@ -270,29 +293,10 @@ def homogeneous_poisson_dims(
     if operator not in ("delta", "delta_F"):
         raise ValidationError(f"unsupported homology operator {operator!r}")
     op = lambda a: delta(a, operator)
-    per_comp: dict[str, int] = {name: 0 for name in conic.components}
-    top = conic.leaf_dim + conic.codim
-    if 0 <= k <= top:
-        for comp in range(conic.components_count):
-            for mode in window.modes(conic.mode_len):
-                here = [
-                    m
-                    for m in _block_slice(conic, comp, mode, l, window)
-                    if len(m.ext) == k
-                ]
-                below = [
-                    m
-                    for m in _block_slice(conic, comp, mode, l - 1, window)
-                    if len(m.ext) == k - 1
-                ]
-                above = [
-                    m
-                    for m in _block_slice(conic, comp, mode, l + 1, window)
-                    if len(m.ext) == k + 1
-                ]
-                outgoing = operator_matrix(conic, op, here, below)
-                incoming = operator_matrix(conic, op, above, here)
-                per_comp[conic.components[comp]] += quotient_dim(outgoing, incoming)
+    if 0 <= k <= conic.leaf_dim + conic.codim:
+        per_comp = _delta_homology(conic, op, l, window, lambda m, j: len(m.ext) == k + j)
+    else:
+        per_comp = {name: 0 for name in conic.components}
     if per_component:
         return per_comp
     return sum(per_comp.values())
@@ -309,19 +313,8 @@ def homogeneous_poisson_bigraded_dims(
     conic = _require_conic(model)
     window = window or ModeWindow()
     op = lambda a: delta(a, "delta_F")
-    total = 0
-    for comp in range(conic.components_count):
-        for mode in window.modes(conic.mode_len):
-            pick = lambda mlist, rr, ss: [
-                m for m in mlist if conic.bidegree(m.ext) == (rr, ss)
-            ]
-            here = pick(_block_slice(conic, comp, mode, l, window), r, s)
-            below = pick(_block_slice(conic, comp, mode, l - 1, window), r - 1, s)
-            above = pick(_block_slice(conic, comp, mode, l + 1, window), r + 1, s)
-            outgoing = operator_matrix(conic, op, here, below)
-            incoming = operator_matrix(conic, op, above, here)
-            total += quotient_dim(outgoing, incoming)
-    return total
+    in_chain = lambda m, j: conic.bidegree(m.ext) == (r + j, s)
+    return sum(_delta_homology(conic, op, l, window, in_chain).values())
 
 
 # -- the three-pipeline correspondence ----------------------------------------------

@@ -10,7 +10,7 @@ comparison of normalized rationals and is always exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 from .errors import ValidationError
 
@@ -236,11 +236,6 @@ class Scalar:
     def is_real(self) -> bool:
         return all(c == 0 for mask, c in enumerate(self.coeffs) if mask & 1)
 
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise ValidationError(f"{self} is not rational")
-        return self.coeffs[0]
-
     # -- arithmetic ----------------------------------------------------
 
     def _coerce(self, other: int | Fraction | Scalar) -> Scalar:
@@ -374,11 +369,7 @@ class Scalar:
         return total
 
     def denominator_lcm(self) -> int:
-        out = 1
-        for c in self.coeffs:
-            if c != 0:
-                out = out * c.denominator // _gcd(out, c.denominator)
-        return out
+        return lcm(*(c.denominator for c in self.coeffs))
 
     # -- rendering -------------------------------------------------------
 
@@ -407,9 +398,3 @@ class Scalar:
 
 def _frac_str(c: Fraction) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a

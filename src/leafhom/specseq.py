@@ -17,10 +17,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from .derham import block_differentials
 from .errors import ComplexViolationError, UnsupportedModelError, ValidationError
-from .linalg import Echelon, SparseMatrix, SparseVector, rank, rank_kernel
-from .models import ConicDualModel, FoliatedModel, Form, FormMonomial, ModeWindow
-from .scalars import NumberField, Scalar
+from .linalg import Echelon, SparseMatrix, SparseVector, homology_dims, rank_kernel
+from .models import ConicDualModel, FoliatedModel, FormMonomial, ModeWindow
+from .poisson import delta
+from .scalars import NumberField
 
 
 @dataclass(frozen=True)
@@ -55,6 +57,7 @@ class FilteredComplex:
         self._validate()
 
     def _validate(self) -> None:
+        """Shapes, weights and d^2 = 0; keeps the homology dims it computes."""
         for t, mat in self.diffs.items():
             src = self.by_degree.get(t, [])
             dst = self.by_degree.get(t + 1, [])
@@ -66,10 +69,8 @@ class FilteredComplex:
                         "differential decreases the filtration weight at "
                         f"{self.basis[src[j]].label} -> {self.basis[dst[i]].label}"
                     )
-        for t, mat in self.diffs.items():
-            nxt = self.diffs.get(t + 1)
-            if nxt is not None and not nxt.matmul(mat).is_zero():
-                raise ComplexViolationError(f"d^2 != 0 between degrees {t} and {t + 2}")
+        sizes = {t: len(idxs) for t, idxs in self.by_degree.items()}
+        self._homology = homology_dims(sizes, self.diffs)
 
     @property
     def degrees(self) -> list[int]:
@@ -81,15 +82,7 @@ class FilteredComplex:
         return (min(weights), max(weights)) if weights else (0, 0)
 
     def homology_dims(self) -> dict[int, int]:
-        out = {}
-        for t in self.degrees:
-            n = len(self.by_degree[t])
-            d_out = self.diffs.get(t)
-            d_in = self.diffs.get(t - 1)
-            r_out = rank(d_out) if d_out is not None else 0
-            r_in = rank(d_in) if d_in is not None else 0
-            out[t] = n - r_out - r_in
-        return out
+        return dict(self._homology)
 
     # -- serialization (regression fixtures) --------------------------------
 
@@ -311,16 +304,13 @@ def poisson_filtration(
     operator; its leafwise part preserves the weight, the transverse part
     raises it by one.
     """
-    from .poisson import delta
-
     conic = model
     if not isinstance(conic, ConicDualModel):
         raise UnsupportedModelError("the filtration lives on the conic dual model")
     window = window or ModeWindow()
     top = conic.leaf_dim + conic.codim
     basis: list[BasisVector] = []
-    monos: list[FormMonomial] = []
-    index: dict[FormMonomial, int] = {}
+    graded: dict[int, list[FormMonomial]] = {}
     for l in range(-k, top - k + 1):
         deg = k + l
         for comp in range(conic.components_count):
@@ -330,31 +320,7 @@ def poisson_filtration(
                         continue
                     label = f"l={l}|{conic.monomial_label(mono)}"
                     _r, s = conic.bidegree(mono.ext)
-                    index[mono] = len(basis)
                     basis.append(BasisVector(label, -l, s))
-                    monos.append(mono)
-    by_degree: dict[int, list[int]] = {}
-    for idx, b in enumerate(basis):
-        by_degree.setdefault(b.degree, []).append(idx)
-    local_pos = {
-        idx: pos for t, idxs in by_degree.items() for pos, idx in enumerate(idxs)
-    }
-    diffs: dict[int, SparseMatrix] = {}
-    for t, idxs in sorted(by_degree.items()):
-        if (t + 1) not in by_degree:
-            continue
-        entries: dict[tuple[int, int], Scalar] = {}
-        for j_local, idx in enumerate(idxs):
-            mono = monos[idx]
-            image = delta(Form(conic, {mono: conic.field.one}))
-            for m2, c in image.terms.items():
-                tgt = index.get(m2)
-                if tgt is None:
-                    raise ComplexViolationError(
-                        "boundary image leaves the filtration window"
-                    )
-                entries[(local_pos[tgt], j_local)] = c
-        diffs[t] = SparseMatrix(
-            len(by_degree[t + 1]), len(idxs), entries, conic.field
-        )
+                    graded.setdefault(-l, []).append(mono)
+    diffs = block_differentials(conic, delta, graded)
     return FilteredComplex(conic.field, basis, diffs)

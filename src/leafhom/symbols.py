@@ -146,9 +146,6 @@ class TruncatedSymbol:
     def coefficient(self, side: int, j: int, m: Mode) -> Scalar:
         return self.sides[side].get(j, {}).get(tuple(m), self.torus.field.zero)
 
-    def one_sided(self, side: int) -> TruncatedSymbol:
-        return TruncatedSymbol(self.torus, {side: self.sides[side]}, self.floor)
-
     def __add__(self, other: TruncatedSymbol) -> TruncatedSymbol:
         self._check(other)
         sides = {

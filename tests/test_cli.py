@@ -177,6 +177,37 @@ def test_unsupported_pairing(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "spec, args, message",
+    [
+        (
+            {"family": "kronecker_torus", "alpha": ["1", "sqrt2"]},
+            ["hochschild", "--mode-bound", "1", "--xi-range=-1:1"],
+            "cannot hold the first-page degrees",
+        ),
+        (
+            {"family": "lie_frame", "n": 2, "brackets": [[1, 2, [[3]]]], "leaf": [1]},
+            ["derham"],
+            "malformed bracket targets",
+        ),
+        (
+            {"family": "kronecker_torus", "alpha": ["1", "sqrt2", "sqrt3", "sqrt5"]},
+            ["derham"],
+            "at most two quadratic radicals are supported",
+        ),
+    ],
+    ids=["window-too-small", "bracket-target", "three-radicals"],
+)
+def test_bad_input_exits_2_with_one_line(spec, args, message, tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(spec))
+    code = cli.main([*args, "--model", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert message in err
+
+
 def test_lie_model_derham_and_poisson(tmp_path):
     lie = tmp_path / "lie.json"
     lie.write_text(

@@ -14,7 +14,7 @@ from leafhom.derham import (
     ordinary_derham_dims,
     verify_decomposition_identities,
 )
-from leafhom.errors import ValidationError
+from leafhom.errors import ComplexViolationError, ValidationError
 from leafhom.models import (
     ConicDualModel,
     CosphereCircleModel,
@@ -140,6 +140,21 @@ def test_identities_catch_broken_jacobi(field):
     assert not report.passed
     names = {c.name: c.passed for c in report.checks}
     assert not names["d^2 = 0"]
+
+
+def test_cohomology_rejects_broken_complex(field):
+    s = lambda d: {k: field.scalar(v) for k, v in d.items()}
+    structure = {
+        (0, 1): s({1: 1, 2: -1}),
+        (0, 2): s({0: 1, 1: -1}),
+        (1, 2): s({0: -1, 1: -1, 2: 1}),
+    }
+    # raw constructor: the Jacobi identity fails, so d_F^2 != 0
+    broken = LieFrameModel(field, 3, structure, {0, 1})
+    with pytest.raises(
+        ComplexViolationError, match=r"block \(0,\), s = 1: d\^2 != 0 between degrees 0 and 2"
+    ):
+        cohomology_dims(broken, ModeWindow(bound=0))
 
 
 # -- cohomology tables ----------------------------------------------------------
@@ -269,17 +284,15 @@ def test_basic_dims_heisenberg(field):
 
 def test_mode_zero_block_quotient(torus):
     # ker dim 1, im dim 0 at leafwise degree 1 of the zero-mode block
-    from leafhom.derham import operator_matrix
-    from leafhom.linalg import quotient_dim
+    from leafhom.derham import block_homology
 
     window = ModeWindow(bound=1)
     key = (0, (0, 0))
     monos = torus.block_monomials(key, window)
     pick = lambda r, s: [m for m in monos if torus.bidegree(m.ext) == (r, s)]
     op = lambda a: differential(torus, "d_F", a)
-    outgoing = operator_matrix(torus, op, pick(1, 0), pick(2, 0))
-    incoming = operator_matrix(torus, op, pick(0, 0), pick(1, 0))
-    assert quotient_dim(outgoing, incoming) == 1
+    chain = {r: pick(r, 0) for r in range(3)}
+    assert block_homology(torus, op, chain, str(key))[1] == 1
 
 
 def test_ordinary_dims(torus, field):

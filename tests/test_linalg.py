@@ -11,8 +11,8 @@ from leafhom.errors import ComplexViolationError, ShapeError
 from leafhom.linalg import (
     Echelon,
     SparseMatrix,
+    homology_dims,
     integer_kernel,
-    quotient_dim,
     rank,
     rank_kernel,
     span_dim,
@@ -109,21 +109,28 @@ def test_shape_errors(field):
         a.matmul(b)
 
 
-def test_quotient_dim_plain(field):
-    # kernel of the zero map on a 3-dim space, image a line inside it
+def test_homology_dims_plain(field):
+    # C^0 (dim 1) -> C^1 (dim 3) -> C^2 (dim 1): a line mapped into the
+    # kernel of the zero map leaves a 2-dim middle homology
     z = SparseMatrix(1, 3, {}, field)
     b = SparseMatrix(3, 1, {(0, 0): field.one}, field)
-    assert quotient_dim(z, b) == 2
+    assert homology_dims({0: 1, 1: 3, 2: 1}, {0: b, 1: z}) == {0: 0, 1: 2, 2: 1}
 
 
-def test_quotient_dim_detects_broken_complex(field):
+def test_homology_dims_detects_broken_complex(field):
     z = SparseMatrix(1, 2, {(0, 0): field.one}, field)
     b = SparseMatrix(2, 1, {(0, 0): field.one}, field)
-    with pytest.raises(ComplexViolationError):
-        quotient_dim(z, b)
+    with pytest.raises(ComplexViolationError, match="d\\^2 != 0 between degrees 3 and 5"):
+        homology_dims({3: 1, 4: 2, 5: 1}, {3: b, 4: z})
 
 
-def test_quotient_never_negative(field):
+def test_homology_dims_rejects_wrong_shape(field):
+    b = SparseMatrix(2, 1, {(0, 0): field.one}, field)
+    with pytest.raises(ShapeError):
+        homology_dims({0: 1, 1: 3}, {0: b})
+
+
+def test_homology_dims_never_negative(field):
     rng = random.Random(13)
     for _ in range(20):
         n = rng.randint(1, 4)
@@ -138,7 +145,9 @@ def test_quotient_never_negative(field):
             (idx, c): v for idx, vec in enumerate(kernel) for c, v in vec.items()
         }
         z = SparseMatrix(len(kernel), n, z_rows, field)
-        assert quotient_dim(z, b) >= 0
+        dims = homology_dims({0: 1, 1: n, 2: len(kernel)}, {0: b, 1: z})
+        assert min(dims.values()) >= 0
+        assert dims[1] == n - r - rank(z)
 
 
 def test_echelon_membership(field):
