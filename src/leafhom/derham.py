@@ -13,7 +13,8 @@ complexes indexed by the window.  Blocks whose leafwise multiplier is nonzero
 come out exact; this is observed in the computation, never assumed, which is
 what makes the window-stability guarantee checkable.
 
-One block engine turns a block into numbers for derham, poisson and specseq.
+One block engine turns a block into numbers: the leafwise and ordinary tables
+here, poisson's boundary homology and the specseq filtration use it.
 A block is given as its monomial bases by degree; `block_differentials`
 assembles each differential d_t once, applying the operator once per source
 monomial, and `linalg.homology_dims` ranks each d_t once and returns
