@@ -29,6 +29,23 @@ CASES = {
         ],
         0,
     ),
+    # the criterion-12 symbol configuration
+    "kronecker_t2_symbols": (
+        {"family": "kronecker_torus", "alpha": ["1", "sqrt2"]},
+        [
+            "--analyses",
+            "symbols",
+            "--mode-bound",
+            "1",
+            "--trials",
+            "20",
+            "--depth",
+            "6",
+            "--seed",
+            "11",
+        ],
+        0,
+    ),
     # specseq needs a torus base, so this run stops with exit 2 after the
     # derham and poisson reports (and writes no summary)
     "lie_frame_2d": (
