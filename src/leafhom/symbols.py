@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 from .errors import InsufficientTruncationError, ValidationError
 from .models import KroneckerTorus, Mode, ModeWindow
@@ -220,6 +220,147 @@ def _falling(u: int, k: int) -> int:
     return out
 
 
+def _tops(a: TruncatedSymbol) -> dict[int, int | None]:
+    """Top order on each side (None where the side is empty)."""
+    return {s: max(a.sides[s]) if a.sides[s] else None for s in SIDES}
+
+
+def _product_shape(
+    a_tops: dict[int, int | None],
+    a_floor: int | None,
+    b_tops: dict[int, int | None],
+    b_floor: int | None,
+    depth: int,
+) -> tuple[dict[int, int | None], int | None]:
+    """Per-side top orders and watermark of a o b, from the factors' shapes.
+
+    The watermark is max(order(a)+order(b)-depth, floor(a)+order(b),
+    floor(b)+order(a)), with order() the top over both sides; a product with
+    a zero factor is exactly zero (no watermark).  On one side, order
+    top(a)+top(b) is reached only by the k = 0 term of the two top
+    coefficients, and that term is their product.  Both are nonzero
+    trigonometric polynomials, i.e. Laurent polynomials over a field, which
+    have no zero divisors; so the side's top order is top(a)+top(b) unless it
+    lies below the watermark, where the whole side is dropped.  No
+    coefficient is needed to know the shape.
+    """
+    if all(t is None for t in a_tops.values()) or all(t is None for t in b_tops.values()):
+        return {s: None for s in SIDES}, None
+    hi_a = max(t for t in a_tops.values() if t is not None)
+    hi_b = max(t for t in b_tops.values() if t is not None)
+    candidates = [hi_a + hi_b - depth]
+    if a_floor is not None:
+        candidates.append(a_floor + hi_b)
+    if b_floor is not None:
+        candidates.append(b_floor + hi_a)
+    floor = max(candidates)
+    tops: dict[int, int | None] = {}
+    for s in SIDES:
+        ta, tb = a_tops[s], b_tops[s]
+        tops[s] = None if ta is None or tb is None or ta + tb < floor else ta + tb
+    return tops, floor
+
+
+class _Expansion:
+    """The terms (1/k!) (d/dxi)^k a_u . D^k b_v of one side's product.
+
+    Caches live as long as the instance: the powers (m.alpha)^k per mode,
+    so D^k is one multiply per coefficient instead of k iterated
+    derivatives, and the rational factor falling(u, k) s^k / k! per
+    (u, k, side).
+    """
+
+    def __init__(self, torus: KroneckerTorus):
+        self.torus = torus
+        self._powers: dict[Mode, list[Scalar]] = {}
+        self._factors: dict[tuple[int, int, int], Scalar] = {}
+
+    def _power(self, m: Mode, k: int) -> Scalar:
+        seq = self._powers.get(m)
+        if seq is None:
+            seq = self._powers[m] = [self.torus.field.one, self.torus.pairing(m)]
+        while len(seq) <= k:
+            seq.append(seq[-1] * seq[1])
+        return seq[k]
+
+    def _factor(self, u: int, k: int, side: int) -> Scalar:
+        key = (u, k, side)
+        c = self._factors.get(key)
+        if c is None:
+            # (d/dxi)^k |xi|^u = s^k falling(u, k) |xi|^(u-k) on the side s xi > 0
+            sign = 1 if (side > 0 or k % 2 == 0) else -1
+            c = self._factors[key] = self.torus.field.scalar(
+                Fraction(_falling(u, k) * sign, factorial(k))
+            )
+        return c
+
+    def derived(self, poly: TrigPoly, k: int) -> TrigPoly:
+        """D^k poly, one multiply per coefficient."""
+        if k == 0:
+            return poly
+        out = {}
+        for m, c in poly.items():
+            lam_k = self._power(m, k)
+            if lam_k:
+                out[m] = c * lam_k
+        return out
+
+    def product(
+        self, a_side: dict[int, TrigPoly], b_side: dict[int, TrigPoly], side: int, lo: int
+    ) -> dict[int, TrigPoly]:
+        """Orders >= lo of the side's product; lo must be at or above its watermark.
+
+        At or above the watermark u + v - lo <= depth, so every k the
+        truncated expansion keeps is summed.
+        """
+        acc: dict[int, TrigPoly] = {}
+        for v, pb in b_side.items():
+            derived: dict[int, TrigPoly] = {}
+            for u, pa in a_side.items():
+                for k in range(0, u + v - lo + 1):
+                    factor = self._factor(u, k, side)
+                    if not factor:
+                        break  # falling(u, k) = 0 for every k > u >= 0
+                    pb_k = derived.get(k)
+                    if pb_k is None:
+                        pb_k = derived[k] = self.derived(pb, k)
+                    term = _tp_mul(pa, pb_k)
+                    if k:
+                        term = _tp_scale(term, factor)
+                    if term:
+                        j = u - k + v
+                        acc[j] = _tp_add(acc.get(j, {}), term)
+        return {j: p for j, p in acc.items() if p}
+
+    def residue(
+        self, a_side: dict[int, TrigPoly], b_side: dict[int, TrigPoly], side: int
+    ) -> Scalar:
+        """Zero-mode coefficient at order -1 of the side's product.
+
+        Only the triples u - k + v = -1 and the mode pairs m + m' = 0 are
+        summed; the caller has checked that order -1 is at or above the
+        product's watermark.
+        """
+        total = self.torus.field.zero
+        for u, pa in a_side.items():
+            for v, pb in b_side.items():
+                k = u + v + 1
+                if k < 0:
+                    continue
+                factor = self._factor(u, k, side)
+                if not factor:
+                    continue
+                paired = self.torus.field.zero
+                for m, c in pa.items():
+                    neg = tuple(-x for x in m)
+                    cb = pb.get(neg)
+                    if cb is not None:
+                        paired = paired + c * cb * self._power(neg, k)
+                if paired:
+                    total = total + paired * factor
+        return total
+
+
 def compose(a: TruncatedSymbol, b: TruncatedSymbol, depth: int) -> TruncatedSymbol:
     """Symbol product to the given expansion depth, watermark tracked.
 
@@ -231,49 +372,15 @@ def compose(a: TruncatedSymbol, b: TruncatedSymbol, depth: int) -> TruncatedSymb
     if depth < 0:
         raise ValidationError("expansion depth must be nonnegative")
     torus = a.torus
-    if a.is_zero() or b.is_zero():
+    tops, floor = _product_shape(_tops(a), a.floor, _tops(b), b.floor, depth)
+    if floor is None:
         return TruncatedSymbol.zero(torus)
-    hi_a, hi_b = a.order(), b.order()
-    assert hi_a is not None and hi_b is not None
-    candidates = [hi_a + hi_b - depth]
-    if a.floor is not None:
-        candidates.append(a.floor + hi_b)
-    if b.floor is not None:
-        candidates.append(b.floor + hi_a)
-    floor = max(candidates)
-    sides: dict[int, dict[int, TrigPoly]] = {1: {}, -1: {}}
-    for s in SIDES:
-        a_side = a.sides[s]
-        b_side = b.sides[s]
-        if not a_side or not b_side:
-            continue
-        acc = sides[s]
-        # D^k of each b order, reused across k
-        b_der: dict[int, TrigPoly] = {v: dict(p) for v, p in b_side.items()}
-        for k in range(0, depth + 1):
-            coeff_k = Fraction(1)
-            for i in range(1, k + 1):
-                coeff_k /= i
-            for u, pa in a_side.items():
-                fall = _falling(u, k)
-                if fall == 0:
-                    continue
-                radial_sign = 1 if (s > 0 or k % 2 == 0) else -1
-                factor = torus.field.scalar(Fraction(fall * radial_sign) * coeff_k)
-                for v, pb in b_der.items():
-                    j = u - k + v
-                    if j < floor:
-                        continue
-                    term = _tp_scale(_tp_mul(pa, pb), factor)
-                    if term:
-                        acc[j] = _tp_add(acc.get(j, {}), term)
-            if k < depth:
-                b_der = {
-                    v: _tp_leaf_derivative(torus, p) for v, p in b_der.items()
-                }
-                b_der = {v: p for v, p in b_der.items() if p}
-                if not b_der:
-                    break
+    expansion = _Expansion(torus)
+    sides = {
+        s: expansion.product(a.sides[s], b.sides[s], s, floor)
+        for s in SIDES
+        if tops[s] is not None
+    }
     return TruncatedSymbol(torus, sides, floor)
 
 
@@ -361,27 +468,20 @@ def apply_derivation(
         if a.floor is not None:
             candidates.append(a.floor - 1)
         floor = max(candidates)
+        expansion = _Expansion(torus)
         sides: dict[int, dict[int, TrigPoly]] = {1: {}, -1: {}}
         for s in SIDES:
-            derived: dict[int, TrigPoly] = dict(a.sides[s])
             acc = sides[s]
-            for k in range(1, depth + 1):
-                derived = {
-                    u: _tp_leaf_derivative(torus, p) for u, p in derived.items()
-                }
-                derived = {u: p for u, p in derived.items() if p}
-                if not derived:
-                    break
-                # (-1)^(k-1)/k xi^(-k) = ((-1)^(k-1)/k) s^k |xi|^(-k)
-                sign = 1 if k % 2 == 1 else -1
-                if s < 0 and k % 2 == 1:
-                    sign = -sign
-                factor = torus.field.scalar(Fraction(sign, k))
-                for u, p in derived.items():
-                    j = u - k
-                    if j < floor:
-                        continue
-                    acc[j] = _tp_add(acc.get(j, {}), _tp_scale(p, factor))
+            for u, p in a.sides[s].items():
+                # u - k >= floor >= order(a) - depth keeps k <= depth
+                for k in range(1, u - floor + 1):
+                    # (-1)^(k-1)/k xi^(-k) = ((-1)^(k-1)/k) s^k |xi|^(-k)
+                    sign = 1 if k % 2 == 1 else -1
+                    if s < 0 and k % 2 == 1:
+                        sign = -sign
+                    term = _tp_scale(expansion.derived(p, k), torus.field.scalar(Fraction(sign, k)))
+                    if term:
+                        acc[u - k] = _tp_add(acc.get(u - k, {}), term)
         return TruncatedSymbol(torus, sides, floor)
     raise ValidationError(f"unknown derivation tag {d.tag!r}")
 
@@ -397,8 +497,16 @@ def cocycle_evaluate(
 ) -> Scalar:
     """Evaluate (i_{D_1} ... i_{D_l} trace_side)(a_0, ..., a_l).
 
-    Unfolds to trace(((a_0 o D_1 a_1) o D_2 a_2) o ... o D_l a_l); repeated
-    derivation slots are rejected (the basis uses distinct derivations).
+    The value is residue_trace(((a_0 o D_1 a_1) o D_2 a_2) o ... o D_l a_l,
+    side) with every product at the given depth; repeated derivation slots
+    are rejected (the basis uses distinct derivations).  Only what the trace
+    reads is computed.  The watermark and per-side top orders of every
+    product come from the factors' shapes (`_product_shape`), so the
+    evaluation raises InsufficientTruncationError exactly when the full
+    product's watermark lies above order -1.  The chain is then composed on
+    `side` alone, keeping of product i only the orders
+    >= -1 - sum_{j>i} top_side(D_j a_j) that can still reach order -1, and
+    of the last product only the terms u - k + v = -1 with opposite modes.
     """
     keys = [d.key() for d in dirs]
     if len(set(keys)) != len(keys):
@@ -407,10 +515,74 @@ def cocycle_evaluate(
         raise ValidationError(
             f"an l={len(dirs)} cocycle takes {len(dirs) + 1} arguments"
         )
-    acc = args[0]
+    first = args[0]
+    tops, floor = _tops(first), first.floor
+    images: list[TruncatedSymbol] = []
+    floors: list[int | None] = []
     for d, arg in zip(dirs, args[1:]):
-        acc = compose(acc, apply_derivation(d, arg, depth), depth)
-    return residue_trace(acc, side)
+        image = apply_derivation(d, arg, depth)
+        first._check(image)
+        if depth < 0:
+            raise ValidationError("expansion depth must be nonnegative")
+        tops, floor = _product_shape(tops, floor, _tops(image), image.floor, depth)
+        images.append(image)
+        floors.append(floor)
+    if side not in SIDES:
+        raise ValidationError("side must be +1 or -1")
+    if floor is not None and floor > -1:
+        raise InsufficientTruncationError(
+            f"order -1 lies below the validity watermark {floor}"
+        )
+    zero = first.torus.field.zero
+    # needs[i]: the lowest order of product i that can still reach order -1
+    needs = [-1]
+    for image in reversed(images):
+        if not image.sides[side]:
+            return zero
+        needs.append(needs[-1] - max(image.sides[side]))
+    needs.reverse()
+    chain = {u: p for u, p in first.sides[side].items() if u >= needs[0]}
+    if not images:
+        return chain.get(-1, {}).get((0,) * first.torus.n, zero)
+    expansion = _Expansion(first.torus)
+    for image, need, product_floor in zip(images[:-1], needs[1:], floors):
+        if not chain:
+            return zero
+        lo = _floor_max(product_floor, need)
+        chain = expansion.product(chain, image.sides[side], side, lo)
+    return expansion.residue(chain, images[-1].sides[side], side)
+
+
+def _coboundary_terms(
+    args: list[TruncatedSymbol], depth: int
+) -> list[tuple[int, list[TruncatedSymbol]]]:
+    """The signed tuples of the Hochschild coboundary, each product built once.
+
+    For (a_0, ..., a_{l+1}): the tuples with a_i o a_{i+1} merged, sign
+    (-1)^i, and the wrapped tuple (a_{l+1} o a_0, a_1, ..., a_l), sign
+    (-1)^(l+1).  They serve both sides.
+    """
+    l = len(args) - 2
+    terms = [
+        (1 if i % 2 == 0 else -1, args[:i] + [compose(args[i], args[i + 1], depth)] + args[i + 2 :])
+        for i in range(0, l + 1)
+    ]
+    wrap = [compose(args[-1], args[0], depth)] + args[1:-1]
+    terms.append((1 if (l + 1) % 2 == 0 else -1, wrap))
+    return terms
+
+
+def _signed_sum(
+    dirs: list[Derivation],
+    side: int,
+    terms: list[tuple[int, list[TruncatedSymbol]]],
+    depth: int,
+) -> Scalar:
+    total = terms[0][1][0].torus.field.zero
+    for sign, merged in terms:
+        value = cocycle_evaluate(dirs, side, merged, depth)
+        total = total + (value if sign > 0 else -value)
+    return total
 
 
 def coboundary_evaluate(
@@ -423,16 +595,7 @@ def coboundary_evaluate(
     l = len(dirs)
     if len(args) != l + 2:
         raise ValidationError(f"the coboundary of an l={l} cocycle takes {l + 2} arguments")
-    field = args[0].torus.field
-    total = field.zero
-    for i in range(0, l + 1):
-        merged = args[:i] + [compose(args[i], args[i + 1], depth)] + args[i + 2 :]
-        value = cocycle_evaluate(dirs, side, merged, depth)
-        total = total + (value if i % 2 == 0 else -value)
-    wrap = [compose(args[-1], args[0], depth)] + args[1:-1]
-    value = cocycle_evaluate(dirs, side, wrap, depth)
-    total = total + (value if (l + 1) % 2 == 0 else -value)
-    return total
+    return _signed_sum(dirs, side, _coboundary_terms(args, depth), depth)
 
 
 # -- the verification suite ----------------------------------------------------------
@@ -579,9 +742,9 @@ def verify_traces_and_collapse(
                 cand = random_symbol(torus, rng, orders=(-2, 1))
                 if not cand.is_zero():
                     args.append(cand)
+            terms = _coboundary_terms(args, max(depth, 12))
             for s in SIDES:
-                value = coboundary_evaluate(list(dirs), s, args, depth=max(depth, 12))
-                if value:
+                if _signed_sum(list(dirs), s, terms, max(depth, 12)):
                     ok = False
         coboundary_levels[l] = ok
     # (c) independence

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
+from leafhom import symbols
 from leafhom.errors import InsufficientTruncationError, ValidationError
 from leafhom.models import KroneckerTorus
 from leafhom.scalars import NumberField
@@ -22,6 +24,11 @@ from leafhom.symbols import (
     residue_trace,
     verify_traces_and_collapse,
 )
+
+try:  # test-only dependency
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # pragma: no cover
+    st = None
 
 
 @pytest.fixture(scope="module")
@@ -300,3 +307,208 @@ def test_two_sided_trace_independence(torus, field):
     minus = TruncatedSymbol.radial_power(torus, -1, side=-1)
     assert residue_trace(plus, 1) == field.one and residue_trace(plus, -1) == field.zero
     assert residue_trace(minus, -1) == field.one and residue_trace(minus, 1) == field.zero
+
+
+# -- the targeted cocycle path against the full product chain -------------------------
+
+
+def reference_compose(a, b, depth):
+    """The product by its defining expansion: every side, every order, D^k by iteration."""
+    torus = a.torus
+    if a.is_zero() or b.is_zero():
+        return TruncatedSymbol.zero(torus)
+    hi_a, hi_b = a.order(), b.order()
+    candidates = [hi_a + hi_b - depth]
+    if a.floor is not None:
+        candidates.append(a.floor + hi_b)
+    if b.floor is not None:
+        candidates.append(b.floor + hi_a)
+    floor = max(candidates)
+    sides = {1: {}, -1: {}}
+    for s in (1, -1):
+        b_der = dict(b.sides[s])
+        for k in range(0, depth + 1):
+            kfact = 1
+            for i in range(1, k + 1):
+                kfact *= i
+            for u, pa in a.sides[s].items():
+                fall = 1
+                for i in range(k):
+                    fall *= u - i
+                sign = 1 if (s > 0 or k % 2 == 0) else -1
+                factor = torus.field.scalar(Fraction(fall * sign, kfact))
+                for v, pb in b_der.items():
+                    j = u - k + v
+                    if j < floor:
+                        continue
+                    for m1, c1 in pa.items():
+                        for m2, c2 in pb.items():
+                            m = tuple(x + y for x, y in zip(m1, m2))
+                            acc = sides[s].setdefault(j, {})
+                            acc[m] = acc.get(m, torus.field.zero) + c1 * c2 * factor
+            b_der = {
+                v: {m: c * torus.pairing(m) for m, c in p.items()} for v, p in b_der.items()
+            }
+    return TruncatedSymbol(torus, sides, floor)
+
+
+def reference_radial(a, depth):
+    """The radial derivation by its defining series, D^k by iteration."""
+    torus = a.torus
+    if a.is_zero():
+        return a
+    floor = max(x for x in (a.order() - depth, None if a.floor is None else a.floor - 1) if x is not None)
+    sides = {1: {}, -1: {}}
+    for s in (1, -1):
+        derived = dict(a.sides[s])
+        for k in range(1, depth + 1):
+            derived = {u: {m: c * torus.pairing(m) for m, c in p.items()} for u, p in derived.items()}
+            sign = (1 if k % 2 == 1 else -1) * (s**k)
+            for u, p in derived.items():
+                if u - k >= floor:
+                    acc = sides[s].setdefault(u - k, {})
+                    for m, c in p.items():
+                        acc[m] = acc.get(m, torus.field.zero) + c * Fraction(sign, k)
+    return TruncatedSymbol(torus, sides, floor)
+
+
+def full_chain(dirs, side, args, depth):
+    """residue_trace of the whole chain ((a_0 o D_1 a_1) o ...) built with compose."""
+    acc = args[0]
+    for d, arg in zip(dirs, args[1:]):
+        acc = compose(acc, apply_derivation(d, arg, depth), depth)
+    return residue_trace(acc, side)
+
+
+def full_coboundary(dirs, side, args, depth):
+    l = len(dirs)
+    total = args[0].torus.field.zero
+    for i in range(0, l + 2):
+        if i <= l:
+            merged = args[:i] + [compose(args[i], args[i + 1], depth)] + args[i + 2 :]
+        else:
+            merged = [compose(args[-1], args[0], depth)] + args[1:-1]
+        value = full_chain(dirs, side, merged, depth)
+        total = total + (value if i % 2 == 0 else -value)
+    return total
+
+
+def outcome(evaluate, *call):
+    try:
+        return evaluate(*call)
+    except InsufficientTruncationError:
+        return "insufficient truncation"
+
+
+def test_suite_cocycles_match_full_chain(torus, monkeypatch):
+    cocycles, coboundaries, raw = [], [], {}
+    cocycle, signed_sum, terms_of = (
+        symbols.cocycle_evaluate,
+        symbols._signed_sum,
+        symbols._coboundary_terms,
+    )
+
+    def record_cocycle(dirs, side, args, depth=6):
+        value = cocycle(dirs, side, args, depth)
+        cocycles.append((list(dirs), side, list(args), depth, value))
+        return value
+
+    def record_terms(args, depth):
+        terms = terms_of(args, depth)
+        raw[id(terms)] = (terms, list(args))
+        return terms
+
+    def record_sum(dirs, side, terms, depth):
+        value = signed_sum(dirs, side, terms, depth)
+        coboundaries.append((list(dirs), side, raw[id(terms)][1], depth, value))
+        return value
+
+    monkeypatch.setattr(symbols, "cocycle_evaluate", record_cocycle)
+    monkeypatch.setattr(symbols, "_coboundary_terms", record_terms)
+    monkeypatch.setattr(symbols, "_signed_sum", record_sum)
+    report = verify_traces_and_collapse(torus, trials=20, depth=6, seed=11)
+    monkeypatch.undo()
+    assert report.collapse_certified
+    assert len(cocycles) == 360 and len(coboundaries) == 24
+    for dirs, side, args, depth, value in cocycles:
+        assert value == full_chain(dirs, side, args, depth)
+    for dirs, side, args, depth, value in coboundaries:
+        assert value == full_coboundary(dirs, side, args, depth)
+        assert value == coboundary_evaluate(dirs, side, args, depth)
+
+
+def test_compose_matches_reference_expansion(torus):
+    rng = random.Random(5)
+    for depth in range(0, 9):
+        for _ in range(4):
+            a, b = random_symbol(torus, rng), random_symbol(torus, rng)
+            floor = rng.choice([None, -3, -1, 0])
+            a = TruncatedSymbol(torus, a.sides, floor)
+            assert compose(a, b, depth) == reference_compose(a, b, depth)
+
+
+if st is not None:
+
+    MODES = st.tuples(st.sampled_from((1, -1, 0)), st.sampled_from((-1, 1, 0)))
+
+    @st.composite
+    def symbol_strategy(draw, torus, anchor):
+        """A symbol with a few random terms, one of them at the mode `anchor`."""
+        sides = {}
+        for s in (1, -1):
+            if draw(st.integers(0, 9)) == 9:
+                continue  # an empty side now and then
+            orders = draw(st.lists(st.integers(-3, 1), min_size=1, max_size=3, unique=True))
+            sides[s] = {}
+            for j in orders:
+                modes = draw(st.lists(MODES, max_size=2, unique=True))
+                coeffs = draw(
+                    st.lists(st.sampled_from((1, -1, 2, -2)), min_size=3, max_size=3)
+                )
+                sides[s][j] = {m: torus.field.scalar(c) for m, c in zip(modes, coeffs)}
+            sides[s][draw(st.sampled_from(orders))][anchor] = torus.field.scalar(coeffs[-1])
+        floor = draw(st.sampled_from((None, None, None, -6, -4, -2, 0)))
+        return TruncatedSymbol(torus, sides, floor)
+
+    @st.composite
+    def cocycle_call(draw, torus):
+        """A cocycle call whose arguments' anchor modes sum to zero, so values are often nonzero."""
+        dirs = draw(st.permutations(derivation_set(torus)))[: draw(st.integers(0, 2))]
+        anchors = [draw(MODES) for _ in dirs]
+        first = tuple(-sum(m[i] for m in anchors) for i in range(torus.n))
+        args = [draw(symbol_strategy(torus, m)) for m in [first, *anchors]]
+        return dirs, draw(st.sampled_from((1, -1))), args, draw(st.integers(0, 8))
+
+    _TORI = {}
+
+    def _torus(name):
+        if name not in _TORI:
+            field = NumberField((2,))
+            alpha = ["1", "sqrt2"] if name == "nonresonant" else ["1", "2"]
+            _TORI[name] = KroneckerTorus(field, alpha)
+        return _TORI[name]
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(("nonresonant", "resonant")).map(_torus).flatmap(cocycle_call))
+    def test_targeted_cocycle_matches_full_chain(call):
+        dirs, side, args, depth = call
+        assert outcome(cocycle_evaluate, dirs, side, args, depth) == outcome(
+            full_chain, dirs, side, args, depth
+        )
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(("nonresonant", "resonant")).map(_torus).flatmap(cocycle_call))
+    def test_compose_and_radial_match_reference_property(call):
+        _dirs, _side, args, depth = call
+        if len(args) >= 2:
+            a, b = args[:2]
+            assert compose(a, b, depth) == reference_compose(a, b, depth)
+        if depth >= 1:
+            radial = Derivation("radial")
+            assert apply_derivation(radial, args[0], depth) == reference_radial(args[0], depth)
+
+else:  # pragma: no cover
+
+    @pytest.mark.skip(reason="hypothesis is not installed")
+    def test_targeted_cocycle_matches_full_chain():
+        pass
