@@ -4,7 +4,8 @@ Every analysis writes one JSON report (plus an optional markdown/csv
 rendering) into the output directory, and a summary collects the
 pass/fail status, the small-divisor certificate and the collapse
 certificate.  Runs are deterministic given the seed; the exit status is
-nonzero exactly when an exact check failed.
+1 when an exact check failed and 2 when an analysis cannot run on the
+model, in which case the summary records the error and the run stops.
 """
 
 from __future__ import annotations
@@ -94,13 +95,17 @@ def _run_derham(model: FoliatedModel, cfg: RunConfig) -> tuple[dict, bool]:
     return doc, passed
 
 
-def _run_poisson(model: FoliatedModel, cfg: RunConfig) -> tuple[dict, bool]:
+def _cone_of(model: FoliatedModel) -> ConicDualModel:
+    """The punctured dual cone the poisson and specseq analyses run on."""
     if isinstance(model, ConicDualModel):
-        conic = model
-    elif isinstance(model, LieFrameModel) and model.leaf_dim == 1:
-        conic = ConicDualModel(model)
-    else:
-        conic = ConicDualModel(torus_of(model))
+        return model
+    if isinstance(model, LieFrameModel) and model.leaf_dim == 1:
+        return ConicDualModel(model)
+    return ConicDualModel(torus_of(model))
+
+
+def _run_poisson(model: FoliatedModel, cfg: RunConfig) -> tuple[dict, bool]:
+    conic = _cone_of(model)
     star = poisson.verify_star_delta_identity(conic, cfg.window)
     doc = {
         "source_ops": [
@@ -136,7 +141,7 @@ def _run_gysin(model: FoliatedModel, cfg: RunConfig) -> tuple[dict, bool]:
 
 
 def _run_specseq(model: FoliatedModel, cfg: RunConfig) -> tuple[dict, bool]:
-    conic = model if isinstance(model, ConicDualModel) else ConicDualModel(torus_of(model))
+    conic = _cone_of(model)
     top = conic.leaf_dim + conic.codim
     p = conic.leaf_dim // 2
     out = {}
@@ -291,6 +296,9 @@ def run(config: RunConfig) -> int:
             doc, passed = runner(model, config)
         except LeafhomError as exc:
             print(f"error: analysis {name!r} cannot run on this model: {exc}", file=sys.stderr)
+            summary["analyses"][name] = {"passed": False, "error": str(exc)}
+            summary["passed"] = False
+            write_report(config.out_dir, "summary", summary, config.format)
             return 2
         doc = {"schema_version": SCHEMA_VERSION, "analysis": name, **doc}
         write_report(config.out_dir, name, doc, config.format)

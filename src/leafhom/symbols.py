@@ -12,6 +12,19 @@ above watermarks, so truncation can never fabricate a pass or a failure.
 
 The two sides never interact: composition, derivations and traces all
 preserve the canonical splitting of the algebra.
+
+A cocycle value is one coefficient, the zero mode at order -1 on one side of
+((a_0 o D_1 a_1) o D_2 a_2) o ..., so `cocycle_evaluate` computes only that.
+Each side of a symbol is a graded ring of Laurent polynomials over a field,
+which has no zero divisors: the top order of a product on one side is the
+sum of its factors' top orders (the k = 0 term, the product of the two top
+coefficients), unless that lies below the product's watermark.  The
+watermark and per-side top orders of every product in the chain therefore
+follow from the factors' shapes with no coefficient computed, and the chain
+raises InsufficientTruncationError exactly where the full chain's residue
+would.  The chain itself is then composed on the evaluated side alone,
+keeping of each product only the orders that can still reach order -1, and
+its last product sums only the terms that land on the zero mode at order -1.
 """
 
 from __future__ import annotations
@@ -234,15 +247,12 @@ def _product_shape(
 ) -> tuple[dict[int, int | None], int | None]:
     """Per-side top orders and watermark of a o b, from the factors' shapes.
 
-    The watermark is max(order(a)+order(b)-depth, floor(a)+order(b),
-    floor(b)+order(a)), with order() the top over both sides; a product with
-    a zero factor is exactly zero (no watermark).  On one side, order
-    top(a)+top(b) is reached only by the k = 0 term of the two top
-    coefficients, and that term is their product.  Both are nonzero
-    trigonometric polynomials, i.e. Laurent polynomials over a field, which
-    have no zero divisors; so the side's top order is top(a)+top(b) unless it
-    lies below the watermark, where the whole side is dropped.  No
-    coefficient is needed to know the shape.
+    The watermark is compose's: max(order(a)+order(b)-depth,
+    floor(a)+order(b), floor(b)+order(a)), with order() the top over both
+    sides; a zero factor makes the product exactly zero, with no watermark.
+    On one side the top order is top(a)+top(b), because Laurent polynomials
+    over a field have no zero divisors (see the module docstring), unless it
+    lies below the watermark, where the whole side is dropped.
     """
     if all(t is None for t in a_tops.values()) or all(t is None for t in b_tops.values()):
         return {s: None for s in SIDES}, None

@@ -127,8 +127,9 @@ def test_criterion_04_star_delta_identity(conic2):
     watch = Stopwatch(60.0)
     rep = verify_star_delta_identity(conic2, ModeWindow(bound=2, l_min=-2, l_max=2))
     elapsed = watch.check()
-    report(4, "star-conjugation identity", rep.passed, elapsed)
+    report(4, "star-conjugation identity", rep.passed and elapsed < watch.limit, elapsed)
     assert rep.passed, [c.to_json() for c in rep.checks if not c.passed]
+    assert elapsed < watch.limit
 
 
 def test_criterion_05_homology_correspondence(conic2):
@@ -142,9 +143,10 @@ def test_criterion_05_homology_correspondence(conic2):
     )
     elapsed = watch.check()
     ok = rep.passed and range_ok and vanishing_ok
-    report(5, "homology correspondence triangle", ok, elapsed)
+    report(5, "homology correspondence triangle", ok and elapsed < watch.limit, elapsed)
     assert rep.passed
     assert range_ok and vanishing_ok
+    assert elapsed < watch.limit
 
 
 def test_criterion_06_filtration_spectral_collapse(conic2):
@@ -165,8 +167,9 @@ def test_criterion_06_filtration_spectral_collapse(conic2):
             if totals.get(-l, 0) != homogeneous_poisson_dims(conic2, k + l, l, window):
                 ok = False
     elapsed = watch.check()
-    report(6, "filtration collapses at the first page", ok, elapsed)
+    report(6, "filtration collapses at the first page", ok and elapsed < watch.limit, elapsed)
     assert ok
+    assert elapsed < watch.limit
 
 
 def test_criterion_07_gysin_splitting(torus2):
@@ -180,16 +183,18 @@ def test_criterion_07_gysin_splitting(torus2):
             if row.direct != row.predicted:
                 ok = False
     elapsed = watch.check()
-    report(7, "product circle bundle splitting", ok, elapsed)
+    report(7, "product circle bundle splitting", ok and elapsed < watch.limit, elapsed)
     assert ok
+    assert elapsed < watch.limit
 
 
 def test_criterion_08_page_bridge(torus2):
     watch = Stopwatch(60.0)
     rep = e1_to_e2(torus2, ModeWindow(bound=1, l_min=-2, l_max=2))
     elapsed = watch.check()
-    report(8, "first-to-second page bridge", rep.passed, elapsed)
+    report(8, "first-to-second page bridge", rep.passed and elapsed < watch.limit, elapsed)
     assert rep.passed, [c.to_json() for c in rep.cells if not c.consistent]
+    assert elapsed < watch.limit
 
 
 def test_criterion_09_residue_traces(torus2):
@@ -225,10 +230,11 @@ def test_criterion_10_collapse_certificate(torus2):
         and rep.collapse_certified
     )
     elapsed = watch.check()
-    report(10, "collapse certificate", ok, elapsed)
+    report(10, "collapse certificate", ok and elapsed < watch.limit, elapsed)
     assert all(rep.coboundary_levels.values())
     assert counts_ok and match_ok
     assert rep.collapse_certified
+    assert elapsed < watch.limit
 
 
 def test_criterion_11_periodic_dims(torus2, torus3):
@@ -237,9 +243,10 @@ def test_criterion_11_periodic_dims(torus2, torus3):
     hp3 = hp_dims(torus3, ModeWindow(bound=1))
     ok = hp2 == (8, 8) and hp3 == (16, 16)
     elapsed = watch.check()
-    report(11, "periodic cyclic dims", ok, elapsed)
+    report(11, "periodic cyclic dims", ok and elapsed < watch.limit, elapsed)
     assert hp2 == (8, 8)
     assert hp3 == (16, 16)
+    assert elapsed < watch.limit
 
 
 def test_criterion_12_deterministic_reports(tmp_path):
@@ -273,5 +280,6 @@ def test_criterion_12_deterministic_reports(tmp_path):
         digests.append(blob)
     ok = digests[0] == digests[1]
     elapsed = watch.check()
-    report(12, "byte-identical seeded runs", ok, elapsed)
+    report(12, "byte-identical seeded runs", ok and elapsed < watch.limit, elapsed)
     assert ok
+    assert elapsed < watch.limit

@@ -208,6 +208,24 @@ def test_bad_input_exits_2_with_one_line(spec, args, message, tmp_path, capsys):
     assert message in err
 
 
+def test_exit_2_still_writes_summary(tmp_path, capsys):
+    lie = tmp_path / "lie.json"
+    lie.write_text(
+        json.dumps({"family": "lie_frame", "n": 2, "brackets": [[1, 2, [[1, "1"]]]], "leaf": [1]})
+    )
+    out = tmp_path / "o"
+    code = cli.main(["run", "--model", str(lie), "--analyses", "derham,gysin", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["passed"] is False
+    assert summary["analyses"]["derham"] == {"passed": True, "report": "derham.json"}
+    gysin = summary["analyses"]["gysin"]
+    assert gysin["passed"] is False and gysin["error"] in err
+    assert "\n" not in gysin["error"]
+    assert not (out / "gysin.json").exists()
+
+
 def test_lie_model_derham_and_poisson(tmp_path):
     lie = tmp_path / "lie.json"
     lie.write_text(
