@@ -398,14 +398,18 @@ def commutator(a: TruncatedSymbol, b: TruncatedSymbol, depth: int) -> TruncatedS
     return compose(a, b, depth) - compose(b, a, depth)
 
 
-def residue_trace(a: TruncatedSymbol, side: int) -> Scalar:
-    """Zero-mode coefficient of the order -1 term on one side (unit volume)."""
+def _check_residue_readable(side: int, floor: int | None) -> None:
     if side not in SIDES:
         raise ValidationError("side must be +1 or -1")
-    if a.floor is not None and a.floor > -1:
+    if floor is not None and floor > -1:
         raise InsufficientTruncationError(
-            f"order -1 lies below the validity watermark {a.floor}"
+            f"order -1 lies below the validity watermark {floor}"
         )
+
+
+def residue_trace(a: TruncatedSymbol, side: int) -> Scalar:
+    """Zero-mode coefficient of the order -1 term on one side (unit volume)."""
+    _check_residue_readable(side, a.floor)
     zero_mode = (0,) * a.torus.n
     return a.sides[side].get(-1, {}).get(zero_mode, a.torus.field.zero)
 
@@ -508,15 +512,12 @@ def cocycle_evaluate(
     """Evaluate (i_{D_1} ... i_{D_l} trace_side)(a_0, ..., a_l).
 
     The value is residue_trace(((a_0 o D_1 a_1) o D_2 a_2) o ... o D_l a_l,
-    side) with every product at the given depth; repeated derivation slots
-    are rejected (the basis uses distinct derivations).  Only what the trace
-    reads is computed.  The watermark and per-side top orders of every
-    product come from the factors' shapes (`_product_shape`), so the
-    evaluation raises InsufficientTruncationError exactly when the full
-    product's watermark lies above order -1.  The chain is then composed on
-    `side` alone, keeping of product i only the orders
-    >= -1 - sum_{j>i} top_side(D_j a_j) that can still reach order -1, and
-    of the last product only the terms u - k + v = -1 with opposite modes.
+    side) with every product at the given depth, and it raises where that
+    would; repeated derivation slots are rejected (the basis uses distinct
+    derivations).  Only what the trace reads is computed (see the module
+    docstring): product i keeps the orders >= -1 - sum_{j>i} top_side(D_j a_j)
+    on `side` alone, and the last product only the terms u - k + v = -1 with
+    opposite modes.
     """
     keys = [d.key() for d in dirs]
     if len(set(keys)) != len(keys):
@@ -537,12 +538,7 @@ def cocycle_evaluate(
         tops, floor = _product_shape(tops, floor, _tops(image), image.floor, depth)
         images.append(image)
         floors.append(floor)
-    if side not in SIDES:
-        raise ValidationError("side must be +1 or -1")
-    if floor is not None and floor > -1:
-        raise InsufficientTruncationError(
-            f"order -1 lies below the validity watermark {floor}"
-        )
+    _check_residue_readable(side, floor)
     zero = first.torus.field.zero
     # needs[i]: the lowest order of product i that can still reach order -1
     needs = [-1]
