@@ -32,56 +32,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 
 from .errors import InsufficientTruncationError, ValidationError
+from .expansion import SIDES, Expansion, TrigPoly, product_shape, side_tops, tp_add, tp_scale
 from .models import KroneckerTorus, Mode, ModeWindow
 from .scalars import Scalar
-
-TrigPoly = dict[Mode, Scalar]
-SIDES = (1, -1)
-
-
-def _tp_add(a: TrigPoly, b: TrigPoly) -> TrigPoly:
-    out = dict(a)
-    for m, c in b.items():
-        cur = out.get(m)
-        new = c if cur is None else cur + c
-        if new:
-            out[m] = new
-        else:
-            out.pop(m, None)
-    return out
-
-
-def _tp_scale(a: TrigPoly, c: Scalar | int | Fraction) -> TrigPoly:
-    if not c:
-        return {}
-    return {m: v * c for m, v in a.items()}
-
-
-def _tp_mul(a: TrigPoly, b: TrigPoly) -> TrigPoly:
-    out: TrigPoly = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            m = tuple(x + y for x, y in zip(m1, m2))
-            prod = c1 * c2
-            cur = out.get(m)
-            new = prod if cur is None else cur + prod
-            if new:
-                out[m] = new
-            else:
-                out.pop(m, None)
-    return out
-
-
-def _tp_leaf_derivative(torus: KroneckerTorus, a: TrigPoly) -> TrigPoly:
-    out = {}
-    for m, c in a.items():
-        lam = torus.pairing(m)
-        if lam:
-            out[m] = c * lam
-    return out
 
 
 class TruncatedSymbol:
@@ -172,7 +128,7 @@ class TruncatedSymbol:
     def scale(self, c: Scalar | int | Fraction) -> TruncatedSymbol:
         cc = c if isinstance(c, Scalar) else self.torus.field.scalar(c)
         sides = {
-            s: {j: _tp_scale(p, cc) for j, p in self.sides[s].items()} for s in SIDES
+            s: {j: tp_scale(p, cc) for j, p in self.sides[s].items()} for s in SIDES
         }
         return TruncatedSymbol(self.torus, sides, self.floor)
 
@@ -214,7 +170,7 @@ class TruncatedSymbol:
 def _merge_orders(a: dict[int, TrigPoly], b: dict[int, TrigPoly]) -> dict[int, TrigPoly]:
     out = {j: dict(p) for j, p in a.items()}
     for j, p in b.items():
-        out[j] = _tp_add(out.get(j, {}), p)
+        out[j] = tp_add(out.get(j, {}), p)
     return out
 
 
@@ -224,151 +180,6 @@ def _floor_max(fa: int | None, fb: int | None) -> int | None:
     if fb is None:
         return fa
     return max(fa, fb)
-
-
-def _falling(u: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out *= u - i
-    return out
-
-
-def _tops(a: TruncatedSymbol) -> dict[int, int | None]:
-    """Top order on each side (None where the side is empty)."""
-    return {s: max(a.sides[s]) if a.sides[s] else None for s in SIDES}
-
-
-def _product_shape(
-    a_tops: dict[int, int | None],
-    a_floor: int | None,
-    b_tops: dict[int, int | None],
-    b_floor: int | None,
-    depth: int,
-) -> tuple[dict[int, int | None], int | None]:
-    """Per-side top orders and watermark of a o b, from the factors' shapes.
-
-    The watermark is compose's: max(order(a)+order(b)-depth,
-    floor(a)+order(b), floor(b)+order(a)), with order() the top over both
-    sides; a zero factor makes the product exactly zero, with no watermark.
-    On one side the top order is top(a)+top(b), because Laurent polynomials
-    over a field have no zero divisors (see the module docstring), unless it
-    lies below the watermark, where the whole side is dropped.
-    """
-    if all(t is None for t in a_tops.values()) or all(t is None for t in b_tops.values()):
-        return {s: None for s in SIDES}, None
-    hi_a = max(t for t in a_tops.values() if t is not None)
-    hi_b = max(t for t in b_tops.values() if t is not None)
-    candidates = [hi_a + hi_b - depth]
-    if a_floor is not None:
-        candidates.append(a_floor + hi_b)
-    if b_floor is not None:
-        candidates.append(b_floor + hi_a)
-    floor = max(candidates)
-    tops: dict[int, int | None] = {}
-    for s in SIDES:
-        ta, tb = a_tops[s], b_tops[s]
-        tops[s] = None if ta is None or tb is None or ta + tb < floor else ta + tb
-    return tops, floor
-
-
-class _Expansion:
-    """The terms (1/k!) (d/dxi)^k a_u . D^k b_v of one side's product.
-
-    Caches live as long as the instance: the powers (m.alpha)^k per mode,
-    so D^k is one multiply per coefficient instead of k iterated
-    derivatives, and the rational factor falling(u, k) s^k / k! per
-    (u, k, side).
-    """
-
-    def __init__(self, torus: KroneckerTorus):
-        self.torus = torus
-        self._powers: dict[Mode, list[Scalar]] = {}
-        self._factors: dict[tuple[int, int, int], Scalar] = {}
-
-    def _power(self, m: Mode, k: int) -> Scalar:
-        seq = self._powers.get(m)
-        if seq is None:
-            seq = self._powers[m] = [self.torus.field.one, self.torus.pairing(m)]
-        while len(seq) <= k:
-            seq.append(seq[-1] * seq[1])
-        return seq[k]
-
-    def _factor(self, u: int, k: int, side: int) -> Scalar:
-        key = (u, k, side)
-        c = self._factors.get(key)
-        if c is None:
-            # (d/dxi)^k |xi|^u = s^k falling(u, k) |xi|^(u-k) on the side s xi > 0
-            sign = 1 if (side > 0 or k % 2 == 0) else -1
-            c = self._factors[key] = self.torus.field.scalar(
-                Fraction(_falling(u, k) * sign, factorial(k))
-            )
-        return c
-
-    def derived(self, poly: TrigPoly, k: int) -> TrigPoly:
-        """D^k poly, one multiply per coefficient."""
-        if k == 0:
-            return poly
-        out = {}
-        for m, c in poly.items():
-            lam_k = self._power(m, k)
-            if lam_k:
-                out[m] = c * lam_k
-        return out
-
-    def product(
-        self, a_side: dict[int, TrigPoly], b_side: dict[int, TrigPoly], side: int, lo: int
-    ) -> dict[int, TrigPoly]:
-        """Orders >= lo of the side's product; lo must be at or above its watermark.
-
-        At or above the watermark u + v - lo <= depth, so every k the
-        truncated expansion keeps is summed.
-        """
-        acc: dict[int, TrigPoly] = {}
-        for v, pb in b_side.items():
-            derived: dict[int, TrigPoly] = {}
-            for u, pa in a_side.items():
-                for k in range(0, u + v - lo + 1):
-                    factor = self._factor(u, k, side)
-                    if not factor:
-                        break  # falling(u, k) = 0 for every k > u >= 0
-                    pb_k = derived.get(k)
-                    if pb_k is None:
-                        pb_k = derived[k] = self.derived(pb, k)
-                    term = _tp_mul(pa, pb_k)
-                    if k:
-                        term = _tp_scale(term, factor)
-                    if term:
-                        j = u - k + v
-                        acc[j] = _tp_add(acc.get(j, {}), term)
-        return {j: p for j, p in acc.items() if p}
-
-    def residue(
-        self, a_side: dict[int, TrigPoly], b_side: dict[int, TrigPoly], side: int
-    ) -> Scalar:
-        """Zero-mode coefficient at order -1 of the side's product.
-
-        Only the triples u - k + v = -1 and the mode pairs m + m' = 0 are
-        summed; the caller has checked that order -1 is at or above the
-        product's watermark.
-        """
-        total = self.torus.field.zero
-        for u, pa in a_side.items():
-            for v, pb in b_side.items():
-                k = u + v + 1
-                if k < 0:
-                    continue
-                factor = self._factor(u, k, side)
-                if not factor:
-                    continue
-                paired = self.torus.field.zero
-                for m, c in pa.items():
-                    neg = tuple(-x for x in m)
-                    cb = pb.get(neg)
-                    if cb is not None:
-                        paired = paired + c * cb * self._power(neg, k)
-                if paired:
-                    total = total + paired * factor
-        return total
 
 
 def compose(a: TruncatedSymbol, b: TruncatedSymbol, depth: int) -> TruncatedSymbol:
@@ -382,10 +193,10 @@ def compose(a: TruncatedSymbol, b: TruncatedSymbol, depth: int) -> TruncatedSymb
     if depth < 0:
         raise ValidationError("expansion depth must be nonnegative")
     torus = a.torus
-    tops, floor = _product_shape(_tops(a), a.floor, _tops(b), b.floor, depth)
+    tops, floor = product_shape(side_tops(a.sides), a.floor, side_tops(b.sides), b.floor, depth)
     if floor is None:
         return TruncatedSymbol.zero(torus)
-    expansion = _Expansion(torus)
+    expansion = Expansion(torus)
     sides = {
         s: expansion.product(a.sides[s], b.sides[s], s, floor)
         for s in SIDES
@@ -466,8 +277,9 @@ def apply_derivation(
         }
         return TruncatedSymbol(torus, sides, a.floor)
     if d.tag == "leafwise":
+        expansion = Expansion(torus)
         sides = {
-            s: {j: _tp_leaf_derivative(torus, poly) for j, poly in a.sides[s].items()}
+            s: {j: expansion.derived(poly, 1) for j, poly in a.sides[s].items()}
             for s in SIDES
         }
         return TruncatedSymbol(torus, sides, a.floor)
@@ -482,7 +294,7 @@ def apply_derivation(
         if a.floor is not None:
             candidates.append(a.floor - 1)
         floor = max(candidates)
-        expansion = _Expansion(torus)
+        expansion = Expansion(torus)
         sides: dict[int, dict[int, TrigPoly]] = {1: {}, -1: {}}
         for s in SIDES:
             acc = sides[s]
@@ -493,9 +305,9 @@ def apply_derivation(
                     sign = 1 if k % 2 == 1 else -1
                     if s < 0 and k % 2 == 1:
                         sign = -sign
-                    term = _tp_scale(expansion.derived(p, k), torus.field.scalar(Fraction(sign, k)))
+                    term = tp_scale(expansion.derived(p, k), torus.field.scalar(Fraction(sign, k)))
                     if term:
-                        acc[u - k] = _tp_add(acc.get(u - k, {}), term)
+                        acc[u - k] = tp_add(acc.get(u - k, {}), term)
         return TruncatedSymbol(torus, sides, floor)
     raise ValidationError(f"unknown derivation tag {d.tag!r}")
 
@@ -527,7 +339,7 @@ def cocycle_evaluate(
             f"an l={len(dirs)} cocycle takes {len(dirs) + 1} arguments"
         )
     first = args[0]
-    tops, floor = _tops(first), first.floor
+    tops, floor = side_tops(first.sides), first.floor
     images: list[TruncatedSymbol] = []
     floors: list[int | None] = []
     for d, arg in zip(dirs, args[1:]):
@@ -535,7 +347,7 @@ def cocycle_evaluate(
         first._check(image)
         if depth < 0:
             raise ValidationError("expansion depth must be nonnegative")
-        tops, floor = _product_shape(tops, floor, _tops(image), image.floor, depth)
+        tops, floor = product_shape(tops, floor, side_tops(image.sides), image.floor, depth)
         images.append(image)
         floors.append(floor)
     _check_residue_readable(side, floor)
@@ -550,7 +362,7 @@ def cocycle_evaluate(
     chain = {u: p for u, p in first.sides[side].items() if u >= needs[0]}
     if not images:
         return chain.get(-1, {}).get((0,) * first.torus.n, zero)
-    expansion = _Expansion(first.torus)
+    expansion = Expansion(first.torus)
     for image, need, product_floor in zip(images[:-1], needs[1:], floors):
         if not chain:
             return zero

@@ -357,12 +357,14 @@ def reference_radial(a, depth):
     torus = a.torus
     if a.is_zero():
         return a
-    floor = max(x for x in (a.order() - depth, None if a.floor is None else a.floor - 1) if x is not None)
+    floor = a.order() - depth if a.floor is None else max(a.order() - depth, a.floor - 1)
     sides = {1: {}, -1: {}}
     for s in (1, -1):
         derived = dict(a.sides[s])
         for k in range(1, depth + 1):
-            derived = {u: {m: c * torus.pairing(m) for m, c in p.items()} for u, p in derived.items()}
+            derived = {
+                u: {m: c * torus.pairing(m) for m, c in p.items()} for u, p in derived.items()
+            }
             sign = (1 if k % 2 == 1 else -1) * (s**k)
             for u, p in derived.items():
                 if u - k >= floor:
@@ -450,6 +452,7 @@ def test_compose_matches_reference_expansion(torus):
 if st is not None:
 
     MODES = st.tuples(st.sampled_from((1, -1, 0)), st.sampled_from((-1, 1, 0)))
+    COEFFS = st.sampled_from((1, -1, 2, -2))
 
     @st.composite
     def symbol_strategy(draw, torus, anchor):
@@ -462,11 +465,8 @@ if st is not None:
             sides[s] = {}
             for j in orders:
                 modes = draw(st.lists(MODES, max_size=2, unique=True))
-                coeffs = draw(
-                    st.lists(st.sampled_from((1, -1, 2, -2)), min_size=3, max_size=3)
-                )
-                sides[s][j] = {m: torus.field.scalar(c) for m, c in zip(modes, coeffs)}
-            sides[s][draw(st.sampled_from(orders))][anchor] = torus.field.scalar(coeffs[-1])
+                sides[s][j] = {m: torus.field.scalar(draw(COEFFS)) for m in modes}
+            sides[s][draw(st.sampled_from(orders))][anchor] = torus.field.scalar(draw(COEFFS))
         floor = draw(st.sampled_from((None, None, None, -6, -4, -2, 0)))
         return TruncatedSymbol(torus, sides, floor)
 
@@ -511,4 +511,8 @@ else:  # pragma: no cover
 
     @pytest.mark.skip(reason="hypothesis is not installed")
     def test_targeted_cocycle_matches_full_chain():
+        pass
+
+    @pytest.mark.skip(reason="hypothesis is not installed")
+    def test_compose_and_radial_match_reference_property():
         pass
