@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from leafhom import cli, symbols
+from leafhom import cli, expansion
 
 
 @pytest.fixture()
@@ -117,7 +117,7 @@ def test_determinism_byte_identical(torus_spec, tmp_path):
 
 def test_corrupted_composition_fails(torus_spec, tmp_path, monkeypatch):
     # corrupt the expansion coefficients: u^k instead of the falling factorial
-    monkeypatch.setattr(symbols, "_falling", lambda u, k: u**k)
+    monkeypatch.setattr(expansion, "_falling", lambda u, k: u**k)
     out = tmp_path / "out"
     code = cli.main(
         [
