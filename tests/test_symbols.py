@@ -439,16 +439,6 @@ def test_suite_cocycles_match_full_chain(torus, monkeypatch):
         assert value == coboundary_evaluate(dirs, side, args, depth)
 
 
-def test_compose_matches_reference_expansion(torus):
-    rng = random.Random(5)
-    for depth in range(0, 9):
-        for _ in range(4):
-            a, b = random_symbol(torus, rng), random_symbol(torus, rng)
-            floor = rng.choice([None, -3, -1, 0])
-            a = TruncatedSymbol(torus, a.sides, floor)
-            assert compose(a, b, depth) == reference_compose(a, b, depth)
-
-
 if st is not None:
 
     MODES = st.tuples(st.sampled_from((1, -1, 0)), st.sampled_from((-1, 1, 0)))
