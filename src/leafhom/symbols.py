@@ -15,9 +15,9 @@ preserve the canonical splitting of the algebra.
 
 A cocycle value is one coefficient, the zero mode at order -1 on one side of
 ((a_0 o D_1 a_1) o D_2 a_2) o ..., so `cocycle_evaluate` computes only that.
-Each side of a symbol is a graded ring of Laurent polynomials over a field,
-which has no zero divisors: the top order of a product on one side is the
-sum of its factors' top orders (the k = 0 term, the product of the two top
+The coefficients are Laurent polynomials over a field, which have no zero
+divisors, so the top order of a product on one side is the sum of its
+factors' top orders (the k = 0 term, the product of the two top
 coefficients), unless that lies below the product's watermark.  The
 watermark and per-side top orders of every product in the chain therefore
 follow from the factors' shapes with no coefficient computed, and the chain
