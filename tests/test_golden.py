@@ -46,6 +46,12 @@ CASES = {
         ],
         0,
     ),
+    # T^3 over Q(i, sqrt2, sqrt3): the t3_blocks benchmark spec at seed 1
+    "kronecker_t3": (
+        {"family": "kronecker_torus", "alpha": ["1", "1/3*sqrt2", "-2/3*sqrt3"]},
+        ["--analyses", "derham,hochschild,gysin", "--mode-bound", "1", "--seed", "1"],
+        0,
+    ),
     # a leaf-line Lie frame: poisson and specseq run on its punctured dual cone
     "lie_frame_2d": (
         {"family": "lie_frame", "n": 2, "brackets": [[1, 2, [[1, "1"]]]], "leaf": [1]},
