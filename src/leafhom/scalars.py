@@ -3,19 +3,19 @@
 The coefficient field for the whole package.  An element is stored on the
 Q-basis indexed by bitmasks over the generators (i, sqrt(d1), sqrt(d2)):
 bit 0 is the imaginary unit, bit 1 the first radical, bit 2 the second.
-Every coefficient is a `fractions.Fraction`, so zero testing is a structural
-comparison of normalized rationals and is always exact.
+The coordinates are int numerators over one denominator (FLINT's fmpq_poly
+layout) in normal form: den > 0, gcd(den, *nums) == 1, zero is (0, ..., 0)/1.
+The form is unique, so zero testing and equality are exact int comparisons.
+`Scalar.coeffs` reads the coordinates as Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm, prod
+from operator import add, neg, sub
 
 from .errors import ValidationError
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def is_square_free(d: int) -> bool:
@@ -47,9 +47,8 @@ class NumberField:
     __slots__ = (
         "radicals",
         "dim",
-        "_squares",
         "_mul_table",
-        "_zero_coeffs",
+        "_zeros",
         "zero",
         "one",
         "_cache",
@@ -65,27 +64,18 @@ class NumberField:
         self.radicals = rads
         self.dim = 2 ** (1 + len(rads))
         # generator squares: i^2 = -1, sqrt(d)^2 = d
-        self._squares = (-1,) + rads
-        table: list[tuple[tuple[int, int], ...]] = []
-        for a in range(self.dim):
-            row = []
-            for b in range(self.dim):
-                common = a & b
-                factor = 1
-                g = 0
-                while common:
-                    if common & 1:
-                        factor *= self._squares[g]
-                    common >>= 1
-                    g += 1
-                row.append((a ^ b, factor))
-            table.append(tuple(row))
-        self._mul_table = tuple(table)
-        self._zero_coeffs = (_ZERO,) * self.dim
-        self.zero = Scalar(self, self._zero_coeffs)
-        one = list(self._zero_coeffs)
-        one[0] = _ONE
-        self.one = Scalar(self, tuple(one))
+        squares = (-1,) + rads
+        # basis[a] * basis[b] = factor * basis[a ^ b]
+        self._mul_table = tuple(
+            tuple(
+                (a ^ b, prod(sq for g, sq in enumerate(squares) if (a & b) >> g & 1))
+                for b in range(self.dim)
+            )
+            for a in range(self.dim)
+        )
+        self._zeros = (0,) * (self.dim - 1)
+        self.zero = Scalar(self, (0,) + self._zeros, 1)
+        self.one = Scalar(self, (1,) + self._zeros, 1)
         self._cache: dict[int, Scalar] = {0: self.zero, 1: self.one}
 
     def __eq__(self, other: object) -> bool:
@@ -111,33 +101,24 @@ class NumberField:
             cached = self._cache.get(value)
             if cached is not None:
                 return cached
-            coeffs = list(self._zero_coeffs)
-            coeffs[0] = Fraction(value)
-            s = Scalar(self, tuple(coeffs))
+            s = Scalar(self, (value,) + self._zeros, 1)
             if -16 <= value <= 16:
                 self._cache[value] = s
             return s
         if isinstance(value, Fraction):
-            coeffs = list(self._zero_coeffs)
-            coeffs[0] = value
-            return Scalar(self, tuple(coeffs))
+            return Scalar(self, (value.numerator,) + self._zeros, value.denominator)
         raise ValidationError(f"cannot build a scalar from {value!r}")
 
     def imag_unit(self) -> Scalar:
-        coeffs = list(self._zero_coeffs)
-        coeffs[1] = _ONE
-        return Scalar(self, tuple(coeffs))
+        return self.from_components({1: 1})
 
     def sqrt(self, d: int) -> Scalar:
         if d not in self.radicals:
             raise ValidationError(f"sqrt{d} is not a generator of {self!r}")
-        bit = 1 << (1 + self.radicals.index(d))
-        coeffs = list(self._zero_coeffs)
-        coeffs[bit] = _ONE
-        return Scalar(self, tuple(coeffs))
+        return self.from_components({1 << (1 + self.radicals.index(d)): 1})
 
     def from_components(self, components: dict[int, Fraction]) -> Scalar:
-        coeffs = list(self._zero_coeffs)
+        coeffs = [0] * self.dim
         for mask, c in components.items():
             if not 0 <= mask < self.dim:
                 raise ValidationError(f"basis mask {mask} outside field of dim {self.dim}")
@@ -196,9 +177,7 @@ class NumberField:
                     coeff *= Fraction(factor)
                 except (ValueError, ZeroDivisionError) as exc:
                     raise ValidationError(f"malformed rational factor {factor!r}") from exc
-        components = list(self._zero_coeffs)
-        components[mask] = coeff
-        return Scalar(self, tuple(components))
+        return self.from_components({mask: coeff})
 
     # -- rendering helpers --------------------------------------------
 
@@ -213,78 +192,92 @@ class NumberField:
 
 
 class Scalar:
-    """An element of a NumberField.  Immutable; all arithmetic exact."""
+    """An element of a NumberField.  Immutable; all arithmetic exact.
 
-    __slots__ = ("field", "coeffs", "_hash")
+    Built from one Fraction per basis mask, or from int numerators and a
+    denominator already in normal form.
+    """
 
-    def __init__(self, field: NumberField, coeffs: tuple[Fraction, ...]):
+    __slots__ = ("field", "nums", "den")
+
+    def __init__(self, field: NumberField, coeffs: tuple, den: int | None = None):
+        if den is None:
+            den = lcm(*(c.denominator for c in coeffs))
+            coeffs = tuple(c.numerator * (den // c.denominator) for c in coeffs)
         self.field = field
-        self.coeffs = coeffs
-        self._hash: int | None = None
+        self.nums = coeffs
+        self.den = den
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        den = self.den
+        return tuple(Fraction(n, den) for n in self.nums)
 
     # -- predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return any(self.nums)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def is_real(self) -> bool:
-        return all(c == 0 for mask, c in enumerate(self.coeffs) if mask & 1)
+        return not any(self.nums[1::2])
 
     # -- arithmetic ----------------------------------------------------
 
     def _coerce(self, other: int | Fraction | Scalar) -> Scalar:
         if isinstance(other, Scalar):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise ValidationError("scalars from different fields")
             return other
         return self.field.scalar(other)
 
     def __add__(self, other: int | Fraction | Scalar) -> Scalar:
-        o = self._coerce(other)
-        return Scalar(self.field, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        return self._combine(self._coerce(other), add)
 
     __radd__ = __add__
 
     def __sub__(self, other: int | Fraction | Scalar) -> Scalar:
-        o = self._coerce(other)
-        return Scalar(self.field, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        return self._combine(self._coerce(other), sub)
 
     def __rsub__(self, other: int | Fraction | Scalar) -> Scalar:
         return self._coerce(other) - self
 
+    def _combine(self, o: Scalar, op) -> Scalar:
+        da, db = self.den, o.den
+        if da == db:
+            return _normal(self.field, tuple(map(op, self.nums, o.nums)), da)
+        return _normal(
+            self.field, tuple(op(x * db, y * da) for x, y in zip(self.nums, o.nums)), da * db
+        )
+
     def __neg__(self) -> Scalar:
-        return Scalar(self.field, tuple(-a for a in self.coeffs))
+        return Scalar(self.field, tuple(map(neg, self.nums)), self.den)
 
     def __mul__(self, other: int | Fraction | Scalar) -> Scalar:
         o = self._coerce(other)
-        a, b = self.coeffs, o.coeffs
-        # fast path: both rational
-        if self.is_rational():
-            if a[0] == 0:
-                return self.field.zero
-            return Scalar(self.field, tuple(a[0] * y for y in b))
-        if o.is_rational():
-            if b[0] == 0:
-                return self.field.zero
-            return Scalar(self.field, tuple(x * b[0] for x in a))
-        out = [_ZERO] * self.field.dim
-        table = self.field._mul_table
+        field = self.field
+        a, b = self.nums, o.nums
+        den = self.den * o.den
+        # fast path: one factor rational
+        if not any(a[1:]):
+            return _normal(field, tuple(map(a[0].__mul__, b)), den) if a[0] else field.zero
+        if not any(b[1:]):
+            return _normal(field, tuple(map(b[0].__mul__, a)), den) if b[0] else field.zero
+        out = [0] * field.dim
+        table = field._mul_table
+        b_terms = [(bi, bv) for bi, bv in enumerate(b) if bv]
         for ai, av in enumerate(a):
-            if av == 0:
-                continue
-            row = table[ai]
-            for bi, bv in enumerate(b):
-                if bv == 0:
-                    continue
-                mask, factor = row[bi]
-                out[mask] += av * bv * factor
-        return Scalar(self.field, tuple(out))
+            if av:
+                row = table[ai]
+                for bi, bv in b_terms:
+                    mask, factor = row[bi]
+                    out[mask] += av * bv * factor
+        return _normal(field, tuple(out), den)
 
     __rmul__ = __mul__
 
@@ -293,7 +286,8 @@ class Scalar:
         bit = 1 << generator_bit
         return Scalar(
             self.field,
-            tuple(-c if mask & bit else c for mask, c in enumerate(self.coeffs)),
+            tuple(-n if mask & bit else n for mask, n in enumerate(self.nums)),
+            self.den,
         )
 
     def galois_image(self, signs: tuple[int, ...]) -> Scalar:
@@ -305,16 +299,22 @@ class Scalar:
         return out
 
     def inverse(self) -> Scalar:
-        if self.is_zero():
+        nums = self.nums
+        if not any(nums):
             raise ZeroDivisionError("scalar inverse of zero")
-        # peel generators off one conjugation at a time
-        for g in range(len(self.field._squares) - 1, -1, -1):
-            bit = 1 << g
-            if any(c != 0 for mask, c in enumerate(self.coeffs) if mask & bit):
-                conj = self.conjugate(g)
-                reduced = self * conj
-                return conj * reduced.inverse()
-        return self.field.scalar(1 / self.coeffs[0])
+        # peel generators off one conjugation at a time, the highest first
+        support = 0
+        for mask, n in enumerate(nums):
+            if n:
+                support |= mask
+        if support:
+            conj = self.conjugate(support.bit_length() - 1)
+            reduced = self * conj
+            return conj * reduced.inverse()
+        x = nums[0]
+        if x < 0:
+            return Scalar(self.field, (-self.den,) + nums[1:], -x)
+        return Scalar(self.field, (self.den,) + nums[1:], x)
 
     def __truediv__(self, other: int | Fraction | Scalar) -> Scalar:
         return self * self._coerce(other).inverse()
@@ -341,12 +341,13 @@ class Scalar:
             other = self.field.scalar(other)
         if not isinstance(other, Scalar):
             return NotImplemented
-        return self.field == other.field and self.coeffs == other.coeffs
+        return self.nums == other.nums and self.den == other.den and self.field == other.field
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.field.radicals, self.coeffs))
-        return self._hash
+        # a rational scalar equals an int / Fraction, so it hashes like one
+        if not any(self.nums[1:]):
+            return hash(Fraction(self.nums[0], self.den))
+        return hash((self.field.radicals, self.nums, self.den))
 
     # -- bounds (for Diophantine certificates) --------------------------
 
@@ -357,19 +358,19 @@ class Scalar:
         """
         if not self.is_real():
             raise ValidationError("absolute bound defined for real scalars only")
-        total = _ZERO
-        for mask, c in enumerate(self.coeffs):
-            if c == 0:
+        total = 0
+        for mask, n in enumerate(self.nums):
+            if n == 0:
                 continue
             rad = 1
             for j, d in enumerate(self.field.radicals):
                 if mask & (1 << (1 + j)):
                     rad *= d
-            total += abs(c) * ceil_sqrt(rad)
-        return total
+            total += abs(n) * ceil_sqrt(rad)
+        return Fraction(total, self.den)
 
     def denominator_lcm(self) -> int:
-        return lcm(*(c.denominator for c in self.coeffs))
+        return self.den
 
     # -- rendering -------------------------------------------------------
 
@@ -394,6 +395,15 @@ class Scalar:
 
     def __repr__(self) -> str:
         return f"Scalar({self})"
+
+
+def _normal(field: NumberField, nums: tuple[int, ...], den: int) -> Scalar:
+    """The scalar nums/den (den > 0) in normal form."""
+    g = gcd(den, *nums)
+    if g != 1:
+        nums = tuple(n // g for n in nums)
+        den //= g
+    return Scalar(field, nums, den)
 
 
 def _frac_str(c: Fraction) -> str:

@@ -529,6 +529,8 @@ def verify_traces_and_collapse(
     """
     from .hochschild import hh_dims_assuming_collapse
 
+    if trials < 0:
+        raise ValidationError("trial count must be nonnegative")
     if torus.resonant:
         raise ValidationError("the trace suite needs a nonresonant frequency vector")
     rng = random.Random(seed)

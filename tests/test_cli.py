@@ -195,8 +195,13 @@ def test_unsupported_pairing(tmp_path):
             ["derham"],
             "at most two quadratic radicals are supported",
         ),
+        (
+            {"family": "kronecker_torus", "alpha": ["1", "sqrt2"]},
+            ["run", "--analyses", "symbols", "--trials", "-3"],
+            "trial count must be nonnegative",
+        ),
     ],
-    ids=["window-too-small", "bracket-target", "three-radicals"],
+    ids=["window-too-small", "bracket-target", "three-radicals", "negative-trials"],
 )
 def test_bad_input_exits_2_with_one_line(spec, args, message, tmp_path, capsys):
     path = tmp_path / "model.json"

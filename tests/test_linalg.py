@@ -170,3 +170,39 @@ def test_integer_kernel_lattice():
     # the (1, -1, 1) line: m1 - m3 = 0 and m2 + m3 = 0
     basis = integer_kernel([[1, 0, -1], [0, 1, 1]], 3)
     assert basis == [(1, -1, 1)]
+
+
+def test_rank_matches_sympy_over_q_sqrt2(field):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(29)
+
+    def entry():
+        if rng.random() < 0.5:
+            return field.zero
+        return field.from_components(
+            {m: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for m in (0, 2)}
+        )
+
+    def random_matrix(rows, cols):
+        return SparseMatrix.from_rows(
+            [[entry() for _ in range(cols)] for _ in range(rows)], field
+        )
+
+    def to_sympy(x):
+        c = x.coeffs
+        assert c[1] == c[3] == 0
+        return sympy.Rational(c[0].numerator, c[0].denominator) + sympy.Rational(
+            c[2].numerator, c[2].denominator
+        ) * sympy.sqrt(2)
+
+    ranks = set()
+    for _ in range(30):
+        # a product through a thin middle dimension is often rank-deficient
+        rows, inner, cols = rng.randint(1, 5), rng.randint(1, 4), rng.randint(1, 5)
+        m = random_matrix(rows, inner).matmul(random_matrix(inner, cols))
+        expected = sympy.Matrix(
+            rows, cols, lambda i, j: to_sympy(m.entries.get((i, j), field.zero))
+        ).rank(simplify=True)
+        assert rank(m) == expected
+        ranks.add((expected, min(rows, cols)))
+    assert any(r < full for r, full in ranks)

@@ -2,13 +2,21 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
+from functools import cache
+from math import gcd, lcm
 
 import pytest
 
 from leafhom.errors import ValidationError
-from leafhom.scalars import NumberField, ceil_sqrt, is_square_free
+from leafhom.scalars import NumberField, Scalar, ceil_sqrt, is_square_free
+
+try:  # test-only dependency
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # pragma: no cover
+    st = None
 
 
 @pytest.fixture(scope="module")
@@ -126,3 +134,167 @@ def test_power_and_division(field):
     assert s2**4 == field.scalar(4)
     assert s2**-2 == field.scalar(Fraction(1, 2))
     assert (field.scalar(3) / s2) * s2 == field.scalar(3)
+
+
+def test_rational_scalars_hash_like_equal_numbers():
+    for field in (NumberField(()), NumberField((2,)), NumberField((2, 3))):
+        assert field.one == 1 and hash(field.one) == hash(1)
+        assert {1: "x"}.get(field.one) == "x"
+        assert hash(field.zero) == hash(0) == hash(Fraction(0))
+        for value in (Fraction(-3, 4), Fraction(7, 2), Fraction(-5)):
+            x = field.scalar(value)
+            assert x == value and hash(x) == hash(value)
+            assert x in {value}
+        third = field.scalar(1) / 3
+        assert hash(third) == hash(Fraction(1, 3))
+
+
+def assert_normal(x: Scalar) -> None:
+    """den > 0, no common factor of den and all numerators, zero is (0, ..., 0)/1."""
+    assert isinstance(x.den, int) and x.den > 0
+    assert all(isinstance(n, int) for n in x.nums) and len(x.nums) == x.field.dim
+    assert gcd(x.den, *x.nums) == 1
+    if not any(x.nums):
+        assert x.den == 1
+
+
+def test_normal_form_examples(field):
+    half = field.parse("1/2")
+    assert_normal(half + half)
+    assert (half + half).den == 1
+    x = field.parse("2/3+1/6*sqrt2")
+    assert (x.nums[0], x.nums[2], x.den) == (4, 1, 6)
+    assert_normal(x - x)
+    assert (x - x).nums == field.zero.nums and (x - x).den == 1
+    assert x.coeffs[0] == Fraction(2, 3) and x.coeffs[2] == Fraction(1, 6)
+    assert Scalar(field, x.coeffs) == x
+
+
+# -- the Fraction-per-coordinate arithmetic, kept as a test-only oracle ----------
+
+
+@cache
+def ref_table(field):
+    squares = (-1,) + field.radicals
+    table = {}
+    for a, b in itertools.product(range(field.dim), repeat=2):
+        factor = 1
+        for g, square in enumerate(squares):
+            if a & b & (1 << g):
+                factor *= square
+        table[a, b] = (a ^ b, factor)
+    return table
+
+
+def ref_mul(field, a, b):
+    table = ref_table(field)
+    out = [Fraction(0)] * field.dim
+    for (ai, bi), (mask, factor) in table.items():
+        out[mask] += a[ai] * b[bi] * factor
+    return tuple(out)
+
+
+def ref_conjugate(a, g):
+    return tuple(-c if mask >> g & 1 else c for mask, c in enumerate(a))
+
+
+def ref_inverse(field, a):
+    for g in range(len(field.radicals), -1, -1):
+        if any(c for mask, c in enumerate(a) if mask >> g & 1):
+            conj = ref_conjugate(a, g)
+            return ref_mul(field, conj, ref_inverse(field, ref_mul(field, a, conj)))
+    return (1 / a[0],) + (Fraction(0),) * (field.dim - 1)
+
+
+def ref_str(field, a):
+    def frac(c):
+        return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+
+    parts = []
+    for mask, c in enumerate(a):
+        if c:
+            label = field.mask_label(mask)
+            if not label:
+                parts.append(frac(c))
+            elif abs(c) == 1:
+                parts.append(("-" if c < 0 else "") + label)
+            else:
+                parts.append(f"{frac(c)}*{label}")
+    out = parts[0] if parts else "0"
+    for p in parts[1:]:
+        out += p if p.startswith("-") else "+" + p
+    return out
+
+
+if st is not None:
+
+    FIELDS = (NumberField(()), NumberField((2,)), NumberField((2, 3)))
+    COORDS = st.one_of(
+        st.just(Fraction(0)),
+        st.integers(-3, 3).map(Fraction),
+        st.fractions(min_value=-20, max_value=20, max_denominator=30),
+    )
+
+    @st.composite
+    def field_elements(draw, count):
+        """A field and `count` coordinate tuples in it (Fractions, often sparse)."""
+        field = draw(st.sampled_from(FIELDS))
+        coords = st.tuples(*[COORDS] * field.dim)
+        return field, [draw(coords) for _ in range(count)]
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(field_elements(2))
+    def test_arithmetic_matches_fraction_oracle(drawn):
+        field, (a, b) = drawn
+        x, y = Scalar(field, a), Scalar(field, b)
+        assert x.coeffs == a and y.coeffs == b
+        results = [
+            (x + y, tuple(p + q for p, q in zip(a, b))),
+            (x - y, tuple(p - q for p, q in zip(a, b))),
+            (-x, tuple(-p for p in a)),
+            (x * y, ref_mul(field, a, b)),
+        ]
+        for g in range(1 + len(field.radicals)):
+            results.append((x.conjugate(g), ref_conjugate(a, g)))
+        for signs in itertools.product((1, -1), repeat=len(field.radicals)):
+            expected = a
+            for j, sign in enumerate(signs):
+                if sign == -1:
+                    expected = ref_conjugate(expected, 1 + j)
+            results.append((x.galois_image(signs), expected))
+        if any(a):
+            results.append((x.inverse(), ref_inverse(field, a)))
+        for got, expected in results:
+            assert got.coeffs == expected
+            assert got == Scalar(field, expected)
+            assert_normal(got)
+        assert (x == y) == (a == b)
+        assert str(x) == ref_str(field, a)
+        assert x.denominator_lcm() == lcm(*(c.denominator for c in a))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(field_elements(3))
+    def test_field_axioms_property(drawn):
+        field, coords = drawn
+        x, y, z = (Scalar(field, c) for c in coords)
+        assert (x * y) * z == x * (y * z)
+        assert (x + y) + z == x + (y + z)
+        assert x * (y + z) == x * y + x * z
+        assert x * y == y * x and x + y == y + x
+        assert x + field.zero == x and x * field.one == x
+        assert (x - x).is_zero() and x * field.zero == field.zero
+        if x:
+            assert x * x.inverse() == field.one
+            assert (y / x) * x == y
+        if x == y:
+            assert hash(x) == hash(y)
+
+else:  # pragma: no cover
+
+    @pytest.mark.skip(reason="hypothesis is not installed")
+    def test_arithmetic_matches_fraction_oracle():
+        pass
+
+    @pytest.mark.skip(reason="hypothesis is not installed")
+    def test_field_axioms_property():
+        pass
