@@ -225,7 +225,7 @@ class Scalar:
         return not any(self.nums[1:])
 
     def is_real(self) -> bool:
-        return not any(self.nums[1::2])
+        return not any(self.nums[1::2])  # the odd masks carry the factor i
 
     # -- arithmetic ----------------------------------------------------
 
