@@ -52,6 +52,18 @@ CASES = {
         ["--analyses", "derham,hochschild,gysin", "--mode-bound", "1", "--seed", "1"],
         0,
     ),
+    # resonant mode (1, -1, 0) in the window: nonzero d_F kernels in the basic complex
+    "circle_product_resonant": (
+        {"family": "circle_product", "base": {"family": "kronecker_torus", "alpha": ["1", "1"]}},
+        ["--analyses", "derham", "--mode-bound", "1"],
+        0,
+    ),
+    # the conic cohomology_by_homogeneity tables
+    "conic_t2": (
+        {"family": "conic_dual", "base": {"family": "kronecker_torus", "alpha": ["1", "sqrt2"]}},
+        ["--analyses", "derham,poisson,specseq", "--mode-bound", "1"],
+        0,
+    ),
     # a leaf-line Lie frame: poisson and specseq run on its punctured dual cone
     "lie_frame_2d": (
         {"family": "lie_frame", "n": 2, "brackets": [[1, 2, [[1, "1"]]]], "leaf": [1]},
