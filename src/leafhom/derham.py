@@ -13,11 +13,16 @@ complexes indexed by the window.  Blocks whose leafwise multiplier is nonzero
 come out exact; this is observed in the computation, never assumed, which is
 what makes the window-stability guarantee checkable.
 
-One block engine turns a block into numbers: the leafwise and ordinary tables
-here, poisson's boundary homology and the specseq filtration use it.
-A block is given as its monomial bases by degree; `block_differentials`
-assembles each differential d_t once, applying the operator once per source
-monomial, and `linalg.homology_dims` ranks each d_t once and returns
+An operator is a term map (`models.TermMap`): its action on one monomial,
+a list of (monomial, coefficient).  `component_terms` gives d and its three
+components; `Form.map` is the one linear extension to forms.
+
+One block engine turns a block into numbers: the leafwise, basic and ordinary
+tables and the representatives here, poisson's boundary homology and the
+specseq filtration use it.  A block is given as its monomial bases by degree;
+`block_differentials` assembles each differential d_t once, reading the term
+map of each source monomial straight into the matrix (`operator_matrix`), and
+`linalg.homology_dims` ranks each d_t once and returns
 dim C^t - rank d_t - rank d_(t-1).  Its invariants: d_(t+1) d_t = 0 is checked
 once per consecutive pair; an image term outside the next degree of the block
 raises (the leak check), so a wrong block split or grading is never counted;
@@ -33,7 +38,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import ComplexViolationError, UnsupportedModelError, ValidationError
-from .linalg import SparseMatrix, homology_dims, rank, rank_kernel
+from .linalg import Echelon, SparseMatrix, homology_dims, rank, rank_kernel
 from .models import (
     ConicDualModel,
     FoliatedModel,
@@ -41,6 +46,7 @@ from .models import (
     FormMonomial,
     KroneckerTorus,
     ModeWindow,
+    TermMap,
     _CircleBundleModel,
     resonance_lattice,
     torus_of,
@@ -51,27 +57,26 @@ COMPONENTS = ("d", "d_F", "d_perp", "boundary")
 _SHIFTS = {"d_F": (1, 0), "d_perp": (0, 1), "boundary": (-1, 2)}
 
 
-def differential(model: FoliatedModel, component: str, form: Form) -> Form:
-    """Apply d or one of its bigraded components to a form."""
+def component_terms(model: FoliatedModel, component: str) -> TermMap:
+    """Term map of d, or of one bigraded component: the d_full terms of its shift."""
     if component not in COMPONENTS:
         raise ValidationError(f"unknown differential component {component!r}")
-    out: dict[FormMonomial, Scalar] = {}
-    for mono, coeff in form.terms.items():
-        src = model.bidegree(mono.ext)
-        for mono2, val in model.d_full(mono):
-            if component != "d":
-                dst = model.bidegree(mono2.ext)
-                shift = (dst[0] - src[0], dst[1] - src[1])
-                if shift != _SHIFTS[component]:
-                    continue
-            total = coeff * val
-            cur = out.get(mono2)
-            new = total if cur is None else cur + total
-            if new:
-                out[mono2] = new
-            else:
-                out.pop(mono2, None)
-    return Form(model, out)
+    if component == "d":
+        return model.d_full
+    dr, ds = _SHIFTS[component]
+    bidegree = model.bidegree
+
+    def terms(mono: FormMonomial) -> list[tuple[FormMonomial, Scalar]]:
+        r, s = bidegree(mono.ext)
+        dst = (r + dr, s + ds)
+        return [(m2, c) for m2, c in model.d_full(mono) if bidegree(m2.ext) == dst]
+
+    return terms
+
+
+def differential(model: FoliatedModel, component: str, form: Form) -> Form:
+    """Apply d or one of its bigraded components to a form."""
+    return form.map(component_terms(model, component), model)
 
 
 # -- identity suite -----------------------------------------------------------
@@ -182,11 +187,11 @@ def verify_decomposition_identities(
 
 def operator_matrix(
     model: FoliatedModel,
-    op: Callable[[Form], Form],
+    terms: TermMap,
     source: Sequence[FormMonomial],
     target: Sequence[FormMonomial],
 ) -> SparseMatrix:
-    """Matrix of a linear operator between monomial bases.
+    """Matrix of a term map between monomial bases: column j is terms(source[j]).
 
     Raises ComplexViolationError if the operator leaks outside the stated
     target basis (which would mean the block decomposition is wrong).
@@ -194,8 +199,7 @@ def operator_matrix(
     index = {m: i for i, m in enumerate(target)}
     entries: dict[tuple[int, int], Scalar] = {}
     for j, mono in enumerate(source):
-        image = op(Form(model, {mono: model.field.one}))
-        for m2, c in image.terms.items():
+        for m2, c in terms(mono):
             i = index.get(m2)
             if i is None:
                 raise ComplexViolationError(
@@ -208,18 +212,18 @@ def operator_matrix(
 
 def block_differentials(
     model: FoliatedModel,
-    op: Callable[[Form], Form],
+    terms: TermMap,
     graded: dict[int, Sequence[FormMonomial]],
 ) -> dict[int, SparseMatrix]:
-    """Matrices d_t: graded[t] -> graded[t + 1] of a degree-raising operator.
+    """Matrices d_t: graded[t] -> graded[t + 1] of a degree-raising term map.
 
-    Every degree t whose successor is in ``graded`` is a source: the operator
-    is applied once to each of its monomials, and an image term outside
+    Every degree t whose successor is in ``graded`` is a source: the term map
+    is read once for each of its monomials, and an image term outside
     graded[t + 1] raises ComplexViolationError.  A caller that wants the top
     degree checked to map to zero adds an empty successor for it.
     """
     return {
-        t: operator_matrix(model, op, source, graded[t + 1])
+        t: operator_matrix(model, terms, source, graded[t + 1])
         for t, source in graded.items()
         if t + 1 in graded
     }
@@ -227,7 +231,7 @@ def block_differentials(
 
 def block_homology(
     model: FoliatedModel,
-    op: Callable[[Form], Form],
+    terms: TermMap,
     graded: dict[int, Sequence[FormMonomial]],
     block: str,
 ) -> dict[int, int]:
@@ -237,7 +241,7 @@ def block_homology(
     raises ComplexViolationError naming ``block`` and the degrees.
     """
     try:
-        diffs = block_differentials(model, op, graded)
+        diffs = block_differentials(model, terms, graded)
         return homology_dims({t: len(b) for t, b in graded.items()}, diffs)
     except ComplexViolationError as exc:
         raise ComplexViolationError(f"block {block}: {exc}") from exc
@@ -289,7 +293,7 @@ def _block_bidegree_dims(
     model: FoliatedModel,
     key: tuple,
     window: ModeWindow,
-    op: Callable[[Form], Form],
+    op: TermMap,
 ) -> dict[tuple[int, int], int]:
     """H^{r,s} of one block for a (1,0)-shift operator: one chain in r per s."""
     by_deg: dict[tuple[int, int], list[FormMonomial]] = {}
@@ -318,7 +322,7 @@ def cohomology_dims(
     window = window or ModeWindow()
     if operator not in ("d_F",):
         raise ValidationError(f"cohomology_dims supports d_F, not {operator!r}")
-    op = lambda a: differential(model, "d_F", a)
+    op = component_terms(model, "d_F")
     totals: dict[tuple[int, int], int] = {}
     is_conic = isinstance(model, ConicDualModel)
     if is_conic and homogeneity is None:
@@ -478,48 +482,30 @@ def basic_cohomology_dims(
     if isinstance(model, ConicDualModel):
         raise UnsupportedModelError("basic complex is computed on unpunctured models")
     q = model.codim
-    dF = lambda a: differential(model, "d_F", a)
-    dP = lambda a: differential(model, "d_perp", a)
+    dF = component_terms(model, "d_F")
+    dP = component_terms(model, "d_perp")
     dims = [0] * (q + 1)
     for key in model.block_keys(window):
-        monos = model.block_monomials(key, window)
-        bases: dict[int, list[FormMonomial]] = {s: [] for s in range(q + 1)}
-        leaf_one: dict[int, list[FormMonomial]] = {s: [] for s in range(q + 1)}
-        for m in monos:
-            r, s = model.bidegree(m.ext)
-            if r == 0:
-                bases[s].append(m)
-            elif r == 1:
-                leaf_one[s].append(m)
-        # basic s-forms of the block: kernel of d_F on (0, s)
-        kernels: dict[int, list[dict[int, Scalar]]] = {}
+        by_deg: dict[tuple[int, int], list[FormMonomial]] = {}
+        for m in model.block_monomials(key, window):
+            by_deg.setdefault(model.bidegree(m.ext), []).append(m)
+        ranks = [0]  # rank of the induced d_perp into degree s
         for s in range(q + 1):
-            mat = operator_matrix(model, dF, bases[s], leaf_one[s])
-            _, kernels[s] = rank_kernel(mat)
-        # matrix of induced d_perp on the basic forms, in (0, s+1) coordinates;
-        # the image stays leafwise closed by the anticommutation identities
-        ranks: dict[int, int] = {}
-        ker_dims: dict[int, int] = {}
-        for s in range(q + 1):
-            if s == q:
-                ranks[s] = 0
-                ker_dims[s] = len(kernels[s])
-                continue
-            target_index = {m: i for i, m in enumerate(bases[s + 1])}
-            entries: dict[tuple[int, int], Scalar] = {}
-            for j, vec in enumerate(kernels[s]):
-                image = dP(Form(model, {bases[s][jj]: c for jj, c in vec.items()}))
-                for m2, c in image.terms.items():
-                    idx = target_index.get(m2)
-                    if idx is None:
-                        raise ComplexViolationError("d_perp leaves the block")
-                    entries[(idx, j)] = c
-            mat = SparseMatrix(len(bases[s + 1]), len(kernels[s]), entries, model.field)
-            ranks[s] = rank(mat)
-            ker_dims[s] = len(kernels[s]) - ranks[s]
-        for s in range(q + 1):
-            incoming = ranks[s - 1] if s > 0 else 0
-            dims[s] += ker_dims[s] - incoming
+            source = by_deg.get((0, s), [])
+            # basic s-forms of the block: the kernel of d_F on (0, s)
+            _, kernel = rank_kernel(operator_matrix(model, dF, source, by_deg.get((1, s), [])))
+            basic = SparseMatrix(
+                len(source),
+                len(kernel),
+                {(i, j): c for j, vec in enumerate(kernel) for i, c in vec.items()},
+                model.field,
+            )
+            # induced d_perp on them, in (0, s+1) coordinates; the image stays
+            # leafwise closed by the anticommutation identities, and (0, q+1)
+            # is empty, so the top degree must map to zero
+            d_perp = operator_matrix(model, dP, source, by_deg.get((0, s + 1), []))
+            ranks.append(rank(d_perp.matmul(basic)))
+            dims[s] += len(kernel) - ranks[-1] - ranks[-2]
     base = _torus_base_of(model)
     sensitive = base is not None and base.resonant
     return BasicCohomology(tuple(dims), sensitive, repr(model))
@@ -536,7 +522,7 @@ def ordinary_derham_dims(
     window = window or ModeWindow()
     top = len(model.gen_names)
     dims = [0] * (top + 1)
-    op = lambda a: differential(model, "d", a)
+    op = model.d_full
     for key in model.block_keys(window):
         by_deg: dict[int, list[FormMonomial]] = {k: [] for k in range(top + 2)}
         for m in model.block_monomials(key, window):
@@ -559,27 +545,22 @@ def cohomology_representatives(
 ) -> tuple[list[Form], list[Form]]:
     """(cocycle representatives, coboundary basis) of one block at a bidegree."""
     window = window or ModeWindow()
-    op = lambda a: differential(model, operator, a)
-    monos = model.block_monomials(key, window)
     r, s = bidegree
-    basis = [m for m in monos if model.bidegree(m.ext) == (r, s)]
-    up = [m for m in monos if model.bidegree(m.ext) == (r + 1, s)]
-    down = [m for m in monos if model.bidegree(m.ext) == (r - 1, s)]
-    out_mat = operator_matrix(model, op, basis, up)
-    _, kern = rank_kernel(out_mat)
-    boundaries = []
-    for m in down:
-        image = op(Form(model, {m: model.field.one}))
-        if image:
-            boundaries.append(image)
-    from .linalg import Echelon
-
-    index = {m: i for i, m in enumerate(basis)}
+    chain: dict[int, list[FormMonomial]] = {r - 1: [], r: [], r + 1: []}
+    for m in model.block_monomials(key, window):
+        rs = model.bidegree(m.ext)
+        if rs[1] == s and rs[0] in chain:
+            chain[rs[0]].append(m)
+    diffs = block_differentials(model, component_terms(model, operator), chain)
+    basis = chain[r]
+    _, kern = rank_kernel(diffs[r])
+    # the boundaries: the nonzero columns of d_(r-1), in source order
+    columns = [col for col in diffs[r - 1].transpose().row_vectors() if col]
+    boundaries = [Form(model, {basis[i]: c for i, c in col.items()}) for col in columns]
     ech = Echelon(model.field)
-    for b in boundaries:
-        ech.add({index[m]: c for m, c in b.terms.items()})
+    ech.extend(columns)
     reps = []
     for vec in kern:
-        if ech.add(dict(vec)):
+        if ech.add(vec):
             reps.append(Form(model, {basis[j]: c for j, c in vec.items()}))
     return reps, boundaries

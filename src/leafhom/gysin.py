@@ -76,26 +76,17 @@ def fiber_integrate(bundle: ProductBundle, form: Form) -> Form:
     model = bundle.total_model()
     if form.model is not model:
         raise ValidationError("form does not live on this bundle's total space")
-    base = bundle.base
-    out: dict[FormMonomial, Scalar] = {}
-    for mono, coeff in form.terms.items():
-        if mono.mode[base.n] != 0:
-            continue
-        if 1 not in mono.ext:
-            continue
-        pos = mono.ext.index(1)
-        tail = len(mono.ext) - pos - 1
-        sign = -1 if tail & 1 else 1
+    n, field = bundle.base.n, model.field
+
+    def terms(mono: FormMonomial) -> list[tuple[FormMonomial, Scalar]]:
+        if mono.mode[n] != 0 or 1 not in mono.ext:
+            return []
+        # dphi is moved to the rightmost slot, past the generators after it
+        tail = len(mono.ext) - mono.ext.index(1) - 1
         ext = tuple(g if g == 0 else g - 1 for g in mono.ext if g != 1)
-        mono2 = FormMonomial(mono.mode[: base.n], 0, 0, ext)
-        val = coeff if sign > 0 else -coeff
-        cur = out.get(mono2)
-        new = val if cur is None else cur + val
-        if new:
-            out[mono2] = new
-        else:
-            out.pop(mono2, None)
-    return Form(base, out)
+        return [(FormMonomial(mono.mode[:n], 0, 0, ext), field.scalar((-1) ** tail))]
+
+    return form.map(terms, bundle.base)
 
 
 # -- induced maps on windowed cohomology ----------------------------------------

@@ -25,7 +25,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import SpecParseError, UnsupportedModelError, ValidationError
 from .linalg import integer_kernel
@@ -96,6 +96,9 @@ class FrameSpec:
         }
 
 
+TermMap = Callable[[FormMonomial], Iterable[tuple[FormMonomial, Scalar]]]
+
+
 def merge_ext(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
     """Merge two strictly increasing index tuples with the exterior sign.
 
@@ -123,11 +126,6 @@ def merge_ext(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, tuple[int, .
     out.extend(a[i:])
     out.extend(b[j:])
     return sign, tuple(out)
-
-
-def insert_gen(gen: int, ext: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
-    """Wedge a single generator from the left: gen ^ ext."""
-    return merge_ext((gen,), ext)
 
 
 class Form:
@@ -218,6 +216,19 @@ class Form:
     def __xor__(self, other: Form) -> Form:
         return self.wedge(other)
 
+    def map(self, terms, model=None):
+        out = {}
+        for mono, coeff in self.terms.items():
+            for mono2, val in terms(mono):
+                total = coeff * val
+                cur = out.get(mono2)
+                new = total if cur is None else cur + total
+                if new:
+                    out[mono2] = new
+                else:
+                    out.pop(mono2, None)
+        return Form(self.model if model is None else model, out)
+
     # -- grading ---------------------------------------------------------
 
     def bidegree_project(self, r: int, s: int) -> Form:
@@ -266,14 +277,6 @@ class FoliatedModel:
     has_xi: bool
     leaf_dim: int
     codim: int
-
-    @property
-    def p(self) -> int:
-        return self.leaf_dim
-
-    @property
-    def q(self) -> int:
-        return self.codim
 
     @property
     def components_count(self) -> int:
@@ -415,7 +418,7 @@ def _mode_multiplier_d(
     for gen, c in multipliers:
         if not c:
             continue
-        ins = insert_gen(gen, mono.ext)
+        ins = merge_ext((gen,), mono.ext)
         if ins is not None:
             sign, ext = ins
             val = c if sign > 0 else -c
@@ -755,7 +758,7 @@ class ConicDualModel(FoliatedModel):
         out = []
         # radial part: d(xi^a) = a xi^(a-1) dxi
         if mono.xi:
-            ins = insert_gen(1, mono.ext)
+            ins = merge_ext((1,), mono.ext)
             if ins is not None:
                 sign, ext = ins
                 out.append(
@@ -822,8 +825,10 @@ def torus_of(model: FoliatedModel) -> KroneckerTorus:
 # -- model specification documents -------------------------------------------
 
 
-def field_from_spec(spec: dict) -> NumberField:
-    rads = spec.get("sqrts", ())
+def field_from_spec(spec: object) -> NumberField:
+    rads = spec.get("sqrts", []) if isinstance(spec, dict) else None
+    if not isinstance(rads, list) or not all(type(d) is int for d in rads):
+        raise SpecParseError('field must be an object {"sqrts": [int, ...]}')
     return NumberField(tuple(rads))
 
 
@@ -845,24 +850,19 @@ def make_model(spec: dict):
 
 
 def _infer_field_spec(spec: dict) -> dict:
-    """Collect sqrt radicands appearing anywhere in the document."""
+    """Collect sqrt radicands appearing in any string of the document."""
     rads: set[int] = set()
 
     def scan(obj):
         if isinstance(obj, str):
-            pos = 0
-            while True:
-                pos = obj.find("sqrt", pos)
-                if pos < 0:
-                    break
-                end = pos + 4
-                digits = ""
-                while end < len(obj) and obj[end].isdigit():
-                    digits += obj[end]
+            pos = obj.find("sqrt")
+            while pos >= 0:
+                end = pos = pos + 4
+                while end < len(obj) and obj[end] in "0123456789":
                     end += 1
-                if digits:
-                    rads.add(int(digits))
-                pos = end
+                if end > pos:
+                    rads.add(int(obj[pos:end]))
+                pos = obj.find("sqrt", end)
         elif isinstance(obj, dict):
             for v in obj.values():
                 scan(v)
@@ -898,12 +898,14 @@ def _build_family(spec: dict, family: str, field: NumberField):
             raise SpecParseError("lie_frame spec needs an integer dimension n >= 2")
         if not isinstance(leaf, (list, tuple)) or not leaf:
             raise SpecParseError("lie_frame spec needs a nonempty 'leaf' index list")
+        if not isinstance(brackets, list):
+            raise SpecParseError("lie_frame spec needs a 'brackets' list")
         structure: dict[tuple[int, int], dict[int, Scalar]] = {}
         for item in brackets:
             try:
                 i, j, targets = item
                 i, j = int(i) - 1, int(j) - 1
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise SpecParseError(f"malformed bracket entry {item!r}") from exc
             if not (0 <= i < n and 0 <= j < n and i != j):
                 raise SpecParseError(f"bracket indices out of range in {item!r}")
@@ -911,7 +913,7 @@ def _build_family(spec: dict, family: str, field: NumberField):
             try:
                 for k, coeff in targets:
                     vec[int(k) - 1] = field.parse(str(coeff))
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise SpecParseError(
                     f"malformed bracket targets in {item!r}; expected [[k, coeff], ...]"
                 ) from exc
@@ -923,7 +925,7 @@ def _build_family(spec: dict, family: str, field: NumberField):
                 structure[(j, i)] = {k: -c for k, c in vec.items()}
         try:
             leaf_idx = {int(i) - 1 for i in leaf}
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise SpecParseError(f"malformed leaf index list {leaf!r}") from exc
         return LieFrameModel.create(field, n, structure, leaf_idx)
     raise SpecParseError(f"unknown model family {family!r}")

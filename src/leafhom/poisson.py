@@ -34,6 +34,7 @@ from .models import (
     FormMonomial,
     KroneckerTorus,
     ModeWindow,
+    TermMap,
 )
 from .scalars import Scalar
 
@@ -79,29 +80,16 @@ def poisson_tensor(model: FoliatedModel) -> PoissonTensor:
 
 def contract_bivector(model: FoliatedModel, form: Form) -> Form:
     """Interior product with the leafwise bivector: bidegree shift (-2, 0)."""
-    conic = _require_conic(model)
-    out: dict[FormMonomial, Scalar] = {}
-    for mono, coeff in form.terms.items():
-        ext = mono.ext
-        if 0 not in ext or 1 not in ext:
-            continue
-        # contract the radial vector first (remove dxi), then the leaf vector
-        pos_dxi = ext.index(1)
-        sign = -1 if pos_dxi & 1 else 1
-        rest = ext[:pos_dxi] + ext[pos_dxi + 1 :]
-        pos_theta = rest.index(0)
-        if pos_theta & 1:
-            sign = -sign
-        new_ext = rest[:pos_theta] + rest[pos_theta + 1 :]
-        mono2 = FormMonomial(mono.mode, mono.xi, mono.comp, new_ext)
-        val = coeff if sign > 0 else -coeff
-        cur = out.get(mono2)
-        new = val if cur is None else cur + val
-        if new:
-            out[mono2] = new
-        else:
-            out.pop(mono2, None)
-    return Form(model, out)
+    minus_one = _require_conic(model).field.scalar(-1)
+
+    def terms(mono: FormMonomial) -> list[tuple[FormMonomial, Scalar]]:
+        # ext is increasing, so theta ^ dxi leads it: removing dxi (slot 1),
+        # then theta (slot 0), gives the sign -1
+        if mono.ext[:2] != (0, 1):
+            return []
+        return [(FormMonomial(mono.mode, mono.xi, mono.comp, mono.ext[2:]), minus_one)]
+
+    return form.map(terms, model)
 
 
 def bracket(f: Form, g: Form) -> Form:
@@ -126,6 +114,16 @@ def delta(form: Form, variant: str = "delta") -> Form:
     dd = lambda a: differential(model, component, a)
     iG = lambda a: contract_bivector(model, a)
     return iG(dd(form)) - dd(iG(form))
+
+
+def delta_terms(conic: ConicDualModel, variant: str = "delta") -> TermMap:
+    """Term map of delta: its image of each unit monomial.
+
+    delta is a commutator of two maps, so it is the one operator composed on
+    forms; this adapter hands it to the block engine.
+    """
+    one = conic.field.one
+    return lambda mono: delta(Form(conic, {mono: one}), variant).terms.items()
 
 
 def hodge_star(form: Form) -> Form:
@@ -248,7 +246,7 @@ def verify_star_delta_identity(
 
 def _delta_homology(
     conic: ConicDualModel,
-    op: Callable[[Form], Form],
+    op: TermMap,
     l: int,
     window: ModeWindow,
     in_chain: Callable[[FormMonomial, int], bool],
@@ -292,7 +290,7 @@ def homogeneous_poisson_dims(
     window = window or ModeWindow()
     if operator not in ("delta", "delta_F"):
         raise ValidationError(f"unsupported homology operator {operator!r}")
-    op = lambda a: delta(a, operator)
+    op = delta_terms(conic, operator)
     if 0 <= k <= conic.leaf_dim + conic.codim:
         per_comp = _delta_homology(conic, op, l, window, lambda m, j: len(m.ext) == k + j)
     else:
@@ -312,7 +310,7 @@ def homogeneous_poisson_bigraded_dims(
     """Bigraded leafwise-delta homology at (r, s), homogeneity l."""
     conic = _require_conic(model)
     window = window or ModeWindow()
-    op = lambda a: delta(a, "delta_F")
+    op = delta_terms(conic, "delta_F")
     in_chain = lambda m, j: conic.bidegree(m.ext) == (r + j, s)
     return sum(_delta_homology(conic, op, l, window, in_chain).values())
 

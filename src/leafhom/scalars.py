@@ -59,6 +59,8 @@ class NumberField:
         if len(rads) > 2:
             raise ValidationError("at most two quadratic radicals are supported")
         for d in rads:
+            if d > 10**12:  # bounds the trial division of is_square_free
+                raise ValidationError(f"radicand {d} exceeds 10^12")
             if not is_square_free(d):
                 raise ValidationError(f"radicand {d} is not a square-free integer >= 2")
         self.radicals = rads

@@ -21,7 +21,7 @@ from .derham import block_differentials
 from .errors import ComplexViolationError, UnsupportedModelError, ValidationError
 from .linalg import Echelon, SparseMatrix, SparseVector, homology_dims, rank_kernel
 from .models import ConicDualModel, FoliatedModel, FormMonomial, ModeWindow
-from .poisson import delta
+from .poisson import delta_terms
 from .scalars import NumberField
 
 
@@ -322,5 +322,5 @@ def poisson_filtration(
                     _r, s = conic.bidegree(mono.ext)
                     basis.append(BasisVector(label, -l, s))
                     graded.setdefault(-l, []).append(mono)
-    diffs = block_differentials(conic, delta, graded)
+    diffs = block_differentials(conic, delta_terms(conic), graded)
     return FilteredComplex(conic.field, basis, diffs)

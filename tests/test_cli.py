@@ -200,8 +200,50 @@ def test_unsupported_pairing(tmp_path):
             ["run", "--analyses", "symbols", "--trials", "-3"],
             "trial count must be nonnegative",
         ),
+        (
+            {"family": "kronecker_torus", "alpha": ["1", "sqrt\u00b2"]},
+            ["derham"],
+            "malformed radical",
+        ),
+        *(
+            (
+                {"family": "kronecker_torus", "alpha": ["1", "sqrt2"], "field": field},
+                ["derham"],
+                'field must be an object {"sqrts": [int, ...]}',
+            )
+            for field in (3, {"sqrts": "ab"}, {"sqrts": [None]}, {"sqrts": [2.5]}, {"sqrts": [True]})
+        ),
+        (
+            {"family": "kronecker_torus", "alpha": ["1", "sqrt100000000000000000039"]},
+            ["derham"],
+            "radicand 100000000000000000039 exceeds 10^12",
+        ),
+        (
+            {"family": "lie_frame", "n": 2, "brackets": 3, "leaf": [1]},
+            ["derham"],
+            "needs a 'brackets' list",
+        ),
+        (
+            {"family": "lie_frame", "n": 2, "brackets": [[1, float("inf"), []]], "leaf": [1]},
+            ["derham"],
+            "malformed bracket entry",
+        ),
     ],
-    ids=["window-too-small", "bracket-target", "three-radicals", "negative-trials"],
+    ids=[
+        "window-too-small",
+        "bracket-target",
+        "three-radicals",
+        "negative-trials",
+        "non-ascii-digit",
+        "field-not-object",
+        "field-sqrts-string",
+        "field-sqrts-null",
+        "field-sqrts-float",
+        "field-sqrts-bool",
+        "huge-radicand",
+        "brackets-not-list",
+        "infinite-bracket-index",
+    ],
 )
 def test_bad_input_exits_2_with_one_line(spec, args, message, tmp_path, capsys):
     path = tmp_path / "model.json"

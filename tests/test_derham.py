@@ -7,15 +7,22 @@ import random
 import pytest
 
 from leafhom.derham import (
+    _block_bidegree_dims,
     basic_cohomology_dims,
+    block_homology,
     cohomology_dims,
+    cohomology_representatives,
+    component_terms,
     differential,
     diophantine_certificate,
+    operator_matrix,
     ordinary_derham_dims,
     verify_decomposition_identities,
 )
 from leafhom.errors import ComplexViolationError, ValidationError
+from leafhom.linalg import rank, span_dim
 from leafhom.models import (
+    CircleProductModel,
     ConicDualModel,
     CosphereCircleModel,
     KroneckerTorus,
@@ -284,15 +291,48 @@ def test_basic_dims_heisenberg(field):
 
 def test_mode_zero_block_quotient(torus):
     # ker dim 1, im dim 0 at leafwise degree 1 of the zero-mode block
-    from leafhom.derham import block_homology
-
     window = ModeWindow(bound=1)
     key = (0, (0, 0))
     monos = torus.block_monomials(key, window)
     pick = lambda r, s: [m for m in monos if torus.bidegree(m.ext) == (r, s)]
-    op = lambda a: differential(torus, "d_F", a)
+    op = component_terms(torus, "d_F")
     chain = {r: pick(r, 0) for r in range(3)}
     assert block_homology(torus, op, chain, str(key))[1] == 1
+
+
+def test_operator_leaving_the_block_raises(torus):
+    key = (0, (1, 0))
+    source = [m for m in torus.block_monomials(key, ModeWindow(bound=1)) if not m.ext]
+    dF = component_terms(torus, "d_F")  # d_F e[1, 0] = e[1, 0] theta, not in the empty target
+    leak = r"operator leaves the block: e\[1, 0\] -> e\[1, 0\]\*theta$"
+    with pytest.raises(ComplexViolationError, match="^" + leak):
+        operator_matrix(torus, dF, source, [])
+    with pytest.raises(ComplexViolationError, match=r"^block \(0, \(1, 0\)\): " + leak):
+        block_homology(torus, dF, {0: source, 1: []}, str(key))
+
+
+@pytest.mark.parametrize("name", ["torus", "cosphere", "resonant_circle_product"])
+def test_representatives_match_block_dims(name, torus, field):
+    model = {
+        "torus": torus,
+        "cosphere": CosphereCircleModel(torus),
+        "resonant_circle_product": CircleProductModel(KroneckerTorus(field, ["1", "1"])),
+    }[name]
+    window = ModeWindow(bound=1)
+    dF = component_terms(model, "d_F")
+    for key in model.block_keys(window):
+        dims = _block_bidegree_dims(model, key, window, dF)
+        monos = model.block_monomials(key, window)
+        for s in range(model.codim + 1):
+            pick = lambda r: [m for m in monos if model.bidegree(m.ext) == (r, s)]
+            for r in range(model.leaf_dim + 2):
+                reps, boundaries = cohomology_representatives(model, (r, s), key, window)
+                assert len(reps) == dims.get((r, s), 0), (key, r, s)
+                here = {m: i for i, m in enumerate(pick(r))}
+                coords = [{here[m]: c for m, c in b.terms.items()} for b in boundaries]
+                d_in = operator_matrix(model, dF, pick(r - 1), pick(r))
+                assert span_dim(model.field, coords) == rank(d_in), (key, r, s)
+                assert not any(differential(model, "d_F", rep) for rep in reps)
 
 
 def test_ordinary_dims(torus, field):

@@ -3,21 +3,29 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
-from leafhom.errors import SpecParseError, UnsupportedModelError, ValidationError
+from leafhom.errors import LeafhomError, SpecParseError, UnsupportedModelError, ValidationError
 from leafhom.models import (
     ConicDualModel,
     CosphereCircleModel,
+    FoliatedModel,
     FormMonomial,
     KroneckerTorus,
     LieFrameModel,
     ModeWindow,
+    _infer_field_spec,
     make_model,
     merge_ext,
 )
 from leafhom.scalars import NumberField
+
+try:  # test-only dependency
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # pragma: no cover
+    st = None
 
 
 @pytest.fixture(scope="module")
@@ -267,3 +275,77 @@ def test_frame_specs(field, torus):
     heis = heisenberg_model(field)
     assert heis.frame_spec().longitudinal == ("e3",)
     assert heis.frame_spec().transverse == ("e1", "e2")
+
+
+# -- spec fuzzer ------------------------------------------------------------------
+
+if st is not None:
+
+    JSON = st.recursive(
+        st.none() | st.booleans() | st.integers(-3, 5) | st.floats() | st.text(max_size=4),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+        max_leaves=6,
+    )
+    # symbols of the scalar syntax, each optionally followed by a digit run of
+    # at most 4 digits, so no radicand has more than 4 digits
+    DIGITS = st.just("") | st.integers(0, 9999).map(str)
+    ATOM = st.tuples(st.sampled_from(("sqrt", "²", "/", "*", "+", "-", "i", " ")), DIGITS)
+    SCALAR = st.sampled_from(("1", "0", "-2/3", "sqrt2", "1/3*sqrt2", "-2/3*sqrt3", "i")) | st.tuples(
+        DIGITS, st.lists(ATOM.map("".join), max_size=4).map("".join)
+    ).map("".join)
+    INDEX = st.integers(-1, 6)
+    BRACKET = (
+        st.tuples(INDEX, INDEX, st.lists(st.tuples(INDEX, SCALAR).map(list), max_size=3)).map(list)
+        | JSON
+    )
+    TORUS = st.fixed_dictionaries(
+        {"family": st.just("kronecker_torus"), "alpha": st.lists(SCALAR, max_size=5) | JSON}
+    )
+    LIE = st.fixed_dictionaries(
+        {
+            "family": st.just("lie_frame"),
+            "n": st.integers(0, 5) | JSON,
+            "brackets": st.lists(BRACKET, max_size=4) | JSON,
+            "leaf": st.lists(INDEX, max_size=3) | JSON,
+        }
+    )
+    BUNDLE = st.fixed_dictionaries(
+        {
+            "family": st.sampled_from(("conic_dual", "cosphere_circle", "circle_product")),
+            "base": TORUS | LIE | JSON,
+        }
+    )
+    FIELD = st.fixed_dictionaries({"sqrts": st.lists(st.integers(-1, 9999), max_size=3)}) | JSON
+
+    @st.composite
+    def spec_documents(draw):
+        spec = draw(TORUS | LIE | BUNDLE | JSON)
+        if isinstance(spec, dict) and draw(st.booleans()):
+            spec["field"] = draw(FIELD)
+        return spec
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(spec_documents())
+    def test_make_model_returns_a_model_or_raises_leafhom_error(spec):
+        try:
+            model = make_model(spec)
+        except LeafhomError:
+            return
+        assert isinstance(model, FoliatedModel)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(SCALAR)
+    def test_inferred_radicands_are_the_ascii_digit_runs_after_sqrt(text):
+        want = sorted({int(d) for d in re.findall(r"sqrt([0-9]+)", text)})
+        assert _infer_field_spec({"alpha": [text]}) == {"sqrts": want}
+
+else:  # pragma: no cover
+
+    @pytest.mark.skip(reason="hypothesis is not installed")
+    def test_make_model_returns_a_model_or_raises_leafhom_error():
+        pass
+
+    @pytest.mark.skip(reason="hypothesis is not installed")
+    def test_inferred_radicands_are_the_ascii_digit_runs_after_sqrt():
+        pass
