@@ -46,6 +46,24 @@ CASES = {
         ],
         0,
     ),
+    # the criterion-12 run: every analysis in one process, so the symbols and
+    # hochschild reports read tables that poisson and gysin computed first
+    "kronecker_t2_all": (
+        {"family": "kronecker_torus", "alpha": ["1", "sqrt2"]},
+        [
+            "--analyses",
+            "all",
+            "--mode-bound",
+            "1",
+            "--trials",
+            "20",
+            "--depth",
+            "6",
+            "--seed",
+            "11",
+        ],
+        0,
+    ),
     # T^3 over Q(i, sqrt2, sqrt3): the t3_blocks benchmark spec at seed 1
     "kronecker_t3": (
         {"family": "kronecker_torus", "alpha": ["1", "1/3*sqrt2", "-2/3*sqrt3"]},
