@@ -6,6 +6,8 @@ pass/fail status, the small-divisor certificate and the collapse
 certificate.  Runs are deterministic given the seed; the exit status is
 1 when an exact check failed and 2 when an analysis cannot run on the
 model, in which case the summary records the error and the run stops.
+The analyses of one run share a `RunContext`, so each derived model, table
+and Betti vector is computed once per run.
 """
 
 from __future__ import annotations
@@ -14,12 +16,15 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from pathlib import Path
 
 from . import derham, gysin, hochschild, poisson, specseq, symbols
 from .errors import LeafhomError, SpecParseError, UnsupportedModelError
 from .models import (
+    CircleProductModel,
     ConicDualModel,
+    CosphereCircleModel,
     FoliatedModel,
     KroneckerTorus,
     LieFrameModel,
@@ -53,14 +58,71 @@ class RunConfig:
             raise SpecParseError(f"unknown output format {self.format!r}")
 
 
-def _window_json(window: ModeWindow) -> dict:
-    return {"bound": window.bound, "l_min": window.l_min, "l_max": window.l_max}
+# -- the run context ----------------------------------------------------------
+
+
+class RunContext:
+    """What one run computes once: the derived models and their tables.
+
+    `run` builds one context and hands it to every analysis.  The derived
+    models (torus, cone, cosphere-circle bundle, circle product) are built on
+    first use, and each leafwise table and Betti vector is computed once per
+    model instance and homogeneity.  The memo is keyed by the model object,
+    never by its repr: two models can print alike and differ
+    (`LieFrameModel.__repr__` omits the structure constants).
+    """
+
+    def __init__(self, model: FoliatedModel, window: ModeWindow):
+        self.model = model
+        self.window = window
+        self._tables: dict[tuple[FoliatedModel, int | None], derham.BigradedDims] = {}
+        self._betti: dict[FoliatedModel, list[int]] = {}
+
+    @cached_property
+    def torus(self) -> KroneckerTorus:
+        return torus_of(self.model)
+
+    @cached_property
+    def cone(self) -> ConicDualModel:
+        """The punctured dual cone the poisson, specseq and hochschild analyses use."""
+        model = self.model
+        if isinstance(model, ConicDualModel):
+            return model
+        if isinstance(model, LieFrameModel) and model.leaf_dim == 1:
+            return ConicDualModel(model)
+        return ConicDualModel(self.torus)
+
+    @cached_property
+    def cosphere(self) -> CosphereCircleModel:
+        if isinstance(self.model, CosphereCircleModel):
+            return self.model
+        return CosphereCircleModel(self.torus)
+
+    @cached_property
+    def circle_product(self) -> CircleProductModel:
+        if isinstance(self.model, CircleProductModel):
+            return self.model
+        return CircleProductModel(self.torus)
+
+    def table(self, model: FoliatedModel, homogeneity: int | None = None) -> derham.BigradedDims:
+        """The leafwise cohomology table of ``model`` on the run's window."""
+        key = (model, homogeneity)
+        if key not in self._tables:
+            self._tables[key] = derham.cohomology_dims(model, self.window, homogeneity=homogeneity)
+        return self._tables[key]
+
+    def betti(self, model: FoliatedModel) -> list[int]:
+        """The ordinary Betti numbers of ``model`` on the run's window."""
+        if model not in self._betti:
+            self._betti[model] = derham.ordinary_derham_dims(model, self.window)
+        return self._betti[model]
 
 
 # -- analyses -----------------------------------------------------------------
 
 
-def _run_derham(model: FoliatedModel, cfg: RunConfig) -> tuple[dict, bool]:
+def _run_derham(ctx: RunContext, cfg: RunConfig) -> tuple[dict, bool]:
+    model = ctx.model
     identities = derham.verify_decomposition_identities(
         model, samples=8, window=_small(cfg.window), seed=cfg.seed
     )
@@ -76,11 +138,10 @@ def _run_derham(model: FoliatedModel, cfg: RunConfig) -> tuple[dict, bool]:
     if isinstance(model, ConicDualModel):
         tables = {}
         for l in cfg.window.homogeneities():
-            dims = derham.cohomology_dims(model, cfg.window, homogeneity=l)
-            tables[str(l)] = dims.to_json()
+            tables[str(l)] = ctx.table(model, l).to_json()
         doc["cohomology_by_homogeneity"] = tables
     else:
-        dims = derham.cohomology_dims(model, cfg.window)
+        dims = ctx.table(model)
         doc["cohomology"] = dims.to_json()
         basic = derham.basic_cohomology_dims(model, cfg.window)
         doc["basic"] = basic.to_json()
@@ -88,24 +149,15 @@ def _run_derham(model: FoliatedModel, cfg: RunConfig) -> tuple[dict, bool]:
             doc["certificate"] = dims.certificate.to_json()
             doc["formal"] = dims.formal
         try:
-            doc["ordinary_betti"] = derham.ordinary_derham_dims(model, cfg.window)
+            doc["ordinary_betti"] = ctx.betti(model)
             doc["source_ops"].append("derham.ordinary_derham_dims")
         except UnsupportedModelError:
             pass
     return doc, passed
 
 
-def _cone_of(model: FoliatedModel) -> ConicDualModel:
-    """The punctured dual cone the poisson and specseq analyses run on."""
-    if isinstance(model, ConicDualModel):
-        return model
-    if isinstance(model, LieFrameModel) and model.leaf_dim == 1:
-        return ConicDualModel(model)
-    return ConicDualModel(torus_of(model))
-
-
-def _run_poisson(model: FoliatedModel, cfg: RunConfig) -> tuple[dict, bool]:
-    conic = _cone_of(model)
+def _run_poisson(ctx: RunContext, cfg: RunConfig) -> tuple[dict, bool]:
+    conic = ctx.cone
     star = poisson.verify_star_delta_identity(conic, cfg.window)
     doc = {
         "source_ops": [
@@ -117,18 +169,19 @@ def _run_poisson(model: FoliatedModel, cfg: RunConfig) -> tuple[dict, bool]:
     }
     passed = star.passed
     if isinstance(conic.base, KroneckerTorus):
-        table = poisson.verify_homology_correspondence(conic, cfg.window)
+        table = poisson.verify_homology_correspondence(conic, ctx.table(ctx.cosphere))
         doc["homology_correspondence"] = table.to_json()
         passed = passed and table.passed
     return doc, passed
 
 
-def _run_gysin(model: FoliatedModel, cfg: RunConfig) -> tuple[dict, bool]:
-    base = torus_of(model)
+def _run_gysin(ctx: RunContext, cfg: RunConfig) -> tuple[dict, bool]:
+    total = ctx.circle_product
+    base_dims, total_dims = ctx.table(ctx.torus), ctx.table(total)
     reports = {}
     passed = True
-    for h in range(0, base.codim + 1):
-        rep = gysin.product_splitting_dims(base, 1, h, cfg.window)
+    for h in range(0, ctx.torus.codim + 1):
+        rep = gysin.product_splitting_dims(total, h, base_dims, total_dims)
         reports[str(h)] = rep.to_json()
         passed = passed and rep.passed
     return (
@@ -140,8 +193,8 @@ def _run_gysin(model: FoliatedModel, cfg: RunConfig) -> tuple[dict, bool]:
     )
 
 
-def _run_specseq(model: FoliatedModel, cfg: RunConfig) -> tuple[dict, bool]:
-    conic = _cone_of(model)
+def _run_specseq(ctx: RunContext, cfg: RunConfig) -> tuple[dict, bool]:
+    conic = ctx.cone
     top = conic.leaf_dim + conic.codim
     p = conic.leaf_dim // 2
     out = {}
@@ -174,10 +227,12 @@ def _run_specseq(model: FoliatedModel, cfg: RunConfig) -> tuple[dict, bool]:
     )
 
 
-def _run_hochschild(model: FoliatedModel, cfg: RunConfig) -> tuple[dict, bool]:
-    torus = torus_of(model)
-    bridge = hochschild.e1_to_e2(torus, cfg.window)
-    bottom_top = hochschild.hh0_and_top(torus, cfg.window)
+def _run_hochschild(ctx: RunContext, cfg: RunConfig) -> tuple[dict, bool]:
+    torus = ctx.torus
+    circle = ctx.table(ctx.cosphere)
+    e2 = hochschild.e2_dims(torus, circle)
+    bridge = hochschild.e1_to_e2(ctx.cone, e2, cfg.window)
+    bottom_top = hochschild.hh0_and_top(torus, circle, ctx.table(torus))
     doc = {
         "source_ops": [
             "hochschild.e2_dims",
@@ -186,27 +241,22 @@ def _run_hochschild(model: FoliatedModel, cfg: RunConfig) -> tuple[dict, bool]:
             "hochschild.hp_dims",
             "hochschild.e1_to_e2",
         ],
-        "e2_table": [
-            {"k": k, "h": h, "dim": v}
-            for (k, h), v in sorted(hochschild.e2_dims(torus, cfg.window).items())
-        ],
-        "hh_dims_assuming_collapse": hochschild.hh_dims_assuming_collapse(
-            torus, cfg.window
-        ),
+        "e2_table": [{"k": k, "h": h, "dim": v} for (k, h), v in sorted(e2.items())],
+        "hh_dims_assuming_collapse": hochschild.hh_dims_assuming_collapse(torus, circle),
         "collapse_caveat": (
             "total dimensions assume second-page collapse; the symbols analysis"
             " certifies it for this family when its cocycle counts match"
         ),
         "bottom_top": bottom_top.to_json(),
-        "hp_dims": list(hochschild.hp_dims(torus, cfg.window)),
+        "hp_dims": list(hochschild.hp_dims(ctx.betti(ctx.cosphere))),
         "page_bridge": bridge.to_json(),
         "collapse_status": "assumed; run the symbols analysis for the certificate",
     }
     return doc, bridge.passed
 
 
-def _run_symbols(model: FoliatedModel, cfg: RunConfig) -> tuple[dict, bool]:
-    torus = torus_of(model)
+def _run_symbols(ctx: RunContext, cfg: RunConfig) -> tuple[dict, bool]:
+    torus = ctx.torus
     if torus.resonant:
         return (
             {
@@ -218,8 +268,9 @@ def _run_symbols(model: FoliatedModel, cfg: RunConfig) -> tuple[dict, bool]:
             },
             True,
         )
+    predicted = hochschild.hh_dims_assuming_collapse(torus, ctx.table(ctx.cosphere))
     report = symbols.verify_traces_and_collapse(
-        torus, trials=cfg.trials, depth=cfg.depth, seed=cfg.seed, window=cfg.window
+        torus, predicted, trials=cfg.trials, depth=cfg.depth, seed=cfg.seed
     )
     return (
         {"source_ops": ["symbols.verify_traces_and_collapse"], "suite": report.to_json()},
@@ -258,6 +309,9 @@ def run(config: RunConfig) -> int:
             file=sys.stderr,
         )
         return 2
+    except ValueError as exc:  # an integer literal beyond Python's digit limit
+        print(f"error: malformed model spec {config.model_path}: {exc}", file=sys.stderr)
+        return 2
     try:
         model = make_model(spec)
     except LeafhomError as exc:
@@ -268,7 +322,7 @@ def run(config: RunConfig) -> int:
         "model": repr(model),
         "config": {
             "analyses": list(config.analyses),
-            "window": _window_json(config.window),
+            "window": config.window.to_json(),
             "depth": config.depth,
             "trials": config.trials,
             "seed": config.seed,
@@ -276,11 +330,11 @@ def run(config: RunConfig) -> int:
         },
         "analyses": {},
     }
-    torus = None
+    ctx = RunContext(model, config.window)
     try:
-        torus = torus_of(model)
+        torus = ctx.torus
     except UnsupportedModelError:
-        pass
+        torus = None
     if torus is not None:
         cert = derham.diophantine_certificate(torus.alpha)
         summary["certificate"] = cert.to_json()
@@ -293,7 +347,7 @@ def run(config: RunConfig) -> int:
     for name in config.analyses:
         runner = _RUNNERS[name]
         try:
-            doc, passed = runner(model, config)
+            doc, passed = runner(ctx, config)
         except LeafhomError as exc:
             print(f"error: analysis {name!r} cannot run on this model: {exc}", file=sys.stderr)
             summary["analyses"][name] = {"passed": False, "error": str(exc)}

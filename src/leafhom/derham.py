@@ -253,7 +253,6 @@ class BigradedDims:
 
     dims: dict[tuple[int, int], int]
     model: str
-    operator: str
     window: ModeWindow
     homogeneity: int | None = None
     unbounded: bool = False
@@ -272,13 +271,9 @@ class BigradedDims:
     def to_json(self) -> dict:
         out = {
             "model": self.model,
-            "operator": self.operator,
+            "operator": "d_F",
             "dims": [[r, s, v] for (r, s), v in sorted(self.dims.items()) if v],
-            "window": {
-                "bound": self.window.bound,
-                "l_min": self.window.l_min,
-                "l_max": self.window.l_max,
-            },
+            "window": self.window.to_json(),
             "unbounded": self.unbounded,
             "formal": self.formal,
         }
@@ -311,7 +306,6 @@ def _block_bidegree_dims(
 def cohomology_dims(
     model: FoliatedModel,
     window: ModeWindow | None = None,
-    operator: str = "d_F",
     homogeneity: int | None = None,
 ) -> BigradedDims:
     """Leafwise cohomology dimensions H^{r,s}, summed over window blocks.
@@ -320,8 +314,6 @@ def cohomology_dims(
     (required there, since only fixed-degree slices are finite).
     """
     window = window or ModeWindow()
-    if operator not in ("d_F",):
-        raise ValidationError(f"cohomology_dims supports d_F, not {operator!r}")
     op = component_terms(model, "d_F")
     totals: dict[tuple[int, int], int] = {}
     is_conic = isinstance(model, ConicDualModel)
@@ -353,7 +345,6 @@ def cohomology_dims(
     return BigradedDims(
         dims=totals,
         model=repr(model),
-        operator=operator,
         window=window,
         homogeneity=homogeneity,
         unbounded=unbounded,
@@ -541,7 +532,6 @@ def cohomology_representatives(
     bidegree: tuple[int, int],
     key: tuple,
     window: ModeWindow | None = None,
-    operator: str = "d_F",
 ) -> tuple[list[Form], list[Form]]:
     """(cocycle representatives, coboundary basis) of one block at a bidegree."""
     window = window or ModeWindow()
@@ -551,7 +541,7 @@ def cohomology_representatives(
         rs = model.bidegree(m.ext)
         if rs[1] == s and rs[0] in chain:
             chain[rs[0]].append(m)
-    diffs = block_differentials(model, component_terms(model, operator), chain)
+    diffs = block_differentials(model, component_terms(model, "d_F"), chain)
     basis = chain[r]
     _, kern = rank_kernel(diffs[r])
     # the boundaries: the nonzero columns of d_(r-1), in source order

@@ -1,12 +1,12 @@
-"""Pullback and fiber integration for product circle bundles over the torus.
+"""Pullback and fiber integration for the product circle bundle over the torus.
 
-The realized case is the product with one circle: leaves pick up the circle
-direction, the pulled-back splitting is used upstairs, and fiber integration
-is normalized to unit circle volume with the dphi factor removed from the
-rightmost position (the sign convention that makes integration intertwine
-the leafwise differentials on the nose; the intertwining is a standing test,
-not an assumption).  For higher fiber dimensions only the dimension-formula
-prediction is produced.
+The bundle is the product with one circle (`CircleProductModel`): leaves pick
+up the circle direction, the pulled-back splitting is used upstairs, and fiber
+integration is normalized to unit circle volume with the dphi factor removed
+from the rightmost position (the sign convention that makes integration
+intertwine the leafwise differentials on the nose; the intertwining is a
+standing test, not an assumption).  The splitting table reads the leafwise
+tables of the base and of the total space that it is given.
 """
 
 from __future__ import annotations
@@ -14,69 +14,32 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .derham import (
+    BigradedDims,
     CheckResult,
-    cohomology_dims,
     cohomology_representatives,
     differential,
 )
-from .errors import UnsupportedModelError, ValidationError
+from .errors import ValidationError
 from .linalg import Echelon
 from .models import (
     CircleProductModel,
     Form,
     FormMonomial,
-    KroneckerTorus,
     ModeWindow,
     pullback_from_base,
 )
 from .scalars import Scalar
 
 
-class ProductBundle:
-    """M x S^r over a Kronecker torus; r = 1 carries a full form-level model."""
-
-    __slots__ = ("base", "fiber_dim", "_total")
-
-    def __init__(self, base: KroneckerTorus, fiber_dim: int):
-        if not isinstance(base, KroneckerTorus):
-            raise ValidationError("product bundles need a Kronecker torus base")
-        if fiber_dim < 1:
-            raise ValidationError("fiber dimension must be positive")
-        self.base = base
-        self.fiber_dim = fiber_dim
-        self._total = CircleProductModel(base) if fiber_dim == 1 else None
-
-    @property
-    def realized(self) -> bool:
-        return self.fiber_dim == 1
-
-    def total_model(self) -> CircleProductModel:
-        if self._total is None:
-            raise UnsupportedModelError(
-                f"only the circle fiber is realized at form level (r={self.fiber_dim})"
-            )
-        return self._total
-
-    def __repr__(self) -> str:
-        return f"ProductBundle({self.base!r}, fiber_dim={self.fiber_dim})"
-
-
-def pullback(bundle: ProductBundle, form: Form) -> Form:
-    """Pull a base form up to the total space (injective on monomials)."""
-    model = bundle.total_model()
-    return pullback_from_base(model, form)
-
-
-def fiber_integrate(bundle: ProductBundle, form: Form) -> Form:
+def fiber_integrate(total: CircleProductModel, form: Form) -> Form:
     """Integrate over the circle fiber: unit volume, bidegree drop (1, 0).
 
     Kills monomials without the fiber coframe dphi or with a nonzero circle
     mode; the dphi factor is removed from the rightmost position.
     """
-    model = bundle.total_model()
-    if form.model is not model:
+    if form.model is not total:
         raise ValidationError("form does not live on this bundle's total space")
-    n, field = bundle.base.n, model.field
+    n, field = total.base.n, total.field
 
     def terms(mono: FormMonomial) -> list[tuple[FormMonomial, Scalar]]:
         if mono.mode[n] != 0 or 1 not in mono.ext:
@@ -86,7 +49,7 @@ def fiber_integrate(bundle: ProductBundle, form: Form) -> Form:
         ext = tuple(g if g == 0 else g - 1 for g in mono.ext if g != 1)
         return [(FormMonomial(mono.mode[:n], 0, 0, ext), field.scalar((-1) ** tail))]
 
-    return form.map(terms, bundle.base)
+    return form.map(terms, total.base)
 
 
 # -- induced maps on windowed cohomology ----------------------------------------
@@ -111,8 +74,7 @@ def _cohomology_map_is_iso(
         src_reps.extend(reps)
     tgt_reps: list[Form] = []
     tgt_boundaries: list[Form] = []
-    tgt_keys = list(target_model.block_keys(window))
-    for key in tgt_keys:
+    for key in target_model.block_keys(window):
         reps, bounds = cohomology_representatives(target_model, target_bidegree, key, window)
         tgt_reps.extend(reps)
         tgt_boundaries.extend(bounds)
@@ -127,17 +89,12 @@ def _cohomology_map_is_iso(
         return vec
 
     boundary_span = Echelon(target_model.field)
-    for b in tgt_boundaries:
-        boundary_span.add(coords(b))
-    # dimension of the span of mapped classes modulo boundaries
+    boundary_span.extend([coords(b) for b in tgt_boundaries])
+    # the span of mapped classes modulo boundaries
     mapped_span = Echelon(target_model.field)
-    mapped_dim = 0
     for rep in src_reps:
-        image = mapping(rep)
-        residual = boundary_span.reduce(coords(image))
-        if mapped_span.add(residual):
-            mapped_dim += 1
-    return mapped_dim == len(src_reps) == len(tgt_reps)
+        mapped_span.add(boundary_span.reduce(coords(mapping(rep))))
+    return mapped_span.dim == len(src_reps) == len(tgt_reps)
 
 
 # -- the splitting table ----------------------------------------------------------
@@ -146,14 +103,14 @@ def _cohomology_map_is_iso(
 @dataclass(frozen=True)
 class SplittingRow:
     k: int
-    direct: int | None
+    direct: int
     predicted: int
     base_term: int
     shifted_term: int
 
     @property
     def consistent(self) -> bool:
-        return self.direct is None or self.direct == self.predicted
+        return self.direct == self.predicted
 
     def to_json(self) -> dict:
         return {
@@ -169,7 +126,6 @@ class SplittingRow:
 @dataclass(frozen=True)
 class SplittingReport:
     base: str
-    fiber_dim: int
     h: int
     rows: tuple[SplittingRow, ...]
     checks: tuple[CheckResult, ...]
@@ -182,7 +138,7 @@ class SplittingReport:
     def to_json(self) -> dict:
         return {
             "base": self.base,
-            "fiber_dim": self.fiber_dim,
+            "fiber_dim": 1,
             "transverse_degree": self.h,
             "sign_convention": self.sign_convention,
             "passed": self.passed,
@@ -192,59 +148,48 @@ class SplittingReport:
 
 
 def product_splitting_dims(
-    base: KroneckerTorus,
-    fiber_dim: int,
+    total: CircleProductModel,
     h: int,
-    window: ModeWindow | None = None,
+    base_dims: BigradedDims,
+    total_dims: BigradedDims,
 ) -> SplittingReport:
-    """Direct vs predicted dimensions for the product sphere bundle.
+    """Direct vs predicted dimensions for the product circle bundle.
 
-    Prediction: dim H^{k,h}(total) = dim H^{k,h}(base) + dim H^{k-r,h}(base).
-    For r = 1 the direct column is computed on the realized model, the
-    short-exact splitting is exhibited by the fiber-class wedge, and the
-    pullback / integration isomorphism ranges are verified on representatives.
+    ``base_dims`` and ``total_dims`` are the leafwise tables of the base torus
+    and of ``total``; the checks run on their window.  Prediction:
+    dim H^{k,h}(total) = dim H^{k,h}(base) + dim H^{k-1,h}(base).  The direct
+    column is read off ``total_dims``, the short-exact splitting is exhibited
+    by the fiber-class wedge, and the pullback / integration isomorphism
+    ranges are verified on representatives.
     """
-    window = window or ModeWindow()
-    if not isinstance(base, KroneckerTorus):
-        raise ValidationError("product splitting needs a Kronecker torus base")
-    bundle = ProductBundle(base, fiber_dim)
-    base_dims = cohomology_dims(base, window)
-    p = base.leaf_dim
+    base = total.base
     rows = []
-    direct_dims = None
-    total = None
-    if bundle.realized:
-        total = bundle.total_model()
-        direct_dims = cohomology_dims(total, window)
-    for k in range(0, p + fiber_dim + 1):
+    for k in range(0, base.leaf_dim + 2):
         base_term = base_dims.get(k, h)
-        shifted = base_dims.get(k - fiber_dim, h) if k >= fiber_dim else 0
-        direct = direct_dims.get(k, h) if direct_dims is not None else None
-        rows.append(SplittingRow(k, direct, base_term + shifted, base_term, shifted))
-    checks: list[CheckResult] = []
-    if bundle.realized:
-        assert total is not None
-        checks.extend(_realized_checks(bundle, total, h, window, rows))
-    return SplittingReport(repr(base), fiber_dim, h, tuple(rows), tuple(checks))
+        shifted = base_dims.get(k - 1, h) if k >= 1 else 0
+        rows.append(SplittingRow(k, total_dims.get(k, h), base_term + shifted, base_term, shifted))
+    checks = _realized_checks(total, h, total_dims.window)
+    return SplittingReport(repr(base), h, tuple(rows), tuple(checks))
 
 
-def _realized_checks(bundle, total, h, window, rows) -> list[CheckResult]:
-    base = bundle.base
+def _realized_checks(total, h, window) -> list[CheckResult]:
+    base = total.base
     p = base.leaf_dim
+    pullback = lambda f: pullback_from_base(total, f)
     checks = []
     # intertwining on the windowed generator basis, both directions
     ok_pull, ok_push = True, True
     for mono in base.basis_monomials(window):
         form = base.form({mono: base.field.one})
-        if differential(total, "d_F", pullback(bundle, form)) != pullback(
-            bundle, differential(base, "d_F", form)
+        if differential(total, "d_F", pullback(form)) != pullback(
+            differential(base, "d_F", form)
         ):
             ok_pull = False
             break
     for mono in total.basis_monomials(window):
         form = total.form({mono: total.field.one})
-        if differential(base, "d_F", fiber_integrate(bundle, form)) != fiber_integrate(
-            bundle, differential(total, "d_F", form)
+        if differential(base, "d_F", fiber_integrate(total, form)) != fiber_integrate(
+            total, differential(total, "d_F", form)
         ):
             ok_push = False
             break
@@ -254,7 +199,7 @@ def _realized_checks(bundle, total, h, window, rows) -> list[CheckResult]:
     ok_zero = True
     for mono in base.basis_monomials(ModeWindow(bound=1)):
         form = base.form({mono: base.field.one})
-        if fiber_integrate(bundle, pullback(bundle, form)):
+        if fiber_integrate(total, pullback(form)):
             ok_zero = False
             break
     checks.append(CheckResult("fiber integration kills pullbacks", ok_zero))
@@ -266,21 +211,19 @@ def _realized_checks(bundle, total, h, window, rows) -> list[CheckResult]:
         for k in range(0, p + 2):
             reps, _ = cohomology_representatives(base, (k, h), key, window)
             for rep in reps:
-                back = fiber_integrate(bundle, pullback(bundle, rep).wedge(fiber_class))
+                back = fiber_integrate(total, pullback(rep).wedge(fiber_class))
                 if back != rep:
                     ok_split = False
     checks.append(CheckResult("fiber-class wedge splits the sequence", ok_split))
     # isomorphism ranges: pullback for k <= r-1 = 0, integration for k >= p+1
-    iso_pull = _cohomology_map_is_iso(
-        base, total, (0, h), (0, h), lambda f: pullback(bundle, f), window
-    )
+    iso_pull = _cohomology_map_is_iso(base, total, (0, h), (0, h), pullback, window)
     checks.append(CheckResult("pullback iso in fiber-low degrees (k = 0)", iso_pull))
     iso_push = _cohomology_map_is_iso(
         total,
         base,
         (p + 1, h),
         (p, h),
-        lambda f: fiber_integrate(bundle, f),
+        lambda f: fiber_integrate(total, f),
         window,
     )
     checks.append(

@@ -1,11 +1,15 @@
 """Dimension predictors for the invariants of the truncated symbol algebra.
 
-Everything here is a closed-form probe into the leafwise cohomology of the
-cosphere-circle bundle or into the homogeneous boundary homology of the dual
-cone: the second spectral page in terms of shifted bundle cohomology, the
-total dimensions under the collapse assumption, the bottom/top groups, the
-even/odd periodic pair, and the bridge from the first page to the second
-computed through the cone (the two pipelines are compared cell by cell).
+In the paper the Hochschild homology of the complete-symbol algebra is read
+off the Poisson homology of the foliation and of two bundles over it: the
+cosphere-circle bundle and the punctured dual cone.  So every predictor here
+is a pure function of the tables it reads: the second spectral page, the
+total dimensions under the collapse assumption and the bottom group read the
+leafwise table of the cosphere-circle bundle, the top group reads the torus
+table, and the even/odd periodic pair reads the bundle's Betti numbers.  The
+caller computes each table once and passes it in.  The bridge from the first
+page to the second is the one computation: it takes the boundary homology of
+the cone and compares it with the second-page table cell by cell.
 
 Collapse at the second page is an assumption everywhere except where the
 symbol-level cocycle count certifies it; reports carry that caveat
@@ -15,54 +19,38 @@ explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
-from .derham import cohomology_dims, ordinary_derham_dims
+from .derham import BigradedDims
 from .errors import WindowError
-from .models import (
-    ConicDualModel,
-    CosphereCircleModel,
-    FoliatedModel,
-    ModeWindow,
-    torus_of,
-)
+from .models import ConicDualModel, KroneckerTorus, ModeWindow
 from .poisson import homogeneous_poisson_dims
 
 
-def e2_dims(
-    model: FoliatedModel, window: ModeWindow | None = None
-) -> dict[tuple[int, int], int]:
-    """Second-page table (k, h) -> dim, via shifted circle-bundle cohomology.
+def e2_dims(torus: KroneckerTorus, circle: BigradedDims) -> dict[tuple[int, int], int]:
+    """Second-page table (k, h) -> dim, read off the cosphere-circle table.
 
-    Nonzero only for -p <= k <= p and p <= h <= p + q.
+    ``circle`` is the leafwise cohomology of the torus's cosphere-circle
+    bundle.  Nonzero only for -p <= k <= p and p <= h <= p + q.
     """
-    torus = torus_of(model)
-    window = window or ModeWindow()
     p, q = torus.leaf_dim, torus.codim
-    circle = CosphereCircleModel(torus)
-    dims = cohomology_dims(circle, window)
     out: dict[tuple[int, int], int] = {}
     for k in range(-p, p + 1):
         for h in range(p, p + q + 1):
-            out[(k, h)] = dims.get(p - k, h - p)
+            out[(k, h)] = circle.get(p - k, h - p)
     return out
 
 
-def hh_dims_assuming_collapse(
-    model: FoliatedModel, window: ModeWindow | None = None
-) -> list[int]:
+def hh_dims_assuming_collapse(torus: KroneckerTorus, circle: BigradedDims) -> list[int]:
     """Total homology dimensions k = 0 .. 2p+q under second-page collapse.
 
     dim_k = sum_j dim H^{2p+j-k, j} of the cosphere-circle bundle; the
     collapse assumption is certified only by the symbol-level cocycle count.
     """
-    torus = torus_of(model)
-    window = window or ModeWindow()
     p, q = torus.leaf_dim, torus.codim
-    circle = CosphereCircleModel(torus)
-    dims = cohomology_dims(circle, window)
     out = []
     for k in range(0, 2 * p + q + 1):
-        out.append(sum(dims.get(2 * p + j - k, j) for j in range(0, q + 1)))
+        out.append(sum(circle.get(2 * p + j - k, j) for j in range(0, q + 1)))
     return out
 
 
@@ -70,42 +58,32 @@ def hh_dims_assuming_collapse(
 class BottomTopReport:
     bottom: int
     top: int
-    notes: tuple[str, ...]
+    # a Kronecker torus has leaf dimension p = 1; the bottom group equals the
+    # base H^{p,0} only from p = 2 on
+    notes: tuple[str, ...] = (
+        "simplification to the base H^{p,0} not applicable (leaf dimension 1)",
+    )
 
     def to_json(self) -> dict:
         return {"HH_0": self.bottom, "HH_top": self.top, "notes": list(self.notes)}
 
 
 def hh0_and_top(
-    model: FoliatedModel, window: ModeWindow | None = None
+    torus: KroneckerTorus, circle: BigradedDims, torus_dims: BigradedDims
 ) -> BottomTopReport:
-    """The bottom group (trace space) and the top group (2p+q) dimensions."""
-    torus = torus_of(model)
-    window = window or ModeWindow()
+    """The bottom group (trace space) and the top group (2p+q) dimensions.
+
+    The bottom group is H^{2p,0} of the cosphere-circle table ``circle``, the
+    top group H^{0,q} of the torus table ``torus_dims``.
+    """
     p, q = torus.leaf_dim, torus.codim
-    circle = CosphereCircleModel(torus)
-    bottom = cohomology_dims(circle, window).get(2 * p, 0)
-    top = cohomology_dims(torus, window).get(0, q)
-    notes = []
-    if p >= 2:
-        notes.append("bottom group also equals the base leafwise H^{p,0}")
-    else:
-        notes.append(
-            "simplification to the base H^{p,0} not applicable (leaf dimension 1)"
-        )
-    return BottomTopReport(bottom, top, tuple(notes))
+    return BottomTopReport(circle.get(2 * p, 0), torus_dims.get(0, q))
 
 
-def hp_dims(
-    model: FoliatedModel, window: ModeWindow | None = None
-) -> tuple[int, int]:
-    """Even/odd periodic dimensions: alternating Betti sums of the bundle."""
-    torus = torus_of(model)
-    window = window or ModeWindow()
-    circle = CosphereCircleModel(torus)
-    betti = ordinary_derham_dims(circle, window)
-    even = sum(b for k, b in enumerate(betti) if k % 2 == 0)
-    odd = sum(b for k, b in enumerate(betti) if k % 2 == 1)
+def hp_dims(circle_betti: Sequence[int]) -> tuple[int, int]:
+    """Even/odd periodic dimensions: alternating sums of the bundle's Betti numbers."""
+    even = sum(b for k, b in enumerate(circle_betti) if k % 2 == 0)
+    odd = sum(b for k, b in enumerate(circle_betti) if k % 2 == 1)
     return even, odd
 
 
@@ -153,31 +131,28 @@ class PageBridgeReport:
 
 
 def e1_to_e2(
-    model: FoliatedModel, window: ModeWindow | None = None
+    conic: ConicDualModel, e2: dict[tuple[int, int], int], window: ModeWindow
 ) -> PageBridgeReport:
     """Second page computed through the cone vs the closed form, cell by cell.
 
     The first page is the space of (k+h)-forms on the cone of homogeneity k;
     applying the boundary operator and taking exact homology gives the second
-    page, which must match the shifted circle-bundle table.
+    page, which must match ``e2``, the table `e2_dims` reads off the
+    cosphere-circle bundle of the cone's base torus.
     """
-    torus = torus_of(model)
-    window = window or ModeWindow()
-    p, q = torus.leaf_dim, torus.codim
+    p, q = conic.leaf_dim // 2, conic.codim
     if window.l_min > -p - 1 or window.l_max < p + 1:
         raise WindowError(
             f"homogeneity range [{window.l_min}, {window.l_max}] cannot hold the"
             f" first-page degrees [-{p + 1}, {p + 1}]"
         )
-    conic = ConicDualModel(torus)
-    closed = e2_dims(torus, window)
     cells = []
     for k in range(-p, p + 1):
         for h in range(p, p + q + 1):
             via_cone = homogeneous_poisson_dims(conic, k + h, k, window)
-            cells.append(PageBridgeCell(k, h, via_cone, closed[(k, h)]))
+            cells.append(PageBridgeCell(k, h, via_cone, e2[(k, h)]))
     # out-of-range cells must vanish on both pipelines
     for k, h in ((p + 1, p), (-p - 1, p), (p, 2 * p + q + 1 - p)):
         via_cone = homogeneous_poisson_dims(conic, k + h, k, window)
         cells.append(PageBridgeCell(k, h, via_cone, 0))
-    return PageBridgeReport(repr(torus), tuple(cells))
+    return PageBridgeReport(repr(conic.base), tuple(cells))

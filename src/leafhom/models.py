@@ -56,6 +56,9 @@ class ModeWindow:
     def homogeneities(self) -> range:
         return range(self.l_min, self.l_max + 1)
 
+    def to_json(self) -> dict:
+        return {"bound": self.bound, "l_min": self.l_min, "l_max": self.l_max}
+
 
 @dataclass(frozen=True)
 class FormMonomial:
@@ -97,6 +100,25 @@ class FrameSpec:
 
 
 TermMap = Callable[[FormMonomial], Iterable[tuple[FormMonomial, Scalar]]]
+
+
+def linear_extension(
+    terms: TermMap,
+    pairs: Iterable[tuple[FormMonomial, Scalar]],
+    out: dict[FormMonomial, Scalar] | None = None,
+) -> dict[FormMonomial, Scalar]:
+    """Add sum c * terms(m) over (m, c) in ``pairs`` into ``out``; zeros are dropped."""
+    out = {} if out is None else out
+    for mono, coeff in pairs:
+        for mono2, val in terms(mono):
+            total = coeff * val
+            cur = out.get(mono2)
+            new = total if cur is None else cur + total
+            if new:
+                out[mono2] = new
+            else:
+                out.pop(mono2, None)
+    return out
 
 
 def merge_ext(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
@@ -217,16 +239,7 @@ class Form:
         return self.wedge(other)
 
     def map(self, terms, model=None):
-        out = {}
-        for mono, coeff in self.terms.items():
-            for mono2, val in terms(mono):
-                total = coeff * val
-                cur = out.get(mono2)
-                new = total if cur is None else cur + total
-                if new:
-                    out[mono2] = new
-                else:
-                    out.pop(mono2, None)
+        out = linear_extension(terms, self.terms.items())
         return Form(self.model if model is None else model, out)
 
     # -- grading ---------------------------------------------------------
@@ -748,6 +761,8 @@ class ConicDualModel(FoliatedModel):
         self.codim = base.codim
         self.long_flags = (True, True) + (False,) * self.codim
         self.components = ("+", "-")
+        # boundary-operator images per variant and monomial, filled by poisson.delta_terms
+        self._delta_images: dict[str, dict[FormMonomial, tuple]] = {}
 
     def pairing(self, mode: Mode) -> Scalar:
         if self._lie_dual_d is not None:
@@ -861,7 +876,12 @@ def _infer_field_spec(spec: dict) -> dict:
                 while end < len(obj) and obj[end] in "0123456789":
                     end += 1
                 if end > pos:
-                    rads.add(int(obj[pos:end]))
+                    try:
+                        rads.add(int(obj[pos:end]))
+                    except ValueError as exc:  # beyond Python's int digit limit
+                        raise SpecParseError(
+                            f"radicand of {end - pos} digits exceeds 10^12"
+                        ) from exc
                 pos = obj.find("sqrt", end)
         elif isinstance(obj, dict):
             for v in obj.values():

@@ -4,9 +4,13 @@ The leafwise bivector pairs the leaf direction with the radial direction;
 its dual leafwise symplectic form is theta ^ dxi, homogeneous of degree one
 under the radial scaling.  The boundary operator delta = [i_G, d] splits
 into a leafwise piece of shift (-1, 0) and a transverse piece of shift
-(-2, 1); both are implemented as honest commutators, and the star-conjugated
-leafwise differential gives an independent second route that the identity
-suite compares against.
+(-2, 1).  Each is a term map composed from two others: the contraction's and
+that of the matching differential component (`delta_terms`).  The image of a
+monomial is composed once per cone and reused by every homology, filtration
+and identity check on that cone.  The star-conjugated leafwise differential
+gives an independent second route that the identity suite compares against.
+The correspondence table reads the cosphere-circle cohomology table it is
+given instead of computing one.
 
 Sign conventions: the contraction i_G is fixed so that the induced bracket
 on scalars is {f, g} = f_xi g_x - f_x g_xi in leaf coordinates (x, xi), which
@@ -20,21 +24,22 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .derham import (
+    BigradedDims,
     CheckResult,
     block_homology,
-    cohomology_dims,
+    component_terms,
     differential,
 )
 from .errors import UnsupportedModelError, ValidationError
 from .models import (
     ConicDualModel,
-    CosphereCircleModel,
     FoliatedModel,
     Form,
     FormMonomial,
     KroneckerTorus,
     ModeWindow,
     TermMap,
+    linear_extension,
 )
 from .scalars import Scalar
 
@@ -78,9 +83,9 @@ def poisson_tensor(model: FoliatedModel) -> PoissonTensor:
     return PoissonTensor(conic, omega)
 
 
-def contract_bivector(model: FoliatedModel, form: Form) -> Form:
-    """Interior product with the leafwise bivector: bidegree shift (-2, 0)."""
-    minus_one = _require_conic(model).field.scalar(-1)
+def _contraction_terms(conic: ConicDualModel) -> TermMap:
+    """Term map of the interior product with the bivector: shift (-2, 0)."""
+    minus_one = conic.field.scalar(-1)
 
     def terms(mono: FormMonomial) -> list[tuple[FormMonomial, Scalar]]:
         # ext is increasing, so theta ^ dxi leads it: removing dxi (slot 1),
@@ -89,7 +94,12 @@ def contract_bivector(model: FoliatedModel, form: Form) -> Form:
             return []
         return [(FormMonomial(mono.mode, mono.xi, mono.comp, mono.ext[2:]), minus_one)]
 
-    return form.map(terms, model)
+    return terms
+
+
+def contract_bivector(model: FoliatedModel, form: Form) -> Form:
+    """Interior product with the leafwise bivector: bidegree shift (-2, 0)."""
+    return form.map(_contraction_terms(_require_conic(model)), model)
 
 
 def bracket(f: Form, g: Form) -> Form:
@@ -104,26 +114,35 @@ def bracket(f: Form, g: Form) -> Form:
     return contract_bivector(model, df.wedge(dg))
 
 
-def delta(form: Form, variant: str = "delta") -> Form:
-    """The boundary operator [i_G, d] or one of its bigraded pieces."""
-    model = form.model
-    _require_conic(model)
+def delta_terms(model: FoliatedModel, variant: str = "delta") -> TermMap:
+    """Term map of the boundary operator i_G d - d i_G, or of a bigraded piece.
+
+    The image of a monomial is composed from the term maps of the contraction
+    and of the differential component once, and kept on the cone for the
+    cone's lifetime, per variant and monomial: every caller on one cone shares
+    the images.
+    """
+    conic = _require_conic(model)
     if variant not in DELTA_VARIANTS:
         raise ValidationError(f"unknown delta variant {variant!r}")
-    component = {"delta": "d", "delta_F": "d_F", "delta_perp": "d_perp"}[variant]
-    dd = lambda a: differential(model, component, a)
-    iG = lambda a: contract_bivector(model, a)
-    return iG(dd(form)) - dd(iG(form))
+    d = component_terms(conic, {"delta": "d", "delta_F": "d_F", "delta_perp": "d_perp"}[variant])
+    i_g = _contraction_terms(conic)
+    images = conic._delta_images.setdefault(variant, {})
+
+    def terms(mono: FormMonomial) -> tuple[tuple[FormMonomial, Scalar], ...]:
+        image = images.get(mono)
+        if image is None:
+            out = linear_extension(i_g, d(mono))
+            linear_extension(d, ((m, -c) for m, c in i_g(mono)), out)
+            image = images[mono] = tuple(out.items())
+        return image
+
+    return terms
 
 
-def delta_terms(conic: ConicDualModel, variant: str = "delta") -> TermMap:
-    """Term map of delta: its image of each unit monomial.
-
-    delta is a commutator of two maps, so it is the one operator composed on
-    forms; this adapter hands it to the block engine.
-    """
-    one = conic.field.one
-    return lambda mono: delta(Form(conic, {mono: one}), variant).terms.items()
+def delta(form: Form, variant: str = "delta") -> Form:
+    """The boundary operator [i_G, d] or one of its bigraded pieces."""
+    return form.map(delta_terms(form.model, variant))
 
 
 def hodge_star(form: Form) -> Form:
@@ -361,23 +380,21 @@ class HomologyCorrespondenceReport:
 
 
 def verify_homology_correspondence(
-    model: FoliatedModel, window: ModeWindow | None = None
+    model: FoliatedModel, circle_dims: BigradedDims
 ) -> HomologyCorrespondenceReport:
     """Three independent pipelines for the same numbers, tabulated.
 
     (a) full-boundary homology of the cone, (b) leafwise-boundary homology,
-    (c) leafwise cohomology of the cosphere-circle bundle at the shifted
-    indices (p - l, k - l - p); rows outside |l| <= p must vanish.
+    (c) ``circle_dims``, the leafwise cohomology of the cosphere-circle bundle
+    of the cone's base, read at the shifted indices (p - l, k - l - p); rows
+    outside |l| <= p must vanish.  (a) and (b) use the table's window.
     """
     conic = _require_conic(model)
-    base = conic.base
-    if not isinstance(base, KroneckerTorus):
+    if not isinstance(conic.base, KroneckerTorus):
         raise UnsupportedModelError("the correspondence table needs a torus base")
-    window = window or ModeWindow()
+    window = circle_dims.window
     p = conic.leaf_dim // 2
     top = conic.leaf_dim + conic.codim
-    circle = CosphereCircleModel(base)
-    circle_dims = cohomology_dims(circle, window)
     rows = []
     for k in range(0, top + 1):
         for l in range(-p - 1, p + 2):
@@ -386,5 +403,4 @@ def verify_homology_correspondence(
             r_idx, s_idx = p - l, k - l - p
             c = circle_dims.get(r_idx, s_idx) if s_idx >= 0 and r_idx >= 0 else 0
             rows.append(HomologyCorrespondenceRow(k, l, a, b, c))
-    formal = circle_dims.formal
-    return HomologyCorrespondenceReport(repr(conic), tuple(rows), formal)
+    return HomologyCorrespondenceReport(repr(conic), tuple(rows), circle_dims.formal)

@@ -223,9 +223,6 @@ class Scalar:
     def __bool__(self) -> bool:
         return any(self.nums)
 
-    def is_rational(self) -> bool:
-        return not any(self.nums[1:])
-
     def is_real(self) -> bool:
         return not any(self.nums[1::2])  # the odd masks carry the factor i
 

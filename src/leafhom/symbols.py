@@ -33,10 +33,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import Sequence
 
 from .errors import InsufficientTruncationError, ValidationError
 from .expansion import SIDES, Expansion, TrigPoly, product_shape, side_tops, tp_add, tp_scale
-from .models import KroneckerTorus, Mode, ModeWindow
+from .models import KroneckerTorus, Mode
 from .scalars import Scalar
 
 
@@ -512,11 +513,11 @@ def _crafted_tuples(
 
 def verify_traces_and_collapse(
     torus: KroneckerTorus,
+    predicted: Sequence[int],
     trials: int = 100,
     depth: int = 6,
     seed: int = 0,
     max_level: int = 2,
-    window: ModeWindow | None = None,
 ) -> TraceSuiteReport:
     """Trace property, cocycle coboundaries, and the independence count.
 
@@ -524,11 +525,10 @@ def verify_traces_and_collapse(
     sides, evaluated above the watermark; (b) the iterated-contraction
     cocycles have vanishing Hochschild coboundary on random tuples for
     l <= max_level; (c) their evaluation matrix has full rank 2*C(n+1, l);
-    the collapse certificate is set when those counts match the closed-form
-    dimension predictions.
+    the collapse certificate is set when those counts match ``predicted``,
+    the closed-form dimensions `hochschild.hh_dims_assuming_collapse` reads
+    off the cosphere-circle table.
     """
-    from .hochschild import hh_dims_assuming_collapse
-
     if trials < 0:
         raise ValidationError("trial count must be nonnegative")
     if torus.resonant:
@@ -600,7 +600,6 @@ def verify_traces_and_collapse(
                 if vec:
                     ech.add(vec)
         independence[l] = (expected, ech.dim)
-    predicted = hh_dims_assuming_collapse(torus, window or ModeWindow(bound=1))
     certified = (
         all(v for v in coboundary_levels.values())
         and all(e == r for e, r in independence.values())
@@ -620,7 +619,7 @@ def verify_traces_and_collapse(
         coboundary_levels=coboundary_levels,
         independence=independence,
         collapse_certified=certified and trace_ok,
-        predicted_dims=predicted,
+        predicted_dims=list(predicted),
     )
 
 

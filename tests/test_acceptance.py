@@ -15,11 +15,23 @@ from pathlib import Path
 import pytest
 
 from leafhom import cli
-from leafhom.derham import cohomology_dims, verify_decomposition_identities
+from leafhom.derham import (
+    cohomology_dims,
+    ordinary_derham_dims,
+    verify_decomposition_identities,
+)
 from leafhom.gysin import product_splitting_dims
-from leafhom.hochschild import e1_to_e2, hh0_and_top, hh_dims_assuming_collapse, hp_dims
+from leafhom.hochschild import (
+    e1_to_e2,
+    e2_dims,
+    hh0_and_top,
+    hh_dims_assuming_collapse,
+    hp_dims,
+)
 from leafhom.models import (
+    CircleProductModel,
     ConicDualModel,
+    CosphereCircleModel,
     KroneckerTorus,
     LieFrameModel,
     ModeWindow,
@@ -54,6 +66,15 @@ def conic2(torus2):
     return ConicDualModel(torus2)
 
 
+def circle_table(torus, window):
+    """The cosphere-circle table the hochschild predictors read."""
+    return cohomology_dims(CosphereCircleModel(torus), window)
+
+
+def predicted_hh(torus, window):
+    return hh_dims_assuming_collapse(torus, circle_table(torus, window))
+
+
 class Stopwatch:
     def __init__(self, limit: float):
         self.limit = limit
@@ -83,8 +104,8 @@ def test_criterion_01_torus_cohomology_table(torus2):
 
 def test_criterion_02_hochschild_dims(torus2, torus3):
     watch = Stopwatch(30.0)
-    dims2 = hh_dims_assuming_collapse(torus2, ModeWindow(bound=2))
-    dims3 = hh_dims_assuming_collapse(torus3, ModeWindow(bound=2))
+    dims2 = predicted_hh(torus2, ModeWindow(bound=2))
+    dims3 = predicted_hh(torus3, ModeWindow(bound=2))
     ok = dims2 == [2, 6, 6, 2] and dims3 == [2, 8, 12, 8, 2]
     elapsed = watch.check()
     report(2, "hochschild dims", ok and elapsed < watch.limit, elapsed)
@@ -132,9 +153,10 @@ def test_criterion_04_star_delta_identity(conic2):
     assert elapsed < watch.limit
 
 
-def test_criterion_05_homology_correspondence(conic2):
+def test_criterion_05_homology_correspondence(conic2, torus2):
     watch = Stopwatch(60.0)
-    rep = verify_homology_correspondence(conic2, ModeWindow(bound=1, l_min=-2, l_max=2))
+    window = ModeWindow(bound=1, l_min=-2, l_max=2)
+    rep = verify_homology_correspondence(conic2, circle_table(torus2, window))
     covered = {(row.k, row.l) for row in rep.rows}
     needed = {(k, l) for k in range(0, 4) for l in (-2, -1, 0, 1, 2)}
     range_ok = needed <= covered
@@ -175,8 +197,11 @@ def test_criterion_06_filtration_spectral_collapse(conic2):
 def test_criterion_07_gysin_splitting(torus2):
     watch = Stopwatch(60.0)
     ok = True
+    window = ModeWindow(bound=2)
+    total = CircleProductModel(torus2)
+    base_dims, total_dims = cohomology_dims(torus2, window), cohomology_dims(total, window)
     for h in (0, 1):
-        rep = product_splitting_dims(torus2, 1, h, ModeWindow(bound=2))
+        rep = product_splitting_dims(total, h, base_dims, total_dims)
         if not rep.passed:
             ok = False
         for row in rep.rows:
@@ -188,9 +213,10 @@ def test_criterion_07_gysin_splitting(torus2):
     assert elapsed < watch.limit
 
 
-def test_criterion_08_page_bridge(torus2):
+def test_criterion_08_page_bridge(torus2, conic2):
     watch = Stopwatch(60.0)
-    rep = e1_to_e2(torus2, ModeWindow(bound=1, l_min=-2, l_max=2))
+    window = ModeWindow(bound=1, l_min=-2, l_max=2)
+    rep = e1_to_e2(conic2, e2_dims(torus2, circle_table(torus2, window)), window)
     elapsed = watch.check()
     report(8, "first-to-second page bridge", rep.passed and elapsed < watch.limit, elapsed)
     assert rep.passed, [c.to_json() for c in rep.cells if not c.consistent]
@@ -199,8 +225,13 @@ def test_criterion_08_page_bridge(torus2):
 
 def test_criterion_09_residue_traces(torus2):
     watch = Stopwatch(60.0)
-    rep = verify_traces_and_collapse(torus2, trials=100, depth=6, seed=2024)
-    bottom = hh0_and_top(torus2, ModeWindow(bound=1)).bottom
+    window = ModeWindow(bound=1)
+    rep = verify_traces_and_collapse(
+        torus2, predicted_hh(torus2, window), trials=100, depth=6, seed=2024
+    )
+    bottom = hh0_and_top(
+        torus2, circle_table(torus2, window), cohomology_dims(torus2, window)
+    ).bottom
     ok = (
         rep.trace_property_holds
         and rep.trace_pairs_checked >= 100
@@ -217,11 +248,11 @@ def test_criterion_09_residue_traces(torus2):
 
 def test_criterion_10_collapse_certificate(torus2):
     watch = Stopwatch(120.0)
-    rep = verify_traces_and_collapse(torus2, trials=10, depth=6, seed=7)
+    predicted = predicted_hh(torus2, ModeWindow(bound=1))
+    rep = verify_traces_and_collapse(torus2, predicted, trials=10, depth=6, seed=7)
     counts_ok = all(
         rep.independence[l] == (2 * comb(3, l), 2 * comb(3, l)) for l in (0, 1, 2)
     )
-    predicted = hh_dims_assuming_collapse(torus2, ModeWindow(bound=1))
     match_ok = all(rep.independence[l][0] == predicted[l] for l in (0, 1, 2))
     ok = (
         all(rep.coboundary_levels.values())
@@ -239,8 +270,8 @@ def test_criterion_10_collapse_certificate(torus2):
 
 def test_criterion_11_periodic_dims(torus2, torus3):
     watch = Stopwatch(60.0)
-    hp2 = hp_dims(torus2, ModeWindow(bound=1))
-    hp3 = hp_dims(torus3, ModeWindow(bound=1))
+    hp2 = hp_dims(ordinary_derham_dims(CosphereCircleModel(torus2), ModeWindow(bound=1)))
+    hp3 = hp_dims(ordinary_derham_dims(CosphereCircleModel(torus3), ModeWindow(bound=1)))
     ok = hp2 == (8, 8) and hp3 == (16, 16)
     elapsed = watch.check()
     report(11, "periodic cyclic dims", ok and elapsed < watch.limit, elapsed)

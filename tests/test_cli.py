@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from leafhom import cli, expansion
+from leafhom import cli, derham, expansion, gysin, hochschild, poisson, specseq, symbols
+from leafhom.models import LieFrameModel, ModeWindow
+from leafhom.scalars import NumberField
 
 
 @pytest.fixture()
@@ -228,6 +230,17 @@ def test_unsupported_pairing(tmp_path):
             ["derham"],
             "malformed bracket entry",
         ),
+        (
+            {"family": "kronecker_torus", "alpha": ["1", "sqrt" + "7" * 5000]},
+            ["derham"],
+            "radicand of 5000 digits exceeds 10^12",
+        ),
+        # raw JSON text: the integer has more digits than int() converts
+        (
+            '{"family": "lie_frame", "n": ' + "7" * 5000 + ', "brackets": [], "leaf": [1]}',
+            ["derham"],
+            "malformed model spec",
+        ),
     ],
     ids=[
         "window-too-small",
@@ -243,11 +256,13 @@ def test_unsupported_pairing(tmp_path):
         "huge-radicand",
         "brackets-not-list",
         "infinite-bracket-index",
+        "radicand-beyond-int-digit-limit",
+        "integer-beyond-int-digit-limit",
     ],
 )
 def test_bad_input_exits_2_with_one_line(spec, args, message, tmp_path, capsys):
     path = tmp_path / "model.json"
-    path.write_text(json.dumps(spec))
+    path.write_text(spec if isinstance(spec, str) else json.dumps(spec))
     code = cli.main([*args, "--model", str(path), "--out", str(tmp_path / "o")])
     assert code == 2
     err = capsys.readouterr().err
@@ -357,3 +372,35 @@ def test_xi_range_flag(torus_spec, tmp_path):
         ]
     )
     assert code == 2
+
+
+def test_one_run_computes_each_table_once(torus_spec, tmp_path, monkeypatch):
+    # torus, cosphere-circle and circle-product tables: each read by several
+    # analyses, computed once
+    real = derham.cohomology_dims
+    calls = []
+
+    def counted(model, *args, **kwargs):
+        calls.append(repr(model))
+        return real(model, *args, **kwargs)
+
+    for module in (cli, derham, gysin, hochschild, poisson, specseq, symbols):
+        if getattr(module, "cohomology_dims", None) is real:
+            monkeypatch.setattr(module, "cohomology_dims", counted)
+    out = tmp_path / "out"
+    args = ["run", "--model", str(torus_spec), "--analyses", "all", "--mode-bound", "1"]
+    assert cli.main([*args, "--trials", "2", "--out", str(out)]) == 0
+    assert len(calls) == 3 and len(set(calls)) == 3, calls
+
+
+def test_run_context_memo_is_keyed_by_model_instance():
+    # two frames that print alike: only the structure constants differ
+    field = NumberField(())
+    abelian = LieFrameModel.create(field, 2, {}, {1})
+    affine = LieFrameModel.create(field, 2, {(0, 1): {0: field.one}}, {1})
+    assert repr(abelian) == repr(affine)
+    ctx = cli.RunContext(abelian, ModeWindow(bound=1))
+    table = ctx.table(abelian)
+    assert ctx.table(affine).nonzero() == {(0, 0): 1, (1, 0): 1}
+    assert table.nonzero() == {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1}
+    assert ctx.table(abelian) is table

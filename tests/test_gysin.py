@@ -4,15 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from leafhom.derham import differential
-from leafhom.errors import UnsupportedModelError, ValidationError
-from leafhom.gysin import (
-    ProductBundle,
-    fiber_integrate,
-    product_splitting_dims,
-    pullback,
-)
-from leafhom.models import KroneckerTorus, ModeWindow
+from leafhom.derham import cohomology_dims, differential
+from leafhom.errors import ValidationError
+from leafhom.gysin import fiber_integrate, product_splitting_dims
+from leafhom.models import CircleProductModel, KroneckerTorus, ModeWindow
+from leafhom.models import pullback_from_base as pullback
 from leafhom.scalars import NumberField
 
 
@@ -23,16 +19,21 @@ def torus():
 
 @pytest.fixture(scope="module")
 def bundle(torus):
-    return ProductBundle(torus, 1)
+    return CircleProductModel(torus)
+
+
+def splitting(bundle, h, window):
+    base_dims = cohomology_dims(bundle.base, window)
+    return product_splitting_dims(bundle, h, base_dims, cohomology_dims(bundle, window))
 
 
 def test_pullback_of_coframe(bundle, torus):
     theta = torus.gen_form("theta")
     up = pullback(bundle, theta)
-    assert up == bundle.total_model().gen_form("theta")
+    assert up == bundle.gen_form("theta")
     e_eta = torus.monomial_form(1, mode=(2, 1), ext=("eta1",))
     up2 = pullback(bundle, e_eta)
-    assert up2 == bundle.total_model().monomial_form(1, mode=(2, 1, 0), ext=("eta1",))
+    assert up2 == bundle.monomial_form(1, mode=(2, 1, 0), ext=("eta1",))
 
 
 def test_pullback_injective_on_monomials(bundle, torus):
@@ -46,7 +47,7 @@ def test_pullback_injective_on_monomials(bundle, torus):
 
 
 def test_pullback_commutes_with_leafwise_differential(bundle, torus):
-    total = bundle.total_model()
+    total = bundle
     e_m = torus.monomial_form(1, mode=(1, 0))
     lhs = differential(total, "d_F", pullback(bundle, e_m))
     rhs = pullback(bundle, differential(torus, "d_F", e_m))
@@ -54,13 +55,13 @@ def test_pullback_commutes_with_leafwise_differential(bundle, torus):
 
 
 def test_fiber_integration_normalization(bundle):
-    total = bundle.total_model()
+    total = bundle
     dphi = total.gen_form("dphi")
     assert fiber_integrate(bundle, dphi) == bundle.base.monomial_form(1)
 
 
 def test_fiber_integration_kills_base_forms(bundle, torus):
-    total = bundle.total_model()
+    total = bundle
     e_theta = total.monomial_form(1, mode=(1, 0, 0), ext=("theta",))
     assert fiber_integrate(bundle, e_theta).is_zero()
     # nonzero circle mode integrates to zero even with a dphi factor
@@ -69,7 +70,7 @@ def test_fiber_integration_kills_base_forms(bundle, torus):
 
 
 def test_fiber_integration_sign(bundle, torus):
-    total = bundle.total_model()
+    total = bundle
     theta_dphi = total.monomial_form(1, mode=(1, 0, 0), ext=("theta", "dphi"))
     out = fiber_integrate(bundle, theta_dphi)
     # rightmost-removal convention: positive sign here, pinned by intertwining
@@ -77,7 +78,7 @@ def test_fiber_integration_sign(bundle, torus):
 
 
 def test_integration_intertwines_leafwise_differential(bundle, torus):
-    total = bundle.total_model()
+    total = bundle
     window = ModeWindow(bound=1)
     for mono in total.basis_monomials(window):
         form = total.form({mono: total.field.one})
@@ -86,19 +87,13 @@ def test_integration_intertwines_leafwise_differential(bundle, torus):
         assert lhs == rhs
 
 
-def test_unrealized_fiber_is_rejected(torus):
-    tall = ProductBundle(torus, 2)
-    with pytest.raises(UnsupportedModelError):
-        pullback(tall, torus.monomial_form(1))
-
-
 def test_form_from_other_model_rejected(bundle, torus):
     with pytest.raises(ValidationError):
         fiber_integrate(bundle, torus.monomial_form(1))
 
 
-def test_splitting_table_h0(torus):
-    report = product_splitting_dims(torus, 1, 0, ModeWindow(bound=2))
+def test_splitting_table_h0(bundle):
+    report = splitting(bundle, 0, ModeWindow(bound=2))
     assert report.passed, report.to_json()
     by_k = {row.k: row for row in report.rows}
     # direct 2 = 1 + 1 in the middle degree, 1 = 1 + 0 and 1 = 0 + 1 at the ends
@@ -107,15 +102,15 @@ def test_splitting_table_h0(torus):
     assert (by_k[2].direct, by_k[2].predicted) == (1, 1)
 
 
-def test_splitting_table_h1(torus):
-    report = product_splitting_dims(torus, 1, 1, ModeWindow(bound=2))
+def test_splitting_table_h1(bundle):
+    report = splitting(bundle, 1, ModeWindow(bound=2))
     assert report.passed
     by_k = {row.k: row for row in report.rows}
     assert by_k[0].direct == 1 and by_k[1].direct == 2 and by_k[2].direct == 1
 
 
-def test_splitting_checks_present(torus):
-    report = product_splitting_dims(torus, 1, 0, ModeWindow(bound=1))
+def test_splitting_checks_present(bundle):
+    report = splitting(bundle, 0, ModeWindow(bound=1))
     names = {c.name for c in report.checks}
     assert "pullback intertwines d_F" in names
     assert "fiber integration intertwines d_F" in names
@@ -123,11 +118,3 @@ def test_splitting_checks_present(torus):
     assert "fiber-class wedge splits the sequence" in names
     assert all(c.passed for c in report.checks)
 
-
-def test_prediction_only_for_higher_fibers(torus):
-    report = product_splitting_dims(torus, 3, 0, ModeWindow(bound=1))
-    assert all(row.direct is None for row in report.rows)
-    by_k = {row.k: row.predicted for row in report.rows}
-    # H^{k,0}(M x S^3) = H^{k,0} + H^{k-3,0}: degrees 0,1 and 3,4 contribute 1
-    assert by_k[0] == 1 and by_k[1] == 1 and by_k[3] == 1 and by_k[4] == 1
-    assert by_k[2] == 0

@@ -7,10 +7,11 @@ import random
 import pytest
 
 from leafhom import poisson
-from leafhom.derham import differential
+from leafhom.derham import cohomology_dims, differential
 from leafhom.errors import UnsupportedModelError, ValidationError
 from leafhom.models import (
     ConicDualModel,
+    CosphereCircleModel,
     KroneckerTorus,
     LieFrameModel,
     ModeWindow,
@@ -304,7 +305,9 @@ def test_bigraded_star_correspondence(conic):
 
 
 def test_homology_correspondence_table(conic):
-    report = verify_homology_correspondence(conic, ModeWindow(bound=1, l_min=-2, l_max=2))
+    window = ModeWindow(bound=1, l_min=-2, l_max=2)
+    circle_dims = cohomology_dims(CosphereCircleModel(conic.base), window)
+    report = verify_homology_correspondence(conic, circle_dims)
     assert report.passed
     assert not report.formal
     # spot values frozen from the closed form: 2 C(2, p-l) C(1, k-l-p) per sign
@@ -319,6 +322,39 @@ def test_homology_correspondence_table(conic):
 
 def test_homology_correspondence_resonant_stays_consistent(field):
     model = ConicDualModel(KroneckerTorus(field, ["1", "2"]))
-    report = verify_homology_correspondence(model, ModeWindow(bound=1, l_min=-2, l_max=2))
+    window = ModeWindow(bound=1, l_min=-2, l_max=2)
+    circle_dims = cohomology_dims(CosphereCircleModel(model.base), window)
+    report = verify_homology_correspondence(model, circle_dims)
     assert report.passed
     assert report.formal
+
+
+# -- the boundary operator as a composed term map -----------------------------------
+
+
+def commutator_delta(form, variant):
+    """delta as the commutator i_G d - d i_G of form-level maps, a reference."""
+    model = form.model
+    component = {"delta": "d", "delta_F": "d_F", "delta_perp": "d_perp"}[variant]
+    dd = lambda a: differential(model, component, a)
+    return contract_bivector(model, dd(form)) - dd(contract_bivector(model, form))
+
+
+@pytest.mark.parametrize("base", ["torus", "resonant_torus", "lie_frame"])
+def test_delta_terms_match_form_commutator(base, field):
+    conic = {
+        "torus": lambda: ConicDualModel(KroneckerTorus(field, ["1", "sqrt2"])),
+        "resonant_torus": lambda: ConicDualModel(KroneckerTorus(field, ["1", "2"])),
+        "lie_frame": lambda: affine_conic(field),
+    }[base]()
+    window = ModeWindow(bound=1, l_min=-2, l_max=2)
+    for variant in poisson.DELTA_VARIANTS:
+        terms = poisson.delta_terms(conic, variant)
+        for mono in conic.basis_monomials(window):
+            image = terms(mono)
+            assert all(c for _m, c in image), (variant, mono)
+            assert len({m for m, _c in image}) == len(image)
+            expected = commutator_delta(conic.form({mono: field.one}), variant)
+            assert dict(image) == expected.terms, (variant, conic.monomial_label(mono))
+            # one image per cone, shared by every later term map of the variant
+            assert poisson.delta_terms(conic, variant)(mono) is image

@@ -8,8 +8,10 @@ from fractions import Fraction
 import pytest
 
 from leafhom import symbols
+from leafhom.derham import cohomology_dims
 from leafhom.errors import InsufficientTruncationError, ValidationError
-from leafhom.models import KroneckerTorus
+from leafhom.hochschild import hh_dims_assuming_collapse
+from leafhom.models import CosphereCircleModel, KroneckerTorus, ModeWindow
 from leafhom.scalars import NumberField
 from leafhom.symbols import (
     Derivation,
@@ -39,6 +41,12 @@ def field():
 @pytest.fixture(scope="module")
 def torus(field):
     return KroneckerTorus(field, ["1", "sqrt2"])
+
+
+def predicted_hh(torus):
+    """The closed-form HH dims the collapse certificate is checked against."""
+    circle = cohomology_dims(CosphereCircleModel(torus), ModeWindow(bound=1))
+    return hh_dims_assuming_collapse(torus, circle)
 
 
 def lam(field, mode):
@@ -287,7 +295,7 @@ def test_coboundary_of_trace_is_trace_of_commutator(torus, field):
 
 
 def test_trace_suite_certifies_collapse(torus):
-    report = verify_traces_and_collapse(torus, trials=25, depth=6, seed=7)
+    report = verify_traces_and_collapse(torus, predicted_hh(torus), trials=25, depth=6, seed=7)
     assert report.passed
     assert report.trace_property_holds
     assert report.coboundary_levels == {0: True, 1: True, 2: True}
@@ -299,7 +307,7 @@ def test_trace_suite_certifies_collapse(torus):
 def test_trace_suite_rejects_resonant(field):
     resonant = KroneckerTorus(field, ["1", "2"])
     with pytest.raises(ValidationError):
-        verify_traces_and_collapse(resonant, trials=1)
+        verify_traces_and_collapse(resonant, predicted_hh(resonant), trials=1)
 
 
 def test_two_sided_trace_independence(torus, field):
@@ -428,7 +436,7 @@ def test_suite_cocycles_match_full_chain(torus, monkeypatch):
     monkeypatch.setattr(symbols, "cocycle_evaluate", record_cocycle)
     monkeypatch.setattr(symbols, "_coboundary_terms", record_terms)
     monkeypatch.setattr(symbols, "_signed_sum", record_sum)
-    report = verify_traces_and_collapse(torus, trials=20, depth=6, seed=11)
+    report = verify_traces_and_collapse(torus, predicted_hh(torus), trials=20, depth=6, seed=11)
     monkeypatch.undo()
     assert report.collapse_certified
     assert len(cocycles) == 360 and len(coboundaries) == 24
