@@ -82,9 +82,7 @@ def hh0_and_top(
 
 def hp_dims(circle_betti: Sequence[int]) -> tuple[int, int]:
     """Even/odd periodic dimensions: alternating sums of the bundle's Betti numbers."""
-    even = sum(b for k, b in enumerate(circle_betti) if k % 2 == 0)
-    odd = sum(b for k, b in enumerate(circle_betti) if k % 2 == 1)
-    return even, odd
+    return sum(circle_betti[0::2]), sum(circle_betti[1::2])
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,6 @@ that of the matching differential component (`delta_terms`).  The image of a
 monomial is composed once per cone and reused by every homology, filtration
 and identity check on that cone.  The star-conjugated leafwise differential
 gives an independent second route that the identity suite compares against.
-The correspondence table reads the cosphere-circle cohomology table it is
-given instead of computing one.
 
 Sign conventions: the contraction i_G is fixed so that the induced bracket
 on scalars is {f, g} = f_xi g_x - f_x g_xi in leaf coordinates (x, xi), which
@@ -128,13 +126,15 @@ def delta_terms(model: FoliatedModel, variant: str = "delta") -> TermMap:
     d = component_terms(conic, {"delta": "d", "delta_F": "d_F", "delta_perp": "d_perp"}[variant])
     i_g = _contraction_terms(conic)
     images = conic._delta_images.setdefault(variant, {})
+    shared = conic._delta_shared.setdefault
 
     def terms(mono: FormMonomial) -> tuple[tuple[FormMonomial, Scalar], ...]:
         image = images.get(mono)
         if image is None:
             out = linear_extension(i_g, d(mono))
             linear_extension(d, ((m, -c) for m, c in i_g(mono)), out)
-            image = images[mono] = tuple(out.items())
+            image = tuple((shared(m, m), shared(c, c)) for m, c in out.items())
+            images[shared(mono, mono)] = image
         return image
 
     return terms
