@@ -384,6 +384,7 @@ def test_one_run_computes_each_table_once(torus_spec, tmp_path, monkeypatch):
         calls.append(repr(model))
         return real(model, *args, **kwargs)
 
+    # every module binding the name, so a direct import cannot bypass the count
     for module in (cli, derham, gysin, hochschild, poisson, specseq, symbols):
         if getattr(module, "cohomology_dims", None) is real:
             monkeypatch.setattr(module, "cohomology_dims", counted)
