@@ -35,8 +35,6 @@ from .models import (
 from .reports import SCHEMA_VERSION, write_report
 
 ANALYSES = ("derham", "poisson", "gysin", "specseq", "hochschild", "symbols")
-# the analyses that read the cone and the boundary images it keeps
-_CONE_READERS = frozenset({"poisson", "specseq", "hochschild"})
 
 
 @dataclass
@@ -105,10 +103,6 @@ class RunContext:
         if isinstance(self.model, CircleProductModel):
             return self.model
         return CircleProductModel(self.torus)
-
-    def drop_cone(self) -> None:
-        """Let go of the cone and the boundary images it keeps (rebuilt if read again)."""
-        self.__dict__.pop("cone", None)
 
     def table(self, model: FoliatedModel, homogeneity: int | None = None) -> derham.BigradedDims:
         """The leafwise cohomology table of ``model`` on the run's window."""
@@ -350,7 +344,7 @@ def run(config: RunConfig) -> int:
                 " trigonometric-polynomial category only"
             )
     all_passed = True
-    for i, name in enumerate(config.analyses):
+    for name in config.analyses:
         runner = _RUNNERS[name]
         try:
             doc, passed = runner(ctx, config)
@@ -366,8 +360,6 @@ def run(config: RunConfig) -> int:
         if name == "symbols" and "suite" in doc:
             summary["collapse_certified"] = doc["suite"]["collapse_certified"]
         all_passed = all_passed and passed
-        if _CONE_READERS.isdisjoint(config.analyses[i + 1 :]):
-            ctx.drop_cone()  # the later analyses run without the images' memory
         status = "ok" if passed else "FAILED"
         print(f"{name}: {status}")
     summary["passed"] = all_passed
