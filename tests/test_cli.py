@@ -406,17 +406,3 @@ def test_run_context_memo_is_keyed_by_model_instance():
     assert table.nonzero() == {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1}
     assert ctx.table(abelian) is table
 
-
-def test_cone_dropped_after_its_last_reader(torus_spec, tmp_path, monkeypatch):
-    # poisson is the only cone reader here: the cone goes right after it
-    held = []
-    drop = cli.RunContext.drop_cone
-
-    def recorded(self):
-        held.append("cone" in self.__dict__)
-        drop(self)
-
-    monkeypatch.setattr(cli.RunContext, "drop_cone", recorded)
-    args = ["run", "--model", str(torus_spec), "--analyses", "poisson,derham"]
-    assert cli.main([*args, "--mode-bound", "1", "--out", str(tmp_path / "o")]) == 0
-    assert held == [True, False]
