@@ -66,17 +66,16 @@ class RunContext:
 
     `run` builds one context and hands it to every analysis.  The derived
     models (torus, cone, cosphere-circle bundle, circle product) are built on
-    first use, and each leafwise table and Betti vector is computed once per
-    model instance and homogeneity.  The memo is keyed by the model object,
-    never by its repr: two models can print alike and differ
-    (`LieFrameModel.__repr__` omits the structure constants).
+    first use, and each leafwise table is computed once per model instance
+    and homogeneity.  The memo is keyed by the model object, never by its
+    repr: two models can print alike and differ (`LieFrameModel.__repr__`
+    omits the structure constants).
     """
 
     def __init__(self, model: FoliatedModel, window: ModeWindow):
         self.model = model
         self.window = window
         self._tables: dict[tuple[FoliatedModel, int | None], derham.BigradedDims] = {}
-        self._betti: dict[FoliatedModel, list[int]] = {}
 
     @cached_property
     def torus(self) -> KroneckerTorus:
@@ -94,14 +93,10 @@ class RunContext:
 
     @cached_property
     def cosphere(self) -> CosphereCircleModel:
-        if isinstance(self.model, CosphereCircleModel):
-            return self.model
         return CosphereCircleModel(self.torus)
 
     @cached_property
     def circle_product(self) -> CircleProductModel:
-        if isinstance(self.model, CircleProductModel):
-            return self.model
         return CircleProductModel(self.torus)
 
     def table(self, model: FoliatedModel, homogeneity: int | None = None) -> derham.BigradedDims:
@@ -110,12 +105,6 @@ class RunContext:
         if key not in self._tables:
             self._tables[key] = derham.cohomology_dims(model, self.window, homogeneity=homogeneity)
         return self._tables[key]
-
-    def betti(self, model: FoliatedModel) -> list[int]:
-        """The ordinary Betti numbers of ``model`` on the run's window."""
-        if model not in self._betti:
-            self._betti[model] = derham.ordinary_derham_dims(model, self.window)
-        return self._betti[model]
 
 
 # -- analyses -----------------------------------------------------------------
@@ -149,7 +138,7 @@ def _run_derham(ctx: RunContext, cfg: RunConfig) -> tuple[dict, bool]:
             doc["certificate"] = dims.certificate.to_json()
             doc["formal"] = dims.formal
         try:
-            doc["ordinary_betti"] = ctx.betti(model)
+            doc["ordinary_betti"] = derham.ordinary_derham_dims(model, cfg.window)
             doc["source_ops"].append("derham.ordinary_derham_dims")
         except UnsupportedModelError:
             pass
@@ -248,7 +237,9 @@ def _run_hochschild(ctx: RunContext, cfg: RunConfig) -> tuple[dict, bool]:
             " certifies it for this family when its cocycle counts match"
         ),
         "bottom_top": bottom_top.to_json(),
-        "hp_dims": list(hochschild.hp_dims(ctx.betti(ctx.cosphere))),
+        "hp_dims": list(
+            hochschild.hp_dims(derham.ordinary_derham_dims(ctx.cosphere, cfg.window))
+        ),
         "page_bridge": bridge.to_json(),
         "collapse_status": "assumed; run the symbols analysis for the certificate",
     }

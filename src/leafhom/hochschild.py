@@ -58,14 +58,12 @@ def hh_dims_assuming_collapse(torus: KroneckerTorus, circle: BigradedDims) -> li
 class BottomTopReport:
     bottom: int
     top: int
-    # a Kronecker torus has leaf dimension p = 1; the bottom group equals the
-    # base H^{p,0} only from p = 2 on
-    notes: tuple[str, ...] = (
-        "simplification to the base H^{p,0} not applicable (leaf dimension 1)",
-    )
 
     def to_json(self) -> dict:
-        return {"HH_0": self.bottom, "HH_top": self.top, "notes": list(self.notes)}
+        # a Kronecker torus has leaf dimension p = 1; the bottom group equals
+        # the base H^{p,0} only from p = 2 on
+        note = "simplification to the base H^{p,0} not applicable (leaf dimension 1)"
+        return {"HH_0": self.bottom, "HH_top": self.top, "notes": [note]}
 
 
 def hh0_and_top(

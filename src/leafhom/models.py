@@ -21,7 +21,6 @@ and form objects are immutable and freely shareable across threads.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -61,7 +60,7 @@ class ModeWindow:
         return {"bound": self.bound, "l_min": self.l_min, "l_max": self.l_max}
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class FormMonomial:
     """One basis monomial: mode, radial power, component label, exterior part."""
 
@@ -402,14 +401,12 @@ class FoliatedModel:
         for key in self.block_keys(window):
             yield from self.block_monomials(key, window)
 
-    @functools.cached_property
-    def _ext_subsets(self) -> tuple[tuple[int, ...], ...]:
-        """The exterior basis, built once per model and shared by every block."""
+    def _ext_subsets(self) -> list[tuple[int, ...]]:
         gens = range(len(self.gen_names))
         out: list[tuple[int, ...]] = []
         for k in range(len(self.gen_names) + 1):
             out.extend(itertools.combinations(gens, k))
-        return tuple(out)
+        return out
 
 
 def _sort_sign(indices: list[int]) -> int:
@@ -538,7 +535,7 @@ class KroneckerTorus(FoliatedModel):
 
     def block_monomials(self, key: tuple, window: ModeWindow) -> list[FormMonomial]:
         comp, mode = key
-        return [FormMonomial(mode, 0, comp, ext) for ext in self._ext_subsets]
+        return [FormMonomial(mode, 0, comp, ext) for ext in self._ext_subsets()]
 
     def __repr__(self) -> str:
         return f"KroneckerTorus(n={self.n}, alpha=({', '.join(str(a) for a in self.alpha)}))"
@@ -583,7 +580,7 @@ class _CircleBundleModel(FoliatedModel):
 
     def block_monomials(self, key: tuple, window: ModeWindow) -> list[FormMonomial]:
         comp, mode = key
-        return [FormMonomial(mode, 0, comp, ext) for ext in self._ext_subsets]
+        return [FormMonomial(mode, 0, comp, ext) for ext in self._ext_subsets()]
 
 
 class CosphereCircleModel(_CircleBundleModel):
@@ -710,7 +707,7 @@ class LieFrameModel(FoliatedModel):
         return [(0,)]
 
     def block_monomials(self, key: tuple, window: ModeWindow) -> list[FormMonomial]:
-        return [FormMonomial((), 0, 0, ext) for ext in self._ext_subsets]
+        return [FormMonomial((), 0, 0, ext) for ext in self._ext_subsets()]
 
     def __repr__(self) -> str:
         leaves = sorted(i + 1 for i in self.leaf_indices)
@@ -764,11 +761,6 @@ class ConicDualModel(FoliatedModel):
         self.codim = base.codim
         self.long_flags = (True, True) + (False,) * self.codim
         self.components = ("+", "-")
-        # boundary-operator images per variant and monomial, filled by
-        # poisson.delta_terms; they live as long as the cone, so they share
-        # one instance of each monomial and coefficient (_delta_shared)
-        self._delta_images: dict[str, dict[FormMonomial, tuple]] = {}
-        self._delta_shared: dict = {}
 
     def pairing(self, mode: Mode) -> Scalar:
         if self._lie_dual_d is not None:
@@ -806,7 +798,7 @@ class ConicDualModel(FoliatedModel):
     def block_monomials(self, key: tuple, window: ModeWindow) -> list[FormMonomial]:
         comp, mode, l = key
         out = []
-        for ext in self._ext_subsets:
+        for ext in self._ext_subsets():
             xi = l - (1 if 1 in ext else 0)
             out.append(FormMonomial(mode, xi, comp, ext))
         return out

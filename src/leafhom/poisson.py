@@ -5,10 +5,10 @@ its dual leafwise symplectic form is theta ^ dxi, homogeneous of degree one
 under the radial scaling.  The boundary operator delta = [i_G, d] splits
 into a leafwise piece of shift (-1, 0) and a transverse piece of shift
 (-2, 1).  Each is a term map composed from two others: the contraction's and
-that of the matching differential component (`delta_terms`).  The image of a
-monomial is composed once per cone and reused by every homology, filtration
-and identity check on that cone.  The star-conjugated leafwise differential
-gives an independent second route that the identity suite compares against.
+that of the matching differential component (`delta_terms`), which every
+homology, filtration and identity check on the cone reads.  The
+star-conjugated leafwise differential gives an independent second route that
+the identity suite compares against.
 
 Sign conventions: the contraction i_G is fixed so that the induced bracket
 on scalars is {f, g} = f_xi g_x - f_x g_xi in leaf coordinates (x, xi), which
@@ -19,7 +19,7 @@ operator identities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 from .derham import (
     BigradedDims,
@@ -115,27 +115,18 @@ def bracket(f: Form, g: Form) -> Form:
 def delta_terms(model: FoliatedModel, variant: str = "delta") -> TermMap:
     """Term map of the boundary operator i_G d - d i_G, or of a bigraded piece.
 
-    The image of a monomial is composed from the term maps of the contraction
-    and of the differential component once, and kept on the cone for the
-    cone's lifetime, per variant and monomial: every caller on one cone shares
-    the images.
+    The image of a monomial is composed from the term maps of the
+    contraction and of the differential component.
     """
     conic = _require_conic(model)
     if variant not in DELTA_VARIANTS:
         raise ValidationError(f"unknown delta variant {variant!r}")
     d = component_terms(conic, {"delta": "d", "delta_F": "d_F", "delta_perp": "d_perp"}[variant])
     i_g = _contraction_terms(conic)
-    images = conic._delta_images.setdefault(variant, {})
-    shared = conic._delta_shared.setdefault
 
-    def terms(mono: FormMonomial) -> tuple[tuple[FormMonomial, Scalar], ...]:
-        image = images.get(mono)
-        if image is None:
-            out = linear_extension(i_g, d(mono))
-            linear_extension(d, ((m, -c) for m, c in i_g(mono)), out)
-            image = tuple((shared(m, m), shared(c, c)) for m, c in out.items())
-            images[shared(mono, mono)] = image
-        return image
+    def terms(mono: FormMonomial) -> Iterable[tuple[FormMonomial, Scalar]]:
+        out = linear_extension(i_g, d(mono))
+        return linear_extension(d, ((m, -c) for m, c in i_g(mono)), out).items()
 
     return terms
 

@@ -89,7 +89,7 @@ def test_hh0_and_top(torus2):
     report = hh0_and_top(torus2, circle_table(torus2, window), cohomology_dims(torus2, window))
     assert report.bottom == 2
     assert report.top == 1
-    assert any("not applicable" in note for note in report.notes)
+    assert any("not applicable" in note for note in report.to_json()["notes"])
 
 
 def test_hp_dims(torus2, torus3):
