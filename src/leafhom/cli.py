@@ -6,8 +6,8 @@ pass/fail status, the small-divisor certificate and the collapse
 certificate.  Runs are deterministic given the seed; the exit status is
 1 when an exact check failed and 2 when an analysis cannot run on the
 model, in which case the summary records the error and the run stops.
-The analyses of one run share a `RunContext`, so each derived model, table
-and Betti vector is computed once per run.
+The analyses of one run share a `RunContext`, so each derived model and
+each leafwise table is computed once per run.
 """
 
 from __future__ import annotations
