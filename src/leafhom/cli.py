@@ -82,6 +82,14 @@ class RunContext:
         return torus_of(self.model)
 
     @cached_property
+    def certificate(self) -> derham.DiophantineCertificate | None:
+        """The torus's small-divisor certificate, shared by the summary and every table."""
+        try:
+            return derham.diophantine_certificate(self.torus.alpha)
+        except UnsupportedModelError:
+            return None
+
+    @cached_property
     def cone(self) -> ConicDualModel:
         """The punctured dual cone the poisson, specseq and hochschild analyses use."""
         model = self.model
@@ -103,7 +111,8 @@ class RunContext:
         """The leafwise cohomology table of ``model`` on the run's window."""
         key = (model, homogeneity)
         if key not in self._tables:
-            self._tables[key] = derham.cohomology_dims(model, self.window, homogeneity=homogeneity)
+            cert = self.certificate
+            self._tables[key] = derham.cohomology_dims(model, self.window, homogeneity, cert)
         return self._tables[key]
 
 
@@ -289,7 +298,7 @@ def _small(window: ModeWindow) -> ModeWindow:
 def run(config: RunConfig) -> int:
     """Run the selected analyses; returns the process exit status."""
     try:
-        spec = json.loads(config.model_path.read_text(encoding="utf-8"))
+        model = make_model(json.loads(config.model_path.read_text(encoding="utf-8")))
     except FileNotFoundError:
         print(f"error: model spec not found: {config.model_path}", file=sys.stderr)
         return 2
@@ -300,13 +309,12 @@ def run(config: RunConfig) -> int:
             file=sys.stderr,
         )
         return 2
-    except ValueError as exc:  # an integer literal beyond Python's digit limit
-        print(f"error: malformed model spec {config.model_path}: {exc}", file=sys.stderr)
-        return 2
-    try:
-        model = make_model(spec)
     except LeafhomError as exc:
         print(f"error: invalid model spec: {exc}", file=sys.stderr)
+        return 2
+    # an integer beyond Python's digit limit, or nesting beyond the recursion limit
+    except (ValueError, RecursionError) as exc:
+        print(f"error: malformed model spec {config.model_path}: {exc}", file=sys.stderr)
         return 2
     summary: dict = {
         "schema_version": SCHEMA_VERSION,
@@ -322,12 +330,8 @@ def run(config: RunConfig) -> int:
         "analyses": {},
     }
     ctx = RunContext(model, config.window)
-    try:
-        torus = ctx.torus
-    except UnsupportedModelError:
-        torus = None
-    if torus is not None:
-        cert = derham.diophantine_certificate(torus.alpha)
+    cert = ctx.certificate
+    if cert is not None:
         summary["certificate"] = cert.to_json()
         if cert.verdict != "diophantine":
             summary["banner"] = (

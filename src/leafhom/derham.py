@@ -9,19 +9,22 @@ rather than assuming it.
 Cohomology dimensions are computed block by block: every supported
 differential preserves the Fourier mode (and the radial homogeneity degree
 on the conic model), so the complex is a direct sum of small exact-arithmetic
-complexes indexed by the window.  Blocks whose leafwise multiplier is nonzero
-come out exact; this is observed in the computation, never assumed, which is
-what makes the window-stability guarantee checkable.
+complexes indexed by the window.  On a model built on a Kronecker torus, d on
+a block is sum c_g eps_g over the block's `multipliers`, from which `d_full`
+is built, and `koszul_block_dims` settles the block: a nonzero leaf
+multiplier c_j makes h = c_j^-1 iota_j a contracting homotopy, and with none
+d_F vanishes.  The Cartan identity eps_g iota_j + iota_j eps_g = delta_gj
+behind h is checked on the whole exterior basis for every table.
 
 An operator is a term map (`models.TermMap`): its action on one monomial,
 a list of (monomial, coefficient).  `component_terms` gives d and its three
 components; `Form.map` is the one linear extension to forms.
 
-One block engine turns a block into numbers: the leafwise, basic and ordinary
-tables and the representatives here, poisson's boundary homology and the
-specseq filtration use it.  A block is given as its monomial bases by degree;
-`block_differentials` assembles each differential d_t once, reading the term
-map of each source monomial straight into the matrix (`operator_matrix`), and
+One block engine ranks the other blocks: the leafwise tables of frame models,
+the basic table and the representatives here, poisson's boundary homology and
+the specseq filtration use it.  A block is given as its monomial bases by
+degree; `block_differentials` assembles each differential d_t once, reading
+the term map of each source monomial into the matrix (`operator_matrix`), and
 `linalg.homology_dims` ranks each d_t once and returns
 dim C^t - rank d_t - rank d_(t-1).  Its invariants: d_(t+1) d_t = 0 is checked
 once per consecutive pair; an image term outside the next degree of the block
@@ -48,6 +51,7 @@ from .models import (
     ModeWindow,
     TermMap,
     _CircleBundleModel,
+    check_cartan_identity,
     resonance_lattice,
     torus_of,
 )
@@ -303,41 +307,55 @@ def _block_bidegree_dims(
     return out
 
 
+def koszul_block_dims(
+    model: FoliatedModel, key: tuple, full: bool = False
+) -> dict[tuple[int, int], int]:
+    """H^{r,s} of one block of a torus-family model, settled by the Cartan homotopy.
+
+    d = sum c_g eps_g over ``model.multipliers(key)``; d_F keeps the leaf terms,
+    ``full`` all.  A kept c_j != 0 makes c_j^-1 iota_j a contraction: no classes.
+    Otherwise the differential vanishes: C(p, r) * C(q, s) classes.
+    """
+    if any(c for g, c in model.multipliers(key) if full or model.long_flags[g]):
+        return {}
+    p, q = model.leaf_dim, model.codim
+    return {(r, s): math.comb(p, r) * math.comb(q, s) for r in range(p + 1) for s in range(q + 1)}
+
+
 def cohomology_dims(
     model: FoliatedModel,
     window: ModeWindow | None = None,
     homogeneity: int | None = None,
+    certificate: DiophantineCertificate | None = None,
 ) -> BigradedDims:
     """Leafwise cohomology dimensions H^{r,s}, summed over window blocks.
 
     On the conic model, pass ``homogeneity`` to restrict to one radial degree
-    (required there, since only fixed-degree slices are finite).
+    (required there, since only fixed-degree slices are finite).  Blocks of
+    models built on a Kronecker torus are settled by `koszul_block_dims`, the
+    others ranked; ``certificate`` is that torus's `diophantine_certificate`.
     """
     window = window or ModeWindow()
-    op = component_terms(model, "d_F")
-    totals: dict[tuple[int, int], int] = {}
     is_conic = isinstance(model, ConicDualModel)
     if is_conic and homogeneity is None:
         raise ValidationError("conic cohomology needs a homogeneity degree")
     base = _torus_base_of(model)
-    if is_conic:
-        keys: list[tuple] = [
-            (comp, m, homogeneity)
-            for comp in range(model.components_count)
-            for m in window.modes(model.mode_len)
-        ]
+    keys = model.block_keys(window)
+    if is_conic:  # every (component, mode) block at one homogeneity, in the window's range or not
+        keys = [(c, m, homogeneity) for c, m in FoliatedModel.block_keys(model, window)]
+    if base is None:
+        op = component_terms(model, "d_F")
+        block_dims = lambda key: _block_bidegree_dims(model, key, window, op)
     else:
-        keys = model.block_keys(window)
+        check_cartan_identity(len(model.gen_names))
+        block_dims = lambda key: koszul_block_dims(model, key)
+    totals: dict[tuple[int, int], int] = {}
     for key in keys:
-        block = _block_bidegree_dims(model, key, window, op)
-        for rs, v in block.items():
+        for rs, v in block_dims(key).items():
             if v:
                 totals[rs] = totals.get(rs, 0) + v
-    cert = None
-    formal = False
-    if base is not None:
-        cert = diophantine_certificate(base.alpha)
-        formal = cert.verdict != "diophantine"
+    cert = None if base is None else certificate or diophantine_certificate(base.alpha)
+    formal = cert is not None and cert.verdict != "diophantine"
     # every resonant mode block has a vanishing leafwise differential, so a
     # nonzero lattice makes the in-range entries grow with the window; on the
     # cone this happens only in the radially invariant slice
@@ -505,22 +523,16 @@ def basic_cohomology_dims(
 def ordinary_derham_dims(
     model: FoliatedModel, window: ModeWindow | None = None
 ) -> list[int]:
-    """Betti numbers via the full differential, per-mode blocks summed."""
+    """Betti numbers of the windowed complex: `koszul_block_dims` on the full d, summed."""
     if not isinstance(model, (KroneckerTorus, _CircleBundleModel)):
         raise UnsupportedModelError(
             "ordinary de Rham dims are computed on torus and circle bundle models"
         )
-    window = window or ModeWindow()
-    top = len(model.gen_names)
-    dims = [0] * (top + 1)
-    op = model.d_full
-    for key in model.block_keys(window):
-        by_deg: dict[int, list[FormMonomial]] = {k: [] for k in range(top + 2)}
-        for m in model.block_monomials(key, window):
-            by_deg[len(m.ext)].append(m)
-        for k, h in block_homology(model, op, by_deg, str(key)).items():
-            if k <= top:
-                dims[k] += h
+    check_cartan_identity(len(model.gen_names))
+    dims = [0] * (len(model.gen_names) + 1)
+    for key in model.block_keys(window or ModeWindow()):
+        for (r, s), h in koszul_block_dims(model, key, full=True).items():
+            dims[r + s] += h
     return dims
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import SpecParseError, UnsupportedModelError, ValidationError
+from .errors import ComplexViolationError, SpecParseError, UnsupportedModelError, ValidationError
 from .linalg import integer_kernel
 from .scalars import NumberField, Scalar
 
@@ -47,11 +47,7 @@ class ModeWindow:
             raise ValidationError("inconsistent mode window")
 
     def modes(self, length: int) -> Iterator[Mode]:
-        if length == 0:
-            yield ()
-            return
-        axis = range(-self.bound, self.bound + 1)
-        yield from itertools.product(axis, repeat=length)
+        return itertools.product(range(-self.bound, self.bound + 1), repeat=length)
 
     def homogeneities(self) -> range:
         return range(self.l_min, self.l_max + 1)
@@ -382,20 +378,20 @@ class FoliatedModel:
             bits.append("^".join(self.gen_names[g] for g in m.ext))
         return "*".join(bits) if bits else "1"
 
-    # -- differential (full) -------------------------------------------------
+    # -- differential and blocks: the Fourier-mode defaults ---------------------
 
     def d_full(self, mono: FormMonomial) -> list[tuple[FormMonomial, Scalar]]:
-        raise NotImplementedError
-
-    # -- windowed bases --------------------------------------------------------
+        """Torus families: d is sum c * gen ^ (-) over the block's ``multipliers(key)``."""
+        return _multiplier_d(self, mono, self.multipliers((mono.comp, mono.mode)))
 
     def block_keys(self, window: ModeWindow) -> list[tuple]:
-        """Independent blocks of every differential-style operator."""
-        raise NotImplementedError
+        """Independent blocks of every differential-style operator: (component, mode)."""
+        return [(c, m) for c in range(self.components_count) for m in window.modes(self.mode_len)]
 
     def block_monomials(self, key: tuple, window: ModeWindow) -> list[FormMonomial]:
         """All exterior monomials of one block, every degree."""
-        raise NotImplementedError
+        comp, mode = key
+        return [FormMonomial(mode, 0, comp, ext) for ext in self._ext_subsets()]
 
     def basis_monomials(self, window: ModeWindow) -> Iterator[FormMonomial]:
         for key in self.block_keys(window):
@@ -419,29 +415,48 @@ def _sort_sign(indices: list[int]) -> int:
     return sign
 
 
-def _mode_multiplier_d(
-    field: NumberField, mono: FormMonomial, multipliers: list[tuple[int, Scalar | int]]
+def _multiplier_d(
+    model: FoliatedModel, mono: FormMonomial, multipliers: list[tuple[int, Scalar | int]]
 ) -> list[tuple[FormMonomial, Scalar]]:
-    """d of a Fourier-mode monomial: sum over (gen, c) of c * gen ^ mono.
+    """d of a monomial from its block's multipliers: sum over (gen, c) of c * gen ^ mono.
 
-    ``c`` is the derivative multiplier of the mode along the frame vector
-    dual to ``gen``; zero multipliers contribute nothing.
+    On the cone, gen = dxi also lowers the xi power, so the monomial stays in
+    its homogeneity block; zero multipliers contribute nothing.
     """
     out = []
     for gen, c in multipliers:
-        if not c:
-            continue
-        ins = merge_ext((gen,), mono.ext)
+        ins = merge_ext((gen,), mono.ext) if c else None
         if ins is not None:
             sign, ext = ins
             val = c if sign > 0 else -c
-            out.append(
-                (
-                    FormMonomial(mono.mode, mono.xi, mono.comp, ext),
-                    val if isinstance(val, Scalar) else field.scalar(val),
-                )
-            )
+            xi = mono.xi - 1 if gen == model.XI_GEN else mono.xi
+            scalar = val if isinstance(val, Scalar) else model.field.scalar(val)
+            out.append((FormMonomial(mono.mode, xi, mono.comp, ext), scalar))
     return out
+
+
+def check_cartan_identity(n: int) -> None:
+    """eps_g iota_j + iota_j eps_g = delta_gj on the exterior basis of n generators.
+
+    eps_g is `_multiplier_d`'s exterior multiplication (`merge_ext`), iota_j the
+    contraction; the identity makes c_j^-1 iota_j a contracting homotopy of a
+    block with c_j != 0.  Raises ComplexViolationError at the first failure.
+    """
+
+    def iota(j: int, e: tuple[int, ...]):
+        return ((-1) ** e.index(j), tuple(x for x in e if x != j)) if j in e else None
+
+    for ext in itertools.chain(*(itertools.combinations(range(n), k) for k in range(n + 1))):
+        for g, j in itertools.product(range(n), repeat=2):
+            a, b = iota(j, ext), merge_ext((g,), ext)
+            total: dict[tuple[int, ...], int] = {}
+            for first, then in ((a, a and merge_ext((g,), a[1])), (b, b and iota(j, b[1]))):
+                if then:
+                    total[then[1]] = total.get(then[1], 0) + first[0] * then[0]
+            if {e: c for e, c in total.items() if c} != ({ext: 1} if g == j else {}):
+                raise ComplexViolationError(
+                    f"Cartan identity fails: eps_{g} iota_{j} + iota_{j} eps_{g} on {ext}"
+                )
 
 
 def _frame_d(
@@ -525,17 +540,10 @@ class KroneckerTorus(FoliatedModel):
             self._pairing_cache[m] = cached
         return cached
 
-    def d_full(self, mono: FormMonomial) -> list[tuple[FormMonomial, Scalar]]:
-        mode = mono.mode
-        multipliers = [(0, self.pairing(mode))] + [(i, mode[i]) for i in range(1, self.n)]
-        return _mode_multiplier_d(self.field, mono, multipliers)
-
-    def block_keys(self, window: ModeWindow) -> list[tuple]:
-        return [(0, m) for m in window.modes(self.n)]
-
-    def block_monomials(self, key: tuple, window: ModeWindow) -> list[FormMonomial]:
-        comp, mode = key
-        return [FormMonomial(mode, 0, comp, ext) for ext in self._ext_subsets()]
+    def multipliers(self, key: tuple) -> list[tuple[int, Scalar | int]]:
+        """The block's (gen, c), d = sum c * gen ^ (-): m . alpha on theta, m_i on eta_i."""
+        mode = key[1]
+        return [(0, self.pairing(mode))] + [(i, mode[i]) for i in range(1, self.n)]
 
     def __repr__(self) -> str:
         return f"KroneckerTorus(n={self.n}, alpha=({', '.join(str(a) for a in self.alpha)}))"
@@ -562,25 +570,11 @@ class _CircleBundleModel(FoliatedModel):
         self.mode_len = n + 1  # trailing entry = circle mode
         self.alpha = base.alpha
 
-    def pairing(self, mode: Mode) -> Scalar:
-        return self.base.pairing(mode[: self.n])
-
-    def d_full(self, mono: FormMonomial) -> list[tuple[FormMonomial, Scalar]]:
-        mode = mono.mode
-        multipliers = [(0, self.pairing(mode)), (1, mode[self.n])]
-        multipliers += [(i + 1, mode[i]) for i in range(1, self.n)]
-        return _mode_multiplier_d(self.field, mono, multipliers)
-
-    def block_keys(self, window: ModeWindow) -> list[tuple]:
-        return [
-            (comp, m)
-            for comp in range(self.components_count)
-            for m in window.modes(self.mode_len)
-        ]
-
-    def block_monomials(self, key: tuple, window: ModeWindow) -> list[FormMonomial]:
-        comp, mode = key
-        return [FormMonomial(mode, 0, comp, ext) for ext in self._ext_subsets()]
+    def multipliers(self, key: tuple) -> list[tuple[int, Scalar | int]]:
+        """(gen, c) on block ``key``: m . alpha on theta, the circle mode on dphi, m_i on eta_i."""
+        mode, n = key[1], self.n
+        out = [(0, self.base.pairing(mode[:n])), (1, mode[n])]
+        return out + [(i + 1, mode[i]) for i in range(1, n)]
 
 
 class CosphereCircleModel(_CircleBundleModel):
@@ -762,30 +756,20 @@ class ConicDualModel(FoliatedModel):
         self.long_flags = (True, True) + (False,) * self.codim
         self.components = ("+", "-")
 
-    def pairing(self, mode: Mode) -> Scalar:
+    def multipliers(self, key: tuple) -> list[tuple[int, Scalar | int]]:
+        """(gen, c) on block (comp, mode, l): l on dxi, over a torus also m . alpha and m_i."""
+        _comp, mode, l = key
         if self._lie_dual_d is not None:
-            return self.field.zero
-        return self.base.pairing(mode)
+            return [(1, l)]
+        return [(1, l), (0, self.base.pairing(mode))] + [(i + 1, mode[i]) for i in range(1, self.n)]
 
     def d_full(self, mono: FormMonomial) -> list[tuple[FormMonomial, Scalar]]:
-        out = []
-        # radial part: d(xi^a) = a xi^(a-1) dxi
-        if mono.xi:
-            ins = merge_ext((1,), mono.ext)
-            if ins is not None:
-                sign, ext = ins
-                out.append(
-                    (
-                        FormMonomial(mono.mode, mono.xi - 1, mono.comp, ext),
-                        self.field.scalar(mono.xi * sign),
-                    )
-                )
-        # the remaining terms keep the xi power, so they never meet the radial one
+        key = (mono.comp, mono.mode, self.homogeneity(mono))
+        out = _multiplier_d(self, mono, self.multipliers(key))
+        # over a frame model the multipliers hold only the radial term
         if self._lie_dual_d is not None:
-            return out + _frame_d(self._lie_dual_d, mono)
-        mode = mono.mode
-        multipliers = [(0, self.pairing(mode))] + [(i + 1, mode[i]) for i in range(1, self.n)]
-        return out + _mode_multiplier_d(self.field, mono, multipliers)
+            out += _frame_d(self._lie_dual_d, mono)
+        return out
 
     def block_keys(self, window: ModeWindow) -> list[tuple]:
         return [

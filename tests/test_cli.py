@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -406,3 +407,42 @@ def test_run_context_memo_is_keyed_by_model_instance():
     assert table.nonzero() == {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1}
     assert ctx.table(abelian) is table
 
+
+
+def test_deeply_nested_spec_exits_2_with_one_line(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code = cli.main(["run", "--model", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: malformed model spec {path}: ")
+
+
+def test_nesting_at_the_recursion_limit_exits_2_with_one_line(tmp_path, capsys):
+    # a little below the limit the JSON decoder succeeds and building the
+    # model recurses through the nested bases instead; every depth ends in
+    # one line, and some depth reaches the limit while building
+    limit, built_too_deep = sys.getrecursionlimit(), False
+    spec = json.dumps({"family": "kronecker_torus", "alpha": ["1", "sqrt2"]})
+    path = tmp_path / "model.json"
+    for depth in range(limit - 200, limit + 1):
+        path.write_text('{"family": "conic_dual", "base": ' * depth + spec + "}" * depth)
+        code = cli.main(["derham", "--model", str(path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1 and err.startswith("error: "), (depth, err[:200])
+        built_too_deep |= "recursion" in err and "decoding" not in err
+    assert built_too_deep
+
+
+def test_one_certificate_per_run(torus_spec, tmp_path, monkeypatch):
+    real = derham.diophantine_certificate
+    calls = []
+
+    def counted(alpha):
+        calls.append(alpha)
+        return real(alpha)
+
+    monkeypatch.setattr(derham, "diophantine_certificate", counted)
+    args = ["run", "--model", str(torus_spec), "--analyses", "all", "--mode-bound", "1"]
+    assert cli.main([*args, "--trials", "2", "--out", str(tmp_path / "o")]) == 0
+    assert len(calls) == 1
