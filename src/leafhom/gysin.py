@@ -5,8 +5,10 @@ up the circle direction, the pulled-back splitting is used upstairs, and fiber
 integration is normalized to unit circle volume with the dphi factor removed
 from the rightmost position (the sign convention that makes integration
 intertwine the leafwise differentials on the nose; the intertwining is a
-standing test, not an assumption).  The splitting table reads the leafwise
-tables of the base and of the total space that it is given.
+standing test, not an assumption).  Both maps are term maps; the chain-map
+checks do not depend on the transverse degree h and run once.  The splitting
+table reads the leafwise tables of the base and of the total space that it is
+given.
 """
 
 from __future__ import annotations
@@ -16,7 +18,9 @@ from dataclasses import dataclass
 from .derham import (
     BigradedDims,
     CheckResult,
+    check_identities,
     cohomology_representatives,
+    component_terms,
     differential,
 )
 from .errors import ValidationError
@@ -26,19 +30,19 @@ from .models import (
     Form,
     FormMonomial,
     ModeWindow,
+    TermMap,
     pullback_from_base,
+    pullback_terms,
 )
 from .scalars import Scalar
 
 
-def fiber_integrate(total: CircleProductModel, form: Form) -> Form:
-    """Integrate over the circle fiber: unit volume, bidegree drop (1, 0).
+def fiber_integration_terms(total: CircleProductModel) -> TermMap:
+    """Term map of fiber integration: unit volume, bidegree drop (1, 0).
 
     Kills monomials without the fiber coframe dphi or with a nonzero circle
     mode; the dphi factor is removed from the rightmost position.
     """
-    if form.model is not total:
-        raise ValidationError("form does not live on this bundle's total space")
     n, field = total.base.n, total.field
 
     def terms(mono: FormMonomial) -> list[tuple[FormMonomial, Scalar]]:
@@ -49,35 +53,27 @@ def fiber_integrate(total: CircleProductModel, form: Form) -> Form:
         ext = tuple(g if g == 0 else g - 1 for g in mono.ext if g != 1)
         return [(FormMonomial(mono.mode[:n], 0, 0, ext), field.scalar((-1) ** tail))]
 
-    return form.map(terms, total.base)
+    return terms
+
+
+def fiber_integrate(total: CircleProductModel, form: Form) -> Form:
+    """Integrate over the circle fiber."""
+    if form.model is not total:
+        raise ValidationError("form does not live on this bundle's total space")
+    return form.map(fiber_integration_terms(total), total.base)
 
 
 # -- induced maps on windowed cohomology ----------------------------------------
 
 
-def _cohomology_map_is_iso(
-    source_model,
-    target_model,
-    source_bidegree: tuple[int, int],
-    target_bidegree: tuple[int, int],
-    mapping,
-    window: ModeWindow,
-) -> bool:
+def _cohomology_map_is_iso(src, tgt, mapping, target_model) -> bool:
     """Check that a chain map induces an isomorphism on windowed cohomology.
 
-    Representatives are harvested per block; the induced matrix is evaluated
-    against the target representatives modulo target coboundaries.
+    ``src`` and ``tgt`` are harvested (representatives, coboundaries); the
+    induced matrix is evaluated against the target representatives modulo
+    target coboundaries.
     """
-    src_reps: list[Form] = []
-    for key in source_model.block_keys(window):
-        reps, _ = cohomology_representatives(source_model, source_bidegree, key, window)
-        src_reps.extend(reps)
-    tgt_reps: list[Form] = []
-    tgt_boundaries: list[Form] = []
-    for key in target_model.block_keys(window):
-        reps, bounds = cohomology_representatives(target_model, target_bidegree, key, window)
-        tgt_reps.extend(reps)
-        tgt_boundaries.extend(bounds)
+    (src_reps, _), (tgt_reps, tgt_boundaries) = src, tgt
     index: dict[FormMonomial, int] = {}
 
     def coords(form: Form) -> dict[int, Scalar]:
@@ -149,11 +145,10 @@ class SplittingReport:
 
 def product_splitting_dims(
     total: CircleProductModel,
-    h: int,
     base_dims: BigradedDims,
     total_dims: BigradedDims,
-) -> SplittingReport:
-    """Direct vs predicted dimensions for the product circle bundle.
+) -> list[SplittingReport]:
+    """Direct vs predicted dimensions for the product circle bundle, one report per h.
 
     ``base_dims`` and ``total_dims`` are the leafwise tables of the base torus
     and of ``total``; the checks run on their window.  Prediction:
@@ -162,71 +157,72 @@ def product_splitting_dims(
     by the fiber-class wedge, and the pullback / integration isomorphism
     ranges are verified on representatives.
     """
+    base, window = total.base, total_dims.window
+    chain_checks = _chain_map_checks(total, window)
+    reports = []
+    for h in range(base.codim + 1):
+        rows = []
+        for k in range(0, base.leaf_dim + 2):
+            base_term = base_dims.get(k, h)
+            shifted = base_dims.get(k - 1, h) if k >= 1 else 0
+            rows.append(
+                SplittingRow(k, total_dims.get(k, h), base_term + shifted, base_term, shifted)
+            )
+        checks = chain_checks + _representative_checks(total, h, window)
+        reports.append(SplittingReport(repr(base), h, tuple(rows), checks))
+    return reports
+
+
+def _chain_map_checks(total: CircleProductModel, window: ModeWindow) -> tuple[CheckResult, ...]:
+    """Pullback and fiber integration intertwine d_F; integration kills pullbacks."""
     base = total.base
-    rows = []
-    for k in range(0, base.leaf_dim + 2):
-        base_term = base_dims.get(k, h)
-        shifted = base_dims.get(k - 1, h) if k >= 1 else 0
-        rows.append(SplittingRow(k, total_dims.get(k, h), base_term + shifted, base_term, shifted))
-    checks = _realized_checks(total, h, total_dims.window)
-    return SplittingReport(repr(base), h, tuple(rows), tuple(checks))
+    pull, push = pullback_terms(total), fiber_integration_terms(total)
+    d_b, d_t = component_terms(base, "d_F"), component_terms(total, "d_F")
+    walks = [
+        (base, window, "pullback intertwines d_F", [(1, d_t, pull), (-1, pull, d_b)]),
+        (total, window, "fiber integration intertwines d_F", [(1, d_b, push), (-1, push, d_t)]),
+        # pi_* pi^* = 0 (degree bookkeeping: no fiber factor after pullback)
+        (base, ModeWindow(bound=1), "fiber integration kills pullbacks", [(1, push, pull)]),
+    ]
+    return sum((check_identities(m, w, [(name, terms)]) for m, w, name, terms in walks), ())
 
 
-def _realized_checks(total, h, window) -> list[CheckResult]:
+def _harvest(model, bidegree, window, boundaries=True) -> tuple[list[Form], list[Form]]:
+    """(representatives, coboundaries) at ``bidegree``, over every block."""
+    reps, bounds = [], []
+    for key in model.block_keys(window):
+        r, b = cohomology_representatives(model, bidegree, key, window)
+        reps.extend(r)
+        bounds.extend(b if boundaries else ())
+    return reps, bounds
+
+
+def _representative_checks(total, h, window) -> tuple[CheckResult, ...]:
     base = total.base
     p = base.leaf_dim
+    # (0, h) and (p, h) serve the iso checks too
+    base_sets = [_harvest(base, (k, h), window) for k in range(0, p + 2)]
     pullback = lambda f: pullback_from_base(total, f)
-    checks = []
-    # intertwining on the windowed generator basis, both directions
-    ok_pull, ok_push = True, True
-    for mono in base.basis_monomials(window):
-        form = base.form({mono: base.field.one})
-        if differential(total, "d_F", pullback(form)) != pullback(
-            differential(base, "d_F", form)
-        ):
-            ok_pull = False
-            break
-    for mono in total.basis_monomials(window):
-        form = total.form({mono: total.field.one})
-        if differential(base, "d_F", fiber_integrate(total, form)) != fiber_integrate(
-            total, differential(total, "d_F", form)
-        ):
-            ok_push = False
-            break
-    checks.append(CheckResult("pullback intertwines d_F", ok_pull))
-    checks.append(CheckResult("fiber integration intertwines d_F", ok_push))
-    # pi_* pi^* = 0 (degree bookkeeping: no fiber factor after pullback)
-    ok_zero = True
-    for mono in base.basis_monomials(ModeWindow(bound=1)):
-        form = base.form({mono: base.field.one})
-        if fiber_integrate(total, pullback(form)):
-            ok_zero = False
-            break
-    checks.append(CheckResult("fiber integration kills pullbacks", ok_zero))
     # composite pi_* (pi^*(c) ^ [dphi]) = c on cohomology representatives:
     # the fiber-class wedge splits the short exact sequence
     fiber_class = total.gen_form("dphi")
     ok_split = differential(total, "d_F", fiber_class).is_zero()
-    for key in base.block_keys(window):
-        for k in range(0, p + 2):
-            reps, _ = cohomology_representatives(base, (k, h), key, window)
-            for rep in reps:
-                back = fiber_integrate(total, pullback(rep).wedge(fiber_class))
-                if back != rep:
-                    ok_split = False
-    checks.append(CheckResult("fiber-class wedge splits the sequence", ok_split))
+    for reps, _ in base_sets:
+        for rep in reps:
+            if fiber_integrate(total, pullback(rep).wedge(fiber_class)) != rep:
+                ok_split = False
     # isomorphism ranges: pullback for k <= r-1 = 0, integration for k >= p+1
-    iso_pull = _cohomology_map_is_iso(base, total, (0, h), (0, h), pullback, window)
-    checks.append(CheckResult("pullback iso in fiber-low degrees (k = 0)", iso_pull))
+    iso_pull = _cohomology_map_is_iso(
+        base_sets[0], _harvest(total, (0, h), window), pullback, total
+    )
     iso_push = _cohomology_map_is_iso(
-        total,
-        base,
-        (p + 1, h),
-        (p, h),
+        _harvest(total, (p + 1, h), window, boundaries=False),
+        base_sets[p],
         lambda f: fiber_integrate(total, f),
-        window,
+        base,
     )
-    checks.append(
-        CheckResult("fiber integration iso above the leaf degree (k = p+1)", iso_push)
+    return (
+        CheckResult("fiber-class wedge splits the sequence", ok_split),
+        CheckResult("pullback iso in fiber-low degrees (k = 0)", iso_pull),
+        CheckResult("fiber integration iso above the leaf degree (k = p+1)", iso_push),
     )
-    return checks

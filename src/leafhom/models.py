@@ -313,9 +313,6 @@ class FoliatedModel:
 
     # -- form builders -------------------------------------------------------
 
-    def form(self, terms: dict[FormMonomial, Scalar]) -> Form:
-        return Form(self, terms)
-
     def zero_form(self) -> Form:
         return Form.zero(self)
 
@@ -933,19 +930,21 @@ def _build_family(spec: dict, family: str, field: NumberField):
     raise SpecParseError(f"unknown model family {family!r}")
 
 
+def pullback_terms(model: _CircleBundleModel | ConicDualModel) -> TermMap:
+    """Term map of `pullback_from_base`."""
+    extend = (lambda m: m) if isinstance(model, ConicDualModel) else (lambda m: m + (0,))
+    one = model.field.one
+
+    def terms(mono: FormMonomial) -> list[tuple[FormMonomial, Scalar]]:
+        ext = tuple(g if g == 0 else g + 1 for g in mono.ext)
+        mode = extend(mono.mode)
+        return [(FormMonomial(mode, 0, comp, ext), one) for comp in range(model.components_count)]
+
+    return terms
+
+
 def pullback_from_base(model: _CircleBundleModel | ConicDualModel, form: Form) -> Form:
     """Pull a base-torus form up a bundle model (mode extended, all components)."""
-    base = model.base
-    if form.model is not base:
+    if form.model is not model.base:
         raise ValidationError("form does not live on the bundle base")
-    if isinstance(model, ConicDualModel):
-        extend = lambda m: m
-    else:
-        extend = lambda m: m + (0,)
-    gen_shift = lambda g: g if g == 0 else g + 1
-    terms: dict[FormMonomial, Scalar] = {}
-    for mono, c in form.terms.items():
-        ext = tuple(gen_shift(g) for g in mono.ext)
-        for comp in range(model.components_count):
-            terms[FormMonomial(extend(mono.mode), 0, comp, ext)] = c
-    return Form(model, terms)
+    return form.map(pullback_terms(model), model)

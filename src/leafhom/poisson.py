@@ -7,8 +7,8 @@ into a leafwise piece of shift (-1, 0) and a transverse piece of shift
 (-2, 1).  Each is a term map composed from two others: the contraction's and
 that of the matching differential component (`delta_terms`), which every
 homology, filtration and identity check on the cone reads.  The
-star-conjugated leafwise differential gives an independent second route that
-the identity suite compares against.
+star-conjugated leafwise differential, a term map composed with the star's,
+gives an independent second route that the identity suite compares against.
 
 Sign conventions: the contraction i_G is fixed so that the induced bracket
 on scalars is {f, g} = f_xi g_x - f_x g_xi in leaf coordinates (x, xi), which
@@ -25,6 +25,7 @@ from .derham import (
     BigradedDims,
     CheckResult,
     block_homology,
+    check_identities,
     component_terms,
     differential,
 )
@@ -136,36 +137,41 @@ def delta(form: Form, variant: str = "delta") -> Form:
     return form.map(delta_terms(form.model, variant))
 
 
+def _star_terms(conic: ConicDualModel) -> TermMap:
+    """Term map of the leafwise symplectic star: `_STAR_TABLE` on the leaf factor."""
+
+    def terms(mono: FormMonomial) -> list[tuple[FormMonomial, Scalar]]:
+        image, sign = _STAR_TABLE[tuple(g for g in mono.ext if g in (0, 1))]
+        ext = image + tuple(g for g in mono.ext if g not in (0, 1))
+        return [(FormMonomial(mono.mode, mono.xi, mono.comp, ext), conic.field.scalar(sign))]
+
+    return terms
+
+
+def _star_conjugated_terms(conic: ConicDualModel) -> TermMap:
+    """Term map of (-1)^(r+1) * d_F * on a monomial of bidegree (r, s)."""
+    star, d_f = _star_terms(conic), component_terms(conic, "d_F")
+
+    def terms(mono: FormMonomial) -> Iterable[tuple[FormMonomial, Scalar]]:
+        image = linear_extension(star, linear_extension(d_f, star(mono)).items())
+        if conic.bidegree(mono.ext)[0] % 2 == 0:
+            return [(m, -c) for m, c in image.items()]
+        return image.items()
+
+    return terms
+
+
 def hodge_star(form: Form) -> Form:
     """Leafwise symplectic star; involutive, extended over transverse factors."""
-    model = form.model
-    _require_conic(model)
+    conic = _require_conic(form.model)
     if form and form.bidegree() is None:
         raise ValidationError("symplectic star takes a pure-bidegree form")
-    out: dict[FormMonomial, Scalar] = {}
-    for mono, coeff in form.terms.items():
-        leaf_part = tuple(g for g in mono.ext if g in (0, 1))
-        trans_part = tuple(g for g in mono.ext if g not in (0, 1))
-        image, sign = _STAR_TABLE[leaf_part]
-        mono2 = FormMonomial(mono.mode, mono.xi, mono.comp, image + trans_part)
-        out[mono2] = coeff if sign > 0 else -coeff
-    return Form(model, out)
+    return form.map(_star_terms(conic))
 
 
 def star_conjugated_leafwise_delta(form: Form) -> Form:
-    """(-1)^(r+1) * d_F * applied bidegree-by-bidegree (the dual route)."""
-    model = form.model
-    _require_conic(model)
-    out = Form.zero(model)
-    by_bidegree: dict[tuple[int, int], dict[FormMonomial, Scalar]] = {}
-    for mono, coeff in form.terms.items():
-        by_bidegree.setdefault(model.bidegree(mono.ext), {})[mono] = coeff
-    for (r, _s), terms in by_bidegree.items():
-        piece = hodge_star(differential(model, "d_F", hodge_star(Form(model, terms))))
-        if (r + 1) % 2:
-            piece = -piece
-        out = out + piece
-    return out
+    """(-1)^(r+1) * d_F * on each part of bidegree (r, s) (the dual route)."""
+    return form.map(_star_conjugated_terms(_require_conic(form.model)))
 
 
 # -- identity suite -------------------------------------------------------------
@@ -198,55 +204,32 @@ def verify_star_delta_identity(
     the full boundary, star involutivity and the homogeneity bookkeeping.
     """
     conic = _require_conic(model)
-    window = window or ModeWindow()
     p = conic.leaf_dim // 2
-
-    def monoform(m: FormMonomial) -> Form:
-        return Form(conic, {m: conic.field.one})
-
-    failures: dict[str, str] = {}
-
-    def check(name: str, bad_label: str | None):
-        if name not in failures and bad_label is not None:
-            failures[name] = bad_label
-
-    names = [
-        "star_conjugated d_F equals leafwise delta",
-        "delta_F^2 = 0",
-        "delta_perp^2 = 0",
-        "delta_F delta_perp + delta_perp delta_F = 0",
-        "delta = delta_F + delta_perp",
-        "star involution",
-        "delta lowers homogeneity by one",
-        "star maps degree l to l + p - r",
-    ]
-    for mono in conic.basis_monomials(window):
-        label = conic.monomial_label(mono)
-        a = monoform(mono)
-        dF = delta(a, "delta_F")
-        dP = delta(a, "delta_perp")
-        if star_conjugated_leafwise_delta(a) != dF:
-            check(names[0], label)
-        if delta(dF, "delta_F"):
-            check(names[1], label)
-        if delta(dP, "delta_perp"):
-            check(names[2], label)
-        if delta(dP, "delta_F") + delta(dF, "delta_perp"):
-            check(names[3], label)
-        if delta(a) != dF + dP:
-            check(names[4], label)
-        if hodge_star(hodge_star(a)) != a:
-            check(names[5], label)
-        l = conic.homogeneity(mono)
-        full = delta(a)
-        if full and set(full.homogeneity_decompose()) != {l - 1}:
-            check(names[6], label)
-        r, _s = conic.bidegree(mono.ext)
-        starred = hodge_star(a)
-        if starred and set(starred.homogeneity_decompose()) != {l + p - r}:
-            check(names[7], label)
-    checks = tuple(
-        CheckResult(n, n not in failures, failures.get(n, "")) for n in names
+    star, star_d_f = _star_terms(conic), _star_conjugated_terms(conic)
+    dl, dF, dP = (delta_terms(conic, v) for v in DELTA_VARIANTS)
+    l_of, r_of = conic.homogeneity, lambda m: conic.bidegree(m.ext)[0]
+    checks = check_identities(
+        conic,
+        window or ModeWindow(),
+        [
+            ("star_conjugated d_F equals leafwise delta", [(1, star_d_f), (-1, dF)]),
+            ("delta_F^2 = 0", [(1, dF, dF)]),
+            ("delta_perp^2 = 0", [(1, dP, dP)]),
+            ("delta_F delta_perp + delta_perp delta_F = 0", [(1, dF, dP), (1, dP, dF)]),
+            ("delta = delta_F + delta_perp", [(1, dl), (-1, dF), (-1, dP)]),
+            ("star involution", [(1, star, star), (-1,)]),
+            (
+                "delta lowers homogeneity by one",
+                (dl,),
+                lambda a, img: all(l_of(m) == l_of(a) - 1 for m in img),
+            ),
+            (
+                "star maps degree l to l + p - r",
+                (star,),
+                lambda a, img: all(l_of(m) == l_of(a) + p - r_of(a) for m in img),
+            ),
+        ],
+        detail="{}",
     )
     return StarDeltaReport(repr(conic), checks)
 

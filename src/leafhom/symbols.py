@@ -531,6 +531,8 @@ def verify_traces_and_collapse(
     """
     if trials < 0:
         raise ValidationError("trial count must be nonnegative")
+    if depth < 0:
+        raise ValidationError("expansion depth must be nonnegative")
     if torus.resonant:
         raise ValidationError("the trace suite needs a nonresonant frequency vector")
     rng = random.Random(seed)

@@ -204,6 +204,11 @@ def test_unsupported_pairing(tmp_path):
             "trial count must be nonnegative",
         ),
         (
+            {"family": "kronecker_torus", "alpha": ["1", "sqrt2"]},
+            ["run", "--analyses", "symbols", "--depth", "-5", "--trials", "5"],
+            "expansion depth must be nonnegative",
+        ),
+        (
             {"family": "kronecker_torus", "alpha": ["1", "sqrt\u00b2"]},
             ["derham"],
             "malformed radical",
@@ -248,6 +253,7 @@ def test_unsupported_pairing(tmp_path):
         "bracket-target",
         "three-radicals",
         "negative-trials",
+        "negative-depth",
         "non-ascii-digit",
         "field-not-object",
         "field-sqrts-string",

@@ -10,6 +10,7 @@ from leafhom.derham import (
     _block_bidegree_dims,
     basic_cohomology_dims,
     block_homology,
+    check_identities,
     cohomology_dims,
     cohomology_representatives,
     component_terms,
@@ -25,6 +26,7 @@ from leafhom.models import (
     CircleProductModel,
     ConicDualModel,
     CosphereCircleModel,
+    Form,
     KroneckerTorus,
     LieFrameModel,
     ModeWindow,
@@ -105,19 +107,19 @@ def test_conic_radial_term(field):
 
 
 def test_identities_flat_torus(torus):
-    report = verify_decomposition_identities(torus, samples=6, seed=3)
+    report = verify_decomposition_identities(torus)
     assert report.passed
     assert report.boundary_vanishes
 
 
 def test_identities_so3(field):
-    report = verify_decomposition_identities(so3(field), samples=6, seed=3)
+    report = verify_decomposition_identities(so3(field))
     assert report.passed
     assert not report.boundary_vanishes
 
 
 def test_identities_heisenberg(field):
-    report = verify_decomposition_identities(heisenberg(field), samples=6, seed=3)
+    report = verify_decomposition_identities(heisenberg(field))
     assert report.passed
     assert not report.boundary_vanishes
 
@@ -125,17 +127,13 @@ def test_identities_heisenberg(field):
 def test_identities_on_bundle_models(torus, field):
     # the anticommutation suite holds on every supported family
     conic = ConicDualModel(torus)
-    rep = verify_decomposition_identities(
-        conic, samples=5, window=ModeWindow(bound=1, l_min=-1, l_max=1), seed=5
-    )
+    rep = verify_decomposition_identities(conic, window=ModeWindow(bound=1, l_min=-1, l_max=1))
     assert rep.passed
     cosphere = CosphereCircleModel(torus)
-    rep = verify_decomposition_identities(cosphere, samples=5, seed=5)
+    rep = verify_decomposition_identities(cosphere)
     assert rep.passed
     affine = LieFrameModel.create(field, 2, {(0, 1): {0: field.one}}, {0})
-    rep = verify_decomposition_identities(
-        ConicDualModel(affine), samples=5, window=ModeWindow(bound=0), seed=5
-    )
+    rep = verify_decomposition_identities(ConicDualModel(affine), window=ModeWindow(bound=0))
     assert rep.passed
 
 
@@ -143,10 +141,39 @@ def test_identities_catch_broken_jacobi(field):
     one = field.one
     # raw constructor: validation deliberately bypassed
     broken = LieFrameModel(field, 3, {(0, 1): {2: one}, (0, 2): {0: one}}, {2})
-    report = verify_decomposition_identities(broken, samples=4, seed=3)
+    report = verify_decomposition_identities(broken)
     assert not report.passed
     names = {c.name: c.passed for c in report.checks}
     assert not names["d^2 = 0"]
+    # failure details are part of the report bytes
+    assert {c.name: c.detail for c in report.checks if not c.passed} == {
+        "d_perp^2 + boundary d_F + d_F boundary = 0": "counterexample: e3",
+        "d^2 = 0": "counterexample: e3",
+    }
+
+
+def test_check_identities_names_first_counterexample(torus):
+    dF = component_terms(torus, "d_F")
+    same_degree = lambda m, img: all(len(m2.ext) == len(m.ext) for m2 in img)
+    checks = check_identities(
+        torus,
+        ModeWindow(bound=1),
+        [
+            ("d_F = 0", [(1, dF)]),
+            ("d_F^2 = 0", [(1, dF, dF)]),
+            ("d_F keeps the degree", (dF,), same_degree),
+            ("id - id = 0", [(1,), (-1,)]),
+        ],
+    )
+    # the first monomial with a nonzero leaf multiplier is the first counterexample
+    first = next(m for m in torus.basis_monomials(ModeWindow(bound=1)) if dF(m))
+    label = f"counterexample: {torus.monomial_label(first)}"
+    assert [(c.name, c.passed, c.detail) for c in checks] == [
+        ("d_F = 0", False, label),
+        ("d_F^2 = 0", True, ""),
+        ("d_F keeps the degree", False, label),
+        ("id - id = 0", True, ""),
+    ]
 
 
 def test_cohomology_rejects_broken_complex(field):
@@ -207,8 +234,8 @@ def test_leibniz_rule_random_pairs(torus):
     monos = list(torus.basis_monomials(window))
     for _ in range(12):
         ma, mb = rng.choice(monos), rng.choice(monos)
-        a = torus.form({ma: torus.field.scalar(rng.randint(1, 3))})
-        b = torus.form({mb: torus.field.scalar(rng.randint(1, 3))})
+        a = Form(torus, {ma: torus.field.scalar(rng.randint(1, 3))})
+        b = Form(torus, {mb: torus.field.scalar(rng.randint(1, 3))})
         deg_a = len(ma.ext)
         for comp in ("d", "d_F", "d_perp"):
             lhs = differential(torus, comp, a.wedge(b))
@@ -222,7 +249,7 @@ def test_functoriality_of_bundle_pullback(torus):
     model = CosphereCircleModel(torus)
     window = ModeWindow(bound=1)
     for mono in torus.basis_monomials(window):
-        form = torus.form({mono: torus.field.one})
+        form = Form(torus, {mono: torus.field.one})
         lhs = differential(model, "d_F", pullback_from_base(model, form))
         rhs = pullback_from_base(model, differential(torus, "d_F", form))
         assert lhs == rhs

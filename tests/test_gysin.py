@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import json
+from collections import Counter
+
 import pytest
 
+from leafhom import cli, gysin
 from leafhom.derham import cohomology_dims, differential
 from leafhom.errors import ValidationError
 from leafhom.gysin import fiber_integrate, product_splitting_dims
-from leafhom.models import CircleProductModel, KroneckerTorus, ModeWindow
+from leafhom.models import CircleProductModel, FoliatedModel, Form, KroneckerTorus, ModeWindow
 from leafhom.models import pullback_from_base as pullback
 from leafhom.scalars import NumberField
 
@@ -24,7 +28,7 @@ def bundle(torus):
 
 def splitting(bundle, h, window):
     base_dims = cohomology_dims(bundle.base, window)
-    return product_splitting_dims(bundle, h, base_dims, cohomology_dims(bundle, window))
+    return product_splitting_dims(bundle, base_dims, cohomology_dims(bundle, window))[h]
 
 
 def test_pullback_of_coframe(bundle, torus):
@@ -40,7 +44,7 @@ def test_pullback_injective_on_monomials(bundle, torus):
     window = ModeWindow(bound=1)
     images = set()
     for mono in torus.basis_monomials(window):
-        up = pullback(bundle, torus.form({mono: torus.field.one}))
+        up = pullback(bundle, Form(torus, {mono: torus.field.one}))
         (img_mono,) = up.terms
         assert img_mono not in images
         images.add(img_mono)
@@ -81,7 +85,7 @@ def test_integration_intertwines_leafwise_differential(bundle, torus):
     total = bundle
     window = ModeWindow(bound=1)
     for mono in total.basis_monomials(window):
-        form = total.form({mono: total.field.one})
+        form = Form(total, {mono: total.field.one})
         lhs = differential(torus, "d_F", fiber_integrate(bundle, form))
         rhs = fiber_integrate(bundle, differential(total, "d_F", form))
         assert lhs == rhs
@@ -118,3 +122,49 @@ def test_splitting_checks_present(bundle):
     assert "fiber-class wedge splits the sequence" in names
     assert all(c.passed for c in report.checks)
 
+
+
+def test_flipped_fiber_sign_fails_intertwining(bundle, monkeypatch):
+    original = gysin.fiber_integration_terms
+
+    def flipped(total):
+        terms = original(total)
+        # a wrong sign whenever theta precedes dphi (the leftmost-slot convention)
+        return lambda mono: [(m, -c if 0 in mono.ext else c) for m, c in terms(mono)]
+
+    monkeypatch.setattr(gysin, "fiber_integration_terms", flipped)
+    report = splitting(bundle, 0, ModeWindow(bound=1))
+    failing = {c.name: c.detail for c in report.checks if not c.passed}
+    assert failing["fiber integration intertwines d_F"] == "counterexample: e[-1, -1, 0]*dphi"
+    assert report.to_json()["checks"][1]["detail"] == "counterexample: e[-1, -1, 0]*dphi"
+
+
+def test_chain_map_checks_once_per_run(tmp_path, monkeypatch):
+    walks: Counter = Counter()
+    walk = FoliatedModel.basis_monomials
+
+    def counting_walk(model, window):
+        walks[type(model).__name__] += 1
+        return walk(model, window)
+
+    harvests = []
+    harvest = gysin.cohomology_representatives
+
+    def counting_harvest(model, bidegree, key, window):
+        harvests.append((model, bidegree))
+        return harvest(model, bidegree, key, window)
+
+    monkeypatch.setattr(FoliatedModel, "basis_monomials", counting_walk)
+    monkeypatch.setattr(gysin, "cohomology_representatives", counting_harvest)
+    spec = tmp_path / "t3.json"
+    spec.write_text(json.dumps({"family": "kronecker_torus", "alpha": ["1", "sqrt2", "sqrt3"]}))
+    args = ["gysin", "--model", str(spec), "--mode-bound", "1", "--out", str(tmp_path / "o")]
+    assert cli.main(args) == 0
+    report = json.loads((tmp_path / "o" / "gysin.json").read_text())
+    assert sorted(report["splitting_by_transverse_degree"]) == ["0", "1", "2"]
+    # three transverse degrees, one walk per chain-map check: pullback
+    # intertwining and pi_* pi^* = 0 over the base, integration over the total space
+    assert walks == {"KroneckerTorus": 2, "CircleProductModel": 1}
+    # per h, base (k, h) for k = 0..2 over 27 blocks, total (0, h) and (2, h)
+    # over 81: each (model, bidegree) harvested once
+    assert len(harvests) == 3 * (3 * 27 + 2 * 81)

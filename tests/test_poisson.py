@@ -12,6 +12,7 @@ from leafhom.errors import UnsupportedModelError, ValidationError
 from leafhom.models import (
     ConicDualModel,
     CosphereCircleModel,
+    Form,
     KroneckerTorus,
     LieFrameModel,
     ModeWindow,
@@ -149,7 +150,7 @@ def test_delta_leafwise_matches_star_route(conic):
 def test_delta_perp_vanishes_on_flat_cone(conic):
     window = ModeWindow(bound=1, l_min=-1, l_max=1)
     for mono in conic.basis_monomials(window):
-        form = conic.form({mono: conic.field.one})
+        form = Form(conic, {mono: conic.field.one})
         assert delta(form, "delta_perp").is_zero()
 
 
@@ -225,7 +226,7 @@ def test_star_transverse_extension(conic):
 def test_star_involution_full_window(conic):
     window = ModeWindow(bound=1, l_min=-1, l_max=1)
     for mono in conic.basis_monomials(window):
-        form = conic.form({mono: conic.field.one})
+        form = Form(conic, {mono: conic.field.one})
         assert hodge_star(hodge_star(form)) == form
 
 
@@ -258,6 +259,10 @@ def test_flipped_star_sign_fails(conic, monkeypatch):
     assert not report.passed
     failing = {c.name for c in report.checks if not c.passed}
     assert "star_conjugated d_F equals leafwise delta" in failing
+    # the detail is the bare label of the first failing monomial
+    assert {c.name: c.detail for c in report.checks if not c.passed} == {
+        "star_conjugated d_F equals leafwise delta": "+*e[-1, -1]*xi^-1*theta"
+    }
 
 
 # -- homogeneous homology ------------------------------------------------------------
@@ -354,5 +359,5 @@ def test_delta_terms_match_form_commutator(base, field):
             image = list(terms(mono))
             assert all(c for _m, c in image), (variant, mono)
             assert len({m for m, _c in image}) == len(image)
-            expected = commutator_delta(conic.form({mono: field.one}), variant)
+            expected = commutator_delta(Form(conic, {mono: field.one}), variant)
             assert dict(image) == expected.terms, (variant, conic.monomial_label(mono))
