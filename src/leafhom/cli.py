@@ -66,16 +66,17 @@ class RunContext:
 
     `run` builds one context and hands it to every analysis.  The derived
     models (torus, cone, cosphere-circle bundle, circle product) are built on
-    first use, and each leafwise table is computed once per model instance
-    and homogeneity.  The memo is keyed by the model object, never by its
-    repr: two models can print alike and differ (`LieFrameModel.__repr__`
-    omits the structure constants).
+    first use, each leafwise table is computed once per model instance and
+    homogeneity, and each cone boundary line once per operator.  The memo is
+    keyed by the model object, never by its repr: two models can print alike
+    and differ (`LieFrameModel.__repr__` omits the structure constants).
     """
 
     def __init__(self, model: FoliatedModel, window: ModeWindow):
         self.model = model
         self.window = window
         self._tables: dict[tuple[FoliatedModel, int | None], derham.BigradedDims] = {}
+        self._boundary: dict[str, poisson.BoundaryDims] = {}
 
     @cached_property
     def torus(self) -> KroneckerTorus:
@@ -114,6 +115,12 @@ class RunContext:
             cert = self.certificate
             self._tables[key] = derham.cohomology_dims(model, self.window, homogeneity, cert)
         return self._tables[key]
+
+    def boundary(self, operator: str = "delta") -> poisson.BoundaryDims:
+        """The cone's boundary homology under ``operator``, each line computed once."""
+        if operator not in self._boundary:
+            self._boundary[operator] = poisson.BoundaryDims(self.cone, self.window, operator)
+        return self._boundary[operator]
 
 
 # -- analyses -----------------------------------------------------------------
@@ -165,7 +172,9 @@ def _run_poisson(ctx: RunContext, cfg: RunConfig) -> tuple[dict, bool]:
     }
     passed = star.passed
     if isinstance(conic.base, KroneckerTorus):
-        table = poisson.verify_homology_correspondence(conic, ctx.table(ctx.cosphere))
+        table = poisson.verify_homology_correspondence(
+            ctx.boundary("delta"), ctx.boundary("delta_F"), ctx.table(ctx.cosphere)
+        )
         doc["homology_correspondence"] = table.to_json()
         passed = passed and table.passed
     return doc, passed
@@ -185,7 +194,7 @@ def _run_gysin(ctx: RunContext, cfg: RunConfig) -> tuple[dict, bool]:
 
 
 def _run_specseq(ctx: RunContext, cfg: RunConfig) -> tuple[dict, bool]:
-    conic = ctx.cone
+    conic, direct = ctx.cone, ctx.boundary()
     top = conic.leaf_dim + conic.codim
     p = conic.leaf_dim // 2
     out = {}
@@ -197,11 +206,7 @@ def _run_specseq(ctx: RunContext, cfg: RunConfig) -> tuple[dict, bool]:
         single_row = first.nonzero_weights() <= {k - p}
         collapse = all(page.differentials_vanish() for page in result)
         totals = final.total_dims()
-        limit_ok = True
-        for l in range(-k, top - k + 1):
-            direct = poisson.homogeneous_poisson_dims(conic, k + l, l, cfg.window)
-            if totals.get(-l, 0) != direct:
-                limit_ok = False
+        limit_ok = all(totals.get(-l, 0) == direct.get(k + l, l) for l in range(-k, top - k + 1))
         out[str(k)] = {
             "pages": [p_.to_json() for p_ in result],
             "single_row": single_row,
@@ -222,7 +227,7 @@ def _run_hochschild(ctx: RunContext, cfg: RunConfig) -> tuple[dict, bool]:
     torus = ctx.torus
     circle = ctx.table(ctx.cosphere)
     e2 = hochschild.e2_dims(torus, circle)
-    bridge = hochschild.e1_to_e2(ctx.cone, e2, cfg.window)
+    bridge = hochschild.e1_to_e2(ctx.boundary(), e2)
     bottom_top = hochschild.hh0_and_top(torus, circle, ctx.table(torus))
     doc = {
         "source_ops": [

@@ -182,7 +182,7 @@ def _chain_map_checks(total: CircleProductModel, window: ModeWindow) -> tuple[Ch
         (base, window, "pullback intertwines d_F", [(1, d_t, pull), (-1, pull, d_b)]),
         (total, window, "fiber integration intertwines d_F", [(1, d_b, push), (-1, push, d_t)]),
         # pi_* pi^* = 0 (degree bookkeeping: no fiber factor after pullback)
-        (base, ModeWindow(bound=1), "fiber integration kills pullbacks", [(1, push, pull)]),
+        (base, window, "fiber integration kills pullbacks", [(1, push, pull)]),
     ]
     return sum((check_identities(m, w, [(name, terms)]) for m, w, name, terms in walks), ())
 

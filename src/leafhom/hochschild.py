@@ -23,8 +23,8 @@ from typing import Sequence
 
 from .derham import BigradedDims
 from .errors import WindowError
-from .models import ConicDualModel, KroneckerTorus, ModeWindow
-from .poisson import homogeneous_poisson_dims
+from .models import KroneckerTorus
+from .poisson import BoundaryDims
 
 
 def e2_dims(torus: KroneckerTorus, circle: BigradedDims) -> dict[tuple[int, int], int]:
@@ -126,16 +126,15 @@ class PageBridgeReport:
         }
 
 
-def e1_to_e2(
-    conic: ConicDualModel, e2: dict[tuple[int, int], int], window: ModeWindow
-) -> PageBridgeReport:
+def e1_to_e2(cone_dims: BoundaryDims, e2: dict[tuple[int, int], int]) -> PageBridgeReport:
     """Second page computed through the cone vs the closed form, cell by cell.
 
     The first page is the space of (k+h)-forms on the cone of homogeneity k;
     applying the boundary operator and taking exact homology gives the second
-    page, which must match ``e2``, the table `e2_dims` reads off the
-    cosphere-circle bundle of the cone's base torus.
+    page, read off ``cone_dims``, which must match ``e2``, the table `e2_dims`
+    reads off the cosphere-circle bundle of the cone's base torus.
     """
+    conic, window = cone_dims.conic, cone_dims.window
     p, q = conic.leaf_dim // 2, conic.codim
     if window.l_min > -p - 1 or window.l_max < p + 1:
         raise WindowError(
@@ -145,10 +144,8 @@ def e1_to_e2(
     cells = []
     for k in range(-p, p + 1):
         for h in range(p, p + q + 1):
-            via_cone = homogeneous_poisson_dims(conic, k + h, k, window)
-            cells.append(PageBridgeCell(k, h, via_cone, e2[(k, h)]))
+            cells.append(PageBridgeCell(k, h, cone_dims.get(k + h, k), e2[(k, h)]))
     # out-of-range cells must vanish on both pipelines
     for k, h in ((p + 1, p), (-p - 1, p), (p, 2 * p + q + 1 - p)):
-        via_cone = homogeneous_poisson_dims(conic, k + h, k, window)
-        cells.append(PageBridgeCell(k, h, via_cone, 0))
+        cells.append(PageBridgeCell(k, h, cone_dims.get(k + h, k), 0))
     return PageBridgeReport(repr(conic.base), tuple(cells))

@@ -237,33 +237,55 @@ def verify_star_delta_identity(
 # -- homogeneous Poisson homology --------------------------------------------------
 
 
-def _delta_homology(
+def _line_dims(
     conic: ConicDualModel,
-    op: TermMap,
-    l: int,
+    operator: str,
+    c: int,
     window: ModeWindow,
-    in_chain: Callable[[FormMonomial, int], bool],
-) -> dict[str, int]:
-    """Homology of a boundary operator at homogeneity l, per component.
+    keep: Callable[[FormMonomial], bool] = lambda m: True,
+) -> dict[str, dict[int, int]]:
+    """Homology of a boundary operator along the line k - l = c, per component.
 
-    Each (component, mode) block contributes the chain l+1 -> l -> l-1 in
-    degrees t = -l; ``in_chain(m, j)`` picks the monomials of homogeneity
-    l + j that belong to it.
+    The operator lowers degree and homogeneity by one, so on each
+    (component, mode) block the cells (k, k - c), k = 0 .. top, form one
+    complex in degrees t = -l; ``keep`` picks its monomials.
     """
-    out = {name: 0 for name in conic.components}
-    for comp in range(conic.components_count):
+    op, top = delta_terms(conic, operator), conic.leaf_dim + conic.codim
+    out = {name: dict.fromkeys(range(top + 1), 0) for name in conic.components}
+    for comp, name in enumerate(conic.components):
         for mode in window.modes(conic.mode_len):
-            chain = {
-                -(l + j): [
-                    m
-                    for m in conic.block_monomials((comp, mode, l + j), window)
-                    if in_chain(m, j)
-                ]
-                for j in (1, 0, -1)
-            }
-            dims = block_homology(conic, op, chain, f"{(comp, mode)}, l = {l}")
-            out[conic.components[comp]] += dims[-l]
+            cells = {k: conic.block_monomials((comp, mode, k - c), window) for k in range(top + 1)}
+            graded = {c - k: [m for m in b if len(m.ext) == k and keep(m)] for k, b in cells.items()}
+            dims = block_homology(conic, op, graded, f"{(comp, mode)}, {operator} line k - l = {c}")
+            for k in range(top + 1):
+                out[name][k] += dims[c - k]
     return out
+
+
+class BoundaryDims:
+    """Homology dims of a boundary operator on the cone, read cell by cell.
+
+    The first read of a cell (k, l) computes its whole line k - l = c, each
+    block complex once; only the integer dims are kept.
+    """
+
+    def __init__(self, model: FoliatedModel, window: ModeWindow | None = None, operator="delta"):
+        if operator not in ("delta", "delta_F"):
+            raise ValidationError(f"unsupported homology operator {operator!r}")
+        self.conic = _require_conic(model)
+        self.window = window or ModeWindow()
+        self.operator = operator
+        self._lines: dict[int, dict[str, dict[int, int]]] = {}
+
+    def get(self, k: int, l: int, per_component: bool = False):
+        """dim of the degree-k homology on l-homogeneous forms; zero out of range."""
+        if 0 <= k <= self.conic.leaf_dim + self.conic.codim:
+            if k - l not in self._lines:
+                self._lines[k - l] = _line_dims(self.conic, self.operator, k - l, self.window)
+            per_comp = {name: dims[k] for name, dims in self._lines[k - l].items()}
+        else:
+            per_comp = dict.fromkeys(self.conic.components, 0)
+        return per_comp if per_component else sum(per_comp.values())
 
 
 def homogeneous_poisson_dims(
@@ -274,23 +296,8 @@ def homogeneous_poisson_dims(
     operator: str = "delta",
     per_component: bool = False,
 ):
-    """dim of degree-k homology of the boundary operator on l-homogeneous forms.
-
-    Exact per-mode computation: kernel of delta into degree (k-1, l-1) modulo
-    the image from (k+1, l+1); out-of-range (k, l) just produce zero.
-    """
-    conic = _require_conic(model)
-    window = window or ModeWindow()
-    if operator not in ("delta", "delta_F"):
-        raise ValidationError(f"unsupported homology operator {operator!r}")
-    op = delta_terms(conic, operator)
-    if 0 <= k <= conic.leaf_dim + conic.codim:
-        per_comp = _delta_homology(conic, op, l, window, lambda m, j: len(m.ext) == k + j)
-    else:
-        per_comp = {name: 0 for name in conic.components}
-    if per_component:
-        return per_comp
-    return sum(per_comp.values())
+    """dim of degree-k homology of the boundary operator on l-homogeneous forms."""
+    return BoundaryDims(model, window, operator).get(k, l, per_component)
 
 
 def homogeneous_poisson_bigraded_dims(
@@ -300,12 +307,14 @@ def homogeneous_poisson_bigraded_dims(
     l: int,
     window: ModeWindow | None = None,
 ) -> int:
-    """Bigraded leafwise-delta homology at (r, s), homogeneity l."""
+    """Bigraded leafwise-delta homology at (r, s), homogeneity l.
+
+    delta_F keeps s, so the line of (r + s, l) cut to transverse degree s is a complex.
+    """
     conic = _require_conic(model)
-    window = window or ModeWindow()
-    op = delta_terms(conic, "delta_F")
-    in_chain = lambda m, j: conic.bidegree(m.ext) == (r + j, s)
-    return sum(_delta_homology(conic, op, l, window, in_chain).values())
+    keep = lambda m: conic.bidegree(m.ext)[1] == s
+    line = _line_dims(conic, "delta_F", r + s - l, window or ModeWindow(), keep)
+    return sum(dims.get(r + s, 0) for dims in line.values())
 
 
 # -- the three-pipeline correspondence ----------------------------------------------
@@ -354,27 +363,30 @@ class HomologyCorrespondenceReport:
 
 
 def verify_homology_correspondence(
-    model: FoliatedModel, circle_dims: BigradedDims
+    delta_dims: BoundaryDims, delta_f_dims: BoundaryDims, circle_dims: BigradedDims
 ) -> HomologyCorrespondenceReport:
     """Three independent pipelines for the same numbers, tabulated.
 
-    (a) full-boundary homology of the cone, (b) leafwise-boundary homology,
-    (c) ``circle_dims``, the leafwise cohomology of the cosphere-circle bundle
-    of the cone's base, read at the shifted indices (p - l, k - l - p); rows
-    outside |l| <= p must vanish.  (a) and (b) use the table's window.
+    (a) ``delta_dims``, full-boundary homology of the cone, (b)
+    ``delta_f_dims``, leafwise-boundary homology, (c) ``circle_dims``, the
+    leafwise cohomology of the cosphere-circle bundle of the cone's base, read
+    at the shifted indices (p - l, k - l - p); rows outside |l| <= p must
+    vanish.  The three tables share one cone and one window.
     """
-    conic = _require_conic(model)
+    conic = delta_dims.conic
     if not isinstance(conic.base, KroneckerTorus):
         raise UnsupportedModelError("the correspondence table needs a torus base")
     window = circle_dims.window
+    same = delta_f_dims.conic is conic and delta_dims.window == delta_f_dims.window == window
+    if not same or (delta_dims.operator, delta_f_dims.operator) != ("delta", "delta_F"):
+        raise ValidationError("the correspondence reads delta and delta_F on one cone and window")
     p = conic.leaf_dim // 2
     top = conic.leaf_dim + conic.codim
     rows = []
     for k in range(0, top + 1):
         for l in range(-p - 1, p + 2):
-            a = homogeneous_poisson_dims(conic, k, l, window, operator="delta")
-            b = homogeneous_poisson_dims(conic, k, l, window, operator="delta_F")
             r_idx, s_idx = p - l, k - l - p
             c = circle_dims.get(r_idx, s_idx) if s_idx >= 0 and r_idx >= 0 else 0
+            a, b = delta_dims.get(k, l), delta_f_dims.get(k, l)
             rows.append(HomologyCorrespondenceRow(k, l, a, b, c))
     return HomologyCorrespondenceReport(repr(conic), tuple(rows), circle_dims.formal)

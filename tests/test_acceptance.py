@@ -37,6 +37,7 @@ from leafhom.models import (
     ModeWindow,
 )
 from leafhom.poisson import (
+    BoundaryDims,
     homogeneous_poisson_dims,
     verify_homology_correspondence,
     verify_star_delta_identity,
@@ -156,7 +157,11 @@ def test_criterion_04_star_delta_identity(conic2):
 def test_criterion_05_homology_correspondence(conic2, torus2):
     watch = Stopwatch(60.0)
     window = ModeWindow(bound=1, l_min=-2, l_max=2)
-    rep = verify_homology_correspondence(conic2, circle_table(torus2, window))
+    rep = verify_homology_correspondence(
+        BoundaryDims(conic2, window, "delta"),
+        BoundaryDims(conic2, window, "delta_F"),
+        circle_table(torus2, window),
+    )
     covered = {(row.k, row.l) for row in rep.rows}
     needed = {(k, l) for k in range(0, 4) for l in (-2, -1, 0, 1, 2)}
     range_ok = needed <= covered
@@ -215,7 +220,7 @@ def test_criterion_07_gysin_splitting(torus2):
 def test_criterion_08_page_bridge(torus2, conic2):
     watch = Stopwatch(60.0)
     window = ModeWindow(bound=1, l_min=-2, l_max=2)
-    rep = e1_to_e2(conic2, e2_dims(torus2, circle_table(torus2, window)), window)
+    rep = e1_to_e2(BoundaryDims(conic2, window), e2_dims(torus2, circle_table(torus2, window)))
     elapsed = watch.check()
     report(8, "first-to-second page bridge", rep.passed and elapsed < watch.limit, elapsed)
     assert rep.passed, [c.to_json() for c in rep.cells if not c.consistent]

@@ -168,3 +168,23 @@ def test_chain_map_checks_once_per_run(tmp_path, monkeypatch):
     # per h, base (k, h) for k = 0..2 over 27 blocks, total (0, h) and (2, h)
     # over 81: each (model, bidegree) harvested once
     assert len(harvests) == 3 * (3 * 27 + 2 * 81)
+
+
+@pytest.mark.parametrize("bound", [0, 2])
+def test_chain_map_checks_walk_the_run_window(bound, tmp_path, monkeypatch):
+    walks = []
+    walk = FoliatedModel.basis_monomials
+
+    def recording_walk(model, window):
+        monos = list(walk(model, window))
+        walks.append((type(model).__name__, monos))
+        return iter(monos)
+
+    monkeypatch.setattr(FoliatedModel, "basis_monomials", recording_walk)
+    spec = tmp_path / "t2.json"
+    spec.write_text(json.dumps({"family": "kronecker_torus", "alpha": ["1", "sqrt2"]}))
+    args = ["gysin", "--model", str(spec), "--mode-bound", str(bound), "--out", str(tmp_path / "o")]
+    assert cli.main(args) == 0
+    base_basis = list(walk(KroneckerTorus(NumberField((2,)), ["1", "sqrt2"]), ModeWindow(bound)))
+    # pullback intertwining and pi_* pi^* = 0 both walk the base over the run's window
+    assert [monos for name, monos in walks if name == "KroneckerTorus"] == [base_basis] * 2

@@ -21,6 +21,7 @@ from leafhom.models import (
     ModeWindow,
     torus_of,
 )
+from leafhom.poisson import BoundaryDims
 from leafhom.scalars import NumberField
 
 
@@ -35,7 +36,7 @@ def circle_table(torus, window):
 
 def bridge(torus, window):
     e2 = e2_dims(torus, circle_table(torus, window))
-    return e1_to_e2(ConicDualModel(torus), e2, window)
+    return e1_to_e2(BoundaryDims(ConicDualModel(torus), window), e2)
 
 
 @pytest.fixture(scope="module")

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import json
 import random
+from collections import Counter
 
 import pytest
 
-from leafhom import poisson
-from leafhom.derham import cohomology_dims, differential
-from leafhom.errors import UnsupportedModelError, ValidationError
+from leafhom import cli, poisson
+from leafhom.derham import block_homology, cohomology_dims, differential
+from leafhom.errors import ComplexViolationError, UnsupportedModelError, ValidationError
 from leafhom.models import (
     ConicDualModel,
     CosphereCircleModel,
@@ -18,6 +20,7 @@ from leafhom.models import (
     ModeWindow,
 )
 from leafhom.poisson import (
+    BoundaryDims,
     bracket,
     contract_bivector,
     delta,
@@ -40,6 +43,10 @@ def field():
 @pytest.fixture(scope="module")
 def conic(field):
     return ConicDualModel(KroneckerTorus(field, ["1", "sqrt2"]))
+
+
+def boundary_tables(conic, window):
+    return BoundaryDims(conic, window, "delta"), BoundaryDims(conic, window, "delta_F")
 
 
 def affine_conic(field):
@@ -312,7 +319,7 @@ def test_bigraded_star_correspondence(conic):
 def test_homology_correspondence_table(conic):
     window = ModeWindow(bound=1, l_min=-2, l_max=2)
     circle_dims = cohomology_dims(CosphereCircleModel(conic.base), window)
-    report = verify_homology_correspondence(conic, circle_dims)
+    report = verify_homology_correspondence(*boundary_tables(conic, window), circle_dims)
     assert report.passed
     assert not report.formal
     # spot values frozen from the closed form: 2 C(2, p-l) C(1, k-l-p) per sign
@@ -323,15 +330,95 @@ def test_homology_correspondence_table(conic):
     assert table[(3, 1)] == 2
     assert table[(3, 0)] == 0
     assert table[(0, 1)] == 0
+    delta_dims, delta_f_dims = boundary_tables(conic, window)
+    for tables in [(delta_f_dims, delta_dims), boundary_tables(conic, ModeWindow(bound=0))]:
+        with pytest.raises(ValidationError, match="one cone and window"):
+            verify_homology_correspondence(*tables, circle_dims)
 
 
 def test_homology_correspondence_resonant_stays_consistent(field):
     model = ConicDualModel(KroneckerTorus(field, ["1", "2"]))
     window = ModeWindow(bound=1, l_min=-2, l_max=2)
     circle_dims = cohomology_dims(CosphereCircleModel(model.base), window)
-    report = verify_homology_correspondence(model, circle_dims)
+    report = verify_homology_correspondence(*boundary_tables(model, window), circle_dims)
     assert report.passed
     assert report.formal
+
+
+def slice_dims(conic, operator, k, l, window):
+    """Reference: each block's 3-term slice l+1 -> l -> l-1 in degrees t = -l."""
+    out = dict.fromkeys(conic.components, 0)
+    if not 0 <= k <= conic.leaf_dim + conic.codim:
+        return out
+    op = poisson.delta_terms(conic, operator)
+    for comp, name in enumerate(conic.components):
+        for mode in window.modes(conic.mode_len):
+            chain = {
+                -(l + j): [
+                    m
+                    for m in conic.block_monomials((comp, mode, l + j), window)
+                    if len(m.ext) == k + j
+                ]
+                for j in (1, 0, -1)
+            }
+            out[name] += block_homology(conic, op, chain, "slice")[-l]
+    return out
+
+
+@pytest.mark.parametrize("bound", [0, 1])
+@pytest.mark.parametrize("base", ["torus", "resonant_t3", "lie_frame"])
+def test_line_table_matches_cell_slices(base, bound, field):
+    conic = {
+        "torus": lambda: ConicDualModel(KroneckerTorus(field, ["1", "sqrt2"])),
+        # (1, -1, 1) . alpha = 0
+        "resonant_t3": lambda: ConicDualModel(KroneckerTorus(field, ["1", "sqrt2", "sqrt2-1"])),
+        "lie_frame": lambda: affine_conic(field),
+    }[base]()
+    window = ModeWindow(bound=bound)
+    top = conic.leaf_dim + conic.codim
+    for operator in ("delta", "delta_F"):
+        table = BoundaryDims(conic, window, operator)
+        # l = +-3 lies outside the window's homogeneity range
+        for k in range(-1, top + 2):
+            for l in range(-3, 4):
+                expected = slice_dims(conic, operator, k, l, window)
+                fresh = homogeneous_poisson_dims(conic, k, l, window, operator, per_component=True)
+                assert fresh == expected, (operator, k, l)
+                assert table.get(k, l, per_component=True) == expected, (operator, k, l)
+                assert table.get(k, l) == sum(expected.values()), (operator, k, l)
+
+
+def test_boundary_lines_once_per_run(tmp_path, monkeypatch):
+    blocks: Counter = Counter()
+    real = poisson.block_homology
+
+    def counting(model, terms, graded, block):
+        if isinstance(model, ConicDualModel):
+            blocks[block] += 1
+        return real(model, terms, graded, block)
+
+    monkeypatch.setattr(poisson, "block_homology", counting)
+    spec = tmp_path / "t2.json"
+    spec.write_text(json.dumps({"family": "kronecker_torus", "alpha": ["1", "sqrt2"]}))
+    args = ["run", "--model", str(spec), "--analyses", "poisson,specseq,hochschild"]
+    assert cli.main([*args, "--mode-bound", "1", "--out", str(tmp_path / "o")]) == 0
+    # each (component, mode, line) complex once per operator: 2 x 9 blocks on
+    # the correspondence lines k - l = -2..5 of delta and of delta_F; specseq
+    # and hochschild read lines delta already holds
+    assert max(blocks.values()) == 1
+    assert len(blocks) == 2 * 9 * 8 * 2
+
+
+def test_broken_cone_names_block_and_line(field):
+    # d(dxi) = theta ^ dxi keeps the bigrading but breaks d^2 = 0 on the
+    # cone (d^2 xi^a = a xi^(a-1) theta ^ dxi), and delta^2 = 0 with it.  A
+    # base that breaks Jacobi cannot do this: delta^2 = +-i_G d^2 i_G, and d^2
+    # of a frame never produces the dxi that i_G removes.
+    broken = affine_conic(field)
+    broken._lie_dual_d[1] = [(field.one, (0, 1))]
+    message = r"block \(0, \(\)\), delta line k - l = 1: d\^2 != 0 between degrees -2 and 0"
+    with pytest.raises(ComplexViolationError, match=message):
+        homogeneous_poisson_dims(broken, 2, 1, ModeWindow(bound=0))
 
 
 # -- the boundary operator as a composed term map -----------------------------------
