@@ -22,7 +22,7 @@ a list of (monomial, coefficient).  `component_terms` gives d and its three
 components; `Form.map` is the one linear extension to forms.
 
 One block engine ranks the other blocks: the leafwise tables of frame models,
-the basic table and the representatives here, poisson's boundary homology and
+the basic table and closed/exact sets here, poisson's boundary homology and
 the specseq filtration use it.  A block is given as its monomial bases by
 degree; `block_differentials` assembles each differential d_t once, reading
 the term map of each source monomial into the matrix (`operator_matrix`), and
@@ -42,7 +42,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import ComplexViolationError, UnsupportedModelError, ValidationError
-from .linalg import Echelon, SparseMatrix, homology_dims, rank, rank_kernel
+from .linalg import SparseMatrix, homology_dims, rank, rank_kernel
 from .models import (
     ConicDualModel,
     FoliatedModel,
@@ -530,17 +530,16 @@ def ordinary_derham_dims(
     return dims
 
 
-# -- explicit representatives (resonant blocks) ---------------------------------
+# -- closed and exact vectors (the gysin isomorphism checks) ---------------------
 
 
-def cohomology_representatives(
-    model: FoliatedModel,
-    bidegree: tuple[int, int],
-    key: tuple,
-    window: ModeWindow | None = None,
-) -> tuple[list[Form], list[Form]]:
-    """(cocycle representatives, coboundary basis) of one block at a bidegree."""
-    window = window or ModeWindow()
+def closed_and_exact(
+    model: FoliatedModel, bidegree: tuple[int, int], key: tuple, window: ModeWindow
+) -> tuple[list[dict[FormMonomial, Scalar]], list[dict[FormMonomial, Scalar]]]:
+    """(Z, B) of one block at a bidegree: the d_F kernel basis, the nonzero columns of d_F into it.
+
+    The block's cohomology there has dimension |Z| - dim span(B).
+    """
     r, s = bidegree
     chain: dict[int, list[FormMonomial]] = {r - 1: [], r: [], r + 1: []}
     for m in model.block_monomials(key, window):
@@ -548,15 +547,7 @@ def cohomology_representatives(
         if rs[1] == s and rs[0] in chain:
             chain[rs[0]].append(m)
     diffs = block_differentials(model, component_terms(model, "d_F"), chain)
-    basis = chain[r]
-    _, kern = rank_kernel(diffs[r])
-    # the boundaries: the nonzero columns of d_(r-1), in source order
-    columns = [col for col in diffs[r - 1].transpose().row_vectors() if col]
-    boundaries = [Form(model, {basis[i]: c for i, c in col.items()}) for col in columns]
-    ech = Echelon(model.field)
-    ech.extend(columns)
-    reps = []
-    for vec in kern:
-        if ech.add(vec):
-            reps.append(Form(model, {basis[j]: c for j, c in vec.items()}))
-    return reps, boundaries
+    vector = lambda v: {chain[r][i]: c for i, c in v.items()}
+    _, kernel = rank_kernel(diffs[r])
+    columns = diffs[r - 1].transpose().row_vectors()
+    return [vector(v) for v in kernel], [vector(v) for v in columns if v]

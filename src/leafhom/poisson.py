@@ -288,18 +288,6 @@ class BoundaryDims:
         return per_comp if per_component else sum(per_comp.values())
 
 
-def homogeneous_poisson_dims(
-    model: FoliatedModel,
-    k: int,
-    l: int,
-    window: ModeWindow | None = None,
-    operator: str = "delta",
-    per_component: bool = False,
-):
-    """dim of degree-k homology of the boundary operator on l-homogeneous forms."""
-    return BoundaryDims(model, window, operator).get(k, l, per_component)
-
-
 def homogeneous_poisson_bigraded_dims(
     model: FoliatedModel,
     r: int,

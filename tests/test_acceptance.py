@@ -38,7 +38,6 @@ from leafhom.models import (
 )
 from leafhom.poisson import (
     BoundaryDims,
-    homogeneous_poisson_dims,
     verify_homology_correspondence,
     verify_star_delta_identity,
 )
@@ -191,7 +190,7 @@ def test_criterion_06_filtration_spectral_collapse(conic2):
             ok = False
         totals = result[-1].total_dims()
         for l in range(-k, top - k + 1):
-            if totals.get(-l, 0) != homogeneous_poisson_dims(conic2, k + l, l, window):
+            if totals.get(-l, 0) != BoundaryDims(conic2, window).get(k + l, l):
                 ok = False
     elapsed = watch.check()
     report(6, "filtration collapses at the first page", ok and elapsed < watch.limit, elapsed)

@@ -7,11 +7,19 @@ from collections import Counter
 
 import pytest
 
-from leafhom import cli, gysin
+from leafhom import cli, gysin, models
 from leafhom.derham import cohomology_dims, differential
 from leafhom.errors import ValidationError
 from leafhom.gysin import fiber_integrate, product_splitting_dims
-from leafhom.models import CircleProductModel, FoliatedModel, Form, KroneckerTorus, ModeWindow
+from leafhom.models import (
+    CircleProductModel,
+    FoliatedModel,
+    Form,
+    FormMonomial,
+    KroneckerTorus,
+    ModeWindow,
+    merge_ext,
+)
 from leafhom.models import pullback_from_base as pullback
 from leafhom.scalars import NumberField
 
@@ -139,6 +147,49 @@ def test_flipped_fiber_sign_fails_intertwining(bundle, monkeypatch):
     assert report.to_json()["checks"][1]["detail"] == "counterexample: e[-1, -1, 0]*dphi"
 
 
+def test_unclosed_fiber_class_fails_splitting(bundle, monkeypatch):
+    # dphi + e[1, 0, 0] eta1 still integrates pi^*c ^ (-) back to c, but its
+    # d_F is (1 . alpha) e[1, 0, 0] theta ^ eta1 != 0
+    wedge_dphi = gysin._dphi_terms
+
+    def unclosed(total):
+        def terms(mono):
+            sign, ext = merge_ext(mono.ext, (2,)) or (0, ())
+            mode = (mono.mode[0] + 1,) + mono.mode[1:]
+            extra = [(FormMonomial(mode, 0, 0, ext), total.field.scalar(sign))] if sign else []
+            return list(wedge_dphi(total)(mono)) + extra
+
+        return terms
+
+    monkeypatch.setattr(gysin, "_dphi_terms", unclosed)
+    report = splitting(bundle, 0, ModeWindow(bound=1))
+    failing = {c.name: c.detail for c in report.checks if not c.passed}
+    assert failing == {"fiber-class wedge splits the sequence": "counterexample: e[-1, -1]"}
+
+
+@pytest.mark.parametrize(
+    "zeroed, readers, iso",
+    [
+        ("pullback_terms", (gysin, models), "pullback iso in fiber-low degrees (k = 0)"),
+        (
+            "fiber_integration_terms",
+            (gysin,),
+            "fiber integration iso above the leaf degree (k = p+1)",
+        ),
+    ],
+)
+def test_zero_map_fails_its_iso_check(zeroed, readers, iso, bundle, monkeypatch):
+    for module in readers:
+        monkeypatch.setattr(module, zeroed, lambda total: lambda mono: [])
+    window = ModeWindow(bound=1)
+    base_dims = cohomology_dims(bundle.base, window)
+    reports = product_splitting_dims(bundle, base_dims, cohomology_dims(bundle, window))
+    assert [report.h for report in reports] == [0, 1]
+    for report in reports:
+        failing = {c.name for c in report.checks if not c.passed}
+        assert failing == {"fiber-class wedge splits the sequence", iso}, report.h
+
+
 def test_chain_map_checks_once_per_run(tmp_path, monkeypatch):
     walks: Counter = Counter()
     walk = FoliatedModel.basis_monomials
@@ -147,27 +198,27 @@ def test_chain_map_checks_once_per_run(tmp_path, monkeypatch):
         walks[type(model).__name__] += 1
         return walk(model, window)
 
-    harvests = []
-    harvest = gysin.cohomology_representatives
+    assemblies = []
+    closed_and_exact = gysin.closed_and_exact
 
-    def counting_harvest(model, bidegree, key, window):
-        harvests.append((model, bidegree))
-        return harvest(model, bidegree, key, window)
+    def counting_assembly(model, bidegree, key, window):
+        assemblies.append((model, bidegree))
+        return closed_and_exact(model, bidegree, key, window)
 
     monkeypatch.setattr(FoliatedModel, "basis_monomials", counting_walk)
-    monkeypatch.setattr(gysin, "cohomology_representatives", counting_harvest)
+    monkeypatch.setattr(gysin, "closed_and_exact", counting_assembly)
     spec = tmp_path / "t3.json"
     spec.write_text(json.dumps({"family": "kronecker_torus", "alpha": ["1", "sqrt2", "sqrt3"]}))
     args = ["gysin", "--model", str(spec), "--mode-bound", "1", "--out", str(tmp_path / "o")]
     assert cli.main(args) == 0
     report = json.loads((tmp_path / "o" / "gysin.json").read_text())
     assert sorted(report["splitting_by_transverse_degree"]) == ["0", "1", "2"]
-    # three transverse degrees, one walk per chain-map check: pullback
-    # intertwining and pi_* pi^* = 0 over the base, integration over the total space
-    assert walks == {"KroneckerTorus": 2, "CircleProductModel": 1}
-    # per h, base (k, h) for k = 0..2 over 27 blocks, total (0, h) and (2, h)
-    # over 81: each (model, bidegree) harvested once
-    assert len(harvests) == 3 * (3 * 27 + 2 * 81)
+    # three transverse degrees, one walk per model: the pullback identities and
+    # the splitting over the base, integration over the total space
+    assert walks == {"KroneckerTorus": 1, "CircleProductModel": 1}
+    # per h, base (0, h) and (1, h) over 27 blocks, total (0, h) and (2, h)
+    # over 81: each block chain assembled once
+    assert len(assemblies) == 3 * (2 * 27 + 2 * 81)
 
 
 @pytest.mark.parametrize("bound", [0, 2])
@@ -186,5 +237,5 @@ def test_chain_map_checks_walk_the_run_window(bound, tmp_path, monkeypatch):
     args = ["gysin", "--model", str(spec), "--mode-bound", str(bound), "--out", str(tmp_path / "o")]
     assert cli.main(args) == 0
     base_basis = list(walk(KroneckerTorus(NumberField((2,)), ["1", "sqrt2"]), ModeWindow(bound)))
-    # pullback intertwining and pi_* pi^* = 0 both walk the base over the run's window
-    assert [monos for name, monos in walks if name == "KroneckerTorus"] == [base_basis] * 2
+    # the base identities walk the base once, over the run's window
+    assert [monos for name, monos in walks if name == "KroneckerTorus"] == [base_basis]

@@ -26,7 +26,6 @@ from leafhom.poisson import (
     delta,
     hodge_star,
     homogeneous_poisson_bigraded_dims,
-    homogeneous_poisson_dims,
     poisson_tensor,
     star_conjugated_leafwise_delta,
     verify_homology_correspondence,
@@ -278,26 +277,26 @@ def test_flipped_star_sign_fails(conic, monkeypatch):
 def test_homology_vanishes_beyond_leaf_degree(conic):
     window = ModeWindow(bound=1, l_min=-3, l_max=3)
     for k in range(0, 4):
-        assert homogeneous_poisson_dims(conic, k, 2, window) == 0
-        assert homogeneous_poisson_dims(conic, k, -2, window) == 0
+        assert BoundaryDims(conic, window).get(k, 2) == 0
+        assert BoundaryDims(conic, window).get(k, -2) == 0
 
 
 def test_homology_k2_l0(conic):
     window = ModeWindow(bound=1, l_min=-2, l_max=2)
-    assert homogeneous_poisson_dims(conic, 2, 0, window) == 4
+    assert BoundaryDims(conic, window).get(2, 0) == 4
 
 
 def test_homology_k0_lminus1(conic):
     window = ModeWindow(bound=1, l_min=-2, l_max=2)
-    assert homogeneous_poisson_dims(conic, 0, -1, window) == 2
-    per = homogeneous_poisson_dims(conic, 0, -1, window, per_component=True)
+    assert BoundaryDims(conic, window).get(0, -1) == 2
+    per = BoundaryDims(conic, window).get(0, -1, per_component=True)
     assert per == {"+": 1, "-": 1}
 
 
 def test_out_of_range_degrees_are_zero(conic):
     window = ModeWindow(bound=1, l_min=-2, l_max=2)
-    assert homogeneous_poisson_dims(conic, -1, 0, window) == 0
-    assert homogeneous_poisson_dims(conic, 5, 0, window) == 0
+    assert BoundaryDims(conic, window).get(-1, 0) == 0
+    assert BoundaryDims(conic, window).get(5, 0) == 0
 
 
 def test_bigraded_star_correspondence(conic):
@@ -382,7 +381,7 @@ def test_line_table_matches_cell_slices(base, bound, field):
         for k in range(-1, top + 2):
             for l in range(-3, 4):
                 expected = slice_dims(conic, operator, k, l, window)
-                fresh = homogeneous_poisson_dims(conic, k, l, window, operator, per_component=True)
+                fresh = BoundaryDims(conic, window, operator).get(k, l, per_component=True)
                 assert fresh == expected, (operator, k, l)
                 assert table.get(k, l, per_component=True) == expected, (operator, k, l)
                 assert table.get(k, l) == sum(expected.values()), (operator, k, l)
@@ -418,7 +417,7 @@ def test_broken_cone_names_block_and_line(field):
     broken._lie_dual_d[1] = [(field.one, (0, 1))]
     message = r"block \(0, \(\)\), delta line k - l = 1: d\^2 != 0 between degrees -2 and 0"
     with pytest.raises(ComplexViolationError, match=message):
-        homogeneous_poisson_dims(broken, 2, 1, ModeWindow(bound=0))
+        BoundaryDims(broken, ModeWindow(bound=0)).get(2, 1)
 
 
 # -- the boundary operator as a composed term map -----------------------------------

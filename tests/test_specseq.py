@@ -9,7 +9,7 @@ import pytest
 from leafhom.errors import ComplexViolationError, ValidationError
 from leafhom.linalg import SparseMatrix
 from leafhom.models import ConicDualModel, KroneckerTorus, ModeWindow
-from leafhom.poisson import homogeneous_poisson_dims
+from leafhom.poisson import BoundaryDims
 from leafhom.scalars import NumberField
 from leafhom.specseq import BasisVector, FilteredComplex, pages, poisson_filtration
 
@@ -157,7 +157,7 @@ def test_cone_filtration_limit_matches_direct_dims(conic):
         totals = final.total_dims()
         top = conic.leaf_dim + conic.codim
         for l in range(-k, top - k + 1):
-            expected = homogeneous_poisson_dims(conic, k + l, l, window)
+            expected = BoundaryDims(conic, window).get(k + l, l)
             assert totals.get(-l, 0) == expected, (k, l)
 
 
