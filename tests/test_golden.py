@@ -88,6 +88,33 @@ CASES = {
         ["--analyses", "derham,poisson,specseq"],
         0,
     ),
+    # the cone beyond T^2: the kronecker_t3 torus and a resonant T^3
+    "kronecker_t3_cone": (
+        {"family": "kronecker_torus", "alpha": ["1", "1/3*sqrt2", "-2/3*sqrt3"]},
+        ["--analyses", "poisson,specseq,hochschild", "--mode-bound", "1", "--seed", "1"],
+        0,
+    ),
+    "resonant_t3_cone": (
+        {"family": "kronecker_torus", "alpha": ["1", "sqrt2", "sqrt2-1"]},
+        ["--analyses", "poisson,specseq,hochschild", "--mode-bound", "1", "--seed", "1"],
+        0,
+    ),
+    # the cone over 3-D leaf-line frames: so(3) and the Heisenberg algebra
+    "so3_cone": (
+        {
+            "family": "lie_frame",
+            "n": 3,
+            "brackets": [[1, 2, [[3, "1"]]], [2, 3, [[1, "1"]]], [1, 3, [[2, "-1"]]]],
+            "leaf": [3],
+        },
+        ["--analyses", "poisson,specseq"],
+        0,
+    ),
+    "heisenberg_cone": (
+        {"family": "lie_frame", "n": 3, "brackets": [[1, 2, [[3, "1"]]]], "leaf": [3]},
+        ["--analyses", "poisson,specseq"],
+        0,
+    ),
 }
 
 
