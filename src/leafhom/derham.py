@@ -1,21 +1,21 @@
 """Bigraded leafwise de Rham calculus and exact cohomology dimensions.
 
 The full differential splits into bi-homogeneous components of shifts
-(1,0), (0,1) and (-1,2) (leafwise, transverse, curvature contraction); the
-split is computed per pure-bidegree monomial by projecting the full
-differential, so the identity suite genuinely verifies the decomposition
-rather than assuming it.  `check_identities` checks identities written as
-data on every windowed basis monomial, which by linearity covers every form.
+(1,0), (0,1) and (-1,2) (leafwise, transverse, curvature contraction); each
+is built from the model's data of its shift, so the identity suite verifies
+that d is their sum rather than assuming it.  `check_identities` checks
+identities written as data on every windowed basis monomial, which by
+linearity covers every form.
 
 Cohomology dimensions are computed block by block: every supported
 differential preserves the Fourier mode (and the radial homogeneity degree
 on the conic model), so the complex is a direct sum of small exact-arithmetic
 complexes indexed by the window.  On a model built on a Kronecker torus, d on
-a block is sum c_g eps_g over the block's `multipliers`, from which `d_full`
-is built, and `koszul_block_dims` settles the block: a nonzero leaf
-multiplier c_j makes h = c_j^-1 iota_j a contracting homotopy, and with none
-d_F vanishes.  The Cartan identity eps_g iota_j + iota_j eps_g = delta_gj
-behind h is checked on the whole exterior basis for every table.
+a block is sum c_g eps_g over the block's `multipliers`, and
+`koszul_block_dims` settles the block: a nonzero leaf multiplier c_j makes
+h = c_j^-1 iota_j a contracting homotopy, and with none d_F vanishes.  The
+Cartan identity eps_g iota_j + iota_j eps_g = delta_gj behind h is checked
+on the whole exterior basis for every table.
 
 An operator is a term map (`models.TermMap`): its action on one monomial,
 a list of (monomial, coefficient).  `component_terms` gives d and its three
@@ -52,6 +52,8 @@ from .models import (
     ModeWindow,
     TermMap,
     _CircleBundleModel,
+    _frame_d,
+    _multiplier_d,
     check_cartan_identity,
     linear_extension,
     resonance_lattice,
@@ -59,23 +61,31 @@ from .models import (
 )
 from .scalars import Scalar
 
-COMPONENTS = ("d", "d_F", "d_perp", "boundary")
-_SHIFTS = {"d_F": (1, 0), "d_perp": (0, 1), "boundary": (-1, 2)}
+_SHIFTS = {"d": None, "d_F": (1, 0), "d_perp": (0, 1), "boundary": (-1, 2)}
+COMPONENTS = tuple(_SHIFTS)
 
 
 def component_terms(model: FoliatedModel, component: str) -> TermMap:
-    """Term map of d, or of one bigraded component: the d_full terms of its shift."""
+    """Term map of d, or of one bigraded component, from the model's data.
+
+    `_multiplier_d` over the block's multipliers (g, c), of shift bideg(g), plus
+    `_frame_d` over the frame terms g -> c a ^ b, of shift bideg(a ^ b) - bideg(g):
+    d keeps every term, a component the terms of its shift."""
     if component not in COMPONENTS:
         raise ValidationError(f"unknown differential component {component!r}")
-    if component == "d":
-        return model.d_full
-    dr, ds = _SHIFTS[component]
-    bidegree = model.bidegree
+    shift = _SHIFTS[component]
+
+    def keep(gained: tuple[int, ...], lost: tuple[int, ...] = ()) -> bool:
+        (r, s), (r0, s0) = model.bidegree(gained), model.bidegree(lost)
+        return shift is None or (r - r0, s - s0) == shift
+
+    kept = [keep((g,)) for g in range(len(model.gen_names))]
+    frame = [[(c, ab) for c, ab in row if keep(ab, (g,))] for g, row in enumerate(model._dual_d)]
 
     def terms(mono: FormMonomial) -> list[tuple[FormMonomial, Scalar]]:
-        r, s = bidegree(mono.ext)
-        dst = (r + dr, s + ds)
-        return [(m2, c) for m2, c in model.d_full(mono) if bidegree(m2.ext) == dst]
+        mults = [(g, c) for g, c in model.multipliers(model.block_key(mono)) if kept[g]]
+        out = _multiplier_d(model, mono, mults)
+        return out + _frame_d(frame, mono) if frame else out
 
     return terms
 

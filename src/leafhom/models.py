@@ -240,13 +240,6 @@ class Form:
 
     # -- grading ---------------------------------------------------------
 
-    def bidegree_project(self, r: int, s: int) -> Form:
-        model = self.model
-        return Form(
-            model,
-            {m: c for m, c in self.terms.items() if model.bidegree(m.ext) == (r, s)},
-        )
-
     def bidegree(self) -> tuple[int, int] | None:
         """The common bidegree of all monomials, or None for a mixed form."""
         degrees = {self.model.bidegree(m.ext) for m in self.terms}
@@ -375,11 +368,17 @@ class FoliatedModel:
             bits.append("^".join(self.gen_names[g] for g in m.ext))
         return "*".join(bits) if bits else "1"
 
-    # -- differential and blocks: the Fourier-mode defaults ---------------------
+    # -- differential data and blocks: the Fourier-mode defaults ---------------
 
-    def d_full(self, mono: FormMonomial) -> list[tuple[FormMonomial, Scalar]]:
-        """Torus families: d is sum c * gen ^ (-) over the block's ``multipliers(key)``."""
-        return _multiplier_d(self, mono, self.multipliers((mono.comp, mono.mode)))
+    # d of each generator, (coeff, (a, b)) for coeff * a ^ b: frames only
+    _dual_d: Sequence[list[tuple[Scalar, tuple[int, int]]]] = ()
+
+    def multipliers(self, key: tuple) -> list[tuple[int, Scalar | int]]:
+        """The block's (gen, c): d = sum c * gen ^ (-) plus the `_dual_d` terms."""
+        return []
+
+    def block_key(self, mono: FormMonomial) -> tuple:
+        return (mono.comp, mono.mode)
 
     def block_keys(self, window: ModeWindow) -> list[tuple]:
         """Independent blocks of every differential-style operator: (component, mode)."""
@@ -691,9 +690,6 @@ class LieFrameModel(FoliatedModel):
                     out[(i, j)] = parts
         return out
 
-    def d_full(self, mono: FormMonomial) -> list[tuple[FormMonomial, Scalar]]:
-        return _frame_d(self._dual_d, mono)
-
     def block_keys(self, window: ModeWindow) -> list[tuple]:
         return [(0,)]
 
@@ -719,7 +715,6 @@ class ConicDualModel(FoliatedModel):
 
     def __init__(self, base: KroneckerTorus | LieFrameModel):
         if isinstance(base, KroneckerTorus):
-            self._lie_dual_d = None
             n = base.n
             self.gen_names = ("theta", "dxi") + tuple(f"eta{i}" for i in range(1, n))
             self.mode_len = n
@@ -735,13 +730,13 @@ class ConicDualModel(FoliatedModel):
             # d of each frame covector, re-indexed into the conic generator
             # order (leaf, dxi, complement...); d(dxi) = 0
             to_model = {b: (0 if k == 0 else k + 1) for k, b in enumerate([leaf] + complement)}
-            self._lie_dual_d = [[] for _ in self.gen_names]
+            self._dual_d = [[] for _ in self.gen_names]
             for b, terms in enumerate(base._dual_d):
                 for coeff, (i, j) in terms:
                     mi, mj = to_model[i], to_model[j]
                     if mi > mj:
                         mi, mj, coeff = mj, mi, -coeff
-                    self._lie_dual_d[to_model[b]].append((coeff, (mi, mj)))
+                    self._dual_d[to_model[b]].append((coeff, (mi, mj)))
             self.mode_len = 0
             self.n = base.n
         else:
@@ -756,17 +751,12 @@ class ConicDualModel(FoliatedModel):
     def multipliers(self, key: tuple) -> list[tuple[int, Scalar | int]]:
         """(gen, c) on block (comp, mode, l): l on dxi, over a torus also m . alpha and m_i."""
         _comp, mode, l = key
-        if self._lie_dual_d is not None:
+        if isinstance(self.base, LieFrameModel):
             return [(1, l)]
         return [(1, l), (0, self.base.pairing(mode))] + [(i + 1, mode[i]) for i in range(1, self.n)]
 
-    def d_full(self, mono: FormMonomial) -> list[tuple[FormMonomial, Scalar]]:
-        key = (mono.comp, mono.mode, self.homogeneity(mono))
-        out = _multiplier_d(self, mono, self.multipliers(key))
-        # over a frame model the multipliers hold only the radial term
-        if self._lie_dual_d is not None:
-            out += _frame_d(self._lie_dual_d, mono)
-        return out
+    def block_key(self, mono: FormMonomial) -> tuple:
+        return (mono.comp, mono.mode, self.homogeneity(mono))
 
     def block_keys(self, window: ModeWindow) -> list[tuple]:
         return [

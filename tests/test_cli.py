@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import sys
 from pathlib import Path
@@ -452,3 +453,22 @@ def test_one_certificate_per_run(torus_spec, tmp_path, monkeypatch):
     args = ["run", "--model", str(torus_spec), "--analyses", "all", "--mode-bound", "1"]
     assert cli.main([*args, "--trials", "2", "--out", str(tmp_path / "o")]) == 0
     assert len(calls) == 1
+
+
+def test_package_imports_only_the_stdlib():
+    # hypothesis and sympy stay test-only: every import of the package is
+    # relative or a standard-library module
+    outside = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                if top != "leafhom" and top not in sys.stdlib_module_names:
+                    outside.append(f"{path.name}:{node.lineno}: {name}")
+    assert not outside

@@ -153,6 +153,37 @@ def test_identities_catch_broken_jacobi(field):
     }
 
 
+def test_non_integrable_frame_fails_only_the_split(field):
+    # raw constructor: [e1, e2] = e3 leaves the leaf span {e1, e2}, so
+    # d e3 = -e1 ^ e2 has shift (2, -1), which no component carries
+    raw = LieFrameModel(field, 3, {(0, 1): {2: field.one}}, {0, 1})
+    report = verify_decomposition_identities(raw)
+    assert {c.name: c.detail for c in report.checks if not c.passed} == {
+        "d = d_F + d_perp + boundary": "counterexample: e3"
+    }
+
+
+@pytest.mark.parametrize("component", ["d", "d_F", "d_perp", "boundary"])
+def test_term_maps_have_distinct_nonzero_terms(torus, field, component):
+    # operator_matrix stores entries[(i, j)] = c, so a repeated image monomial
+    # would be overwritten rather than added
+    window = ModeWindow(bound=1, l_min=-1, l_max=1)
+    for model in (
+        torus,
+        CosphereCircleModel(torus),
+        CircleProductModel(torus),
+        ConicDualModel(torus),
+        so3(field),
+        heisenberg(field),
+        ConicDualModel(so3(field)),
+    ):
+        terms = component_terms(model, component)
+        for mono in model.basis_monomials(window):
+            image = terms(mono)
+            assert all(c for _m, c in image), (model, model.monomial_label(mono))
+            assert len({m for m, _c in image}) == len(image), (model, model.monomial_label(mono))
+
+
 def test_check_identities_names_first_counterexample(torus):
     dF = component_terms(torus, "d_F")
     same_degree = lambda m, img: all(len(m2.ext) == len(m.ext) for m2 in img)

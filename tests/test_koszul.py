@@ -5,8 +5,9 @@ torus from its multipliers alone.  Here every such block is also ranked by
 the engine (`_block_bidegree_dims` for the leafwise table, `block_homology`
 on the full differential for the Betti numbers), for the golden specs and
 two resonant tori, and the two must agree block by block and in total.
-Both read `d_full`, which is built from the same multipliers, so a wrong
-multiplier is caught by the closed-form oracles (test_oracles.py), not here.
+The engine ranks `component_terms(model, "d_F")` and `component_terms(model,
+"d")`, which are built from the same multipliers, so a wrong multiplier is
+caught by the closed-form oracles (test_oracles.py), not here.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ def test_rule_matches_rank_engine(name, bound):
             by_deg = {k: [] for k in range(len(model.gen_names) + 2)}
             for m in model.block_monomials(key, window):
                 by_deg[len(m.ext)].append(m)
-            ranked_block = block_homology(model, model.d_full, by_deg, str(key))
+            ranked_block = block_homology(model, component_terms(model, "d"), by_deg, str(key))
             rule_block: dict = {}
             for (r, s), v in koszul_block_dims(model, key, full=True).items():
                 rule_block[r + s] = rule_block.get(r + s, 0) + v

@@ -189,22 +189,6 @@ def test_odd_degree_squares_vanish(field):
         assert form.wedge(form).is_zero()
 
 
-def test_bidegree_projection_partition(torus):
-    theta = torus.gen_form("theta")
-    eta = torus.gen_form("eta1")
-    te = theta.wedge(eta)
-    assert te.bidegree_project(1, 1) == te
-    assert te.bidegree_project(2, 0).is_zero()
-    mixed = theta + eta
-    assert mixed.bidegree_project(1, 0) == theta
-    assert mixed.bidegree_project(0, 1) == eta
-    recon = torus.zero_form()
-    for r in range(0, 2):
-        for s in range(0, 2):
-            recon = recon + mixed.bidegree_project(r, s)
-    assert recon == mixed
-
-
 def test_homogeneity_decompose(field):
     conic = ConicDualModel(KroneckerTorus(field, ["1", "sqrt2"]))
     xi2_theta = conic.monomial_form(1, xi=2, ext=("theta",))

@@ -16,8 +16,9 @@ computation and checked on random alpha over Q(i, sqrt2, sqrt3):
   Fraction arithmetic on the rational components of alpha, not with Scalar.
 
 The tables are read off `model.multipliers` by the Cartan rule, and the
-rule-vs-rank test compares the rule with the rank engine on the same
-`d_full`; these oracles are what catch a wrong multiplier.
+rule-vs-rank test compares the rule with the rank engine on term maps that
+`component_terms` builds from the same multipliers; these oracles are what
+catch a wrong multiplier.
 """
 
 from __future__ import annotations

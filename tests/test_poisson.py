@@ -414,7 +414,7 @@ def test_broken_cone_names_block_and_line(field):
     # base that breaks Jacobi cannot do this: delta^2 = +-i_G d^2 i_G, and d^2
     # of a frame never produces the dxi that i_G removes.
     broken = affine_conic(field)
-    broken._lie_dual_d[1] = [(field.one, (0, 1))]
+    broken._dual_d[1] = [(field.one, (0, 1))]
     message = r"block \(0, \(\)\), delta line k - l = 1: d\^2 != 0 between degrees -2 and 0"
     with pytest.raises(ComplexViolationError, match=message):
         BoundaryDims(broken, ModeWindow(bound=0)).get(2, 1)
