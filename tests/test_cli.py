@@ -317,43 +317,6 @@ def test_lie_model_derham_and_poisson(tmp_path):
     assert pois["star_delta_identities"]["passed"]
 
 
-def test_markdown_and_csv_renderings(torus_spec, tmp_path):
-    out = tmp_path / "out"
-    code = cli.main(
-        [
-            "derham",
-            "--model",
-            str(torus_spec),
-            "--mode-bound",
-            "1",
-            "--format",
-            "markdown",
-            "--out",
-            str(out),
-        ]
-    )
-    assert code == 0
-    md = (out / "derham.md").read_text()
-    assert md.startswith("# derham")
-    out2 = tmp_path / "out2"
-    code = cli.main(
-        [
-            "derham",
-            "--model",
-            str(torus_spec),
-            "--mode-bound",
-            "1",
-            "--format",
-            "csv",
-            "--out",
-            str(out2),
-        ]
-    )
-    assert code == 0
-    csv_text = (out2 / "derham.csv").read_text()
-    assert csv_text.startswith("path,value")
-
-
 def test_xi_range_flag(torus_spec, tmp_path):
     code = cli.main(
         [

@@ -115,6 +115,17 @@ CASES = {
         ["--analyses", "poisson,specseq"],
         0,
     ),
+    # the markdown and csv renderings of the same two reports and the summary
+    "kronecker_t2_markdown": (
+        {"family": "kronecker_torus", "alpha": ["1", "sqrt2"]},
+        ["--analyses", "derham,gysin", "--mode-bound", "1", "--format", "markdown"],
+        0,
+    ),
+    "kronecker_t2_csv": (
+        {"family": "kronecker_torus", "alpha": ["1", "sqrt2"]},
+        ["--analyses", "derham,gysin", "--mode-bound", "1", "--format", "csv"],
+        0,
+    ),
 }
 
 
