@@ -18,11 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .derham import BigradedDims, CheckResult, check_identities, closed_and_exact, component_terms
-from .errors import ValidationError
 from .linalg import Echelon, span_dim
 from .models import (
     CircleProductModel,
-    Form,
     FormMonomial,
     ModeWindow,
     TermMap,
@@ -50,13 +48,6 @@ def fiber_integration_terms(total: CircleProductModel) -> TermMap:
         return [(FormMonomial(mono.mode[:n], 0, 0, ext), field.scalar((-1) ** tail))]
 
     return terms
-
-
-def fiber_integrate(total: CircleProductModel, form: Form) -> Form:
-    """Integrate over the circle fiber."""
-    if form.model is not total:
-        raise ValidationError("form does not live on this bundle's total space")
-    return form.map(fiber_integration_terms(total), total.base)
 
 
 # -- the splitting table ----------------------------------------------------------

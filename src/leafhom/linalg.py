@@ -41,34 +41,6 @@ class SparseMatrix:
         self.field = field
         self._cols_cache: dict[int, dict[int, Scalar]] | None = None
 
-    @classmethod
-    def from_triples(
-        cls,
-        rows: int,
-        cols: int,
-        triples: list[tuple[int, int, Scalar]],
-        field: NumberField,
-    ) -> SparseMatrix:
-        entries: dict[tuple[int, int], Scalar] = {}
-        for r, c, v in triples:
-            if (r, c) in entries:
-                raise ShapeError(f"duplicate entry position ({r}, {c})")
-            entries[(r, c)] = v
-        return cls(rows, cols, entries, field)
-
-    @classmethod
-    def from_rows(cls, dense_rows: list[list[Scalar]], field: NumberField) -> SparseMatrix:
-        rows = len(dense_rows)
-        cols = len(dense_rows[0]) if dense_rows else 0
-        entries = {}
-        for r, row in enumerate(dense_rows):
-            if len(row) != cols:
-                raise ShapeError("ragged rows")
-            for c, v in enumerate(row):
-                if v:
-                    entries[(r, c)] = v
-        return cls(rows, cols, entries, field)
-
     def row_vectors(self) -> list[SparseVector]:
         out: list[SparseVector] = [dict() for _ in range(self.rows)]
         for (r, c), v in self.entries.items():
@@ -177,9 +149,6 @@ class Echelon:
                 _subtract_scaled(prow, normalized, coeff)
         self.pivot_rows[lead] = normalized
         return True
-
-    def contains(self, vec: SparseVector) -> bool:
-        return not self.reduce(vec)
 
     def extend(self, vectors: list[SparseVector]) -> int:
         added = 0

@@ -353,9 +353,6 @@ class FoliatedModel:
         terms = {FormMonomial(mode, xi, k, sorted_idx): c for k in comps}
         return Form(self, terms)
 
-    def gen_form(self, name: str, comp: int | None = None) -> Form:
-        return self.monomial_form(1, ext=(name,), comp=comp)
-
     def monomial_label(self, m: FormMonomial) -> str:
         bits = []
         if self.components_count > 1:
@@ -674,21 +671,6 @@ class LieFrameModel(FoliatedModel):
                         raise ValidationError(
                             "leaf index set is not a subalgebra (integrability fails)"
                         )
-
-    def structure_tensor(self) -> dict[tuple[int, int], dict[int, Scalar]]:
-        """Leafwise projection of brackets of complement frame vectors."""
-        out: dict[tuple[int, int], dict[int, Scalar]] = {}
-        complement = sorted(set(range(self.n)) - self.leaf_indices)
-        for idx, i in enumerate(complement):
-            for j in complement[idx + 1 :]:
-                parts = {
-                    k: c
-                    for k, c in self.bracket_vector(i, j).items()
-                    if k in self.leaf_indices and c
-                }
-                if parts:
-                    out[(i, j)] = parts
-        return out
 
     def block_keys(self, window: ModeWindow) -> list[tuple]:
         return [(0,)]

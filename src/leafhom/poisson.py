@@ -19,7 +19,7 @@ operator identities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .derham import (
     BigradedDims,
@@ -161,19 +161,6 @@ def _star_conjugated_terms(conic: ConicDualModel) -> TermMap:
     return terms
 
 
-def hodge_star(form: Form) -> Form:
-    """Leafwise symplectic star; involutive, extended over transverse factors."""
-    conic = _require_conic(form.model)
-    if form and form.bidegree() is None:
-        raise ValidationError("symplectic star takes a pure-bidegree form")
-    return form.map(_star_terms(conic))
-
-
-def star_conjugated_leafwise_delta(form: Form) -> Form:
-    """(-1)^(r+1) * d_F * on each part of bidegree (r, s) (the dual route)."""
-    return form.map(_star_conjugated_terms(_require_conic(form.model)))
-
-
 # -- identity suite -------------------------------------------------------------
 
 
@@ -238,24 +225,20 @@ def verify_star_delta_identity(
 
 
 def _line_dims(
-    conic: ConicDualModel,
-    operator: str,
-    c: int,
-    window: ModeWindow,
-    keep: Callable[[FormMonomial], bool] = lambda m: True,
+    conic: ConicDualModel, operator: str, c: int, window: ModeWindow
 ) -> dict[str, dict[int, int]]:
     """Homology of a boundary operator along the line k - l = c, per component.
 
     The operator lowers degree and homogeneity by one, so on each
     (component, mode) block the cells (k, k - c), k = 0 .. top, form one
-    complex in degrees t = -l; ``keep`` picks its monomials.
+    complex in degrees t = -l.
     """
     op, top = delta_terms(conic, operator), conic.leaf_dim + conic.codim
     out = {name: dict.fromkeys(range(top + 1), 0) for name in conic.components}
     for comp, name in enumerate(conic.components):
         for mode in window.modes(conic.mode_len):
             cells = {k: conic.block_monomials((comp, mode, k - c), window) for k in range(top + 1)}
-            graded = {c - k: [m for m in b if len(m.ext) == k and keep(m)] for k, b in cells.items()}
+            graded = {c - k: [m for m in b if len(m.ext) == k] for k, b in cells.items()}
             dims = block_homology(conic, op, graded, f"{(comp, mode)}, {operator} line k - l = {c}")
             for k in range(top + 1):
                 out[name][k] += dims[c - k]
@@ -286,23 +269,6 @@ class BoundaryDims:
         else:
             per_comp = dict.fromkeys(self.conic.components, 0)
         return per_comp if per_component else sum(per_comp.values())
-
-
-def homogeneous_poisson_bigraded_dims(
-    model: FoliatedModel,
-    r: int,
-    s: int,
-    l: int,
-    window: ModeWindow | None = None,
-) -> int:
-    """Bigraded leafwise-delta homology at (r, s), homogeneity l.
-
-    delta_F keeps s, so the line of (r + s, l) cut to transverse degree s is a complex.
-    """
-    conic = _require_conic(model)
-    keep = lambda m: conic.bidegree(m.ext)[1] == s
-    line = _line_dims(conic, "delta_F", r + s - l, window or ModeWindow(), keep)
-    return sum(dims.get(r + s, 0) for dims in line.values())
 
 
 # -- the three-pipeline correspondence ----------------------------------------------

@@ -111,9 +111,6 @@ class NumberField:
             return Scalar(self, (value.numerator,) + self._zeros, value.denominator)
         raise ValidationError(f"cannot build a scalar from {value!r}")
 
-    def imag_unit(self) -> Scalar:
-        return self.from_components({1: 1})
-
     def sqrt(self, d: int) -> Scalar:
         if d not in self.radicals:
             raise ValidationError(f"sqrt{d} is not a generator of {self!r}")
@@ -243,9 +240,6 @@ class Scalar:
     def __sub__(self, other: int | Fraction | Scalar) -> Scalar:
         return self._combine(self._coerce(other), sub)
 
-    def __rsub__(self, other: int | Fraction | Scalar) -> Scalar:
-        return self._coerce(other) - self
-
     def _combine(self, o: Scalar, op) -> Scalar:
         da, db = self.den, o.den
         if da == db:
@@ -289,14 +283,6 @@ class Scalar:
             self.den,
         )
 
-    def galois_image(self, signs: tuple[int, ...]) -> Scalar:
-        """Apply the automorphism sqrt(d_j) -> signs[j]*sqrt(d_j) (i fixed)."""
-        out = self
-        for j, s in enumerate(signs):
-            if s == -1:
-                out = out.conjugate(1 + j)
-        return out
-
     def inverse(self) -> Scalar:
         nums = self.nums
         if not any(nums):
@@ -314,24 +300,6 @@ class Scalar:
         if x < 0:
             return Scalar(self.field, (-self.den,) + nums[1:], -x)
         return Scalar(self.field, (self.den,) + nums[1:], x)
-
-    def __truediv__(self, other: int | Fraction | Scalar) -> Scalar:
-        return self * self._coerce(other).inverse()
-
-    def __rtruediv__(self, other: int | Fraction | Scalar) -> Scalar:
-        return self._coerce(other) * self.inverse()
-
-    def __pow__(self, n: int) -> Scalar:
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = self.field.one
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     # -- comparisons / hashing ------------------------------------------
 

@@ -14,7 +14,6 @@ convergence failure cannot pass silently.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .derham import block_differentials
@@ -83,50 +82,6 @@ class FilteredComplex:
 
     def homology_dims(self) -> dict[int, int]:
         return dict(self._homology)
-
-    # -- serialization (regression fixtures) --------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "field": {"sqrts": list(self.field.radicals)},
-            "basis": [
-                {"label": b.label, "degree": b.degree, "weight": b.weight}
-                for b in self.basis
-            ],
-            "diffs": {
-                str(t): [[i, j, str(v)] for (i, j), v in sorted(mat.entries.items())]
-                for t, mat in sorted(self.diffs.items())
-            },
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> FilteredComplex:
-        field = NumberField(tuple(doc["field"]["sqrts"]))
-        basis = [
-            BasisVector(b["label"], int(b["degree"]), int(b["weight"]))
-            for b in doc["basis"]
-        ]
-        by_degree: dict[int, list[int]] = {}
-        for idx, b in enumerate(basis):
-            by_degree.setdefault(b.degree, []).append(idx)
-        diffs = {}
-        for t_str, triples in doc["diffs"].items():
-            t = int(t_str)
-            entries = {
-                (int(i), int(j)): field.parse(v) for i, j, v in triples
-            }
-            diffs[t] = SparseMatrix(
-                len(by_degree.get(t + 1, [])), len(by_degree.get(t, [])), entries, field
-            )
-        return cls(field, basis, diffs)
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, indent=2)
-
-    @classmethod
-    def loads(cls, text: str) -> FilteredComplex:
-        return cls.from_json(json.loads(text))
-
 
 @dataclass(frozen=True)
 class SpectralPage:

@@ -74,26 +74,6 @@ class TruncatedSymbol:
         return cls(torus, {})
 
     @classmethod
-    def radial_power(cls, torus: KroneckerTorus, j: int, side: int | None = None) -> TruncatedSymbol:
-        """|xi|^j, on both sides or one."""
-        poly = {(0,) * torus.n: torus.field.one}
-        sides = {s: {j: dict(poly)} for s in (SIDES if side is None else (side,))}
-        return cls(torus, sides)
-
-    @classmethod
-    def coordinate_power(cls, torus: KroneckerTorus, j: int) -> TruncatedSymbol:
-        """xi^j = (sign xi)^j |xi|^j on both sides."""
-        one = torus.field.one
-        zero_mode = (0,) * torus.n
-        return cls(
-            torus,
-            {
-                1: {j: {zero_mode: one}},
-                -1: {j: {zero_mode: one if j % 2 == 0 else -one}},
-            },
-        )
-
-    @classmethod
     def mode(cls, torus: KroneckerTorus, m: Mode, order: int = 0, side: int | None = None) -> TruncatedSymbol:
         """e_m |xi|^order on both sides (or one side)."""
         poly = {tuple(m): torus.field.one}
@@ -108,10 +88,6 @@ class TruncatedSymbol:
     def order(self) -> int | None:
         orders = [j for s in SIDES for j in self.sides[s]]
         return max(orders) if orders else None
-
-    def lowest(self) -> int | None:
-        orders = [j for s in SIDES for j in self.sides[s]]
-        return min(orders) if orders else None
 
     def coefficient(self, side: int, j: int, m: Mode) -> Scalar:
         return self.sides[side].get(j, {}).get(tuple(m), self.torus.field.zero)
@@ -144,16 +120,6 @@ class TruncatedSymbol:
             and self.sides == other.sides
             and self.floor == other.floor
         )
-
-    def agrees_with(self, other: TruncatedSymbol, at_or_above: int) -> bool:
-        for s in SIDES:
-            orders = set(self.sides[s]) | set(other.sides[s])
-            for j in orders:
-                if j < at_or_above:
-                    continue
-                if self.sides[s].get(j, {}) != other.sides[s].get(j, {}):
-                    return False
-        return True
 
     def __repr__(self) -> str:
         bits = []
@@ -402,19 +368,6 @@ def _signed_sum(
         value = cocycle_evaluate(dirs, side, merged, depth)
         total = total + (value if sign > 0 else -value)
     return total
-
-
-def coboundary_evaluate(
-    dirs: list[Derivation],
-    side: int,
-    args: list[TruncatedSymbol],
-    depth: int = 6,
-) -> Scalar:
-    """Hochschild coboundary of the iterated-contraction cocycle on a tuple."""
-    l = len(dirs)
-    if len(args) != l + 2:
-        raise ValidationError(f"the coboundary of an l={l} cocycle takes {l + 2} arguments")
-    return _signed_sum(dirs, side, _coboundary_terms(args, depth), depth)
 
 
 # -- the verification suite ----------------------------------------------------------

@@ -83,7 +83,7 @@ def test_transverse_derivative(torus, field):
 
 def test_so3_curvature_term(field):
     model = so3(field)
-    e3 = model.gen_form("e3")
+    e3 = model.monomial_form(1, ext=("e3",))
     out = differential(model, "boundary", e3)
     assert out == model.monomial_form(-1, ext=("e1", "e2"))
     assert differential(model, "d_F", e3).is_zero()

@@ -26,10 +26,12 @@ def field() -> NumberField:
 
 
 def dense(field, rows):
-    return SparseMatrix.from_rows(
-        [[field.scalar(x) if not hasattr(x, "field") else x for x in row] for row in rows],
-        field,
-    )
+    entries = {
+        (r, c): x if hasattr(x, "field") else field.scalar(x)
+        for r, row in enumerate(rows)
+        for c, x in enumerate(row)
+    }
+    return SparseMatrix(len(rows), len(rows[0]), entries, field)
 
 
 def test_identity_full_rank(field):
@@ -101,8 +103,6 @@ def test_rank_agrees_under_reordering(field):
 def test_shape_errors(field):
     with pytest.raises(ShapeError):
         SparseMatrix(2, 2, {(2, 0): field.one}, field)
-    with pytest.raises(ShapeError):
-        SparseMatrix.from_triples(2, 2, [(0, 0, field.one), (0, 0, field.one)], field)
     a = SparseMatrix(2, 3, {}, field)
     b = SparseMatrix(2, 3, {}, field)
     with pytest.raises(ShapeError):
@@ -156,8 +156,8 @@ def test_echelon_membership(field):
     assert ech.add({1: field.one})
     assert not ech.add({0: field.scalar(3), 1: field.scalar(5)})
     assert ech.dim == 2
-    assert ech.contains({0: field.scalar(7)})
-    assert not ech.contains({2: field.one})
+    assert not ech.reduce({0: field.scalar(7)})
+    assert ech.reduce({2: field.one})
 
 
 def test_integer_kernel_lattice():
@@ -184,9 +184,7 @@ def test_rank_matches_sympy_over_q_sqrt2(field):
         )
 
     def random_matrix(rows, cols):
-        return SparseMatrix.from_rows(
-            [[entry() for _ in range(cols)] for _ in range(rows)], field
-        )
+        return dense(field, [[entry() for _ in range(cols)] for _ in range(rows)])
 
     def to_sympy(x):
         c = x.coeffs

@@ -109,12 +109,6 @@ def test_subalgebra_validation_error(field):
         LieFrameModel.create(field, 3, {(0, 1): {2: one}}, {0, 1})
 
 
-def test_structure_tensor_nonzero_for_heisenberg(field):
-    model = heisenberg_model(field)
-    tensor = model.structure_tensor()
-    assert (0, 1) in tensor and tensor[(0, 1)][2] == field.one
-
-
 def test_make_model_families(field):
     spec = {"family": "kronecker_torus", "alpha": ["1", "sqrt2"]}
     model = make_model(spec)
@@ -157,8 +151,8 @@ def test_merge_ext_signs():
 
 
 def test_wedge_square_and_anticommutativity(torus):
-    theta = torus.gen_form("theta")
-    eta = torus.gen_form("eta1")
+    theta = torus.monomial_form(1, ext=("theta",))
+    eta = torus.monomial_form(1, ext=("eta1",))
     assert theta.wedge(theta).is_zero()
     assert theta.wedge(eta) == -(eta.wedge(theta))
 
@@ -171,7 +165,7 @@ def test_wedge_of_modes(torus):
 
 
 def test_wedge_anticommutes_on_generator_pairs(torus):
-    gens = [torus.gen_form(nm) for nm in torus.gen_names]
+    gens = [torus.monomial_form(1, ext=(nm,)) for nm in torus.gen_names]
     for a in gens:
         for b in gens:
             assert a.wedge(b) == -(b.wedge(a))
@@ -180,7 +174,7 @@ def test_wedge_anticommutes_on_generator_pairs(torus):
 def test_odd_degree_squares_vanish(field):
     model = KroneckerTorus(field, ["1", "sqrt2", "1/3"])
     rng = random.Random(5)
-    gens = [model.gen_form(nm) for nm in model.gen_names]
+    gens = [model.monomial_form(1, ext=(nm,)) for nm in model.gen_names]
     # random odd-degree forms square to zero
     for _ in range(10):
         form = model.zero_form()
@@ -204,7 +198,7 @@ def test_homogeneity_decompose(field):
 
 def test_homogeneity_requires_conic(torus):
     with pytest.raises(UnsupportedModelError):
-        torus.gen_form("theta").homogeneity_decompose()
+        torus.monomial_form(1, ext=("theta",)).homogeneity_decompose()
 
 
 def test_homogeneity_additive_under_wedge(field):

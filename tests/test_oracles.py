@@ -19,20 +19,40 @@ The tables are read off `model.multipliers` by the Cartan rule, and the
 rule-vs-rank test compares the rule with the rank engine on term maps that
 `component_terms` builds from the same multipliers; these oracles are what
 catch a wrong multiplier.
+
+Two symmetry oracles need no closed form.  A Galois automorphism of the
+field, applied to alpha or to the structure constants of a Lie frame,
+conjugates every block matrix entrywise and so keeps every rank.  A signed
+permutation of the coordinates of T^n maps the foliation of alpha onto that
+of the permuted alpha, Fourier modes onto Fourier modes and the cube window
+onto itself.  Either way every dimension table must come out the same:
+leafwise, basic, Betti, cosphere and circle product, the cone's boundary
+lines, the spectral pages and the Hochschild predictors.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import cache
 from math import comb
 
 import pytest
 
-from leafhom.derham import cohomology_dims, ordinary_derham_dims
+from leafhom import hochschild
+from leafhom.derham import basic_cohomology_dims, cohomology_dims, ordinary_derham_dims
 from leafhom.hochschild import hh_dims_assuming_collapse, hp_dims
-from leafhom.models import CosphereCircleModel, KroneckerTorus, ModeWindow
+from leafhom.models import (
+    CircleProductModel,
+    ConicDualModel,
+    CosphereCircleModel,
+    KroneckerTorus,
+    LieFrameModel,
+    ModeWindow,
+)
+from leafhom.poisson import BoundaryDims
 from leafhom.scalars import NumberField
+from leafhom.specseq import pages, poisson_filtration
 
 try:  # test-only dependency
     from hypothesis import assume, given, settings, strategies as st
@@ -136,3 +156,111 @@ else:  # pragma: no cover
     @pytest.mark.skip(reason="hypothesis is not installed")
     def test_resonant_torus_counts_the_lattice_modes():
         pass
+
+
+# -- symmetry oracles ---------------------------------------------------------------
+
+WINDOW = ModeWindow(bound=1)
+F2 = NumberField((2,))
+T2_ALPHA = (F2.one, F2.parse("2+sqrt2"))
+T2_RESONANT = (F2.one, F2.scalar(-1))  # m1 = m2: three window modes
+T3_ALPHA = (FIELD.one, FIELD.parse("sqrt2+sqrt3"), FIELD.parse("1+sqrt2+sqrt3"))  # resonant: m = (1, 1, -1)
+
+
+def _cone_tables(cone: ConicDualModel, e2: dict | None = None) -> dict:
+    """The cone's boundary lines, spectral pages and, given ``e2``, page bridge.
+
+    The lines are read per component at every cell, the pages at every offset;
+    ``e2`` is the closed-form second page the bridge compares the cone with.
+    """
+    top = cone.leaf_dim + cone.codim
+    cells = [(k, l) for k in range(top + 1) for l in WINDOW.homogeneities()]
+    out = {}
+    for op in ("delta_F", "delta"):
+        dims = BoundaryDims(cone, WINDOW, op)
+        out[op] = {cell: dims.get(*cell, per_component=True) for cell in cells}
+    if e2 is not None:
+        out["page_bridge"] = [cell.to_json() for cell in hochschild.e1_to_e2(dims, e2).cells]
+    filtrations = (poisson_filtration(cone, k, WINDOW) for k in range(top + 1))
+    out["pages"] = [[page.to_json() for page in pages(fc)] for fc in filtrations]
+    return out
+
+
+@cache
+def _torus_tables(alpha: tuple) -> dict:
+    """Every dimension table of the torus of slope alpha on WINDOW, by name."""
+    torus = KroneckerTorus(alpha[0].field, alpha)
+    cosphere = CosphereCircleModel(torus)
+    leafwise, circle = cohomology_dims(torus, WINDOW), cohomology_dims(cosphere, WINDOW)
+    e2 = hochschild.e2_dims(torus, circle)
+    return {
+        "leafwise": leafwise.dims,
+        "basic": basic_cohomology_dims(torus, WINDOW).dims,
+        "betti": ordinary_derham_dims(torus, WINDOW),
+        "cosphere": circle.dims,
+        "circle_product": cohomology_dims(CircleProductModel(torus), WINDOW).dims,
+        **_cone_tables(ConicDualModel(torus), e2),
+        "e2": e2,
+        "hh": hh_dims_assuming_collapse(torus, circle),
+        "bottom_top": hochschild.hh0_and_top(torus, circle, leafwise).to_json(),
+        "hp": hp_dims(ordinary_derham_dims(cosphere, WINDOW)),
+    }
+
+
+def _signed_permutation(alpha: tuple, perm: tuple[int, ...], signs: tuple[int, ...]) -> tuple:
+    """(signs[j] * alpha[perm[j]])_j, rescaled so that its first entry is 1."""
+    image = [alpha[p] * s for p, s in zip(perm, signs)]
+    return tuple(a * image[0].inverse() for a in image)
+
+
+def _signed_permutations(alpha: tuple) -> set:
+    n = len(alpha)
+    return {
+        _signed_permutation(alpha, perm, signs)
+        for perm in itertools.permutations(range(n))
+        for signs in itertools.product((1, -1), repeat=n)
+    }
+
+
+@pytest.mark.parametrize(
+    "alpha, bits",
+    [(T2_ALPHA, (1,)), (T3_ALPHA, (1, 2))],
+    ids=["t2_sqrt2", "t3_sqrt2_sqrt3"],
+)
+def test_galois_conjugate_slope_keeps_every_table(alpha, bits):
+    conjugate = alpha
+    for bit in bits:
+        conjugate = tuple(a.conjugate(bit) for a in conjugate)
+    # no coordinate symmetry relates the two foliations
+    assert conjugate not in _signed_permutations(alpha)
+    assert _torus_tables(conjugate) == _torus_tables(alpha)
+
+
+def test_galois_conjugate_frame_keeps_every_table():
+    # [e1, e3] = e1, [e2, e3] = sqrt2 e2, foliated by e1
+    def tables(c):
+        frame = LieFrameModel.create(FIELD, 3, {(0, 2): {0: FIELD.one}, (1, 2): {1: c}}, {0})
+        return {
+            "leafwise": cohomology_dims(frame, WINDOW).dims,
+            "basic": basic_cohomology_dims(frame, WINDOW).dims,
+            **_cone_tables(ConicDualModel(frame)),
+        }
+
+    sqrt2 = FIELD.sqrt(2)
+    assert tables(sqrt2.conjugate(1)) == tables(sqrt2)
+
+
+@pytest.mark.parametrize(
+    "alpha, perm, signs",
+    [
+        (T2_ALPHA, (1, 0), (1, 1)),
+        (T2_ALPHA, (0, 1), (1, -1)),
+        (T2_RESONANT, (0, 1), (1, -1)),
+        (T3_ALPHA, (2, 0, 1), (1, -1, 1)),
+    ],
+    ids=["t2_swap", "t2_flip", "t2_resonant_flip", "t3_cycle_flip"],
+)
+def test_signed_permutation_keeps_every_table(alpha, perm, signs):
+    image = _signed_permutation(alpha, perm, signs)
+    assert image != alpha
+    assert _torus_tables(image) == _torus_tables(alpha)

@@ -42,7 +42,7 @@ def test_square_free_validation():
 
 
 def test_generator_squares(field):
-    i = field.imag_unit()
+    i = field.parse("i")
     s2 = field.sqrt(2)
     s3 = field.sqrt(3)
     assert i * i == field.scalar(-1)
@@ -111,10 +111,10 @@ def test_exact_zero_detection(field):
 
 def test_galois_image_and_real_parts(field):
     x = field.parse("1+sqrt2+sqrt3")
-    y = x.galois_image((-1, 1))
-    assert y == field.parse("1-sqrt2+sqrt3")
+    assert x.conjugate(1) == field.parse("1-sqrt2+sqrt3")
+    assert x.conjugate(2).conjugate(1) == field.parse("1-sqrt2-sqrt3")
     assert x.is_real()
-    assert not (x + field.imag_unit()).is_real()
+    assert not (x + field.parse("i")).is_real()
 
 
 def test_abs_upper_bound_dominates(field):
@@ -129,13 +129,6 @@ def test_denominator_lcm(field):
     assert x.denominator_lcm() == 12
 
 
-def test_power_and_division(field):
-    s2 = field.sqrt(2)
-    assert s2**4 == field.scalar(4)
-    assert s2**-2 == field.scalar(Fraction(1, 2))
-    assert (field.scalar(3) / s2) * s2 == field.scalar(3)
-
-
 def test_rational_scalars_hash_like_equal_numbers():
     for field in (NumberField(()), NumberField((2,)), NumberField((2, 3))):
         assert field.one == 1 and hash(field.one) == hash(1)
@@ -145,7 +138,7 @@ def test_rational_scalars_hash_like_equal_numbers():
             x = field.scalar(value)
             assert x == value and hash(x) == hash(value)
             assert x in {value}
-        third = field.scalar(1) / 3
+        third = field.scalar(3).inverse()
         assert hash(third) == hash(Fraction(1, 3))
 
 
@@ -257,11 +250,11 @@ if st is not None:
         for g in range(1 + len(field.radicals)):
             results.append((x.conjugate(g), ref_conjugate(a, g)))
         for signs in itertools.product((1, -1), repeat=len(field.radicals)):
-            expected = a
+            got, expected = x, a
             for j, sign in enumerate(signs):
                 if sign == -1:
-                    expected = ref_conjugate(expected, 1 + j)
-            results.append((x.galois_image(signs), expected))
+                    got, expected = got.conjugate(1 + j), ref_conjugate(expected, 1 + j)
+            results.append((got, expected))
         if any(a):
             results.append((x.inverse(), ref_inverse(field, a)))
         for got, expected in results:
@@ -285,7 +278,7 @@ if st is not None:
         assert (x - x).is_zero() and x * field.zero == field.zero
         if x:
             assert x * x.inverse() == field.one
-            assert (y / x) * x == y
+            assert (y * x.inverse()) * x == y
         if x == y:
             assert hash(x) == hash(y)
 

@@ -17,7 +17,6 @@ from leafhom.symbols import (
     Derivation,
     TruncatedSymbol,
     apply_derivation,
-    coboundary_evaluate,
     cocycle_evaluate,
     commutator,
     compose,
@@ -53,32 +52,49 @@ def lam(field, mode):
     return field.scalar(mode[0]) + field.parse("sqrt2") * mode[1]
 
 
+def coordinate_power(torus, j):
+    """xi^j = (sign xi)^j |xi|^j on both sides."""
+    plus = TruncatedSymbol.mode(torus, (0, 0), j, side=1)
+    minus = TruncatedSymbol.mode(torus, (0, 0), j, side=-1)
+    return plus + minus.scale((-1) ** j)
+
+
+def agrees_with(a, b, at_or_above):
+    """Whether a and b have the same coefficients at every order >= at_or_above."""
+    return all(
+        a.sides[s].get(j, {}) == b.sides[s].get(j, {})
+        for s in (1, -1)
+        for j in set(a.sides[s]) | set(b.sides[s])
+        if j >= at_or_above
+    )
+
+
 # -- composition ----------------------------------------------------------------
 
 
 def test_unit_law(torus):
-    one = TruncatedSymbol.radial_power(torus, 0)
+    one = TruncatedSymbol.mode(torus, (0, 0), 0)
     b = TruncatedSymbol.mode(torus, (1, -1), order=2)
     ab = compose(one, b, 4)
     ba = compose(b, one, 4)
-    assert ab.agrees_with(b, ab.floor)
-    assert ba.agrees_with(b, ba.floor)
+    assert agrees_with(ab, b, ab.floor)
+    assert agrees_with(ba, b, ba.floor)
 
 
 def test_coordinate_against_mode(torus, field):
-    xi = TruncatedSymbol.coordinate_power(torus, 1)
+    xi = coordinate_power(torus, 1)
     m = (1, 0)
     em = TruncatedSymbol.mode(torus, m)
     comm = commutator(xi, em, 4)
     expected = TruncatedSymbol.mode(torus, m).scale(lam(field, m))
-    assert comm.agrees_with(expected, comm.floor)
+    assert agrees_with(comm, expected, comm.floor)
 
 
 def test_x_independent_symbols_compose_trivially(torus):
-    a = TruncatedSymbol.radial_power(torus, -1)
+    a = TruncatedSymbol.mode(torus, (0, 0), -1)
     ab = compose(a, a, 2)
-    expected = TruncatedSymbol.radial_power(torus, -2)
-    assert ab.agrees_with(expected, ab.floor)
+    expected = TruncatedSymbol.mode(torus, (0, 0), -2)
+    assert agrees_with(ab, expected, ab.floor)
 
 
 def test_order_additivity_and_commutator_drop(torus):
@@ -114,7 +130,7 @@ def test_associativity_above_watermark(torus):
         level = max(
             x for x in (left.floor, right.floor) if x is not None
         )
-        assert left.agrees_with(right, level)
+        assert agrees_with(left, right, level)
 
 
 def test_filtration_property(torus):
@@ -136,7 +152,7 @@ def test_sides_never_mix(torus):
 
 
 def test_depth_validation(torus):
-    a = TruncatedSymbol.radial_power(torus, 0)
+    a = TruncatedSymbol.mode(torus, (0, 0), 0)
     with pytest.raises(ValidationError):
         compose(a, a, -1)
 
@@ -145,7 +161,7 @@ def test_depth_validation(torus):
 
 
 def test_trace_of_radial_inverse(torus, field):
-    a = TruncatedSymbol.radial_power(torus, -1)
+    a = TruncatedSymbol.mode(torus, (0, 0), -1)
     assert residue_trace(a, 1) == field.one
     assert residue_trace(a, -1) == field.one
 
@@ -156,8 +172,8 @@ def test_trace_ignores_other_orders_and_modes(torus, field):
 
 
 def test_trace_below_watermark_rejected(torus):
-    a = TruncatedSymbol.radial_power(torus, 2)
-    b = TruncatedSymbol.radial_power(torus, 2)
+    a = TruncatedSymbol.mode(torus, (0, 0), 2)
+    b = TruncatedSymbol.mode(torus, (0, 0), 2)
     shallow = compose(a, b, 1)  # exact only above order 3
     with pytest.raises(InsufficientTruncationError):
         residue_trace(shallow, 1)
@@ -165,7 +181,7 @@ def test_trace_below_watermark_rejected(torus):
 
 def test_trace_kills_specific_commutator(torus, field):
     # [xi, e_m |xi|^-1] has no zero-mode order -1 part
-    xi = TruncatedSymbol.coordinate_power(torus, 1)
+    xi = coordinate_power(torus, 1)
     b = TruncatedSymbol.mode(torus, (1, 0), order=-1)
     comm = commutator(xi, b, 5)
     assert residue_trace(comm, 1) == field.zero
@@ -209,10 +225,10 @@ def test_radial_derivation_expansion(torus, field):
     c = lam(field, m)
     # + side carries xi^-1 = |xi|^-1: coefficients c and -c^2/2
     assert out.coefficient(1, -1, m) == c
-    assert out.coefficient(1, -2, m) == -(c * c) * field.scalar(1) / 2
+    assert out.coefficient(1, -2, m) == -(c * c) * Fraction(1, 2)
     # - side: xi^-1 = -|xi|^-1 but xi^-2 = |xi|^-2
     assert out.coefficient(-1, -1, m) == -c
-    assert out.coefficient(-1, -2, m) == -(c * c) / 2
+    assert out.coefficient(-1, -2, m) == -(c * c) * Fraction(1, 2)
 
 
 def test_derivations_satisfy_leibniz(torus):
@@ -228,7 +244,7 @@ def test_derivations_satisfy_leibniz(torus):
                 a, apply_derivation(d, b, 9), 9
             )
             level = max(x for x in (lhs.floor, rhs.floor, -6) if x is not None)
-            assert lhs.agrees_with(rhs, level), d
+            assert agrees_with(lhs, rhs, level), d
 
 
 def test_derivations_commute_pairwise(torus):
@@ -243,14 +259,14 @@ def test_derivations_commute_pairwise(torus):
                 lhs = apply_derivation(d1, apply_derivation(d2, a, 8), 8)
                 rhs = apply_derivation(d2, apply_derivation(d1, a, 8), 8)
                 level = max(x for x in (lhs.floor, rhs.floor, -5) if x is not None)
-                assert lhs.agrees_with(rhs, level), (d1, d2)
+                assert agrees_with(lhs, rhs, level), (d1, d2)
 
 
 # -- cocycles -----------------------------------------------------------------------
 
 
 def test_empty_cocycle_is_the_trace(torus, field):
-    value = cocycle_evaluate([], 1, [TruncatedSymbol.radial_power(torus, -1)])
+    value = cocycle_evaluate([], 1, [TruncatedSymbol.mode(torus, (0, 0), -1)])
     assert value == field.one
 
 
@@ -276,7 +292,7 @@ def test_cocycle_antisymmetry_under_slot_swap(torus, field):
 
 def test_repeated_derivations_rejected(torus):
     d = Derivation("leafwise")
-    args = [TruncatedSymbol.radial_power(torus, -1)] * 3
+    args = [TruncatedSymbol.mode(torus, (0, 0), -1)] * 3
     with pytest.raises(ValidationError):
         cocycle_evaluate([d, d], 1, args)
 
@@ -288,7 +304,7 @@ def test_coboundary_of_trace_is_trace_of_commutator(torus, field):
         b = random_symbol(torus, rng, orders=(-2, 1))
         if a.is_zero() or b.is_zero():
             continue
-        assert coboundary_evaluate([], 1, [a, b], depth=10) == field.zero
+        assert full_coboundary([], 1, [a, b], 10) == field.zero
 
 
 # -- the full suite -------------------------------------------------------------------
@@ -311,8 +327,8 @@ def test_trace_suite_rejects_resonant(field):
 
 
 def test_two_sided_trace_independence(torus, field):
-    plus = TruncatedSymbol.radial_power(torus, -1, side=1)
-    minus = TruncatedSymbol.radial_power(torus, -1, side=-1)
+    plus = TruncatedSymbol.mode(torus, (0, 0), -1, side=1)
+    minus = TruncatedSymbol.mode(torus, (0, 0), -1, side=-1)
     assert residue_trace(plus, 1) == field.one and residue_trace(plus, -1) == field.zero
     assert residue_trace(minus, -1) == field.one and residue_trace(minus, 1) == field.zero
 
@@ -444,7 +460,6 @@ def test_suite_cocycles_match_full_chain(torus, monkeypatch):
         assert value == full_chain(dirs, side, args, depth)
     for dirs, side, args, depth, value in coboundaries:
         assert value == full_coboundary(dirs, side, args, depth)
-        assert value == coboundary_evaluate(dirs, side, args, depth)
 
 
 if st is not None:
