@@ -164,7 +164,8 @@ WINDOW = ModeWindow(bound=1)
 F2 = NumberField((2,))
 T2_ALPHA = (F2.one, F2.parse("2+sqrt2"))
 T2_RESONANT = (F2.one, F2.scalar(-1))  # m1 = m2: three window modes
-T3_ALPHA = (FIELD.one, FIELD.parse("sqrt2+sqrt3"), FIELD.parse("1+sqrt2+sqrt3"))  # resonant: m = (1, 1, -1)
+# resonant along m = (1, 1, -1)
+T3_ALPHA = (FIELD.one, FIELD.parse("sqrt2+sqrt3"), FIELD.parse("1+sqrt2+sqrt3"))
 
 
 def _cone_tables(cone: ConicDualModel, e2: dict | None = None) -> dict:
@@ -175,12 +176,14 @@ def _cone_tables(cone: ConicDualModel, e2: dict | None = None) -> dict:
     """
     top = cone.leaf_dim + cone.codim
     cells = [(k, l) for k in range(top + 1) for l in WINDOW.homogeneities()]
-    out = {}
-    for op in ("delta_F", "delta"):
-        dims = BoundaryDims(cone, WINDOW, op)
-        out[op] = {cell: dims.get(*cell, per_component=True) for cell in cells}
+    boundary = {op: BoundaryDims(cone, WINDOW, op) for op in ("delta", "delta_F")}
+    out = {
+        op: {cell: dims.get(*cell, per_component=True) for cell in cells}
+        for op, dims in boundary.items()
+    }
     if e2 is not None:
-        out["page_bridge"] = [cell.to_json() for cell in hochschild.e1_to_e2(dims, e2).cells]
+        bridge = hochschild.e1_to_e2(boundary["delta"], e2)
+        out["page_bridge"] = [cell.to_json() for cell in bridge.cells]
     filtrations = (poisson_filtration(cone, k, WINDOW) for k in range(top + 1))
     out["pages"] = [[page.to_json() for page in pages(fc)] for fc in filtrations]
     return out
