@@ -1,13 +1,16 @@
 """Batch front end: parse a model spec, run analyses, emit reports.
 
-Every analysis writes one JSON report (plus an optional markdown/csv
-rendering) into the output directory, and a summary collects the
-pass/fail status, the small-divisor certificate and the collapse
-certificate.  Runs are deterministic given the seed; the exit status is
-1 when an exact check failed and 2 when an analysis cannot run on the
-model, in which case the summary records the error and the run stops.
-The analyses of one run share a `RunContext`, so each derived model and
-each leafwise table is computed once per run.
+Every analysis returns its report document, which is written as one JSON
+report (plus an optional markdown/csv rendering) into the output
+directory, and a summary collects the pass/fail status, the small-divisor
+certificate and the collapse certificate.  Runs are deterministic given
+the seed; the exit status is 1 when an exact check failed and 2 when an
+analysis cannot run on the model, in which case the summary records the
+error and the run stops.  A broken complex found by the engine
+(ComplexViolationError) is a failed check: the summary records its
+message in place of the report and the run goes on.  The analyses of one
+run share a `RunContext`, so each derived model and each leafwise table
+is computed once per run.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from functools import cached_property
 from pathlib import Path
 
 from . import derham, gysin, hochschild, poisson, specseq, symbols
-from .errors import LeafhomError, SpecParseError, UnsupportedModelError
+from .errors import ComplexViolationError, LeafhomError, SpecParseError, UnsupportedModelError
 from .models import (
     CircleProductModel,
     ConicDualModel,
@@ -86,7 +89,7 @@ class RunContext:
     def certificate(self) -> derham.DiophantineCertificate | None:
         """The torus's small-divisor certificate, shared by the summary and every table."""
         try:
-            return derham.diophantine_certificate(self.torus.alpha)
+            return derham.diophantine_certificate(self.torus)
         except UnsupportedModelError:
             return None
 
@@ -135,9 +138,9 @@ def _run_derham(ctx: RunContext, cfg: RunConfig) -> tuple[dict, bool]:
             "derham.cohomology_dims",
             "derham.basic_cohomology_dims",
         ],
-        "identities": identities.to_json(),
+        "identities": identities,
     }
-    passed = identities.passed
+    passed = identities["passed"]
     if isinstance(model, ConicDualModel):
         tables = {}
         for l in cfg.window.homogeneities():
@@ -146,8 +149,7 @@ def _run_derham(ctx: RunContext, cfg: RunConfig) -> tuple[dict, bool]:
     else:
         dims = ctx.table(model)
         doc["cohomology"] = dims.to_json()
-        basic = derham.basic_cohomology_dims(model, cfg.window)
-        doc["basic"] = basic.to_json()
+        doc["basic"] = derham.basic_cohomology_dims(model, cfg.window)
         if dims.certificate is not None:
             doc["certificate"] = dims.certificate.to_json()
             doc["formal"] = dims.formal
@@ -167,16 +169,16 @@ def _run_poisson(ctx: RunContext, cfg: RunConfig) -> tuple[dict, bool]:
             "poisson.verify_star_delta_identity",
             "poisson.verify_homology_correspondence",
         ],
-        "tensor": poisson.poisson_tensor(conic).to_json(),
-        "star_delta_identities": star.to_json(),
+        "tensor": poisson.poisson_tensor(conic),
+        "star_delta_identities": star,
     }
-    passed = star.passed
+    passed = star["passed"]
     if isinstance(conic.base, KroneckerTorus):
         table = poisson.verify_homology_correspondence(
             ctx.boundary("delta"), ctx.boundary("delta_F"), ctx.table(ctx.cosphere)
         )
-        doc["homology_correspondence"] = table.to_json()
-        passed = passed and table.passed
+        doc["homology_correspondence"] = table
+        passed = passed and table["passed"]
     return doc, passed
 
 
@@ -187,9 +189,11 @@ def _run_gysin(ctx: RunContext, cfg: RunConfig) -> tuple[dict, bool]:
     return (
         {
             "source_ops": ["gysin.product_splitting_dims"],
-            "splitting_by_transverse_degree": {str(rep.h): rep.to_json() for rep in reports},
+            "splitting_by_transverse_degree": {
+                str(rep["transverse_degree"]): rep for rep in reports
+            },
         },
-        all(rep.passed for rep in reports),
+        all(rep["passed"] for rep in reports),
     )
 
 
@@ -228,7 +232,6 @@ def _run_hochschild(ctx: RunContext, cfg: RunConfig) -> tuple[dict, bool]:
     circle = ctx.table(ctx.cosphere)
     e2 = hochschild.e2_dims(torus, circle)
     bridge = hochschild.e1_to_e2(ctx.boundary(), e2)
-    bottom_top = hochschild.hh0_and_top(torus, circle, ctx.table(torus))
     doc = {
         "source_ops": [
             "hochschild.e2_dims",
@@ -243,14 +246,14 @@ def _run_hochschild(ctx: RunContext, cfg: RunConfig) -> tuple[dict, bool]:
             "total dimensions assume second-page collapse; the symbols analysis"
             " certifies it for this family when its cocycle counts match"
         ),
-        "bottom_top": bottom_top.to_json(),
+        "bottom_top": hochschild.hh0_and_top(torus, circle, ctx.table(torus)),
         "hp_dims": list(
             hochschild.hp_dims(derham.ordinary_derham_dims(ctx.cosphere, cfg.window))
         ),
-        "page_bridge": bridge.to_json(),
+        "page_bridge": bridge,
         "collapse_status": "assumed; run the symbols analysis for the certificate",
     }
-    return doc, bridge.passed
+    return doc, bridge["passed"]
 
 
 def _run_symbols(ctx: RunContext, cfg: RunConfig) -> tuple[dict, bool]:
@@ -271,8 +274,8 @@ def _run_symbols(ctx: RunContext, cfg: RunConfig) -> tuple[dict, bool]:
         torus, predicted, trials=cfg.trials, depth=cfg.depth, seed=cfg.seed
     )
     return (
-        {"source_ops": ["symbols.verify_traces_and_collapse"], "suite": report.to_json()},
-        report.passed,
+        {"source_ops": ["symbols.verify_traces_and_collapse"], "suite": report},
+        report["passed"],
     )
 
 
@@ -341,6 +344,12 @@ def run(config: RunConfig) -> int:
         runner = _RUNNERS[name]
         try:
             doc, passed = runner(ctx, config)
+        except ComplexViolationError as exc:
+            # the engine found a broken complex: a failed check, and the run goes on
+            print(f"error: analysis {name!r} found a broken complex: {exc}", file=sys.stderr)
+            summary["analyses"][name] = {"passed": False, "error": str(exc)}
+            all_passed = False
+            continue
         except LeafhomError as exc:
             print(f"error: analysis {name!r} cannot run on this model: {exc}", file=sys.stderr)
             summary["analyses"][name] = {"passed": False, "error": str(exc)}

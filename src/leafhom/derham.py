@@ -5,7 +5,8 @@ The full differential splits into bi-homogeneous components of shifts
 is built from the model's data of its shift, so the identity suite verifies
 that d is their sum rather than assuming it.  `check_identities` checks
 identities written as data on every windowed basis monomial, which by
-linearity covers every form.
+linearity covers every form.  The identity suite and the basic table return
+their report documents, the JSON the derham report holds, verdicts included.
 
 Cohomology dimensions are computed block by block: every supported
 differential preserves the Fourier mode (and the radial homogeneity degree
@@ -56,7 +57,6 @@ from .models import (
     _multiplier_d,
     check_cartan_identity,
     linear_extension,
-    resonance_lattice,
     torus_of,
 )
 from .scalars import Scalar
@@ -98,47 +98,19 @@ def differential(model: FoliatedModel, component: str, form: Form) -> Form:
 # -- identity suite -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
-
-    def to_json(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
-
-
-@dataclass(frozen=True)
-class IdentityReport:
-    model: str
-    checks: tuple[CheckResult, ...]
-    boundary_vanishes: bool
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def to_json(self) -> dict:
-        return {
-            "model": self.model,
-            "passed": self.passed,
-            "boundary_vanishes": self.boundary_vanishes,
-            "checks": [c.to_json() for c in self.checks],
-        }
-
-
 def check_identities(
     model: FoliatedModel,
     window: ModeWindow,
     identities: Sequence[tuple],
     detail: str = "counterexample: {}",
-) -> tuple[CheckResult, ...]:
+) -> list[dict]:
     """Check identities on the windowed basis; name each one's first counterexample.
 
     An identity is (name, [(c, f, g, ...), ...]), composites c * f g ... of term
     maps that must sum to zero, or (name, maps, holds), a predicate
     holds(mono, image) on one composite's image.  Each image of a monomial is
-    computed once and shared by every identity.
+    computed once and shared by every identity.  Returns one check document
+    {"name", "passed", "detail"} per identity.
     """
     bad: dict[str, str] = {}
     for mono in model.basis_monomials(window):
@@ -161,16 +133,20 @@ def check_identities(
                 holds = not total
             if not holds:
                 bad[name] = detail.format(model.monomial_label(mono))
-    return tuple(CheckResult(name, name not in bad, bad.get(name, "")) for name, *_ in identities)
+    return [
+        {"name": name, "passed": name not in bad, "detail": bad.get(name, "")}
+        for name, *_ in identities
+    ]
 
 
 def verify_decomposition_identities(
     model: FoliatedModel, window: ModeWindow | None = None
-) -> IdentityReport:
+) -> dict:
     """Check the five anticommutation identities and d^2 = 0.
 
     Runs over the full windowed generator basis; failures are reported with a
-    counterexample label, never raised.
+    counterexample label, never raised.  The report passes when every check
+    does; "boundary = 0" is recorded as ``boundary_vanishes``, not checked.
     """
     dF, dP, dB, d = (component_terms(model, c) for c in ("d_F", "d_perp", "boundary", "d"))
     checks = check_identities(
@@ -187,7 +163,13 @@ def verify_decomposition_identities(
             ("boundary = 0", [(1, dB)]),
         ],
     )
-    return IdentityReport(repr(model), checks[:-1], checks[-1].passed)
+    checks, vanishes = checks[:-1], checks[-1]["passed"]
+    return {
+        "model": repr(model),
+        "passed": all(c["passed"] for c in checks),
+        "boundary_vanishes": vanishes,
+        "checks": checks,
+    }
 
 
 # -- block machinery ----------------------------------------------------------
@@ -358,7 +340,7 @@ def cohomology_dims(
         for rs, v in block_dims(key).items():
             if v:
                 totals[rs] = totals.get(rs, 0) + v
-    cert = None if base is None else certificate or diophantine_certificate(base.alpha)
+    cert = None if base is None else certificate or diophantine_certificate(base)
     formal = cert is not None and cert.verdict != "diophantine"
     # every resonant mode block has a vanishing leafwise differential, so a
     # nonzero lattice makes the in-range entries grow with the window; on the
@@ -412,17 +394,15 @@ class DiophantineCertificate:
         return out
 
 
-def diophantine_certificate(alpha: Sequence[Scalar]) -> DiophantineCertificate:
-    """Certify the small-divisor behaviour of the frequency vector alpha."""
-    if not alpha or all(not a for a in alpha):
-        raise ValidationError("alpha must be nonzero")
-    field = alpha[0].field
-    for a in alpha:
-        if not a.is_real():
-            raise ValidationError("alpha entries must be real")
-    lattice = resonance_lattice(alpha)
-    if lattice:
-        witness = min(lattice, key=lambda v: (sum(abs(x) for x in v), v))
+def diophantine_certificate(torus: KroneckerTorus) -> DiophantineCertificate:
+    """Certify the small-divisor behaviour of the torus's frequency vector alpha.
+
+    The resonance lattice is the torus's own ``resonance_basis``; the torus
+    constructor has already checked that alpha is real and nonzero.
+    """
+    alpha, field = torus.alpha, torus.field
+    if torus.resonance_basis:
+        witness = min(torus.resonance_basis, key=lambda v: (sum(abs(x) for x in v), v))
         return DiophantineCertificate(
             verdict="resonant",
             witness=witness,
@@ -469,23 +449,9 @@ def _mask_fixed(mask: int, signs: tuple[int, ...]) -> bool:
 # -- basic and ordinary cohomology ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class BasicCohomology:
-    dims: tuple[int, ...]
-    window_sensitive: bool
-    model: str
-
-    def to_json(self) -> dict:
-        return {
-            "model": self.model,
-            "dims": list(self.dims),
-            "window_sensitive": self.window_sensitive,
-        }
-
-
 def basic_cohomology_dims(
     model: FoliatedModel, window: ModeWindow | None = None
-) -> BasicCohomology:
+) -> dict:
     """Dimensions of the basic complex: leafwise-closed (0, s) forms under d_perp.
 
     The result is window-truncated; ``window_sensitive`` flags a nonzero
@@ -521,7 +487,7 @@ def basic_cohomology_dims(
             dims[s] += len(kernel) - ranks[-1] - ranks[-2]
     base = _torus_base_of(model)
     sensitive = base is not None and base.resonant
-    return BasicCohomology(tuple(dims), sensitive, repr(model))
+    return {"model": repr(model), "dims": dims, "window_sensitive": sensitive}
 
 
 def ordinary_derham_dims(

@@ -10,14 +10,13 @@ checks and the splitting pi_*(pi^*c ^ dphi) = c do not depend on the
 transverse degree h and run once, as identities on every windowed monomial.
 The isomorphism checks count ranks on closed and exact block vectors, with no
 representatives.  The splitting table reads the leafwise tables of the base
-and of the total space that it is given.
+and of the total space that it is given, and returns one report document per
+transverse degree, verdict included.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .derham import BigradedDims, CheckResult, check_identities, closed_and_exact, component_terms
+from .derham import BigradedDims, check_identities, closed_and_exact, component_terms
 from .linalg import Echelon, span_dim
 from .models import (
     CircleProductModel,
@@ -53,58 +52,11 @@ def fiber_integration_terms(total: CircleProductModel) -> TermMap:
 # -- the splitting table ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SplittingRow:
-    k: int
-    direct: int
-    predicted: int
-    base_term: int
-    shifted_term: int
-
-    @property
-    def consistent(self) -> bool:
-        return self.direct == self.predicted
-
-    def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "direct": self.direct,
-            "predicted": self.predicted,
-            "base_term": self.base_term,
-            "shifted_term": self.shifted_term,
-            "consistent": self.consistent,
-        }
-
-
-@dataclass(frozen=True)
-class SplittingReport:
-    base: str
-    h: int
-    rows: tuple[SplittingRow, ...]
-    checks: tuple[CheckResult, ...]
-    sign_convention: str = "fiber factor removed from the rightmost slot, unit volume"
-
-    @property
-    def passed(self) -> bool:
-        return all(r.consistent for r in self.rows) and all(c.passed for c in self.checks)
-
-    def to_json(self) -> dict:
-        return {
-            "base": self.base,
-            "fiber_dim": 1,
-            "transverse_degree": self.h,
-            "sign_convention": self.sign_convention,
-            "passed": self.passed,
-            "rows": [r.to_json() for r in self.rows],
-            "checks": [c.to_json() for c in self.checks],
-        }
-
-
 def product_splitting_dims(
     total: CircleProductModel,
     base_dims: BigradedDims,
     total_dims: BigradedDims,
-) -> list[SplittingReport]:
+) -> list[dict]:
     """Direct vs predicted dimensions for the product circle bundle, one report per h.
 
     ``base_dims`` and ``total_dims`` are the leafwise tables of the base torus
@@ -112,7 +64,8 @@ def product_splitting_dims(
     dim H^{k,h}(total) = dim H^{k,h}(base) + dim H^{k-1,h}(base).  The direct
     column is read off ``total_dims``, the short-exact splitting is exhibited
     by the fiber-class wedge, and the pullback / integration isomorphism
-    ranges are verified by rank counts.
+    ranges are verified by rank counts.  A report passes when every row's
+    direct dim equals its prediction and every check passes.
     """
     base, window = total.base, total_dims.window
     identities = _identity_checks(total, window)
@@ -122,15 +75,33 @@ def product_splitting_dims(
         for k in range(0, base.leaf_dim + 2):
             base_term = base_dims.get(k, h)
             shifted = base_dims.get(k - 1, h) if k >= 1 else 0
+            direct, predicted = total_dims.get(k, h), base_term + shifted
             rows.append(
-                SplittingRow(k, total_dims.get(k, h), base_term + shifted, base_term, shifted)
+                {
+                    "k": k,
+                    "direct": direct,
+                    "predicted": predicted,
+                    "base_term": base_term,
+                    "shifted_term": shifted,
+                    "consistent": direct == predicted,
+                }
             )
         checks = identities + _iso_checks(total, h, window)
-        reports.append(SplittingReport(repr(base), h, tuple(rows), checks))
+        reports.append(
+            {
+                "base": repr(base),
+                "fiber_dim": 1,
+                "transverse_degree": h,
+                "sign_convention": "fiber factor removed from the rightmost slot, unit volume",
+                "passed": all(r["consistent"] for r in rows) and all(c["passed"] for c in checks),
+                "rows": rows,
+                "checks": checks,
+            }
+        )
     return reports
 
 
-def _identity_checks(total: CircleProductModel, window: ModeWindow) -> tuple[CheckResult, ...]:
+def _identity_checks(total: CircleProductModel, window: ModeWindow) -> list[dict]:
     """The chain-map identities and the splitting: one base walk, one total walk."""
     base = total.base
     pull, push, wedge = pullback_terms(total), fiber_integration_terms(total), _dphi_terms(total)
@@ -151,7 +122,7 @@ def _identity_checks(total: CircleProductModel, window: ModeWindow) -> tuple[Che
     pushed = check_identities(
         total, window, [("fiber integration intertwines d_F", [(1, d_b, push), (-1, push, d_t)])]
     )
-    return (pulled,) + pushed + (kills, split)
+    return [pulled, *pushed, kills, split]
 
 
 def _dphi_terms(total: CircleProductModel) -> TermMap:
@@ -167,20 +138,22 @@ def _dphi_terms(total: CircleProductModel) -> TermMap:
     return terms
 
 
-def _iso_checks(total: CircleProductModel, h: int, window: ModeWindow) -> tuple[CheckResult, ...]:
+def _iso_checks(total: CircleProductModel, h: int, window: ModeWindow) -> list[dict]:
     """Pullback at (0, h), with no boundaries; integration at (p+1, h), all closed."""
     base, p = total.base, total.base.leaf_dim
     pull, push = pullback_terms(total), fiber_integration_terms(total)
-    return (
-        CheckResult(
-            "pullback iso in fiber-low degrees (k = 0)",
-            _induces_iso(pull, (base, (0, h)), (total, (0, h)), window),
-        ),
-        CheckResult(
-            "fiber integration iso above the leaf degree (k = p+1)",
-            _induces_iso(push, (total, (p + 1, h)), (base, (p, h)), window),
-        ),
-    )
+    return [
+        {
+            "name": "pullback iso in fiber-low degrees (k = 0)",
+            "passed": _induces_iso(pull, (base, (0, h)), (total, (0, h)), window),
+            "detail": "",
+        },
+        {
+            "name": "fiber integration iso above the leaf degree (k = p+1)",
+            "passed": _induces_iso(push, (total, (p + 1, h)), (base, (p, h)), window),
+            "detail": "",
+        },
+    ]
 
 
 def _induces_iso(f: TermMap, src: tuple, tgt: tuple, window: ModeWindow) -> bool:

@@ -9,7 +9,8 @@ leafwise table of the cosphere-circle bundle, the top group reads the torus
 table, and the even/odd periodic pair reads the bundle's Betti numbers.  The
 caller computes each table once and passes it in.  The bridge from the first
 page to the second is the one computation: it takes the boundary homology of
-the cone and compares it with the second-page table cell by cell.
+the cone and compares it with the second-page table cell by cell.  The
+bottom/top pair and the bridge return their report documents.
 
 Collapse at the second page is an assumption everywhere except where the
 symbol-level cocycle count certifies it; reports carry that caveat
@@ -18,7 +19,6 @@ explicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .derham import BigradedDims
@@ -54,28 +54,19 @@ def hh_dims_assuming_collapse(torus: KroneckerTorus, circle: BigradedDims) -> li
     return out
 
 
-@dataclass(frozen=True)
-class BottomTopReport:
-    bottom: int
-    top: int
-
-    def to_json(self) -> dict:
-        # a Kronecker torus has leaf dimension p = 1; the bottom group equals
-        # the base H^{p,0} only from p = 2 on
-        note = "simplification to the base H^{p,0} not applicable (leaf dimension 1)"
-        return {"HH_0": self.bottom, "HH_top": self.top, "notes": [note]}
-
-
 def hh0_and_top(
     torus: KroneckerTorus, circle: BigradedDims, torus_dims: BigradedDims
-) -> BottomTopReport:
+) -> dict:
     """The bottom group (trace space) and the top group (2p+q) dimensions.
 
     The bottom group is H^{2p,0} of the cosphere-circle table ``circle``, the
     top group H^{0,q} of the torus table ``torus_dims``.
     """
     p, q = torus.leaf_dim, torus.codim
-    return BottomTopReport(circle.get(2 * p, 0), torus_dims.get(0, q))
+    # a Kronecker torus has leaf dimension p = 1; the bottom group equals
+    # the base H^{p,0} only from p = 2 on
+    note = "simplification to the base H^{p,0} not applicable (leaf dimension 1)"
+    return {"HH_0": circle.get(2 * p, 0), "HH_top": torus_dims.get(0, q), "notes": [note]}
 
 
 def hp_dims(circle_betti: Sequence[int]) -> tuple[int, int]:
@@ -83,56 +74,14 @@ def hp_dims(circle_betti: Sequence[int]) -> tuple[int, int]:
     return sum(circle_betti[0::2]), sum(circle_betti[1::2])
 
 
-@dataclass(frozen=True)
-class PageBridgeCell:
-    k: int
-    h: int
-    from_cone: int
-    closed_form: int
-
-    @property
-    def consistent(self) -> bool:
-        return self.from_cone == self.closed_form
-
-    def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "h": self.h,
-            "from_cone": self.from_cone,
-            "closed_form": self.closed_form,
-            "consistent": self.consistent,
-        }
-
-
-@dataclass(frozen=True)
-class PageBridgeReport:
-    model: str
-    cells: tuple[PageBridgeCell, ...]
-    unit_note: str = (
-        "the first-page differential is the boundary operator times an"
-        " imaginary unit; the unit is dropped in rank computations"
-    )
-
-    @property
-    def passed(self) -> bool:
-        return all(c.consistent for c in self.cells)
-
-    def to_json(self) -> dict:
-        return {
-            "model": self.model,
-            "passed": self.passed,
-            "unit_note": self.unit_note,
-            "cells": [c.to_json() for c in self.cells],
-        }
-
-
-def e1_to_e2(cone_dims: BoundaryDims, e2: dict[tuple[int, int], int]) -> PageBridgeReport:
+def e1_to_e2(cone_dims: BoundaryDims, e2: dict[tuple[int, int], int]) -> dict:
     """Second page computed through the cone vs the closed form, cell by cell.
 
     The first page is the space of (k+h)-forms on the cone of homogeneity k;
     applying the boundary operator and taking exact homology gives the second
     page, read off ``cone_dims``, which must match ``e2``, the table `e2_dims`
-    reads off the cosphere-circle bundle of the cone's base torus.
+    reads off the cosphere-circle bundle of the cone's base torus.  A cell is
+    consistent when the two agree; the report passes when every cell is.
     """
     conic, window = cone_dims.conic, cone_dims.window
     p, q = conic.leaf_dim // 2, conic.codim
@@ -141,11 +90,27 @@ def e1_to_e2(cone_dims: BoundaryDims, e2: dict[tuple[int, int], int]) -> PageBri
             f"homogeneity range [{window.l_min}, {window.l_max}] cannot hold the"
             f" first-page degrees [-{p + 1}, {p + 1}]"
         )
-    cells = []
-    for k in range(-p, p + 1):
-        for h in range(p, p + q + 1):
-            cells.append(PageBridgeCell(k, h, cone_dims.get(k + h, k), e2[(k, h)]))
+    expected = [((k, h), e2[(k, h)]) for k in range(-p, p + 1) for h in range(p, p + q + 1)]
     # out-of-range cells must vanish on both pipelines
-    for k, h in ((p + 1, p), (-p - 1, p), (p, 2 * p + q + 1 - p)):
-        cells.append(PageBridgeCell(k, h, cone_dims.get(k + h, k), 0))
-    return PageBridgeReport(repr(conic.base), tuple(cells))
+    expected += [((k, h), 0) for k, h in ((p + 1, p), (-p - 1, p), (p, 2 * p + q + 1 - p))]
+    cells = []
+    for (k, h), closed_form in expected:
+        from_cone = cone_dims.get(k + h, k)
+        cells.append(
+            {
+                "k": k,
+                "h": h,
+                "from_cone": from_cone,
+                "closed_form": closed_form,
+                "consistent": from_cone == closed_form,
+            }
+        )
+    return {
+        "model": repr(conic.base),
+        "passed": all(c["consistent"] for c in cells),
+        "unit_note": (
+            "the first-page differential is the boundary operator times an"
+            " imaginary unit; the unit is dropped in rank computations"
+        ),
+        "cells": cells,
+    }

@@ -506,7 +506,6 @@ class KroneckerTorus(FoliatedModel):
             raise ValidationError("alpha[0] must be nonzero for the frame convention")
         inv = entries[0].inverse()
         self.alpha = tuple(a * inv for a in entries)
-        self.alpha_raw = tuple(entries)
         self.n = n
         self.leaf_dim = 1
         self.codim = n - 1

@@ -9,6 +9,8 @@ that of the matching differential component (`delta_terms`), which every
 homology, filtration and identity check on the cone reads.  The
 star-conjugated leafwise differential, a term map composed with the star's,
 gives an independent second route that the identity suite compares against.
+The tensor, the identity suite and the correspondence table return their
+report documents, the JSON the poisson report holds, verdicts included.
 
 Sign conventions: the contraction i_G is fixed so that the induced bracket
 on scalars is {f, g} = f_xi g_x - f_x g_xi in leaf coordinates (x, xi), which
@@ -18,12 +20,10 @@ operator identities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .derham import (
     BigradedDims,
-    CheckResult,
     block_homology,
     check_identities,
     component_terms,
@@ -59,27 +59,20 @@ def _require_conic(model: FoliatedModel) -> ConicDualModel:
     return model
 
 
-@dataclass(frozen=True)
-class PoissonTensor:
-    """The leafwise bivector (leaf direction ^ radial direction) and its dual."""
+def poisson_tensor(model: FoliatedModel) -> dict:
+    """The leafwise bivector (leaf direction ^ radial direction) and its dual.
 
-    model: ConicDualModel
-    omega: Form  # theta ^ dxi on every component, 1-homogeneous
-
-    def to_json(self) -> dict:
-        return {
-            "bivector": "T ^ d/dxi (leaf direction wedge radial direction)",
-            "omega": repr(self.omega),
-            "omega_homogeneity": sorted(self.omega.homogeneity_decompose()),
-        }
-
-
-def poisson_tensor(model: FoliatedModel) -> PoissonTensor:
+    The dual is omega = theta ^ dxi on every component, 1-homogeneous.
+    """
     conic = _require_conic(model)
     omega = conic.monomial_form(1, ext=(0, 1))  # leaf covector ^ dxi
     parts = omega.homogeneity_decompose()
     assert list(parts) == [1], "leafwise symplectic form must be 1-homogeneous"
-    return PoissonTensor(conic, omega)
+    return {
+        "bivector": "T ^ d/dxi (leaf direction wedge radial direction)",
+        "omega": repr(omega),
+        "omega_homogeneity": sorted(parts),
+    }
 
 
 def _contraction_terms(conic: ConicDualModel) -> TermMap:
@@ -164,31 +157,15 @@ def _star_conjugated_terms(conic: ConicDualModel) -> TermMap:
 # -- identity suite -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StarDeltaReport:
-    model: str
-    checks: tuple[CheckResult, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def to_json(self) -> dict:
-        return {
-            "model": self.model,
-            "passed": self.passed,
-            "checks": [c.to_json() for c in self.checks],
-        }
-
-
 def verify_star_delta_identity(
     model: FoliatedModel, window: ModeWindow | None = None
-) -> StarDeltaReport:
+) -> dict:
     """Exact operator identities on every windowed basis monomial.
 
     Checks the star-conjugation identity for the leafwise boundary, the
     squares and anticommutator of the two boundary pieces, the splitting of
     the full boundary, star involutivity and the homogeneity bookkeeping.
+    The report passes when every check does.
     """
     conic = _require_conic(model)
     p = conic.leaf_dim // 2
@@ -218,7 +195,7 @@ def verify_star_delta_identity(
         ],
         detail="{}",
     )
-    return StarDeltaReport(repr(conic), checks)
+    return {"model": repr(conic), "passed": all(c["passed"] for c in checks), "checks": checks}
 
 
 # -- homogeneous Poisson homology --------------------------------------------------
@@ -274,58 +251,17 @@ class BoundaryDims:
 # -- the three-pipeline correspondence ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class HomologyCorrespondenceRow:
-    k: int
-    l: int
-    delta_dim: int
-    delta_leafwise_dim: int
-    circle_bundle_dim: int
-
-    @property
-    def consistent(self) -> bool:
-        return self.delta_dim == self.delta_leafwise_dim == self.circle_bundle_dim
-
-    def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "l": self.l,
-            "delta": self.delta_dim,
-            "delta_F": self.delta_leafwise_dim,
-            "circle_bundle": self.circle_bundle_dim,
-            "consistent": self.consistent,
-        }
-
-
-@dataclass(frozen=True)
-class HomologyCorrespondenceReport:
-    model: str
-    rows: tuple[HomologyCorrespondenceRow, ...]
-    formal: bool
-
-    @property
-    def passed(self) -> bool:
-        return all(r.consistent for r in self.rows)
-
-    def to_json(self) -> dict:
-        return {
-            "model": self.model,
-            "passed": self.passed,
-            "formal": self.formal,
-            "rows": [r.to_json() for r in self.rows],
-        }
-
-
 def verify_homology_correspondence(
     delta_dims: BoundaryDims, delta_f_dims: BoundaryDims, circle_dims: BigradedDims
-) -> HomologyCorrespondenceReport:
+) -> dict:
     """Three independent pipelines for the same numbers, tabulated.
 
     (a) ``delta_dims``, full-boundary homology of the cone, (b)
     ``delta_f_dims``, leafwise-boundary homology, (c) ``circle_dims``, the
     leafwise cohomology of the cosphere-circle bundle of the cone's base, read
     at the shifted indices (p - l, k - l - p); rows outside |l| <= p must
-    vanish.  The three tables share one cone and one window.
+    vanish.  The three tables share one cone and one window.  A row is
+    consistent when its three dims agree; the report passes when every row is.
     """
     conic = delta_dims.conic
     if not isinstance(conic.base, KroneckerTorus):
@@ -342,5 +278,19 @@ def verify_homology_correspondence(
             r_idx, s_idx = p - l, k - l - p
             c = circle_dims.get(r_idx, s_idx) if s_idx >= 0 and r_idx >= 0 else 0
             a, b = delta_dims.get(k, l), delta_f_dims.get(k, l)
-            rows.append(HomologyCorrespondenceRow(k, l, a, b, c))
-    return HomologyCorrespondenceReport(repr(conic), tuple(rows), circle_dims.formal)
+            rows.append(
+                {
+                    "k": k,
+                    "l": l,
+                    "delta": a,
+                    "delta_F": b,
+                    "circle_bundle": c,
+                    "consistent": a == b == c,
+                }
+            )
+    return {
+        "model": repr(conic),
+        "passed": all(r["consistent"] for r in rows),
+        "formal": circle_dims.formal,
+        "rows": rows,
+    }

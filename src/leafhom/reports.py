@@ -3,7 +3,9 @@
 JSON is the source of truth (sorted keys, no timestamps, exact scalar
 strings), so two runs with the same configuration and seed produce
 byte-identical files; the markdown and csv renderings are computed from the
-JSON document, never separately.
+JSON document, never separately.  The analyses build their documents from
+plain JSON values (dicts with string keys, lists, strings, numbers, booleans),
+so a document equals the JSON written for it.
 """
 
 from __future__ import annotations

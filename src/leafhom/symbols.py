@@ -25,6 +25,9 @@ raises InsufficientTruncationError exactly where the full chain's residue
 would.  The chain itself is then composed on the evaluated side alone,
 keeping of each product only the orders that can still reach order -1, and
 its last product sums only the terms that land on the zero mode at order -1.
+
+`verify_traces_and_collapse` returns the symbols report document, verdict
+included.
 """
 
 from __future__ import annotations
@@ -397,50 +400,6 @@ def random_symbol(
     return TruncatedSymbol(torus, sides)
 
 
-@dataclass(frozen=True)
-class TraceSuiteReport:
-    model: str
-    seed: int
-    depth: int
-    trials: int
-    trace_pairs_checked: int
-    trace_property_holds: bool
-    coboundary_levels: dict[int, bool]
-    independence: dict[int, tuple[int, int]]  # l -> (expected, achieved rank)
-    collapse_certified: bool
-    predicted_dims: list[int]
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.trace_property_holds
-            and all(self.coboundary_levels.values())
-            and all(exp == got for exp, got in self.independence.values())
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "model": self.model,
-            "seed": self.seed,
-            "depth": self.depth,
-            "watermark_policy": (
-                "every product records the lowest exactly-known order;"
-                " all assertions are evaluated at or above that watermark"
-            ),
-            "trials": self.trials,
-            "trace_pairs_checked": self.trace_pairs_checked,
-            "trace_property_holds": self.trace_property_holds,
-            "coboundary_vanishes": {str(k): v for k, v in sorted(self.coboundary_levels.items())},
-            "independence": {
-                str(l): {"expected": e, "rank": r}
-                for l, (e, r) in sorted(self.independence.items())
-            },
-            "collapse_certified": self.collapse_certified,
-            "predicted_dims": self.predicted_dims,
-            "passed": self.passed,
-        }
-
-
 def _crafted_tuples(
     torus: KroneckerTorus, l: int, side: int
 ) -> list[list[TruncatedSymbol]]:
@@ -471,7 +430,7 @@ def verify_traces_and_collapse(
     depth: int = 6,
     seed: int = 0,
     max_level: int = 2,
-) -> TraceSuiteReport:
+) -> dict:
     """Trace property, cocycle coboundaries, and the independence count.
 
     (a) the residue trace kills `trials` seeded random commutators on both
@@ -480,7 +439,8 @@ def verify_traces_and_collapse(
     l <= max_level; (c) their evaluation matrix has full rank 2*C(n+1, l);
     the collapse certificate is set when those counts match ``predicted``,
     the closed-form dimensions `hochschild.hh_dims_assuming_collapse` reads
-    off the cosphere-circle table.
+    off the cosphere-circle table.  The report passes when (a), (b) and (c)
+    hold.
     """
     if trials < 0:
         raise ValidationError("trial count must be nonnegative")
@@ -564,18 +524,29 @@ def verify_traces_and_collapse(
             if l < len(predicted)
         )
     )
-    return TraceSuiteReport(
-        model=repr(torus),
-        seed=seed,
-        depth=depth,
-        trials=trials,
-        trace_pairs_checked=pairs,
-        trace_property_holds=trace_ok,
-        coboundary_levels=coboundary_levels,
-        independence=independence,
-        collapse_certified=certified and trace_ok,
-        predicted_dims=list(predicted),
-    )
+    return {
+        "model": repr(torus),
+        "seed": seed,
+        "depth": depth,
+        "watermark_policy": (
+            "every product records the lowest exactly-known order;"
+            " all assertions are evaluated at or above that watermark"
+        ),
+        "trials": trials,
+        "trace_pairs_checked": pairs,
+        "trace_property_holds": trace_ok,
+        "coboundary_vanishes": {str(l): ok for l, ok in coboundary_levels.items()},
+        "independence": {
+            str(l): {"expected": e, "rank": r} for l, (e, r) in independence.items()
+        },
+        "collapse_certified": certified and trace_ok,
+        "predicted_dims": list(predicted),
+        "passed": (
+            trace_ok
+            and all(coboundary_levels.values())
+            and all(e == r for e, r in independence.values())
+        ),
+    }
 
 
 def _derivation_subsets(derivations: list[Derivation], l: int) -> list[tuple[Derivation, ...]]:

@@ -127,20 +127,20 @@ def test_criterion_03_identity_suites(torus2, field2):
     broken = LieFrameModel(field2, 3, {(0, 1): {2: one}, (0, 2): {0: one}}, {2})
     r_broken = verify_decomposition_identities(broken)
     ok = (
-        r_torus.passed
-        and r_torus.boundary_vanishes
-        and r_so3.passed
-        and not r_so3.boundary_vanishes
-        and r_heis.passed
-        and not r_heis.boundary_vanishes
-        and not r_broken.passed
+        r_torus["passed"]
+        and r_torus["boundary_vanishes"]
+        and r_so3["passed"]
+        and not r_so3["boundary_vanishes"]
+        and r_heis["passed"]
+        and not r_heis["boundary_vanishes"]
+        and not r_broken["passed"]
     )
     elapsed = watch.check()
     report(3, "identity suites", ok and elapsed < watch.limit, elapsed)
-    assert r_torus.passed and r_torus.boundary_vanishes
-    assert r_so3.passed and not r_so3.boundary_vanishes
-    assert r_heis.passed and not r_heis.boundary_vanishes
-    assert not r_broken.passed
+    assert r_torus["passed"] and r_torus["boundary_vanishes"]
+    assert r_so3["passed"] and not r_so3["boundary_vanishes"]
+    assert r_heis["passed"] and not r_heis["boundary_vanishes"]
+    assert not r_broken["passed"]
     assert elapsed < watch.limit
 
 
@@ -148,8 +148,8 @@ def test_criterion_04_star_delta_identity(conic2):
     watch = Stopwatch(60.0)
     rep = verify_star_delta_identity(conic2, ModeWindow(bound=2, l_min=-2, l_max=2))
     elapsed = watch.check()
-    report(4, "star-conjugation identity", rep.passed and elapsed < watch.limit, elapsed)
-    assert rep.passed, [c.to_json() for c in rep.checks if not c.passed]
+    report(4, "star-conjugation identity", rep["passed"] and elapsed < watch.limit, elapsed)
+    assert rep["passed"], [c for c in rep["checks"] if not c["passed"]]
     assert elapsed < watch.limit
 
 
@@ -161,16 +161,16 @@ def test_criterion_05_homology_correspondence(conic2, torus2):
         BoundaryDims(conic2, window, "delta_F"),
         circle_table(torus2, window),
     )
-    covered = {(row.k, row.l) for row in rep.rows}
+    covered = {(row["k"], row["l"]) for row in rep["rows"]}
     needed = {(k, l) for k in range(0, 4) for l in (-2, -1, 0, 1, 2)}
     range_ok = needed <= covered
     vanishing_ok = all(
-        row.delta_dim == 0 for row in rep.rows if abs(row.l) > 1
+        row["delta"] == 0 for row in rep["rows"] if abs(row["l"]) > 1
     )
     elapsed = watch.check()
-    ok = rep.passed and range_ok and vanishing_ok
+    ok = rep["passed"] and range_ok and vanishing_ok
     report(5, "homology correspondence triangle", ok and elapsed < watch.limit, elapsed)
-    assert rep.passed
+    assert rep["passed"]
     assert range_ok and vanishing_ok
     assert elapsed < watch.limit
 
@@ -205,10 +205,10 @@ def test_criterion_07_gysin_splitting(torus2):
     total = CircleProductModel(torus2)
     base_dims, total_dims = cohomology_dims(torus2, window), cohomology_dims(total, window)
     for rep in product_splitting_dims(total, base_dims, total_dims):
-        if not rep.passed:
+        if not rep["passed"]:
             ok = False
-        for row in rep.rows:
-            if row.direct != row.predicted:
+        for row in rep["rows"]:
+            if row["direct"] != row["predicted"]:
                 ok = False
     elapsed = watch.check()
     report(7, "product circle bundle splitting", ok and elapsed < watch.limit, elapsed)
@@ -221,8 +221,8 @@ def test_criterion_08_page_bridge(torus2, conic2):
     window = ModeWindow(bound=1, l_min=-2, l_max=2)
     rep = e1_to_e2(BoundaryDims(conic2, window), e2_dims(torus2, circle_table(torus2, window)))
     elapsed = watch.check()
-    report(8, "first-to-second page bridge", rep.passed and elapsed < watch.limit, elapsed)
-    assert rep.passed, [c.to_json() for c in rep.cells if not c.consistent]
+    report(8, "first-to-second page bridge", rep["passed"] and elapsed < watch.limit, elapsed)
+    assert rep["passed"], [c for c in rep["cells"] if not c["consistent"]]
     assert elapsed < watch.limit
 
 
@@ -234,17 +234,17 @@ def test_criterion_09_residue_traces(torus2):
     )
     bottom = hh0_and_top(
         torus2, circle_table(torus2, window), cohomology_dims(torus2, window)
-    ).bottom
+    )["HH_0"]
     ok = (
-        rep.trace_property_holds
-        and rep.trace_pairs_checked >= 100
-        and rep.independence[0] == (2, 2)
+        rep["trace_property_holds"]
+        and rep["trace_pairs_checked"] >= 100
+        and rep["independence"]["0"] == {"expected": 2, "rank": 2}
         and bottom == 2
     )
     elapsed = watch.check()
     report(9, "residue traces", ok and elapsed < watch.limit, elapsed)
-    assert rep.trace_property_holds and rep.trace_pairs_checked >= 100
-    assert rep.independence[0] == (2, 2)
+    assert rep["trace_property_holds"] and rep["trace_pairs_checked"] >= 100
+    assert rep["independence"]["0"] == {"expected": 2, "rank": 2}
     assert bottom == 2
     assert elapsed < watch.limit
 
@@ -254,20 +254,21 @@ def test_criterion_10_collapse_certificate(torus2):
     predicted = predicted_hh(torus2, ModeWindow(bound=1))
     rep = verify_traces_and_collapse(torus2, predicted, trials=10, depth=6, seed=7)
     counts_ok = all(
-        rep.independence[l] == (2 * comb(3, l), 2 * comb(3, l)) for l in (0, 1, 2)
+        rep["independence"][str(l)] == {"expected": 2 * comb(3, l), "rank": 2 * comb(3, l)}
+        for l in (0, 1, 2)
     )
-    match_ok = all(rep.independence[l][0] == predicted[l] for l in (0, 1, 2))
+    match_ok = all(rep["independence"][str(l)]["expected"] == predicted[l] for l in (0, 1, 2))
     ok = (
-        all(rep.coboundary_levels.values())
+        all(rep["coboundary_vanishes"].values())
         and counts_ok
         and match_ok
-        and rep.collapse_certified
+        and rep["collapse_certified"]
     )
     elapsed = watch.check()
     report(10, "collapse certificate", ok and elapsed < watch.limit, elapsed)
-    assert all(rep.coboundary_levels.values())
+    assert all(rep["coboundary_vanishes"].values())
     assert counts_ok and match_ok
-    assert rep.collapse_certified
+    assert rep["collapse_certified"]
     assert elapsed < watch.limit
 
 

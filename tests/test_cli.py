@@ -3,15 +3,25 @@
 from __future__ import annotations
 
 import ast
+import copy
+import io
 import json
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
-from leafhom import cli, derham, expansion, gysin, hochschild, poisson, specseq, symbols
-from leafhom.models import LieFrameModel, ModeWindow
+from leafhom import cli, derham, expansion, gysin, hochschild, poisson, reports, specseq, symbols
+from leafhom.errors import ComplexViolationError
+from leafhom.models import ConicDualModel, LieFrameModel, ModeWindow
 from leafhom.scalars import NumberField
+
+try:  # test-only dependency
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # pragma: no cover
+    st = None
 
 
 @pytest.fixture()
@@ -408,9 +418,9 @@ def test_one_certificate_per_run(torus_spec, tmp_path, monkeypatch):
     real = derham.diophantine_certificate
     calls = []
 
-    def counted(alpha):
-        calls.append(alpha)
-        return real(alpha)
+    def counted(torus):
+        calls.append(torus)
+        return real(torus)
 
     monkeypatch.setattr(derham, "diophantine_certificate", counted)
     args = ["run", "--model", str(torus_spec), "--analyses", "all", "--mode-bound", "1"]
@@ -435,3 +445,126 @@ def test_package_imports_only_the_stdlib():
                 if top != "leafhom" and top not in sys.stdlib_module_names:
                     outside.append(f"{path.name}:{node.lineno}: {name}")
     assert not outside
+
+
+def test_analysis_documents_equal_their_written_json(torus_spec, tmp_path):
+    # a document holds only what JSON writes back as itself: no tuple, no
+    # int key, no object that merely serializes alike
+    cfg = cli.RunConfig(torus_spec, cli.ANALYSES, ModeWindow(bound=1), trials=2, out_dir=tmp_path)
+    model = cli.make_model(json.loads(torus_spec.read_text()))
+    ctx = cli.RunContext(model, cfg.window)
+    for name, runner in cli._RUNNERS.items():
+        doc, passed = runner(ctx, cfg)
+        assert passed, name
+        assert doc == json.loads(reports.canonical_json(doc)), name
+
+
+def test_broken_complex_is_a_failed_check(tmp_path, capsys, monkeypatch):
+    # the broken affine cone of test_poisson.test_broken_cone_names_block_and_line
+    field = NumberField(())
+
+    def broken_cone(_spec):
+        cone = ConicDualModel(LieFrameModel.create(field, 2, {(0, 1): {0: field.one}}, {0}))
+        cone._dual_d[1] = [(field.one, (0, 1))]
+        return cone
+
+    with pytest.raises(ComplexViolationError) as engine:
+        derham.cohomology_dims(broken_cone(None), ModeWindow(bound=0), homogeneity=-2)
+    monkeypatch.setattr(cli, "make_model", broken_cone)
+    spec, out = tmp_path / "cone.json", tmp_path / "o"
+    spec.write_text("{}")
+    args = ["run", "--model", str(spec), "--analyses", "derham,poisson", "--mode-bound", "0"]
+    assert cli.main([*args, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err + captured.out
+    summary = json.loads((out / "summary.json").read_text())
+    error = summary["analyses"]["derham"]["error"]
+    assert error == str(engine.value) and error in captured.err
+    assert "block (0, (), -2)" in error and "between degrees 0 and 2" in error
+    # the run went on: poisson ran and wrote its report
+    assert summary["analyses"]["poisson"] == {"passed": False, "report": "poisson.json"}
+    assert summary["passed"] is False and not (out / "derham.json").exists()
+
+
+# -- CLI fuzzer -------------------------------------------------------------------
+
+VALID_SPECS = (
+    {"family": "kronecker_torus", "alpha": ["1", "sqrt2"]},
+    {"family": "lie_frame", "n": 2, "brackets": [[1, 2, [[1, "1"]]]], "leaf": [1]},
+    {"family": "conic_dual", "base": {"family": "kronecker_torus", "alpha": ["1", "sqrt2"]}},
+    {"family": "cosphere_circle", "base": {"family": "kronecker_torus", "alpha": ["1", "2"]}},
+    {"family": "circle_product", "base": {"family": "kronecker_torus", "alpha": ["1", "1"]}},
+)
+
+
+def run_fuzzed(spec: dict, flags: list[str]) -> None:
+    """One CLI run: exit 0, 1 or 2, no exception, and exit 2 prints one error line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        path.write_text(json.dumps(spec))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(["run", "--model", str(path), *flags, "--out", str(Path(tmp) / "o")])
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2), (spec, flags)
+    assert all(line.startswith("error: ") for line in lines), (spec, flags, lines)
+    if code == 2:
+        assert len(lines) == 1, (spec, flags, lines)
+
+
+if st is not None:
+
+    VALUE = st.recursive(
+        st.none()
+        | st.booleans()
+        | st.integers(-3, 5)
+        | st.text(max_size=4)
+        | st.sampled_from(("0", "1", "-1/2", "sqrt2", "sqrt3", "1+sqrt2", "i")),
+        lambda inner: st.lists(inner, max_size=3),
+        max_leaves=4,
+    )
+    FIELD = st.fixed_dictionaries({"sqrts": st.lists(st.integers(-1, 7), max_size=3)})
+
+    @st.composite
+    def mutated_specs(draw):
+        """A valid spec of one of the five families with up to two mutations."""
+        spec = copy.deepcopy(draw(st.sampled_from(VALID_SPECS)))
+        for _ in range(draw(st.integers(0, 2))):
+            node = spec
+            while isinstance(node.get("base"), dict) and draw(st.booleans()):
+                node = node["base"]
+            key = draw(st.sampled_from(sorted(node) + ["field", "extra"]))
+            action = draw(st.sampled_from(("set", "delete", "entry", "append")))
+            if action == "delete":
+                node.pop(key, None)
+            elif action == "append" and isinstance(node.get(key), list):
+                node[key].append(draw(VALUE))
+            elif action == "entry" and isinstance(node.get(key), list) and node[key]:
+                node[key][draw(st.integers(0, len(node[key]) - 1))] = draw(VALUE)
+            else:
+                node[key] = copy.deepcopy(draw(VALUE | FIELD | st.sampled_from(VALID_SPECS)))
+        return spec
+
+    @st.composite
+    def flag_lists(draw):
+        flags = ["--mode-bound", draw(st.sampled_from(("0", "1")))]
+        xi_range = draw(st.none() | st.sampled_from(("-1:1", "-2:2", "0:1", "1:-1", "a:b")))
+        if xi_range is not None:
+            flags.append(f"--xi-range={xi_range}")
+        flags += ["--depth", str(draw(st.integers(-1, 6)))]
+        flags += ["--trials", str(draw(st.integers(-1, 3)))]
+        flags += ["--format", draw(st.sampled_from(("json", "markdown", "csv")))]
+        subset = st.lists(st.sampled_from(cli.ANALYSES), min_size=1, max_size=3, unique=True)
+        return flags + ["--analyses", ",".join(draw(subset | st.just(["all"])))]
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(mutated_specs(), flag_lists())
+    def test_cli_fuzz_exits_0_1_or_2_without_traceback(spec, flags):
+        run_fuzzed(spec, flags)
+
+else:  # pragma: no cover
+
+    @pytest.mark.skip(reason="hypothesis is not installed")
+    def test_cli_fuzz_exits_0_1_or_2_without_traceback():
+        pass

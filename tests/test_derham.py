@@ -109,33 +109,33 @@ def test_conic_radial_term(field):
 
 def test_identities_flat_torus(torus):
     report = verify_decomposition_identities(torus)
-    assert report.passed
-    assert report.boundary_vanishes
+    assert report["passed"]
+    assert report["boundary_vanishes"]
 
 
 def test_identities_so3(field):
     report = verify_decomposition_identities(so3(field))
-    assert report.passed
-    assert not report.boundary_vanishes
+    assert report["passed"]
+    assert not report["boundary_vanishes"]
 
 
 def test_identities_heisenberg(field):
     report = verify_decomposition_identities(heisenberg(field))
-    assert report.passed
-    assert not report.boundary_vanishes
+    assert report["passed"]
+    assert not report["boundary_vanishes"]
 
 
 def test_identities_on_bundle_models(torus, field):
     # the anticommutation suite holds on every supported family
     conic = ConicDualModel(torus)
     rep = verify_decomposition_identities(conic, window=ModeWindow(bound=1, l_min=-1, l_max=1))
-    assert rep.passed
+    assert rep["passed"]
     cosphere = CosphereCircleModel(torus)
     rep = verify_decomposition_identities(cosphere)
-    assert rep.passed
+    assert rep["passed"]
     affine = LieFrameModel.create(field, 2, {(0, 1): {0: field.one}}, {0})
     rep = verify_decomposition_identities(ConicDualModel(affine), window=ModeWindow(bound=0))
-    assert rep.passed
+    assert rep["passed"]
 
 
 def test_identities_catch_broken_jacobi(field):
@@ -143,11 +143,11 @@ def test_identities_catch_broken_jacobi(field):
     # raw constructor: validation deliberately bypassed
     broken = LieFrameModel(field, 3, {(0, 1): {2: one}, (0, 2): {0: one}}, {2})
     report = verify_decomposition_identities(broken)
-    assert not report.passed
-    names = {c.name: c.passed for c in report.checks}
+    assert not report["passed"]
+    names = {c["name"]: c["passed"] for c in report["checks"]}
     assert not names["d^2 = 0"]
     # failure details are part of the report bytes
-    assert {c.name: c.detail for c in report.checks if not c.passed} == {
+    assert {c["name"]: c["detail"] for c in report["checks"] if not c["passed"]} == {
         "d_perp^2 + boundary d_F + d_F boundary = 0": "counterexample: e3",
         "d^2 = 0": "counterexample: e3",
     }
@@ -158,7 +158,7 @@ def test_non_integrable_frame_fails_only_the_split(field):
     # d e3 = -e1 ^ e2 has shift (2, -1), which no component carries
     raw = LieFrameModel(field, 3, {(0, 1): {2: field.one}}, {0, 1})
     report = verify_decomposition_identities(raw)
-    assert {c.name: c.detail for c in report.checks if not c.passed} == {
+    assert {c["name"]: c["detail"] for c in report["checks"] if not c["passed"]} == {
         "d = d_F + d_perp + boundary": "counterexample: e3"
     }
 
@@ -200,11 +200,11 @@ def test_check_identities_names_first_counterexample(torus):
     # the first monomial with a nonzero leaf multiplier is the first counterexample
     first = next(m for m in torus.basis_monomials(ModeWindow(bound=1)) if dF(m))
     label = f"counterexample: {torus.monomial_label(first)}"
-    assert [(c.name, c.passed, c.detail) for c in checks] == [
-        ("d_F = 0", False, label),
-        ("d_F^2 = 0", True, ""),
-        ("d_F keeps the degree", False, label),
-        ("id - id = 0", True, ""),
+    assert checks == [
+        {"name": "d_F = 0", "passed": False, "detail": label},
+        {"name": "d_F^2 = 0", "passed": True, "detail": ""},
+        {"name": "d_F keeps the degree", "passed": False, "detail": label},
+        {"name": "id - id = 0", "passed": True, "detail": ""},
     ]
 
 
@@ -291,7 +291,7 @@ def test_functoriality_of_bundle_pullback(torus):
 
 
 def test_certificate_sqrt2(torus):
-    cert = diophantine_certificate(torus.alpha)
+    cert = diophantine_certificate(torus)
     assert cert.verdict == "diophantine"
     assert cert.N == 1
     assert cert.C is not None and cert.C >= 1
@@ -299,7 +299,7 @@ def test_certificate_sqrt2(torus):
 
 def test_certificate_resonant_lattice(field):
     model = KroneckerTorus(field, ["1", "sqrt2", "sqrt2-1"])
-    cert = diophantine_certificate(model.alpha)
+    cert = diophantine_certificate(model)
     assert cert.verdict == "resonant"
     assert cert.witness == (1, -1, 1)
     # the witness really kills the pairing
@@ -308,21 +308,16 @@ def test_certificate_resonant_lattice(field):
 
 def test_certificate_rational_slope(field):
     model = KroneckerTorus(field, ["1", "2"])
-    cert = diophantine_certificate(model.alpha)
+    cert = diophantine_certificate(model)
     assert cert.verdict == "resonant"
     w = cert.witness
     assert w is not None and w[0] + 2 * w[1] == 0 and any(w)
 
 
-def test_certificate_rejects_zero(field):
-    with pytest.raises(ValidationError):
-        diophantine_certificate([field.zero, field.zero])
-
-
 def test_certificate_detects_rational_combination_resonance(field):
     # (1, sqrt2, 1/3) looks irrational but (1, 0, -3) kills it exactly
     model = KroneckerTorus(field, ["1", "sqrt2", "1/3"])
-    cert = diophantine_certificate(model.alpha)
+    cert = diophantine_certificate(model)
     assert cert.verdict == "resonant"
     assert cert.witness == (1, 0, -3)
 
@@ -332,20 +327,20 @@ def test_certificate_detects_rational_combination_resonance(field):
 
 def test_basic_dims_flat_torus(torus):
     rep = basic_cohomology_dims(torus, ModeWindow(bound=2))
-    assert rep.dims == (1, 1)
-    assert not rep.window_sensitive
+    assert rep["dims"] == [1, 1]
+    assert not rep["window_sensitive"]
 
 
 def test_basic_dims_rational_slope(field):
     model = KroneckerTorus(field, ["1", "0"])
     rep = basic_cohomology_dims(model, ModeWindow(bound=2))
-    assert rep.dims[0] == 1
-    assert rep.window_sensitive
+    assert rep["dims"][0] == 1
+    assert rep["window_sensitive"]
 
 
 def test_basic_dims_heisenberg(field):
     rep = basic_cohomology_dims(heisenberg(field), ModeWindow(bound=1))
-    assert rep.dims[0] == 1
+    assert rep["dims"][0] == 1
 
 
 def test_mode_zero_block_quotient(torus):

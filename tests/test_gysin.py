@@ -110,29 +110,29 @@ def test_form_from_other_model_rejected(bundle, torus):
 
 def test_splitting_table_h0(bundle):
     report = splitting(bundle, 0, ModeWindow(bound=2))
-    assert report.passed, report.to_json()
-    by_k = {row.k: row for row in report.rows}
+    assert report["passed"], report
+    by_k = {row["k"]: row for row in report["rows"]}
     # direct 2 = 1 + 1 in the middle degree, 1 = 1 + 0 and 1 = 0 + 1 at the ends
-    assert (by_k[0].direct, by_k[0].predicted) == (1, 1)
-    assert (by_k[1].direct, by_k[1].predicted) == (2, 2)
-    assert (by_k[2].direct, by_k[2].predicted) == (1, 1)
+    assert (by_k[0]["direct"], by_k[0]["predicted"]) == (1, 1)
+    assert (by_k[1]["direct"], by_k[1]["predicted"]) == (2, 2)
+    assert (by_k[2]["direct"], by_k[2]["predicted"]) == (1, 1)
 
 
 def test_splitting_table_h1(bundle):
     report = splitting(bundle, 1, ModeWindow(bound=2))
-    assert report.passed
-    by_k = {row.k: row for row in report.rows}
-    assert by_k[0].direct == 1 and by_k[1].direct == 2 and by_k[2].direct == 1
+    assert report["passed"]
+    by_k = {row["k"]: row["direct"] for row in report["rows"]}
+    assert by_k == {0: 1, 1: 2, 2: 1}
 
 
 def test_splitting_checks_present(bundle):
     report = splitting(bundle, 0, ModeWindow(bound=1))
-    names = {c.name for c in report.checks}
+    names = {c["name"] for c in report["checks"]}
     assert "pullback intertwines d_F" in names
     assert "fiber integration intertwines d_F" in names
     assert "fiber integration kills pullbacks" in names
     assert "fiber-class wedge splits the sequence" in names
-    assert all(c.passed for c in report.checks)
+    assert all(c["passed"] for c in report["checks"])
 
 
 
@@ -146,9 +146,9 @@ def test_flipped_fiber_sign_fails_intertwining(bundle, monkeypatch):
 
     monkeypatch.setattr(gysin, "fiber_integration_terms", flipped)
     report = splitting(bundle, 0, ModeWindow(bound=1))
-    failing = {c.name: c.detail for c in report.checks if not c.passed}
+    failing = {c["name"]: c["detail"] for c in report["checks"] if not c["passed"]}
     assert failing["fiber integration intertwines d_F"] == "counterexample: e[-1, -1, 0]*dphi"
-    assert report.to_json()["checks"][1]["detail"] == "counterexample: e[-1, -1, 0]*dphi"
+    assert report["checks"][1]["detail"] == "counterexample: e[-1, -1, 0]*dphi"
 
 
 def test_unclosed_fiber_class_fails_splitting(bundle, monkeypatch):
@@ -167,7 +167,7 @@ def test_unclosed_fiber_class_fails_splitting(bundle, monkeypatch):
 
     monkeypatch.setattr(gysin, "_dphi_terms", unclosed)
     report = splitting(bundle, 0, ModeWindow(bound=1))
-    failing = {c.name: c.detail for c in report.checks if not c.passed}
+    failing = {c["name"]: c["detail"] for c in report["checks"] if not c["passed"]}
     assert failing == {"fiber-class wedge splits the sequence": "counterexample: e[-1, -1]"}
 
 
@@ -188,10 +188,10 @@ def test_zero_map_fails_its_iso_check(zeroed, readers, iso, bundle, monkeypatch)
     window = ModeWindow(bound=1)
     base_dims = cohomology_dims(bundle.base, window)
     reports = product_splitting_dims(bundle, base_dims, cohomology_dims(bundle, window))
-    assert [report.h for report in reports] == [0, 1]
-    for report in reports:
-        failing = {c.name for c in report.checks if not c.passed}
-        assert failing == {"fiber-class wedge splits the sequence", iso}, report.h
+    assert [report["transverse_degree"] for report in reports] == [0, 1]
+    for h, report in enumerate(reports):
+        failing = {c["name"] for c in report["checks"] if not c["passed"]}
+        assert failing == {"fiber-class wedge splits the sequence", iso}, h
 
 
 def test_chain_map_checks_once_per_run(tmp_path, monkeypatch):

@@ -182,8 +182,7 @@ def _cone_tables(cone: ConicDualModel, e2: dict | None = None) -> dict:
         for op, dims in boundary.items()
     }
     if e2 is not None:
-        bridge = hochschild.e1_to_e2(boundary["delta"], e2)
-        out["page_bridge"] = [cell.to_json() for cell in bridge.cells]
+        out["page_bridge"] = hochschild.e1_to_e2(boundary["delta"], e2)["cells"]
     filtrations = (poisson_filtration(cone, k, WINDOW) for k in range(top + 1))
     out["pages"] = [[page.to_json() for page in pages(fc)] for fc in filtrations]
     return out
@@ -198,14 +197,14 @@ def _torus_tables(alpha: tuple) -> dict:
     e2 = hochschild.e2_dims(torus, circle)
     return {
         "leafwise": leafwise.dims,
-        "basic": basic_cohomology_dims(torus, WINDOW).dims,
+        "basic": basic_cohomology_dims(torus, WINDOW)["dims"],
         "betti": ordinary_derham_dims(torus, WINDOW),
         "cosphere": circle.dims,
         "circle_product": cohomology_dims(CircleProductModel(torus), WINDOW).dims,
         **_cone_tables(ConicDualModel(torus), e2),
         "e2": e2,
         "hh": hh_dims_assuming_collapse(torus, circle),
-        "bottom_top": hochschild.hh0_and_top(torus, circle, leafwise).to_json(),
+        "bottom_top": hochschild.hh0_and_top(torus, circle, leafwise),
         "hp": hp_dims(ordinary_derham_dims(cosphere, WINDOW)),
     }
 
@@ -245,7 +244,7 @@ def test_galois_conjugate_frame_keeps_every_table():
         frame = LieFrameModel.create(FIELD, 3, {(0, 2): {0: FIELD.one}, (1, 2): {1: c}}, {0})
         return {
             "leafwise": cohomology_dims(frame, WINDOW).dims,
-            "basic": basic_cohomology_dims(frame, WINDOW).dims,
+            "basic": basic_cohomology_dims(frame, WINDOW)["dims"],
             **_cone_tables(ConicDualModel(frame)),
         }
 

@@ -312,12 +312,16 @@ def test_coboundary_of_trace_is_trace_of_commutator(torus, field):
 
 def test_trace_suite_certifies_collapse(torus):
     report = verify_traces_and_collapse(torus, predicted_hh(torus), trials=25, depth=6, seed=7)
-    assert report.passed
-    assert report.trace_property_holds
-    assert report.coboundary_levels == {0: True, 1: True, 2: True}
-    assert report.independence == {0: (2, 2), 1: (6, 6), 2: (6, 6)}
-    assert report.collapse_certified
-    assert report.predicted_dims == [2, 6, 6, 2]
+    assert report["passed"]
+    assert report["trace_property_holds"]
+    assert report["coboundary_vanishes"] == {"0": True, "1": True, "2": True}
+    assert report["independence"] == {
+        "0": {"expected": 2, "rank": 2},
+        "1": {"expected": 6, "rank": 6},
+        "2": {"expected": 6, "rank": 6},
+    }
+    assert report["collapse_certified"]
+    assert report["predicted_dims"] == [2, 6, 6, 2]
 
 
 def test_trace_suite_rejects_resonant(field):
@@ -454,7 +458,7 @@ def test_suite_cocycles_match_full_chain(torus, monkeypatch):
     monkeypatch.setattr(symbols, "_signed_sum", record_sum)
     report = verify_traces_and_collapse(torus, predicted_hh(torus), trials=20, depth=6, seed=11)
     monkeypatch.undo()
-    assert report.collapse_certified
+    assert report["collapse_certified"]
     assert len(cocycles) == 360 and len(coboundaries) == 24
     for dirs, side, args, depth, value in cocycles:
         assert value == full_chain(dirs, side, args, depth)
