@@ -379,6 +379,10 @@ def _parse_window(args: argparse.Namespace) -> ModeWindow:
             raise SpecParseError(
                 f"malformed --xi-range {args.xi_range!r}; expected a:b"
             ) from exc
+        if l_min > l_max:
+            raise SpecParseError(f"empty --xi-range {args.xi_range!r}; expected a:b with a <= b")
+    if args.mode_bound < 0:
+        raise SpecParseError(f"negative --mode-bound {args.mode_bound}; expected a bound >= 0")
     return ModeWindow(bound=args.mode_bound, l_min=l_min, l_max=l_max)
 
 

@@ -16,11 +16,12 @@ a block is sum c_g eps_g over the block's `multipliers`, and
 `koszul_block_dims` settles the block: a nonzero leaf multiplier c_j makes
 h = c_j^-1 iota_j a contracting homotopy, and with none d_F vanishes.  The
 Cartan identity eps_g iota_j + iota_j eps_g = delta_gj behind h is checked
-on the whole exterior basis for every table.
+on the model's exterior tables (`models.ExteriorTables`) for every table.
 
 An operator is a term map (`models.TermMap`): its action on one monomial,
 a list of (monomial, coefficient).  `component_terms` gives d and its three
-components; `Form.map` is the one linear extension to forms.
+components, each caching its blocks' multipliers as Scalars; `Form.map` is
+the one linear extension to forms.
 
 One block engine ranks the other blocks: the leafwise tables of frame models,
 the basic table and closed/exact sets here, poisson's boundary homology and
@@ -70,7 +71,10 @@ def component_terms(model: FoliatedModel, component: str) -> TermMap:
 
     `_multiplier_d` over the block's multipliers (g, c), of shift bideg(g), plus
     `_frame_d` over the frame terms g -> c a ^ b, of shift bideg(a ^ b) - bideg(g):
-    d keeps every term, a component the terms of its shift."""
+    d keeps every term, a component the terms of its shift.  The term map
+    keeps, per block key, the block's kept nonzero multipliers as Scalars
+    (g, c, -c); the cache lives in the closure, so it belongs to one model
+    and one component."""
     if component not in COMPONENTS:
         raise ValidationError(f"unknown differential component {component!r}")
     shift = _SHIFTS[component]
@@ -81,9 +85,16 @@ def component_terms(model: FoliatedModel, component: str) -> TermMap:
 
     kept = [keep((g,)) for g in range(len(model.gen_names))]
     frame = [[(c, ab) for c, ab in row if keep(ab, (g,))] for g, row in enumerate(model._dual_d)]
+    blocks: dict[tuple, list[tuple[int, Scalar, Scalar]]] = {}
 
     def terms(mono: FormMonomial) -> list[tuple[FormMonomial, Scalar]]:
-        mults = [(g, c) for g, c in model.multipliers(model.block_key(mono)) if kept[g]]
+        key = model.block_key(mono)
+        mults = blocks.get(key)
+        if mults is None:
+            # field.scalar shares the Scalars of small ints, the usual multipliers
+            scalar = model.field.scalar
+            mults = [(g, scalar(c), scalar(-c)) for g, c in model.multipliers(key) if kept[g] and c]
+            blocks[key] = mults
         out = _multiplier_d(model, mono, mults)
         return out + _frame_d(frame, mono) if frame else out
 
@@ -115,21 +126,15 @@ def check_identities(
     bad: dict[str, str] = {}
     for mono in model.basis_monomials(window):
         images: dict[tuple, dict[FormMonomial, Scalar]] = {(): {mono: model.field.one}}
-
-        def image(maps: tuple) -> dict[FormMonomial, Scalar]:
-            if maps not in images:
-                images[maps] = linear_extension(maps[0], image(maps[1:]).items())
-            return images[maps]
-
         for name, *spec in identities:
             if name in bad:
                 continue
             if len(spec) == 2:
-                holds = spec[1](mono, image(spec[0]))
+                holds = spec[1](mono, _image(images, spec[0]))
             else:
                 total: dict[FormMonomial, Scalar] = {}
                 for c, *maps in spec[0]:
-                    linear_extension(lambda m: ((m, c),), image(tuple(maps)).items(), total)
+                    linear_extension(lambda m: ((m, c),), _image(images, tuple(maps)).items(), total)
                 holds = not total
             if not holds:
                 bad[name] = detail.format(model.monomial_label(mono))
@@ -137,6 +142,17 @@ def check_identities(
         {"name": name, "passed": name not in bad, "detail": bad.get(name, "")}
         for name, *_ in identities
     ]
+
+
+def _image(images: dict[tuple, dict], maps: tuple) -> dict[FormMonomial, Scalar]:
+    """The image of a composite of term maps, each suffix's image computed once.
+
+    A module-level function: a recursive closure would be a reference cycle,
+    keeping the term maps (and their block caches) alive until a full collection.
+    """
+    if maps not in images:
+        images[maps] = linear_extension(maps[0], _image(images, maps[1:]).items())
+    return images[maps]
 
 
 def verify_decomposition_identities(
@@ -333,7 +349,7 @@ def cohomology_dims(
         op = component_terms(model, "d_F")
         block_dims = lambda key: _block_bidegree_dims(model, key, window, op)
     else:
-        check_cartan_identity(len(model.gen_names))
+        check_cartan_identity(model.exterior)
         block_dims = lambda key: koszul_block_dims(model, key)
     totals: dict[tuple[int, int], int] = {}
     for key in keys:
@@ -498,7 +514,7 @@ def ordinary_derham_dims(
         raise UnsupportedModelError(
             "ordinary de Rham dims are computed on torus and circle bundle models"
         )
-    check_cartan_identity(len(model.gen_names))
+    check_cartan_identity(model.exterior)
     dims = [0] * (len(model.gen_names) + 1)
     for key in model.block_keys(window or ModeWindow()):
         for (r, s), h in koszul_block_dims(model, key, full=True).items():

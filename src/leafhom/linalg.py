@@ -31,7 +31,7 @@ class SparseMatrix:
         for (r, c), v in entries.items():
             if not (0 <= r < rows and 0 <= c < cols):
                 raise ShapeError(f"entry at ({r}, {c}) outside a {rows}x{cols} matrix")
-            if v.field != field:
+            if v.field is not field and v.field != field:
                 raise ShapeError("matrix entry from a different field")
             if v:
                 clean[(r, c)] = v
@@ -178,7 +178,9 @@ def rank_kernel(matrix: SparseMatrix) -> tuple[int, list[SparseVector]]:
     """Exact rank and a basis of the right kernel (vectors as {col: Scalar}).
 
     Each kernel vector v satisfies  matrix @ v = 0; the basis vectors are
-    linearly independent and rank + len(basis) = cols.
+    linearly independent and rank + len(basis) = cols.  Both facts are checked
+    on the result (rank-nullity and M v = 0 for every basis vector), and a
+    failure raises ComplexViolationError.
     """
     pivots, free = _rref(matrix)
     one = matrix.field.one
@@ -190,6 +192,13 @@ def rank_kernel(matrix: SparseMatrix) -> tuple[int, list[SparseVector]]:
             if c is not None and c:
                 vec[pcol] = -c
         kernel.append(vec)
+    if len(pivots) + len(kernel) != matrix.cols:
+        raise ComplexViolationError(
+            f"rank-nullity fails: rank {len(pivots)} + kernel {len(kernel)} != {matrix.cols} columns"
+        )
+    for vec in kernel:
+        if matrix.apply(vec):
+            raise ComplexViolationError(f"kernel vector {sorted(vec)} is not annihilated")
     return len(pivots), kernel
 
 

@@ -15,8 +15,15 @@ Four families are supported:
   structure coefficients, foliated by a subalgebra.
 
 Forms are finite sums of monomials (Fourier mode x radial power x component
-label x ordered exterior monomial) with exact Scalar coefficients.  All model
-and form objects are immutable and freely shareable across threads.
+label x ordered exterior monomial) with exact Scalar coefficients; a monomial
+is a `FormMonomial` named tuple.  All model and form objects are immutable and
+freely shareable across threads.
+
+The exterior structure of a model's generators is read from its
+`ExteriorTables`, built once per model from `merge_ext` and the leaf flags:
+the subsets of every size, the bidegree of each, and the insertion
+eps_g(ext) = merge_ext((g,), ext) of each generator.  `_multiplier_d` and
+`check_cartan_identity` read the same insertion table.
 """
 
 from __future__ import annotations
@@ -25,7 +32,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ComplexViolationError, SpecParseError, UnsupportedModelError, ValidationError
 from .linalg import integer_kernel
@@ -56,9 +64,11 @@ class ModeWindow:
         return {"bound": self.bound, "l_min": self.l_min, "l_max": self.l_max}
 
 
-@dataclass(frozen=True)
-class FormMonomial:
-    """One basis monomial: mode, radial power, component label, exterior part."""
+class FormMonomial(NamedTuple):
+    """One basis monomial: mode, radial power, component label, exterior part.
+
+    A named tuple, so it hashes as the tuple (mode, xi, comp, ext).
+    """
 
     mode: Mode
     xi: int
@@ -144,6 +154,28 @@ def merge_ext(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, tuple[int, .
     out.extend(a[i:])
     out.extend(b[j:])
     return sign, tuple(out)
+
+
+class ExteriorTables:
+    """The exterior basis of generators with the given leaf flags, as lookup tables.
+
+    ``subsets`` lists the increasing index tuples by size, ``bidegree[ext]`` is
+    (leaf count, transverse count), and ``insert[g][ext]`` is
+    merge_ext((g,), ext): (sign, ext with g) or None when g is in ext.
+    """
+
+    __slots__ = ("subsets", "bidegree", "insert")
+
+    def __init__(self, long_flags: tuple[bool, ...]):
+        n = len(long_flags)
+        self.subsets = tuple(
+            itertools.chain.from_iterable(itertools.combinations(range(n), k) for k in range(n + 1))
+        )
+        self.bidegree = {}
+        for ext in self.subsets:
+            r = sum(1 for g in ext if long_flags[g])
+            self.bidegree[ext] = (r, len(ext) - r)
+        self.insert = tuple({ext: merge_ext((g,), ext) for ext in self.subsets} for g in range(n))
 
 
 class Form:
@@ -295,9 +327,12 @@ class FoliatedModel:
 
     # -- grading helpers ---------------------------------------------------
 
+    @cached_property
+    def exterior(self) -> ExteriorTables:
+        return ExteriorTables(self.long_flags)
+
     def bidegree(self, ext: tuple[int, ...]) -> tuple[int, int]:
-        r = sum(1 for g in ext if self.long_flags[g])
-        return r, len(ext) - r
+        return self.exterior.bidegree[ext]
 
     def homogeneity(self, mono: FormMonomial) -> int:
         if not self.has_xi:
@@ -384,18 +419,11 @@ class FoliatedModel:
     def block_monomials(self, key: tuple, window: ModeWindow) -> list[FormMonomial]:
         """All exterior monomials of one block, every degree."""
         comp, mode = key
-        return [FormMonomial(mode, 0, comp, ext) for ext in self._ext_subsets()]
+        return [FormMonomial(mode, 0, comp, ext) for ext in self.exterior.subsets]
 
     def basis_monomials(self, window: ModeWindow) -> Iterator[FormMonomial]:
         for key in self.block_keys(window):
             yield from self.block_monomials(key, window)
-
-    def _ext_subsets(self) -> list[tuple[int, ...]]:
-        gens = range(len(self.gen_names))
-        out: list[tuple[int, ...]] = []
-        for k in range(len(self.gen_names) + 1):
-            out.extend(itertools.combinations(gens, k))
-        return out
 
 
 def _sort_sign(indices: list[int]) -> int:
@@ -409,41 +437,43 @@ def _sort_sign(indices: list[int]) -> int:
 
 
 def _multiplier_d(
-    model: FoliatedModel, mono: FormMonomial, multipliers: list[tuple[int, Scalar | int]]
+    model: FoliatedModel, mono: FormMonomial, multipliers: list[tuple[int, Scalar, Scalar]]
 ) -> list[tuple[FormMonomial, Scalar]]:
-    """d of a monomial from its block's multipliers: sum over (gen, c) of c * gen ^ mono.
+    """d of a monomial from its block's multipliers: sum over (gen, c, -c) of c * gen ^ mono.
 
-    On the cone, gen = dxi also lowers the xi power, so the monomial stays in
-    its homogeneity block; zero multipliers contribute nothing.
+    ``multipliers`` holds the block's nonzero multipliers with their negations;
+    gen ^ mono is read from the model's insertion table.  On the cone, gen =
+    dxi also lowers the xi power, so the monomial stays in its homogeneity block.
     """
+    insert, xi_gen = model.exterior.insert, model.XI_GEN
+    mode, xi, comp, ext = mono
     out = []
-    for gen, c in multipliers:
-        ins = merge_ext((gen,), mono.ext) if c else None
+    for gen, c, neg in multipliers:
+        ins = insert[gen][ext]
         if ins is not None:
-            sign, ext = ins
-            val = c if sign > 0 else -c
-            xi = mono.xi - 1 if gen == model.XI_GEN else mono.xi
-            scalar = val if isinstance(val, Scalar) else model.field.scalar(val)
-            out.append((FormMonomial(mono.mode, xi, mono.comp, ext), scalar))
+            sign, new = ins
+            mono2 = FormMonomial(mode, xi - 1 if gen == xi_gen else xi, comp, new)
+            out.append((mono2, c if sign > 0 else neg))
     return out
 
 
-def check_cartan_identity(n: int) -> None:
-    """eps_g iota_j + iota_j eps_g = delta_gj on the exterior basis of n generators.
+def check_cartan_identity(tables: ExteriorTables) -> None:
+    """eps_g iota_j + iota_j eps_g = delta_gj on the whole exterior basis of ``tables``.
 
-    eps_g is `_multiplier_d`'s exterior multiplication (`merge_ext`), iota_j the
-    contraction; the identity makes c_j^-1 iota_j a contracting homotopy of a
-    block with c_j != 0.  Raises ComplexViolationError at the first failure.
+    eps_g is the insertion table `_multiplier_d` reads, iota_j the contraction;
+    the identity makes c_j^-1 iota_j a contracting homotopy of a block with
+    c_j != 0.  Raises ComplexViolationError at the first failure.
     """
+    eps, n = tables.insert, len(tables.insert)
 
     def iota(j: int, e: tuple[int, ...]):
         return ((-1) ** e.index(j), tuple(x for x in e if x != j)) if j in e else None
 
-    for ext in itertools.chain(*(itertools.combinations(range(n), k) for k in range(n + 1))):
+    for ext in tables.subsets:
         for g, j in itertools.product(range(n), repeat=2):
-            a, b = iota(j, ext), merge_ext((g,), ext)
+            a, b = iota(j, ext), eps[g][ext]
             total: dict[tuple[int, ...], int] = {}
-            for first, then in ((a, a and merge_ext((g,), a[1])), (b, b and iota(j, b[1]))):
+            for first, then in ((a, a and eps[g][a[1]]), (b, b and iota(j, b[1]))):
                 if then:
                     total[then[1]] = total.get(then[1], 0) + first[0] * then[0]
             if {e: c for e, c in total.items() if c} != ({ext: 1} if g == j else {}):
@@ -675,7 +705,7 @@ class LieFrameModel(FoliatedModel):
         return [(0,)]
 
     def block_monomials(self, key: tuple, window: ModeWindow) -> list[FormMonomial]:
-        return [FormMonomial((), 0, 0, ext) for ext in self._ext_subsets()]
+        return [FormMonomial((), 0, 0, ext) for ext in self.exterior.subsets]
 
     def __repr__(self) -> str:
         leaves = sorted(i + 1 for i in self.leaf_indices)
@@ -750,7 +780,7 @@ class ConicDualModel(FoliatedModel):
     def block_monomials(self, key: tuple, window: ModeWindow) -> list[FormMonomial]:
         comp, mode, l = key
         out = []
-        for ext in self._ext_subsets():
+        for ext in self.exterior.subsets:
             xi = l - (1 if 1 in ext else 0)
             out.append(FormMonomial(mode, xi, comp, ext))
         return out

@@ -208,14 +208,16 @@ def _line_dims(
 
     The operator lowers degree and homogeneity by one, so on each
     (component, mode) block the cells (k, k - c), k = 0 .. top, form one
-    complex in degrees t = -l.
+    complex in degrees t = -l.  Each block complex gets its own term map, so
+    the multipliers the term map caches are those of one block's keys.
     """
-    op, top = delta_terms(conic, operator), conic.leaf_dim + conic.codim
+    top = conic.leaf_dim + conic.codim
     out = {name: dict.fromkeys(range(top + 1), 0) for name in conic.components}
     for comp, name in enumerate(conic.components):
         for mode in window.modes(conic.mode_len):
             cells = {k: conic.block_monomials((comp, mode, k - c), window) for k in range(top + 1)}
             graded = {c - k: [m for m in b if len(m.ext) == k] for k, b in cells.items()}
+            op = delta_terms(conic, operator)
             dims = block_homology(conic, op, graded, f"{(comp, mode)}, {operator} line k - l = {c}")
             for k in range(top + 1):
                 out[name][k] += dims[c - k]

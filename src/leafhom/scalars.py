@@ -256,10 +256,15 @@ class Scalar:
         field = self.field
         a, b = self.nums, o.nums
         den = self.den * o.den
-        # fast path: one factor rational
+        # fast paths: one factor +-1 (the other, in normal form, is the product up
+        # to sign), or one factor rational
         if not any(a[1:]):
+            if self.den == 1 and a[0] in (1, -1):
+                return o if a[0] == 1 else -o
             return _normal(field, tuple(map(a[0].__mul__, b)), den) if a[0] else field.zero
         if not any(b[1:]):
+            if o.den == 1 and b[0] in (1, -1):
+                return self if b[0] == 1 else -self
             return _normal(field, tuple(map(b[0].__mul__, a)), den) if b[0] else field.zero
         out = [0] * field.dim
         table = field._mul_table

@@ -257,7 +257,8 @@ def poisson_filtration(
     the finite range where the degree is representable), graded by t = -l,
     filtered by transverse degree.  The differential is the full boundary
     operator; its leafwise part preserves the weight, the transverse part
-    raises it by one.
+    raises it by one.  A broken complex raises ComplexViolationError naming
+    the operator and the offset.
     """
     conic = model
     if not isinstance(conic, ConicDualModel):
@@ -277,5 +278,8 @@ def poisson_filtration(
                     _r, s = conic.bidegree(mono.ext)
                     basis.append(BasisVector(label, -l, s))
                     graded.setdefault(-l, []).append(mono)
-    diffs = block_differentials(conic, delta_terms(conic), graded)
-    return FilteredComplex(conic.field, basis, diffs)
+    try:
+        diffs = block_differentials(conic, delta_terms(conic), graded)
+        return FilteredComplex(conic.field, basis, diffs)
+    except ComplexViolationError as exc:
+        raise ComplexViolationError(f"delta filtration at offset k = {k}: {exc}") from exc

@@ -200,6 +200,16 @@ def test_unsupported_pairing(tmp_path):
             "cannot hold the first-page degrees",
         ),
         (
+            {"family": "kronecker_torus", "alpha": ["1", "sqrt2"]},
+            ["derham", "--xi-range=1:-1"],
+            "empty --xi-range '1:-1'; expected a:b with a <= b",
+        ),
+        (
+            {"family": "kronecker_torus", "alpha": ["1", "sqrt2"]},
+            ["derham", "--mode-bound", "-1"],
+            "negative --mode-bound -1; expected a bound >= 0",
+        ),
+        (
             {"family": "lie_frame", "n": 2, "brackets": [[1, 2, [[3]]]], "leaf": [1]},
             ["derham"],
             "malformed bracket targets",
@@ -261,6 +271,8 @@ def test_unsupported_pairing(tmp_path):
     ],
     ids=[
         "window-too-small",
+        "empty-xi-range",
+        "negative-mode-bound",
         "bracket-target",
         "three-radicals",
         "negative-trials",
@@ -473,18 +485,25 @@ def test_broken_complex_is_a_failed_check(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "make_model", broken_cone)
     spec, out = tmp_path / "cone.json", tmp_path / "o"
     spec.write_text("{}")
-    args = ["run", "--model", str(spec), "--analyses", "derham,poisson", "--mode-bound", "0"]
+    analyses = "derham,poisson,specseq"
+    args = ["run", "--model", str(spec), "--analyses", analyses, "--mode-bound", "0"]
     assert cli.main([*args, "--out", str(out)]) == 1
     captured = capsys.readouterr()
-    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    lines = captured.err.splitlines()
+    assert len(lines) == 2 and all(line.startswith("error: ") for line in lines)
     assert "Traceback" not in captured.err + captured.out
     summary = json.loads((out / "summary.json").read_text())
     error = summary["analyses"]["derham"]["error"]
-    assert error == str(engine.value) and error in captured.err
+    assert error == str(engine.value) and error in lines[0]
     assert "block (0, (), -2)" in error and "between degrees 0 and 2" in error
     # the run went on: poisson ran and wrote its report
     assert summary["analyses"]["poisson"] == {"passed": False, "report": "poisson.json"}
+    # the filtration's d^2 failure names its operator and offset
+    error = summary["analyses"]["specseq"]["error"]
+    assert error in lines[1]
+    assert error == "delta filtration at offset k = 0: d^2 != 0 between degrees -2 and 0"
     assert summary["passed"] is False and not (out / "derham.json").exists()
+    assert not (out / "specseq.json").exists()
 
 
 # -- CLI fuzzer -------------------------------------------------------------------

@@ -27,6 +27,7 @@ from leafhom.models import (
     ConicDualModel,
     CosphereCircleModel,
     Form,
+    FormMonomial,
     KroneckerTorus,
     LieFrameModel,
     ModeWindow,
@@ -182,6 +183,22 @@ def test_term_maps_have_distinct_nonzero_terms(torus, field, component):
             image = terms(mono)
             assert all(c for _m, c in image), (model, model.monomial_label(mono))
             assert len({m for m, _c in image}) == len(image), (model, model.monomial_label(mono))
+
+
+def test_block_caches_are_per_model(field):
+    # tori with the same shape and block keys but different alpha: each term map
+    # must keep reading its own model's multipliers, in any order of use
+    tori = [KroneckerTorus(field, ["1", a]) for a in ("sqrt2", "2*sqrt2", "-1/3*sqrt2")]
+    maps = [(t, c, component_terms(t, c)) for t in tori for c in ("d", "d_F")]
+    monos = [FormMonomial((1, -1), 0, 0, ext) for ext in ((), (1,))]
+    for _round in range(2):
+        for t, c, terms in maps:
+            pairing = t.pairing((1, -1))
+            for mono in monos:
+                expected = {FormMonomial((1, -1), 0, 0, (0,) + mono.ext): pairing}
+                if c == "d" and not mono.ext:
+                    expected[FormMonomial((1, -1), 0, 0, (1,))] = field.scalar(-1)
+                assert dict(terms(mono)) == expected, (t, c, mono)
 
 
 def test_check_identities_names_first_counterexample(torus):

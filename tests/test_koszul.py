@@ -29,6 +29,7 @@ from leafhom.models import (
     CircleProductModel,
     ConicDualModel,
     CosphereCircleModel,
+    ExteriorTables,
     KroneckerTorus,
     ModeWindow,
     check_cartan_identity,
@@ -96,7 +97,7 @@ def test_rule_matches_rank_engine(name, bound):
 
 def test_cartan_identity_holds():
     for n in range(1, 7):
-        check_cartan_identity(n)
+        check_cartan_identity(ExteriorTables((True,) + (False,) * (n - 1)))
 
 
 def test_corrupted_exterior_sign_fails_the_cartan_check(monkeypatch):
@@ -109,7 +110,7 @@ def test_corrupted_exterior_sign_fails_the_cartan_check(monkeypatch):
 
     monkeypatch.setattr(models, "merge_ext", corrupted)
     with pytest.raises(ComplexViolationError, match="Cartan identity fails"):
-        check_cartan_identity(3)
+        check_cartan_identity(ExteriorTables((True, False, False)))
     torus = KroneckerTorus(NumberField((2,)), ["1", "sqrt2", "sqrt2-1"])
     for run in (
         lambda: cohomology_dims(torus, ModeWindow(bound=0)),

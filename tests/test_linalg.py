@@ -77,6 +77,31 @@ def test_kernel_vectors_annihilated(field):
         assert span_dim(field, kernel) == len(kernel)
 
 
+def test_corrupted_elimination_trips_the_kernel_check(field, monkeypatch):
+    from leafhom import linalg
+
+    m = dense(field, [[1, 2, 0], [0, 1, 1]])
+    real = linalg._rref
+
+    def wrong_row(matrix):
+        # a pivot row off by a factor at the free column
+        pivots, free = real(matrix)
+        pivots[0] = {c: v if c == 0 else v * 2 for c, v in pivots[0].items()}
+        return pivots, free
+
+    def extra_pivot(matrix):
+        # a pivot outside the columns: rank + nullity exceeds them
+        pivots, free = real(matrix)
+        pivots[matrix.cols] = {matrix.cols: field.one}
+        return pivots, free
+
+    assert rank_kernel(m)[0] == 2
+    for corrupted, message in ((wrong_row, "not annihilated"), (extra_pivot, "rank-nullity")):
+        monkeypatch.setattr(linalg, "_rref", corrupted)
+        with pytest.raises(ComplexViolationError, match=message):
+            rank_kernel(m)
+
+
 def test_rank_agrees_under_reordering(field):
     # two independent elimination orders: as-is and with rows+cols reversed
     rng = random.Random(11)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 import re
 
@@ -11,6 +13,7 @@ from leafhom.errors import LeafhomError, SpecParseError, UnsupportedModelError, 
 from leafhom.models import (
     ConicDualModel,
     CosphereCircleModel,
+    ExteriorTables,
     FoliatedModel,
     FormMonomial,
     KroneckerTorus,
@@ -148,6 +151,49 @@ def test_merge_ext_signs():
     assert merge_ext((1,), (0,)) == (-1, (0, 1))
     assert merge_ext((0,), (0,)) is None
     assert merge_ext((0, 2), (1,)) == (-1, (0, 1, 2))
+
+
+def test_exterior_tables_match_their_definitions():
+    # every leaf-flag pattern of up to 6 generators
+    for n in range(7):
+        for flags in itertools.product((True, False), repeat=n):
+            tables = ExteriorTables(flags)
+            subsets = [e for k in range(n + 1) for e in itertools.combinations(range(n), k)]
+            assert list(tables.subsets) == subsets
+            assert len(tables.insert) == n
+            for g in range(n):
+                assert tables.insert[g] == {e: merge_ext((g,), e) for e in subsets}
+            p = sum(flags)
+            counts: dict[tuple[int, int], int] = {}
+            for e in subsets:
+                r, s = tables.bidegree[e]
+                assert (r, s) == (sum(flags[g] for g in e), len(e) - r)
+                counts[(r, s)] = counts.get((r, s), 0) + 1
+            assert counts == {
+                (r, s): math.comb(p, r) * math.comb(n - p, s)
+                for r in range(p + 1)
+                for s in range(n - p + 1)
+            }
+
+
+def test_exterior_tables_are_per_model(field, torus):
+    other = KroneckerTorus(field, ["1", "sqrt2"])
+    assert torus.exterior is torus.exterior and other.exterior is not torus.exterior
+    conic = ConicDualModel(torus)
+    assert conic.exterior.bidegree[(1, 2)] == conic.bidegree((1, 2)) == (1, 1)
+    assert [m.ext for m in conic.block_monomials((0, (0, 0), 0), ModeWindow())] == list(
+        conic.exterior.subsets
+    )
+
+
+def test_form_monomial_is_a_named_tuple():
+    mono = FormMonomial(mode=(1, -1), xi=2, comp=1, ext=(0, 2))
+    assert mono == FormMonomial((1, -1), 2, 1, (0, 2))
+    assert (mono.mode, mono.xi, mono.comp, mono.ext) == ((1, -1), 2, 1, (0, 2))
+    assert hash(mono) == hash(((1, -1), 2, 1, (0, 2)))
+    assert mono != FormMonomial((1, -1), 2, 0, (0, 2))
+    assert mono.sort_key() == (1, (1, -1), 2, 2, (0, 2))
+    assert {mono: 1}[FormMonomial((1, -1), 2, 1, (0, 2))] == 1
 
 
 def test_wedge_square_and_anticommutativity(torus):

@@ -282,10 +282,32 @@ if st is not None:
         if x == y:
             assert hash(x) == hash(y)
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(field_elements(1))
+    def test_unit_factors_return_normal_forms(drawn):
+        field, (a,) = drawn
+        x = Scalar(field, a)
+        minus_x = Scalar(field, tuple(-c for c in a))
+        one, minus_one = field.one, field.scalar(-1)
+        for got, expected in (
+            (x * 1, x), (x * one, x), (1 * x, x), (one * x, x),
+            (x * -1, minus_x), (x * minus_one, minus_x), (-1 * x, minus_x), (minus_one * x, minus_x),
+        ):
+            assert got == expected and got.coeffs == expected.coeffs
+            assert_normal(got)
+        other = FIELDS[(FIELDS.index(field) + 1) % len(FIELDS)]
+        for a_, b_ in ((x, other.one), (other.one, x), (x, other.scalar(-1)), (other.scalar(-1), x)):
+            with pytest.raises(ValidationError):
+                a_ * b_
+
 else:  # pragma: no cover
 
     @pytest.mark.skip(reason="hypothesis is not installed")
     def test_arithmetic_matches_fraction_oracle():
+        pass
+
+    @pytest.mark.skip(reason="hypothesis is not installed")
+    def test_unit_factors_return_normal_forms():
         pass
 
     @pytest.mark.skip(reason="hypothesis is not installed")
