@@ -115,6 +115,24 @@ CASES = {
         ["--analyses", "poisson,specseq"],
         0,
     ),
+    # the cone over the Heisenberg frame: ranked leafwise tables, re-indexed d e^k
+    "heisenberg_cone_derham": (
+        {
+            "family": "conic_dual",
+            "base": {"family": "lie_frame", "n": 3, "brackets": [[1, 2, [[3, "1"]]]], "leaf": [3]},
+        },
+        ["--analyses", "derham", "--mode-bound", "1"],
+        0,
+    ),
+    # the two-component circle bundle: its table, basic complex and Betti numbers
+    "cosphere_circle_t2": (
+        {
+            "family": "cosphere_circle",
+            "base": {"family": "kronecker_torus", "alpha": ["1", "sqrt2"]},
+        },
+        ["--analyses", "derham", "--mode-bound", "1"],
+        0,
+    ),
     # the markdown and csv renderings of the same two reports and the summary
     "kronecker_t2_markdown": (
         {"family": "kronecker_torus", "alpha": ["1", "sqrt2"]},
