@@ -88,10 +88,8 @@ class RunContext:
     @cached_property
     def certificate(self) -> derham.DiophantineCertificate | None:
         """The torus's small-divisor certificate, shared by the summary and every table."""
-        try:
-            return derham.diophantine_certificate(self.torus)
-        except UnsupportedModelError:
-            return None
+        torus = self.model.torus
+        return None if torus is None else derham.diophantine_certificate(torus)
 
     @cached_property
     def cone(self) -> ConicDualModel:
@@ -173,7 +171,7 @@ def _run_poisson(ctx: RunContext, cfg: RunConfig) -> tuple[dict, bool]:
         "star_delta_identities": star,
     }
     passed = star["passed"]
-    if isinstance(conic.base, KroneckerTorus):
+    if conic.torus is not None:
         table = poisson.verify_homology_correspondence(
             ctx.boundary("delta"), ctx.boundary("delta_F"), ctx.table(ctx.cosphere)
         )

@@ -9,10 +9,11 @@ linearity covers every form.  The identity suite and the basic table return
 their report documents, the JSON the derham report holds, verdicts included.
 
 Cohomology dimensions are computed block by block: every supported
-differential preserves the Fourier mode (and the radial homogeneity degree
-on the conic model), so the complex is a direct sum of small exact-arithmetic
-complexes indexed by the window.  On a model built on a Kronecker torus, d on
-a block is sum c_g eps_g over the block's `multipliers`, and
+differential preserves the block (comp, mode, l) of `FoliatedModel.block_key`,
+so the complex is a direct sum of small exact-arithmetic complexes indexed by
+the window; a block's monomials are grouped by bidegree once
+(`_by_bidegree`).  On a model built on a Kronecker torus (``model.torus`` is
+not None), d on a block is sum c_g eps_g over the block's `multipliers`, and
 `koszul_block_dims` settles the block: a nonzero leaf multiplier c_j makes
 h = c_j^-1 iota_j a contracting homotopy, and with none d_F vanishes.  The
 Cartan identity eps_g iota_j + iota_j eps_g = delta_gj behind h is checked
@@ -23,12 +24,12 @@ a list of (monomial, coefficient).  `component_terms` gives d and its three
 components, each caching its blocks' multipliers as Scalars; `Form.map` is
 the one linear extension to forms.
 
-One block engine ranks the other blocks: the leafwise tables of frame models,
-the basic table and closed/exact sets here, poisson's boundary homology and
-the specseq filtration use it.  A block is given as its monomial bases by
-degree; `block_differentials` assembles each differential d_t once, reading
-the term map of each source monomial into the matrix (`operator_matrix`), and
-`linalg.homology_dims` ranks each d_t once and returns
+One block engine ranks the other blocks: the leafwise tables of frame models
+and their cones, the basic table and closed/exact sets here, poisson's
+boundary homology and the specseq filtration use it.  A block is given as its
+monomial bases by degree; `block_differentials` assembles each differential
+d_t once, reading the term map of each source monomial into the matrix
+(`operator_matrix`), and `linalg.homology_dims` ranks each d_t once and returns
 dim C^t - rank d_t - rank d_(t-1).  Its invariants: d_(t+1) d_t = 0 is checked
 once per consecutive pair; an image term outside the next degree of the block
 raises (the leak check), so a wrong block split or grading is never counted;
@@ -39,26 +40,23 @@ naming the block and the degrees.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import ComplexViolationError, UnsupportedModelError, ValidationError
 from .linalg import SparseMatrix, homology_dims, rank, rank_kernel
 from .models import (
-    ConicDualModel,
     FoliatedModel,
     Form,
     FormMonomial,
     KroneckerTorus,
     ModeWindow,
     TermMap,
-    _CircleBundleModel,
     _frame_d,
     _multiplier_d,
     check_cartan_identity,
     linear_extension,
-    torus_of,
 )
 from .scalars import Scalar
 
@@ -290,16 +288,19 @@ class BigradedDims:
         return out
 
 
+def _by_bidegree(model: FoliatedModel, key: tuple) -> dict[tuple[int, int], list[FormMonomial]]:
+    """The monomials of one block grouped by bidegree, in block order."""
+    by_deg: dict[tuple[int, int], list[FormMonomial]] = {}
+    for m in model.block_monomials(key):
+        by_deg.setdefault(model.bidegree(m.ext), []).append(m)
+    return by_deg
+
+
 def _block_bidegree_dims(
-    model: FoliatedModel,
-    key: tuple,
-    window: ModeWindow,
-    op: TermMap,
+    model: FoliatedModel, key: tuple, op: TermMap
 ) -> dict[tuple[int, int], int]:
     """H^{r,s} of one block for a (1,0)-shift operator: one chain in r per s."""
-    by_deg: dict[tuple[int, int], list[FormMonomial]] = {}
-    for m in model.block_monomials(key, window):
-        by_deg.setdefault(model.bidegree(m.ext), []).append(m)
+    by_deg = _by_bidegree(model, key)
     out: dict[tuple[int, int], int] = {}
     for s in sorted({s for _r, s in by_deg}):
         # r = leaf_dim + 1 stays empty, so the top degree must map to zero
@@ -338,16 +339,16 @@ def cohomology_dims(
     others ranked; ``certificate`` is that torus's `diophantine_certificate`.
     """
     window = window or ModeWindow()
-    is_conic = isinstance(model, ConicDualModel)
+    is_conic = model.has_xi
     if is_conic and homogeneity is None:
         raise ValidationError("conic cohomology needs a homogeneity degree")
-    base = _torus_base_of(model)
-    keys = model.block_keys(window)
-    if is_conic:  # every (component, mode) block at one homogeneity, in the window's range or not
-        keys = [(c, m, homogeneity) for c, m in FoliatedModel.block_keys(model, window)]
+    base = model.torus
+    # on the cone, every block at the one homogeneity, in the window's range or not
+    narrowed = replace(window, l_min=homogeneity, l_max=homogeneity) if is_conic else window
+    keys = model.block_keys(narrowed)
     if base is None:
         op = component_terms(model, "d_F")
-        block_dims = lambda key: _block_bidegree_dims(model, key, window, op)
+        block_dims = lambda key: _block_bidegree_dims(model, key, op)
     else:
         check_cartan_identity(model.exterior)
         block_dims = lambda key: koszul_block_dims(model, key)
@@ -371,13 +372,6 @@ def cohomology_dims(
         formal=formal,
         certificate=cert,
     )
-
-
-def _torus_base_of(model: FoliatedModel) -> KroneckerTorus | None:
-    try:
-        return torus_of(model)
-    except UnsupportedModelError:
-        return None
 
 
 # -- Diophantine certificates ---------------------------------------------------
@@ -474,16 +468,14 @@ def basic_cohomology_dims(
     resonance lattice (infinitely many basic functions off-window).
     """
     window = window or ModeWindow()
-    if isinstance(model, ConicDualModel):
+    if model.has_xi:
         raise UnsupportedModelError("basic complex is computed on unpunctured models")
     q = model.codim
     dF = component_terms(model, "d_F")
     dP = component_terms(model, "d_perp")
     dims = [0] * (q + 1)
     for key in model.block_keys(window):
-        by_deg: dict[tuple[int, int], list[FormMonomial]] = {}
-        for m in model.block_monomials(key, window):
-            by_deg.setdefault(model.bidegree(m.ext), []).append(m)
+        by_deg = _by_bidegree(model, key)
         ranks = [0]  # rank of the induced d_perp into degree s
         for s in range(q + 1):
             source = by_deg.get((0, s), [])
@@ -501,8 +493,7 @@ def basic_cohomology_dims(
             d_perp = operator_matrix(model, dP, source, by_deg.get((0, s + 1), []))
             ranks.append(rank(d_perp.matmul(basic)))
             dims[s] += len(kernel) - ranks[-1] - ranks[-2]
-    base = _torus_base_of(model)
-    sensitive = base is not None and base.resonant
+    sensitive = model.torus is not None and model.torus.resonant
     return {"model": repr(model), "dims": dims, "window_sensitive": sensitive}
 
 
@@ -510,7 +501,7 @@ def ordinary_derham_dims(
     model: FoliatedModel, window: ModeWindow | None = None
 ) -> list[int]:
     """Betti numbers of the windowed complex: `koszul_block_dims` on the full d, summed."""
-    if not isinstance(model, (KroneckerTorus, _CircleBundleModel)):
+    if model.torus is None or model.has_xi:
         raise UnsupportedModelError(
             "ordinary de Rham dims are computed on torus and circle bundle models"
         )
@@ -526,19 +517,17 @@ def ordinary_derham_dims(
 
 
 def closed_and_exact(
-    model: FoliatedModel, bidegree: tuple[int, int], key: tuple, window: ModeWindow
+    model: FoliatedModel, d_f: TermMap, bidegree: tuple[int, int], key: tuple
 ) -> tuple[list[dict[FormMonomial, Scalar]], list[dict[FormMonomial, Scalar]]]:
     """(Z, B) of one block at a bidegree: the d_F kernel basis, the nonzero columns of d_F into it.
 
-    The block's cohomology there has dimension |Z| - dim span(B).
+    ``d_f`` is the model's d_F term map.  The block's cohomology there has
+    dimension |Z| - dim span(B).
     """
     r, s = bidegree
-    chain: dict[int, list[FormMonomial]] = {r - 1: [], r: [], r + 1: []}
-    for m in model.block_monomials(key, window):
-        rs = model.bidegree(m.ext)
-        if rs[1] == s and rs[0] in chain:
-            chain[rs[0]].append(m)
-    diffs = block_differentials(model, component_terms(model, "d_F"), chain)
+    by_deg = _by_bidegree(model, key)
+    chain = {t: by_deg.get((t, s), []) for t in (r - 1, r, r + 1)}
+    diffs = block_differentials(model, d_f, chain)
     vector = lambda v: {chain[r][i]: c for i, c in v.items()}
     _, kernel = rank_kernel(diffs[r])
     columns = diffs[r - 1].transpose().row_vectors()

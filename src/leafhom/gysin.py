@@ -161,13 +161,16 @@ def _induces_iso(f: TermMap, src: tuple, tgt: tuple, window: ModeWindow) -> bool
 
     Rank counts on the `closed_and_exact` vectors Z, B of every block: each
     side's cohomology has dim |Z| - dim span(B), and the induced map has rank
-    dim span(f(Z_src) + B_tgt) - dim span(B_tgt).
+    dim span(f(Z_src) + B_tgt) - dim span(B_tgt).  Each side's walk builds
+    its d_F term map once.
     """
     index: dict[FormMonomial, int] = {}
     coords = lambda vecs: [{index.setdefault(m, len(index)): c for m, c in v.items()} for v in vecs]
-    cells = lambda model, bidegree: (
-        closed_and_exact(model, bidegree, key, window) for key in model.block_keys(window)
-    )
+
+    def cells(model, bidegree):
+        d_f = component_terms(model, "d_F")
+        return (closed_and_exact(model, d_f, bidegree, key) for key in model.block_keys(window))
+
     field = tgt[0].field
     span = Echelon(field)
     tgt_dim = sum(len(z) - span.extend(coords(b)) for z, b in cells(*tgt))

@@ -5,19 +5,26 @@ Four families are supported:
 * ``KroneckerTorus`` -- the n-torus foliated by the line field sum(a_j d_j),
   leaf dimension 1, with leafwise coframe theta and transverse coframe
   eta_1..eta_{n-1};
-* ``ConicDualModel`` -- the punctured dual line bundle of the leaf direction,
-  with radial Laurent coordinate xi, two components (+/-), leafwise coframe
-  (theta, dxi) and a scaling action grading forms by homogeneity degree;
-* circle bundle models (``CosphereCircleModel`` with a two-point factor,
-  ``CircleProductModel`` without) whose leaves pick up the circle direction
-  dphi;
 * ``LieFrameModel`` -- translation-invariant forms on a frame with constant
-  structure coefficients, foliated by a subalgebra.
+  structure coefficients, foliated by a subalgebra;
+* three bundles, each a base with a one-dimensional leaf plus one extra leaf
+  generator in slot 1 (`_LeafBundle`): the circle bundles over a torus
+  (``CosphereCircleModel`` with a two-point factor, ``CircleProductModel``
+  without), whose leaves pick up the circle direction dphi, and
+  ``ConicDualModel``, the punctured dual line bundle of the leaf direction
+  over a torus or a leaf-line frame, with radial Laurent coordinate xi, two
+  components (+/-), the leafwise generator dxi and a scaling action grading
+  forms by homogeneity degree.
+
+``model.torus`` is the Kronecker torus a model is built on: the torus
+itself, a bundle's base torus, or None for a frame and its cone.
 
 Forms are finite sums of monomials (Fourier mode x radial power x component
 label x ordered exterior monomial) with exact Scalar coefficients; a monomial
-is a `FormMonomial` named tuple.  All model and form objects are immutable and
-freely shareable across threads.
+is a `FormMonomial` named tuple.  The monomials split into blocks
+(comp, mode, l), described once on `FoliatedModel`; l is the radial
+homogeneity, 0 on models without it.  All model and form objects are
+immutable and freely shareable across threads.
 
 The exterior structure of a model's generators is read from its
 `ExteriorTables`, built once per model from `merge_ext` and the leaf flags:
@@ -301,16 +308,23 @@ class Form:
 
 
 class FoliatedModel:
-    """Shared machinery for the model families; subclasses fill in the data."""
+    """Shared machinery for the model families; subclasses fill in the data.
+
+    A block is (comp, mode, l): a component, a Fourier mode and a radial
+    homogeneity l, which is 0 on models without the radial grading.  d and
+    its bigraded components preserve it.
+    """
 
     field: NumberField
     gen_names: tuple[str, ...]
     long_flags: tuple[bool, ...]
     components: tuple[str, ...]
     mode_len: int
-    has_xi: bool
     leaf_dim: int
     codim: int
+    has_xi = False  # the radial grading
+    XI_GEN = -1  # the index of dxi where there is one
+    torus: KroneckerTorus | None = None  # the Kronecker torus the model is built on
 
     @property
     def components_count(self) -> int:
@@ -335,9 +349,8 @@ class FoliatedModel:
         return self.exterior.bidegree[ext]
 
     def homogeneity(self, mono: FormMonomial) -> int:
-        if not self.has_xi:
-            raise UnsupportedModelError("model has no radial grading")
-        return mono.xi + (1 if self.XI_GEN in mono.ext else 0)
+        """The radial degree l of a monomial: its xi power, plus one with dxi."""
+        return self.block_key(mono)[2]
 
     # -- form builders -------------------------------------------------------
 
@@ -410,20 +423,27 @@ class FoliatedModel:
         return []
 
     def block_key(self, mono: FormMonomial) -> tuple:
-        return (mono.comp, mono.mode)
+        return (mono.comp, mono.mode, mono.xi + (self.XI_GEN in mono.ext))
 
     def block_keys(self, window: ModeWindow) -> list[tuple]:
-        """Independent blocks of every differential-style operator: (component, mode)."""
-        return [(c, m) for c in range(self.components_count) for m in window.modes(self.mode_len)]
+        """The window's blocks (comp, mode, l); l runs over the window's range on the cone."""
+        ls = window.homogeneities() if self.has_xi else (0,)
+        return [
+            (comp, m, l)
+            for comp in range(self.components_count)
+            for m in window.modes(self.mode_len)
+            for l in ls
+        ]
 
-    def block_monomials(self, key: tuple, window: ModeWindow) -> list[FormMonomial]:
+    def block_monomials(self, key: tuple) -> list[FormMonomial]:
         """All exterior monomials of one block, every degree."""
-        comp, mode = key
-        return [FormMonomial(mode, 0, comp, ext) for ext in self.exterior.subsets]
+        comp, mode, l = key
+        xi_gen = self.XI_GEN
+        return [FormMonomial(mode, l - (xi_gen in ext), comp, ext) for ext in self.exterior.subsets]
 
     def basis_monomials(self, window: ModeWindow) -> Iterator[FormMonomial]:
         for key in self.block_keys(window):
-            yield from self.block_monomials(key, window)
+            yield from self.block_monomials(key)
 
 
 def _sort_sign(indices: list[int]) -> int:
@@ -518,9 +538,6 @@ class KroneckerTorus(FoliatedModel):
     no rank or dimension changes).
     """
 
-    has_xi = False
-    XI_GEN = -1
-
     def __init__(self, field: NumberField, alpha: Sequence[Scalar | str]):
         self.field = field
         entries = [field.parse(a) if isinstance(a, str) else field.scalar(a) for a in alpha]
@@ -547,6 +564,10 @@ class KroneckerTorus(FoliatedModel):
         self.resonance_basis = resonance_lattice(self.alpha)
 
     @property
+    def torus(self) -> KroneckerTorus:
+        return self
+
+    @property
     def resonant(self) -> bool:
         return bool(self.resonance_basis)
 
@@ -571,54 +592,6 @@ class KroneckerTorus(FoliatedModel):
         return f"KroneckerTorus(n={self.n}, alpha=({', '.join(str(a) for a in self.alpha)}))"
 
 
-class _CircleBundleModel(FoliatedModel):
-    """Torus x S^1 with leaves (leaf x S^1); components parametrized."""
-
-    has_xi = False
-    XI_GEN = -1
-
-    def __init__(self, base: KroneckerTorus, components: tuple[str, ...]):
-        if not isinstance(base, KroneckerTorus):
-            raise ValidationError("circle bundle models require a Kronecker torus base")
-        self.base = base
-        self.field = base.field
-        n = base.n
-        self.n = n
-        self.leaf_dim = 2
-        self.codim = n - 1
-        self.gen_names = ("theta", "dphi") + tuple(f"eta{i}" for i in range(1, n))
-        self.long_flags = (True, True) + (False,) * (n - 1)
-        self.components = components
-        self.mode_len = n + 1  # trailing entry = circle mode
-        self.alpha = base.alpha
-
-    def multipliers(self, key: tuple) -> list[tuple[int, Scalar | int]]:
-        """(gen, c) on block ``key``: m . alpha on theta, the circle mode on dphi, m_i on eta_i."""
-        mode, n = key[1], self.n
-        out = [(0, self.base.pairing(mode[:n])), (1, mode[n])]
-        return out + [(i + 1, mode[i]) for i in range(1, n)]
-
-
-class CosphereCircleModel(_CircleBundleModel):
-    """The cosphere-of-the-leaf-line bundle times S^1: two disjoint copies."""
-
-    def __init__(self, base: KroneckerTorus):
-        super().__init__(base, ("+", "-"))
-
-    def __repr__(self) -> str:
-        return f"CosphereCircleModel({self.base!r})"
-
-
-class CircleProductModel(_CircleBundleModel):
-    """The plain product M x S^1 (single component); the realized sphere bundle."""
-
-    def __init__(self, base: KroneckerTorus):
-        super().__init__(base, ("",))
-
-    def __repr__(self) -> str:
-        return f"CircleProductModel({self.base!r})"
-
-
 class LieFrameModel(FoliatedModel):
     """Invariant forms on a constant-structure frame, foliated by a subalgebra.
 
@@ -628,9 +601,6 @@ class LieFrameModel(FoliatedModel):
     Validation (Jacobi, subalgebra) lives in :meth:`create`; the raw
     constructor trusts its input so tests can build corrupted structures.
     """
-
-    has_xi = False
-    XI_GEN = -1
 
     def __init__(
         self,
@@ -701,92 +671,97 @@ class LieFrameModel(FoliatedModel):
                             "leaf index set is not a subalgebra (integrability fails)"
                         )
 
-    def block_keys(self, window: ModeWindow) -> list[tuple]:
-        return [(0,)]
-
-    def block_monomials(self, key: tuple, window: ModeWindow) -> list[FormMonomial]:
-        return [FormMonomial((), 0, 0, ext) for ext in self.exterior.subsets]
-
     def __repr__(self) -> str:
         leaves = sorted(i + 1 for i in self.leaf_indices)
         return f"LieFrameModel(n={self.n}, leaf={leaves})"
 
 
-class ConicDualModel(FoliatedModel):
+class _LeafBundle(FoliatedModel):
+    """A base model with a one-dimensional leaf plus one extra leaf generator in slot 1.
+
+    The base's leaf generator keeps slot 0 and its other generators follow the
+    extra one in their order: on a torus, base generator g sits at slot
+    g if g == 0 else g + 1.  A block's multipliers are the base block's, moved
+    by that map, plus the extra generator's: the trailing circle mode on dphi,
+    the homogeneity l on dxi.  The base's frame terms d e^k and
+    `pullback_terms` read the same map, each exterior monomial re-sorted with
+    its sign.  Subclasses set the components; the cone also sets its extra
+    generator and admissible bases.
+    """
+
+    EXTRA = "dphi"
+    BASES: tuple[type, ...] = (KroneckerTorus,)
+
+    def __init__(self, base: FoliatedModel):
+        if not isinstance(base, self.BASES):
+            names = " or ".join(cls.__name__ for cls in self.BASES)
+            raise ValidationError(f"{type(self).__name__} needs a {names} base")
+        if base.leaf_dim != 1:
+            raise ValidationError(f"{type(self).__name__} needs a one-dimensional leaf")
+        self.base, self.field, self.torus = base, base.field, base.torus
+        self.n, self.leaf_dim, self.codim = base.n, 2, base.codim
+        # the leaf generator first, then the others in their order
+        order = sorted(range(len(base.gen_names)), key=lambda g: not base.long_flags[g])
+        self._slot = {g: k + 1 if k else 0 for k, g in enumerate(order)}
+        names = [base.gen_names[g] for g in order]
+        self.gen_names = (names[0], self.EXTRA, *names[1:])
+        self.long_flags = (True, True) + (False,) * self.codim
+        self.mode_len = base.mode_len if self.has_xi else base.mode_len + 1
+        # each base exterior monomial at the bundle slots, sorted: (sign, ext)
+        self._moved = {}
+        for ext in base.exterior.subsets:
+            moved = [self._slot[g] for g in ext]
+            self._moved[ext] = (self.field.scalar(_sort_sign(moved)), tuple(sorted(moved)))
+        if base._dual_d:  # left empty over a torus, so no term map runs `_frame_d`
+            self._dual_d = [[] for _ in self.gen_names]
+            for b, terms in enumerate(base._dual_d):
+                for coeff, ab in terms:
+                    sign, moved_ab = self._moved[ab]
+                    self._dual_d[self._slot[b]].append((coeff * sign, moved_ab))
+
+    def multipliers(self, key: tuple) -> list[tuple[int, Scalar | int]]:
+        """(gen, c) on block (comp, mode, l): the base's, moved, and the extra generator's.
+
+        The base reads only the leading entries of ``mode``, its own mode.
+        """
+        slot = self._slot
+        moved = [(slot[g], c) for g, c in self.base.multipliers(key)]
+        return [(1, key[2] if self.has_xi else key[1][-1])] + moved
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.base!r})"
+
+
+class CosphereCircleModel(_LeafBundle):
+    """The cosphere-of-the-leaf-line bundle times S^1: two disjoint copies.
+
+    Leaves pick up the circle direction dphi; the trailing mode entry is the
+    circle mode, dphi's multiplier.
+    """
+
+    components = ("+", "-")
+
+
+class CircleProductModel(_LeafBundle):
+    """The plain product M x S^1 (single component); the realized sphere bundle."""
+
+    components = ("",)
+
+
+class ConicDualModel(_LeafBundle):
     """Punctured dual of the leaf line bundle, graded by radial homogeneity.
 
     The radial Laurent coordinate xi lives on two components (+/-); dxi is
-    leafwise, and the homogeneity degree of a monomial is its xi power plus
-    one when dxi is present.  Bases may be a Kronecker torus or a leaf-line
-    frame model (leaf dimension 1 in both cases).
+    leafwise, and the homogeneity degree l of a monomial is its xi power plus
+    one when dxi is present.  d(xi^a) = a xi^(a-1) dxi, so dxi's multiplier on
+    a block is l.  Bases may be a Kronecker torus or a leaf-line frame model.
     """
 
+    EXTRA = "dxi"
+    BASES = (KroneckerTorus, LieFrameModel)
+    components = ("+", "-")
     has_xi = True
     XI_GEN = 1
-
-    def __init__(self, base: KroneckerTorus | LieFrameModel):
-        if isinstance(base, KroneckerTorus):
-            n = base.n
-            self.gen_names = ("theta", "dxi") + tuple(f"eta{i}" for i in range(1, n))
-            self.mode_len = n
-            self.n = n
-        elif isinstance(base, LieFrameModel):
-            if base.leaf_dim != 1:
-                raise ValidationError("conic extension needs a one-dimensional leaf")
-            leaf = next(iter(base.leaf_indices))
-            complement = sorted(set(range(base.n)) - {leaf})
-            self.gen_names = (base.gen_names[leaf], "dxi") + tuple(
-                base.gen_names[i] for i in complement
-            )
-            # d of each frame covector, re-indexed into the conic generator
-            # order (leaf, dxi, complement...); d(dxi) = 0
-            to_model = {b: (0 if k == 0 else k + 1) for k, b in enumerate([leaf] + complement)}
-            self._dual_d = [[] for _ in self.gen_names]
-            for b, terms in enumerate(base._dual_d):
-                for coeff, (i, j) in terms:
-                    mi, mj = to_model[i], to_model[j]
-                    if mi > mj:
-                        mi, mj, coeff = mj, mi, -coeff
-                    self._dual_d[to_model[b]].append((coeff, (mi, mj)))
-            self.mode_len = 0
-            self.n = base.n
-        else:
-            raise ValidationError("unsupported base for the conic dual")
-        self.base = base
-        self.field = base.field
-        self.leaf_dim = 2
-        self.codim = base.codim
-        self.long_flags = (True, True) + (False,) * self.codim
-        self.components = ("+", "-")
-
-    def multipliers(self, key: tuple) -> list[tuple[int, Scalar | int]]:
-        """(gen, c) on block (comp, mode, l): l on dxi, over a torus also m . alpha and m_i."""
-        _comp, mode, l = key
-        if isinstance(self.base, LieFrameModel):
-            return [(1, l)]
-        return [(1, l), (0, self.base.pairing(mode))] + [(i + 1, mode[i]) for i in range(1, self.n)]
-
-    def block_key(self, mono: FormMonomial) -> tuple:
-        return (mono.comp, mono.mode, self.homogeneity(mono))
-
-    def block_keys(self, window: ModeWindow) -> list[tuple]:
-        return [
-            (comp, m, l)
-            for comp in range(self.components_count)
-            for m in window.modes(self.mode_len)
-            for l in window.homogeneities()
-        ]
-
-    def block_monomials(self, key: tuple, window: ModeWindow) -> list[FormMonomial]:
-        comp, mode, l = key
-        out = []
-        for ext in self.exterior.subsets:
-            xi = l - (1 if 1 in ext else 0)
-            out.append(FormMonomial(mode, xi, comp, ext))
-        return out
-
-    def __repr__(self) -> str:
-        return f"ConicDualModel({self.base!r})"
 
 
 def resonance_lattice(alpha: Sequence[Scalar]) -> list[tuple[int, ...]]:
@@ -806,12 +781,9 @@ def resonance_lattice(alpha: Sequence[Scalar]) -> list[tuple[int, ...]]:
 
 
 def torus_of(model: FoliatedModel) -> KroneckerTorus:
-    """The Kronecker torus a model is built on: the model itself or its base."""
-    if isinstance(model, KroneckerTorus):
-        return model
-    base = getattr(model, "base", None)
-    if isinstance(base, KroneckerTorus):
-        return base
+    """``model.torus``, or UnsupportedModelError when the model is built on none."""
+    if model.torus is not None:
+        return model.torus
     raise UnsupportedModelError(
         f"needs a Kronecker torus or a model built on one, got {type(model).__name__}"
     )
@@ -931,20 +903,19 @@ def _build_family(spec: dict, family: str, field: NumberField):
     raise SpecParseError(f"unknown model family {family!r}")
 
 
-def pullback_terms(model: _CircleBundleModel | ConicDualModel) -> TermMap:
-    """Term map of `pullback_from_base`."""
-    extend = (lambda m: m) if isinstance(model, ConicDualModel) else (lambda m: m + (0,))
-    one = model.field.one
+def pullback_terms(model: _LeafBundle) -> TermMap:
+    """Term map of `pullback_from_base`: generators moved by the bundle's slot map."""
+    pad, moved = (0,) * (model.mode_len - model.base.mode_len), model._moved
 
     def terms(mono: FormMonomial) -> list[tuple[FormMonomial, Scalar]]:
-        ext = tuple(g if g == 0 else g + 1 for g in mono.ext)
-        mode = extend(mono.mode)
-        return [(FormMonomial(mode, 0, comp, ext), one) for comp in range(model.components_count)]
+        sign, ext = moved[mono.ext]
+        mode = mono.mode + pad
+        return [(FormMonomial(mode, 0, comp, ext), sign) for comp in range(model.components_count)]
 
     return terms
 
 
-def pullback_from_base(model: _CircleBundleModel | ConicDualModel, form: Form) -> Form:
+def pullback_from_base(model: _LeafBundle, form: Form) -> Form:
     """Pull a base-torus form up a bundle model (mode extended, all components)."""
     if form.model is not model.base:
         raise ValidationError("form does not live on the bundle base")

@@ -35,7 +35,6 @@ from .models import (
     FoliatedModel,
     Form,
     FormMonomial,
-    KroneckerTorus,
     ModeWindow,
     TermMap,
     linear_extension,
@@ -215,7 +214,7 @@ def _line_dims(
     out = {name: dict.fromkeys(range(top + 1), 0) for name in conic.components}
     for comp, name in enumerate(conic.components):
         for mode in window.modes(conic.mode_len):
-            cells = {k: conic.block_monomials((comp, mode, k - c), window) for k in range(top + 1)}
+            cells = {k: conic.block_monomials((comp, mode, k - c)) for k in range(top + 1)}
             graded = {c - k: [m for m in b if len(m.ext) == k] for k, b in cells.items()}
             op = delta_terms(conic, operator)
             dims = block_homology(conic, op, graded, f"{(comp, mode)}, {operator} line k - l = {c}")
@@ -266,7 +265,7 @@ def verify_homology_correspondence(
     consistent when its three dims agree; the report passes when every row is.
     """
     conic = delta_dims.conic
-    if not isinstance(conic.base, KroneckerTorus):
+    if conic.torus is None:
         raise UnsupportedModelError("the correspondence table needs a torus base")
     window = circle_dims.window
     same = delta_f_dims.conic is conic and delta_dims.window == delta_f_dims.window == window

@@ -271,7 +271,7 @@ def poisson_filtration(
         deg = k + l
         for comp in range(conic.components_count):
             for mode in window.modes(conic.mode_len):
-                for mono in conic.block_monomials((comp, mode, l), window):
+                for mono in conic.block_monomials((comp, mode, l)):
                     if len(mono.ext) != deg:
                         continue
                     label = f"l={l}|{conic.monomial_label(mono)}"

@@ -235,7 +235,7 @@ def test_cohomology_rejects_broken_complex(field):
     # raw constructor: the Jacobi identity fails, so d_F^2 != 0
     broken = LieFrameModel(field, 3, structure, {0, 1})
     with pytest.raises(
-        ComplexViolationError, match=r"block \(0,\), s = 1: d\^2 != 0 between degrees 0 and 2"
+        ComplexViolationError, match=r"block \(0, \(\), 0\), s = 1: d\^2 != 0 between degrees 0 and 2"
     ):
         cohomology_dims(broken, ModeWindow(bound=0))
 
@@ -294,14 +294,28 @@ def test_leibniz_rule_random_pairs(torus):
             assert lhs == rhs, comp
 
 
-def test_functoriality_of_bundle_pullback(torus):
-    model = CosphereCircleModel(torus)
-    window = ModeWindow(bound=1)
-    for mono in torus.basis_monomials(window):
-        form = Form(torus, {mono: torus.field.one})
-        lhs = differential(model, "d_F", pullback_from_base(model, form))
-        rhs = pullback_from_base(model, differential(torus, "d_F", form))
-        assert lhs == rhs
+@pytest.fixture(scope="module")
+def t3():
+    return KroneckerTorus(NumberField((2, 3)), ["1", "1/2*sqrt2", "-3*sqrt3"])
+
+
+@pytest.mark.parametrize("component", ["d", "d_F", "d_perp", "boundary"])
+@pytest.mark.parametrize(
+    "bundle, on_frame",
+    [(CosphereCircleModel, False), (CircleProductModel, False), (ConicDualModel, False),
+     (ConicDualModel, True)],
+    ids=["cosphere", "circle_product", "cone", "so3_cone"],
+)
+def test_functoriality_of_bundle_pullback(t3, field, bundle, on_frame, component):
+    # pins each bundle's moved multipliers, component by component; on the so(3)
+    # cone the leaf e3 moves to slot 0, so d e1 = -e2 ^ e3 changes its order and sign
+    base = so3(field) if on_frame else t3
+    model = bundle(base)
+    for mono in base.basis_monomials(ModeWindow(bound=1)):
+        form = Form(base, {mono: base.field.one})
+        lhs = differential(model, component, pullback_from_base(model, form))
+        rhs = pullback_from_base(model, differential(base, component, form))
+        assert lhs == rhs, base.monomial_label(mono)
 
 
 # -- certificates ---------------------------------------------------------------
@@ -363,8 +377,8 @@ def test_basic_dims_heisenberg(field):
 def test_mode_zero_block_quotient(torus):
     # ker dim 1, im dim 0 at leafwise degree 1 of the zero-mode block
     window = ModeWindow(bound=1)
-    key = (0, (0, 0))
-    monos = torus.block_monomials(key, window)
+    key = (0, (0, 0), 0)
+    monos = torus.block_monomials(key)
     pick = lambda r, s: [m for m in monos if torus.bidegree(m.ext) == (r, s)]
     op = component_terms(torus, "d_F")
     chain = {r: pick(r, 0) for r in range(3)}
@@ -372,13 +386,13 @@ def test_mode_zero_block_quotient(torus):
 
 
 def test_operator_leaving_the_block_raises(torus):
-    key = (0, (1, 0))
-    source = [m for m in torus.block_monomials(key, ModeWindow(bound=1)) if not m.ext]
+    key = (0, (1, 0), 0)
+    source = [m for m in torus.block_monomials(key) if not m.ext]
     dF = component_terms(torus, "d_F")  # d_F e[1, 0] = e[1, 0] theta, not in the empty target
     leak = r"operator leaves the block: e\[1, 0\] -> e\[1, 0\]\*theta$"
     with pytest.raises(ComplexViolationError, match="^" + leak):
         operator_matrix(torus, dF, source, [])
-    with pytest.raises(ComplexViolationError, match=r"^block \(0, \(1, 0\)\): " + leak):
+    with pytest.raises(ComplexViolationError, match=r"^block \(0, \(1, 0\), 0\): " + leak):
         block_homology(torus, dF, {0: source, 1: []}, str(key))
 
 
@@ -392,12 +406,12 @@ def test_closed_and_exact_match_block_dims(name, torus, field):
     window = ModeWindow(bound=1)
     dF = component_terms(model, "d_F")
     for key in model.block_keys(window):
-        dims = _block_bidegree_dims(model, key, window, dF)
-        monos = model.block_monomials(key, window)
+        dims = _block_bidegree_dims(model, key, dF)
+        monos = model.block_monomials(key)
         for s in range(model.codim + 1):
             pick = lambda r: [m for m in monos if model.bidegree(m.ext) == (r, s)]
             for r in range(model.leaf_dim + 2):
-                closed, exact = closed_and_exact(model, (r, s), key, window)
+                closed, exact = closed_and_exact(model, dF, (r, s), key)
                 here = {m: i for i, m in enumerate(pick(r))}
                 coords = lambda vecs: [{here[m]: c for m, c in v.items()} for v in vecs]
                 exact_dim = span_dim(model.field, coords(exact))

@@ -205,9 +205,9 @@ def test_chain_map_checks_once_per_run(tmp_path, monkeypatch):
     assemblies = []
     closed_and_exact = gysin.closed_and_exact
 
-    def counting_assembly(model, bidegree, key, window):
+    def counting_assembly(model, d_f, bidegree, key):
         assemblies.append((model, bidegree))
-        return closed_and_exact(model, bidegree, key, window)
+        return closed_and_exact(model, d_f, bidegree, key)
 
     monkeypatch.setattr(FoliatedModel, "basis_monomials", counting_walk)
     monkeypatch.setattr(gysin, "closed_and_exact", counting_assembly)

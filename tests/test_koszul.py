@@ -74,7 +74,7 @@ def test_rule_matches_rank_engine(name, bound):
             keys = [k for k in model.block_keys(window) if not is_conic or k[2] == l]
             ranked: dict = {}
             for key in keys:
-                block = _block_bidegree_dims(model, key, window, dF)
+                block = _block_bidegree_dims(model, key, dF)
                 assert koszul_block_dims(model, key) == {k: v for k, v in block.items() if v}, key
                 _add(ranked, block)
             assert cohomology_dims(model, window, homogeneity=l).dims == ranked, (model, l)
@@ -83,7 +83,7 @@ def test_rule_matches_rank_engine(name, bound):
         betti = [0] * (len(model.gen_names) + 1)
         for key in model.block_keys(window):
             by_deg = {k: [] for k in range(len(model.gen_names) + 2)}
-            for m in model.block_monomials(key, window):
+            for m in model.block_monomials(key):
                 by_deg[len(m.ext)].append(m)
             ranked_block = block_homology(model, component_terms(model, "d"), by_deg, str(key))
             rule_block: dict = {}

@@ -11,6 +11,7 @@ import pytest
 
 from leafhom.errors import LeafhomError, SpecParseError, UnsupportedModelError, ValidationError
 from leafhom.models import (
+    CircleProductModel,
     ConicDualModel,
     CosphereCircleModel,
     ExteriorTables,
@@ -22,6 +23,7 @@ from leafhom.models import (
     _infer_field_spec,
     make_model,
     merge_ext,
+    torus_of,
 )
 from leafhom.scalars import NumberField
 
@@ -181,7 +183,7 @@ def test_exterior_tables_are_per_model(field, torus):
     assert torus.exterior is torus.exterior and other.exterior is not torus.exterior
     conic = ConicDualModel(torus)
     assert conic.exterior.bidegree[(1, 2)] == conic.bidegree((1, 2)) == (1, 1)
-    assert [m.ext for m in conic.block_monomials((0, (0, 0), 0), ModeWindow())] == list(
+    assert [m.ext for m in conic.block_monomials((0, (0, 0), 0))] == list(
         conic.exterior.subsets
     )
 
@@ -284,8 +286,43 @@ def test_lie_blocks(field):
     model = so3_model(field)
     window = ModeWindow(bound=3)
     keys = model.block_keys(window)
-    assert keys == [(0,)]
-    assert len(model.block_monomials(keys[0], window)) == 8
+    assert keys == [(0, (), 0)]
+    assert len(model.block_monomials(keys[0])) == 8
+
+
+FAMILIES = {
+    "torus": lambda t, f: t,
+    "cosphere": lambda t, f: CosphereCircleModel(t),
+    "circle_product": lambda t, f: CircleProductModel(t),
+    "cone": lambda t, f: ConicDualModel(t),
+    "frame": lambda t, f: heisenberg_model(f),
+    "frame_cone": lambda t, f: ConicDualModel(heisenberg_model(f)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_blocks_partition_every_family(family, field, torus):
+    model = FAMILIES[family](torus, field)
+    window = ModeWindow(bound=1, l_min=-1, l_max=1)
+    keys = model.block_keys(window)
+    assert len(set(keys)) == len(keys)
+    blocks = {key: model.block_monomials(key) for key in keys}
+    for key, monos in blocks.items():
+        assert all(model.block_key(m) == key for m in monos), key
+    basis = list(model.basis_monomials(window))
+    for m in basis:
+        assert m in blocks[model.block_key(m)], m
+    assert len(set(basis)) == len(basis) == sum(len(monos) for monos in blocks.values())
+
+
+def test_torus_lookup(field, torus):
+    for family in ("torus", "cosphere", "circle_product", "cone"):
+        assert FAMILIES[family](torus, field).torus is torus
+    for family in ("frame", "frame_cone"):
+        model = FAMILIES[family](torus, field)
+        assert model.torus is None
+        with pytest.raises(UnsupportedModelError):
+            torus_of(model)
 
 
 def test_frame_specs(field, torus):

@@ -312,7 +312,7 @@ def delta_f_bigraded_dims(conic, r, s, l, window):
             src, mid, tgt = (
                 [
                     m
-                    for m in conic.block_monomials((comp, mode, l + t), window)
+                    for m in conic.block_monomials((comp, mode, l + t))
                     if conic.bidegree(m.ext) == (r + t, s)
                 ]
                 for t in (1, 0, -1)
@@ -379,7 +379,7 @@ def slice_dims(conic, operator, k, l, window):
             chain = {
                 -(l + j): [
                     m
-                    for m in conic.block_monomials((comp, mode, l + j), window)
+                    for m in conic.block_monomials((comp, mode, l + j))
                     if len(m.ext) == k + j
                 ]
                 for j in (1, 0, -1)
