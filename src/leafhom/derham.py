@@ -266,12 +266,6 @@ class BigradedDims:
     def get(self, r: int, s: int) -> int:
         return self.dims.get((r, s), 0)
 
-    def total(self, k: int) -> int:
-        return sum(v for (r, s), v in self.dims.items() if r + s == k)
-
-    def nonzero(self) -> dict[tuple[int, int], int]:
-        return {rs: v for rs, v in sorted(self.dims.items()) if v}
-
     def to_json(self) -> dict:
         out = {
             "model": self.model,

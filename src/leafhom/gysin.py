@@ -34,16 +34,18 @@ def fiber_integration_terms(total: CircleProductModel) -> TermMap:
     """Term map of fiber integration: unit volume, bidegree drop (1, 0).
 
     Kills monomials without the fiber coframe dphi or with a nonzero circle
-    mode; the dphi factor is removed from the rightmost position.
+    mode; the dphi factor is removed from the rightmost position, and the
+    other generators go back to their base slots through the bundle's slot map.
     """
-    n, field = total.base.n, total.field
+    n, field = total.base.mode_len, total.field
+    base_gen = {slot: g for g, slot in total._slot.items()}
 
     def terms(mono: FormMonomial) -> list[tuple[FormMonomial, Scalar]]:
         if mono.mode[n] != 0 or 1 not in mono.ext:
             return []
         # dphi is moved to the rightmost slot, past the generators after it
         tail = len(mono.ext) - mono.ext.index(1) - 1
-        ext = tuple(g if g == 0 else g - 1 for g in mono.ext if g != 1)
+        ext = tuple(base_gen[g] for g in mono.ext if g != 1)
         return [(FormMonomial(mono.mode[:n], 0, 0, ext), field.scalar((-1) ** tail))]
 
     return terms

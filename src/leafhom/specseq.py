@@ -1,14 +1,14 @@
 """Exact spectral sequences of finite filtered cochain complexes.
 
-Pages are computed from the literal subspace chains
-Z_r^w = {x in F^w : dx in F^(w+r)} with exact linear algebra -- no
-homotopy-theoretic shortcuts -- so the engine is simple enough to serve as
-an oracle for the rest of the package.  Filtrations are encoded by one
-integer weight per basis vector with the convention that the differential
-never decreases weight; F^w is spanned by the vectors of weight >= w.
-
-Cell dimensions satisfy the page recursion (asserted internally) and the
-final page is checked against the homology of the underlying complex, so a
+Filtrations are encoded by one integer weight per basis vector with the
+convention that the differential never decreases weight; F^w is spanned by
+the vectors of weight >= w.  Every page comes from one persistence
+reduction of each differential (Zomorodian & Carlsson, "Computing
+persistent homology", 2005): the pairs it finds are the differentials
+d_r, and the vectors it leaves unpaired survive to the limit (Basu &
+Parida, "Spectral sequences, exact couples and persistent homology of
+filtrations", 2017).  The final page is checked against the homology of
+the underlying complex, computed by a separate elimination, so a
 convergence failure cannot pass silently.
 """
 
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .derham import block_differentials
 from .errors import ComplexViolationError, UnsupportedModelError, ValidationError
-from .linalg import Echelon, SparseMatrix, SparseVector, homology_dims, rank_kernel
+from .linalg import SparseMatrix, SparseVector, _subtract_scaled, homology_dims
 from .models import ConicDualModel, FoliatedModel, FormMonomial, ModeWindow
 from .poisson import delta_terms
 from .scalars import NumberField
@@ -92,9 +92,6 @@ class SpectralPage:
     d_ranks: dict[tuple[int, int], int]  # rank of d_r out of the cell
     stabilized: bool
 
-    def dim(self, weight: int, degree: int) -> int:
-        return self.dims.get((weight, degree), 0)
-
     def nonzero_weights(self) -> set[int]:
         return {w for (w, _t), v in self.dims.items() if v}
 
@@ -127,115 +124,40 @@ class SpectralPage:
 def pages(fc: FilteredComplex) -> list[SpectralPage]:
     """All pages from E_1 up to provable stabilization, exactly.
 
-    The final page's totals are checked against the homology of the
-    underlying complex; a mismatch raises ComplexViolationError (it would
-    mean the engine itself is broken, so it must never pass silently).
+    Each differential is reduced once (`_pairs`).  A pair joining a vector of
+    weight w in degree t to a row of weight w + g lives in cells (w, t) and
+    (w + g, t + 1) on pages r <= g and is a rank of d_g out of (w, t); a
+    vector in no pair lives in its cell on every page.  No gap exceeds the
+    weight width, so page width + 1 is the limit.  The limit's totals are
+    checked against the homology of the underlying complex, an independent
+    elimination; a mismatch raises ComplexViolationError.
     """
     w_min, w_max = fc.weight_range
-    width = w_max - w_min
-    r_stop = width + 1
     degrees = fc.degrees
     if not degrees:
         return [SpectralPage(1, {}, {}, True)]
-
-    weights_of: dict[int, list[int]] = {
-        t: [fc.basis[i].weight for i in fc.by_degree[t]] for t in degrees
-    }
-
-    z_cache: dict[tuple[int, int, int], list[SparseVector]] = {}
-
-    def z_space(r: int, w: int, t: int) -> list[SparseVector]:
-        """Basis of {x in F^w cap C^t : dx in F^(w+r)} in local C^t coords."""
-        if t not in fc.by_degree:
-            return []
-        key = (r, w, t)
-        cached = z_cache.get(key)
-        if cached is not None:
-            return cached
-        local_weights = weights_of[t]
-        cols = [j for j, wt in enumerate(local_weights) if wt >= w]
-        d_t = fc.diffs.get(t)
-        if d_t is None:
-            vecs = [{j: fc.field.one} for j in cols]
-            z_cache[key] = vecs
-            return vecs
-        target_weights = weights_of.get(t + 1, [])
-        rows = [i for i, wt in enumerate(target_weights) if wt < w + r]
-        row_pos = {i: a for a, i in enumerate(rows)}
-        col_pos = {j: a for a, j in enumerate(cols)}
-        entries = {}
-        for (i, j), v in d_t.entries.items():
-            if i in row_pos and j in col_pos:
-                entries[(row_pos[i], col_pos[j])] = v
-        sub = SparseMatrix(len(rows), len(cols), entries, fc.field)
-        _, kern = rank_kernel(sub)
-        vecs = [{cols[j]: v for j, v in k.items()} for k in kern]
-        z_cache[key] = vecs
-        return vecs
-
-    def apply_d(t: int, vec: SparseVector) -> SparseVector:
-        d_t = fc.diffs.get(t)
-        if d_t is None:
-            return {}
-        return d_t.apply(vec)
-
-    def denominator(r: int, w: int, t: int) -> Echelon:
-        ech = Echelon(fc.field)
-        ech.extend(z_space(r - 1, w + 1, t))
-        for vec in z_space(r - 1, w - r + 1, t - 1):
-            img = apply_d(t - 1, vec)
-            if img:
-                ech.add(img)
-        return ech
-
+    weights = {t: [fc.basis[i].weight for i in fc.by_degree[t]] for t in degrees}
+    free = {(t, j) for t in degrees for j in range(len(weights[t]))}
+    pairs = []
+    for t, mat in fc.diffs.items():
+        for j, i in _pairs(mat, weights.get(t, []), weights.get(t + 1, [])):
+            free -= {(t, j), (t + 1, i)}
+            pairs.append((weights[t][j], t, weights[t + 1][i] - weights[t][j]))
     cells = [(w, t) for t in degrees for w in range(w_min, w_max + 1)]
-    out_pages: list[SpectralPage] = []
-    prev_dims: dict[tuple[int, int], int] | None = None
-    for r in range(1, r_stop + 2):
-        dims: dict[tuple[int, int], int] = {}
-        d_ranks: dict[tuple[int, int], int] = {}
-        denoms: dict[tuple[int, int], Echelon] = {}
-        for w, t in cells:
-            denoms[(w, t)] = denominator(r, w, t)
-            z_dim = len(z_space(r, w, t))
-            dims[(w, t)] = z_dim - denoms[(w, t)].dim
-            if dims[(w, t)] < 0:
-                raise ComplexViolationError("page cell with negative dimension")
-        for w, t in cells:
-            target = (w + r, t + 1)
-            if target[0] > w_max or (t + 1) not in fc.by_degree:
-                d_ranks[(w, t)] = 0
-                continue
-            tgt_ech = denoms.get(target)
-            if tgt_ech is None:
-                d_ranks[(w, t)] = 0
-                continue
-            span = Echelon(fc.field)
-            rank_count = 0
-            for vec in z_space(r, w, t):
-                img = apply_d(t, vec)
-                if not img:
-                    continue
-                residual = tgt_ech.reduce(img)
-                if span.add(residual):
-                    rank_count += 1
-            d_ranks[(w, t)] = rank_count
-        if prev_dims is not None:
-            # page recursion: dims drop exactly by the adjacent d_{r-1} ranks
-            for w, t in cells:
-                incoming = prev_ranks.get((w - (r - 1), t - 1), 0)
-                outgoing = prev_ranks.get((w, t), 0)
-                if dims[(w, t)] != prev_dims[(w, t)] - incoming - outgoing:
-                    raise ComplexViolationError(
-                        f"page recursion fails at cell (w={w}, t={t}, r={r})"
-                    )
-        stabilized = r >= r_stop
-        out_pages.append(SpectralPage(r, dims, d_ranks, stabilized))
-        prev_dims, prev_ranks = dims, d_ranks
-        if stabilized and all(v == 0 for v in d_ranks.values()):
-            break
-    final = out_pages[-1]
-    totals = final.total_dims()
+    last = w_max - w_min + 1
+    out_pages = []
+    for r in range(1, last + 1):
+        dims, d_ranks = dict.fromkeys(cells, 0), dict.fromkeys(cells, 0)
+        for t, j in free:
+            dims[(weights[t][j], t)] += 1
+        for w, t, g in pairs:
+            if g >= r:
+                dims[(w, t)] += 1
+                dims[(w + g, t + 1)] += 1
+            if g == r:
+                d_ranks[(w, t)] += 1
+        out_pages.append(SpectralPage(r, dims, d_ranks, r == last))
+    totals = out_pages[-1].total_dims()
     for t, h in fc.homology_dims().items():
         if totals.get(t, 0) != h:
             raise ComplexViolationError(
@@ -243,6 +165,32 @@ def pages(fc: FilteredComplex) -> list[SpectralPage]:
                 f"{totals.get(t, 0)} != homology dim {h}"
             )
     return out_pages
+
+
+def _pairs(mat: SparseMatrix, src: list[int], dst: list[int]) -> list[tuple[int, int]]:
+    """(column, low row) pairs of the persistence reduction of ``mat``.
+
+    Columns and rows run by weight descending, then by index; a column absorbs
+    only earlier ones, and its low is its nonzero row that comes last.
+    """
+    rows = sorted(range(len(dst)), key=lambda i: (-dst[i], i))
+    pos = {i: p for p, i in enumerate(rows)}
+    cols: dict[int, SparseVector] = {}
+    for (i, j), v in mat.entries.items():
+        cols.setdefault(j, {})[pos[i]] = v
+    reduced: dict[int, SparseVector] = {}  # low -> its column, scaled to 1 there
+    out = []
+    for j in sorted(cols, key=lambda j: (-src[j], j)):
+        col = cols[j]
+        while col:
+            low = max(col)
+            if low not in reduced:
+                inv = col[low].inverse()
+                reduced[low] = {p: v * inv for p, v in col.items()}
+                out.append((j, rows[low]))
+                break
+            _subtract_scaled(col, reduced[low], col[low])
+    return out
 
 
 # -- the transverse-degree filtration of the cone boundary complex ----------------

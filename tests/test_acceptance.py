@@ -94,7 +94,7 @@ def test_criterion_01_torus_cohomology_table(torus2):
     watch = Stopwatch(5.0)
     dims = cohomology_dims(torus2, ModeWindow(bound=3))
     expected = {(k, h): 1 for k in (0, 1) for h in (0, 1)}
-    actual = dims.nonzero()
+    actual = dims.dims
     ok = actual == expected
     elapsed = watch.check()
     report(1, "torus cohomology table", ok and elapsed < watch.limit, elapsed)

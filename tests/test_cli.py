@@ -395,8 +395,8 @@ def test_run_context_memo_is_keyed_by_model_instance():
     assert repr(abelian) == repr(affine)
     ctx = cli.RunContext(abelian, ModeWindow(bound=1))
     table = ctx.table(abelian)
-    assert ctx.table(affine).nonzero() == {(0, 0): 1, (1, 0): 1}
-    assert table.nonzero() == {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1}
+    assert ctx.table(affine).dims == {(0, 0): 1, (1, 0): 1}
+    assert table.dims == {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1}
     assert ctx.table(abelian) is table
 
 
