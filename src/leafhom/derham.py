@@ -64,15 +64,15 @@ _SHIFTS = {"d": None, "d_F": (1, 0), "d_perp": (0, 1), "boundary": (-1, 2)}
 COMPONENTS = tuple(_SHIFTS)
 
 
-def component_terms(model: FoliatedModel, component: str) -> TermMap:
-    """Term map of d, or of one bigraded component, from the model's data.
+def _component_filter(
+    model: FoliatedModel, component: str
+) -> tuple[list[bool], list[list[tuple[Scalar, tuple[int, int]]]]]:
+    """The shift filter of d or of one component: what of the model's data it keeps.
 
-    `_multiplier_d` over the block's multipliers (g, c), of shift bideg(g), plus
-    `_frame_d` over the frame terms g -> c a ^ b, of shift bideg(a ^ b) - bideg(g):
-    d keeps every term, a component the terms of its shift.  The term map
-    keeps, per block key, the block's kept nonzero multipliers as Scalars
-    (g, c, -c); the cache lives in the closure, so it belongs to one model
-    and one component."""
+    Returns, per generator g, whether the multiplier term c * g ^ (-) is kept
+    (its shift is bideg(g)), and g's kept frame terms c a ^ b (shift
+    bideg(a ^ b) - bideg(g)); d keeps every term.
+    """
     if component not in COMPONENTS:
         raise ValidationError(f"unknown differential component {component!r}")
     shift = _SHIFTS[component]
@@ -83,6 +83,19 @@ def component_terms(model: FoliatedModel, component: str) -> TermMap:
 
     kept = [keep((g,)) for g in range(len(model.gen_names))]
     frame = [[(c, ab) for c, ab in row if keep(ab, (g,))] for g, row in enumerate(model._dual_d)]
+    return kept, frame
+
+
+def component_terms(model: FoliatedModel, component: str) -> TermMap:
+    """Term map of d, or of one bigraded component, from the model's data.
+
+    `_multiplier_d` over the block's multipliers (g, c), of shift bideg(g), plus
+    `_frame_d` over the frame terms g -> c a ^ b, of shift bideg(a ^ b) - bideg(g):
+    d keeps every term, a component the terms of its shift.  The term map
+    keeps, per block key, the block's kept nonzero multipliers as Scalars
+    (g, c, -c); the cache lives in the closure, so it belongs to one model
+    and one component."""
+    kept, frame = _component_filter(model, component)
     blocks: dict[tuple, list[tuple[int, Scalar, Scalar]]] = {}
 
     def terms(mono: FormMonomial) -> list[tuple[FormMonomial, Scalar]]:

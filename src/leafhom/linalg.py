@@ -1,11 +1,15 @@
 """Sparse exact linear algebra over a NumberField.
 
-Rank, kernel and homology dimensions via pivoted Gauss-Jordan elimination
-with exact field arithmetic (pivot rows are normalized to 1 to keep
-coefficient growth under control).  No floating point anywhere.
+Ranks come from a rank-only row echelon (`Echelon`): each row is stored as
+its residual modulo the rows before it, with the memoized inverse of its
+lead entry, and is never normalized or back-substituted.  Kernels come from
+a pivoted Gauss-Jordan elimination (`rank_kernel`), whose reduced rows they
+read.  Exact field arithmetic throughout; no floating point anywhere.
 """
 
 from __future__ import annotations
+
+from bisect import insort
 
 from .errors import ComplexViolationError, ShapeError
 from .scalars import NumberField, Scalar
@@ -110,29 +114,56 @@ def _subtract_scaled(work: SparseVector, row: SparseVector, coeff: Scalar) -> No
 
 
 class Echelon:
-    """Incrementally maintained reduced row echelon span over a field.
+    """Incrementally maintained row echelon span over a field, for ranks.
 
-    Invariant: pivot rows are normalized to pivot entry 1 and carry no
-    entries at other pivot columns, so reduction is a single sweep.
+    A row is inserted as its residual modulo the rows already there; its
+    lowest column is its pivot, and the row is kept without that entry,
+    beside the entry's inverse.  Rows are never normalized and never
+    back-substituted, so a row may carry entries at pivot columns inserted
+    after it: `reduce` eliminates pivots in increasing column order,
+    including those that an elimination brings into the vector.
     """
 
     __slots__ = ("field", "pivot_rows")
 
     def __init__(self, field: NumberField):
         self.field = field
-        self.pivot_rows: dict[int, SparseVector] = {}
+        # pivot column -> (the row's entries right of it, inverse of its entry there)
+        self.pivot_rows: dict[int, tuple[SparseVector, Scalar]] = {}
 
     @property
     def dim(self) -> int:
         return len(self.pivot_rows)
 
     def reduce(self, vec: SparseVector) -> SparseVector:
-        """Return vec reduced modulo the current span (a fresh dict)."""
+        """Return vec reduced modulo the current span (a fresh dict).
+
+        The result has no entry at any pivot column, so it is the same for
+        every vector of the coset vec + span.
+        """
         work = {c: v for c, v in vec.items() if v}
-        for c in sorted(set(work) & self.pivot_rows.keys()):
-            coeff = work.get(c)
-            if coeff:
-                _subtract_scaled(work, self.pivot_rows[c], coeff)
+        pivots = self.pivot_rows
+        # the pivot columns to eliminate, increasing; the walk inserts the
+        # pivots a tail brings in, which lie right of the current column
+        todo = sorted(c for c in work if c in pivots)
+        for c in todo:
+            coeff = work.pop(c, None)
+            if coeff is None:
+                continue  # cancelled, or a repeat of a column already eliminated
+            tail, inv = pivots[c]
+            scale = coeff * inv
+            for c2, v in tail.items():
+                cur = work.get(c2)
+                if cur is None:
+                    work[c2] = -(scale * v)
+                    if c2 in pivots:
+                        insort(todo, c2)
+                else:
+                    new = cur - scale * v
+                    if new:
+                        work[c2] = new
+                    else:
+                        del work[c2]
         return work
 
     def add(self, vec: SparseVector) -> bool:
@@ -141,13 +172,8 @@ class Echelon:
         if not residual:
             return False
         lead = min(residual)
-        inv = residual[lead].inverse()
-        normalized = {c: v * inv for c, v in residual.items()}
-        for prow in self.pivot_rows.values():
-            coeff = prow.get(lead)
-            if coeff:
-                _subtract_scaled(prow, normalized, coeff)
-        self.pivot_rows[lead] = normalized
+        inv = residual.pop(lead).inverse()
+        self.pivot_rows[lead] = (residual, inv)
         return True
 
     def extend(self, vectors: list[SparseVector]) -> int:
@@ -159,19 +185,34 @@ class Echelon:
 
 
 def _rref(matrix: SparseMatrix) -> tuple[dict[int, SparseVector], list[int]]:
-    """Reduced row echelon form; returns (pivot_col -> row, free columns)."""
-    ech = Echelon(matrix.field)
-    for row in matrix.row_vectors():
-        if row:
-            ech.add(row)
-    pivots = ech.pivot_rows
+    """Reduced row echelon form; returns (pivot_col -> row, free columns).
+
+    Gauss-Jordan: each pivot row is normalized to 1 at its pivot and carries
+    no entry at another pivot column, so a row reduces in one sweep and the
+    kernel is read off the rows.
+    """
+    pivots: dict[int, SparseVector] = {}
+    for work in matrix.row_vectors():
+        for c in sorted(set(work) & pivots.keys()):
+            coeff = work.get(c)
+            if coeff:
+                _subtract_scaled(work, pivots[c], coeff)
+        if not work:
+            continue
+        lead = min(work)
+        inv = work[lead].inverse()
+        normalized = {c: v * inv for c, v in work.items()}
+        for prow in pivots.values():
+            coeff = prow.get(lead)
+            if coeff:
+                _subtract_scaled(prow, normalized, coeff)
+        pivots[lead] = normalized
     free = [c for c in range(matrix.cols) if c not in pivots]
     return pivots, free
 
 
 def rank(matrix: SparseMatrix) -> int:
-    pivots, _ = _rref(matrix)
-    return len(pivots)
+    return Echelon(matrix.field).extend([row for row in matrix.row_vectors() if row])
 
 
 def rank_kernel(matrix: SparseMatrix) -> tuple[int, list[SparseVector]]:

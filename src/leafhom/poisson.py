@@ -4,11 +4,14 @@ The leafwise bivector pairs the leaf direction with the radial direction;
 its dual leafwise symplectic form is theta ^ dxi, homogeneous of degree one
 under the radial scaling.  The boundary operator delta = [i_G, d] splits
 into a leafwise piece of shift (-1, 0) and a transverse piece of shift
-(-2, 1).  Each is a term map composed from two others: the contraction's and
-that of the matching differential component (`delta_terms`), which every
-homology, filtration and identity check on the cone reads.  The
-star-conjugated leafwise differential, a term map composed with the star's,
-gives an independent second route that the identity suite compares against.
+(-2, 1).  Each is a term map written from the block's multipliers
+(`delta_terms`): by the Cartan identity only the theta and dxi terms of d
+fail to commute with i_G, so delta is two contractions, plus the composite
+of i_G with the frame terms on a frame cone.  Every homology, filtration
+and identity check on the cone reads it, and the identity suite checks it
+against [i_G, d] composed from the two term maps.  The star-conjugated
+leafwise differential, a term map composed with the star's, gives an
+independent second route that the identity suite compares against.
 The tensor, the identity suite and the correspondence table return their
 report documents, the JSON the poisson report holds, verdicts included.
 
@@ -24,6 +27,7 @@ from typing import Iterable
 
 from .derham import (
     BigradedDims,
+    _component_filter,
     block_homology,
     check_identities,
     component_terms,
@@ -37,6 +41,7 @@ from .models import (
     FormMonomial,
     ModeWindow,
     TermMap,
+    _frame_d,
     linear_extension,
 )
 from .scalars import Scalar
@@ -108,18 +113,58 @@ def bracket(f: Form, g: Form) -> Form:
 def delta_terms(model: FoliatedModel, variant: str = "delta") -> TermMap:
     """Term map of the boundary operator i_G d - d i_G, or of a bigraded piece.
 
-    The image of a monomial is composed from the term maps of the
-    contraction and of the differential component.
+    i_G = iota_theta iota_dxi, so by the Cartan identity it commutes with
+    eps_g for every generator g but theta and dxi.  The multiplier part of
+    [i_G, d] is therefore two contractions, written from the block's
+    multipliers: on xi^a e_S it is a iota_theta(e_S) xi^(a-1) - c iota_dxi(e_S)
+    xi^a, with c the block's theta multiplier (m . alpha on a torus cone),
+    each term kept when its generator's term passes the shift filter of the
+    matching component (`derham._component_filter`).  The coefficient is
+    the xi power a, not dxi's multiplier l: the two sides of the commutator
+    read blocks l and l - 1, whose theta multipliers agree.  The frame terms
+    d e^k of a frame cone keep the composite of the contraction's term map
+    with theirs.  The star-delta suite checks delta against the composite
+    [i_G, d] on every windowed monomial.
     """
     conic = _require_conic(model)
     if variant not in DELTA_VARIANTS:
         raise ValidationError(f"unknown delta variant {variant!r}")
-    d = component_terms(conic, {"delta": "d", "delta_F": "d_F", "delta_perp": "d_perp"}[variant])
-    i_g = _contraction_terms(conic)
+    kept, frame = _component_filter(
+        conic, {"delta": "d", "delta_F": "d_F", "delta_perp": "d_perp"}[variant]
+    )
+    theta, xi_gen = 0, conic.XI_GEN  # the base's leaf generator keeps slot 0
+    i_g, scalar = _contraction_terms(conic), conic.field.scalar
+    # per block key, the theta multiplier and its negation, or None when zero
+    blocks: dict[tuple, tuple[Scalar, Scalar] | None] = {}
+
+    def theta_multiplier(mono: FormMonomial) -> tuple[Scalar, Scalar] | None:
+        key = conic.block_key(mono)
+        if key not in blocks:
+            c = next((c for g, c in conic.multipliers(key) if g == theta), 0)
+            blocks[key] = (scalar(c), scalar(-c)) if kept[theta] and c else None
+        return blocks[key]
+
+    has_frame = any(frame)
+
+    def frame_d(mono: FormMonomial) -> list[tuple[FormMonomial, Scalar]]:
+        return _frame_d(frame, mono)
 
     def terms(mono: FormMonomial) -> Iterable[tuple[FormMonomial, Scalar]]:
-        out = linear_extension(i_g, d(mono))
-        return linear_extension(d, ((m, -c) for m, c in i_g(mono)), out).items()
+        mode, xi, comp, ext = mono
+        leads = ext[:1] == (theta,)
+        out = []
+        if leads and xi and kept[xi_gen]:
+            out.append((FormMonomial(mode, xi - 1, comp, ext[1:]), scalar(xi)))
+        if xi_gen in ext[:2]:
+            c = theta_multiplier(mono)
+            if c is not None:
+                # iota_dxi(e_S) = -e_(S - dxi) when theta leads S, +e_(S - dxi) otherwise
+                rest = ext[:1] + ext[2:] if leads else ext[1:]
+                out.append((FormMonomial(mode, xi, comp, rest), c[0] if leads else c[1]))
+        if not has_frame:
+            return out
+        image = linear_extension(i_g, frame_d(mono), dict(out))
+        return linear_extension(frame_d, ((m, -c) for m, c in i_g(mono)), image).items()
 
     return terms
 
@@ -161,7 +206,8 @@ def verify_star_delta_identity(
 ) -> dict:
     """Exact operator identities on every windowed basis monomial.
 
-    Checks the star-conjugation identity for the leafwise boundary, the
+    Checks the boundary against its definition [i_G, d] composed from the
+    term maps, the star-conjugation identity for the leafwise boundary, the
     squares and anticommutator of the two boundary pieces, the splitting of
     the full boundary, star involutivity and the homogeneity bookkeeping.
     The report passes when every check does.
@@ -170,11 +216,13 @@ def verify_star_delta_identity(
     p = conic.leaf_dim // 2
     star, star_d_f = _star_terms(conic), _star_conjugated_terms(conic)
     dl, dF, dP = (delta_terms(conic, v) for v in DELTA_VARIANTS)
+    i_g, d = _contraction_terms(conic), component_terms(conic, "d")
     l_of, r_of = conic.homogeneity, lambda m: conic.bidegree(m.ext)[0]
     checks = check_identities(
         conic,
         window or ModeWindow(),
         [
+            ("delta = [i_G, d]", [(1, dl), (-1, i_g, d), (1, d, i_g)]),
             ("star_conjugated d_F equals leafwise delta", [(1, star_d_f), (-1, dF)]),
             ("delta_F^2 = 0", [(1, dF, dF)]),
             ("delta_perp^2 = 0", [(1, dP, dP)]),

@@ -17,6 +17,8 @@ from operator import add, neg, sub
 
 from .errors import ValidationError
 
+INVERSE_MEMO_SIZE = 4096  # values memoized per field; bounds the memo's memory
+
 
 def is_square_free(d: int) -> bool:
     if d < 2:
@@ -40,8 +42,9 @@ def ceil_sqrt(v: int) -> int:
 class NumberField:
     """Q(i) extended by up to two distinct real quadratic radicals.
 
-    Instances are immutable and safe to share.  Scalars belong to exactly
-    one field; mixing fields raises ValidationError.
+    Instances are immutable and safe to share; each keeps the memo of its
+    scalars' inverses.  Scalars belong to exactly one field; mixing fields
+    raises ValidationError.
     """
 
     __slots__ = (
@@ -52,6 +55,7 @@ class NumberField:
         "zero",
         "one",
         "_cache",
+        "_inverses",
     )
 
     def __init__(self, radicals: tuple[int, ...] | list[int] = ()):
@@ -79,6 +83,9 @@ class NumberField:
         self.zero = Scalar(self, (0,) + self._zeros, 1)
         self.one = Scalar(self, (1,) + self._zeros, 1)
         self._cache: dict[int, Scalar] = {0: self.zero, 1: self.one}
+        # Scalar.inverse's memo, keyed by (nums, den): a value inverted again
+        # (the same multiplier in every block) costs one lookup
+        self._inverses: dict[tuple[tuple[int, ...], int], Scalar] = {}
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, NumberField) and self.radicals == other.radicals
@@ -289,6 +296,17 @@ class Scalar:
         )
 
     def inverse(self) -> Scalar:
+        """The multiplicative inverse, memoized per field (up to `INVERSE_MEMO_SIZE` values)."""
+        memo = self.field._inverses
+        key = (self.nums, self.den)
+        inv = memo.get(key)
+        if inv is None:
+            inv = self._invert()
+            if len(memo) < INVERSE_MEMO_SIZE:
+                memo[key] = inv
+        return inv
+
+    def _invert(self) -> Scalar:
         nums = self.nums
         if not any(nums):
             raise ZeroDivisionError("scalar inverse of zero")

@@ -19,6 +19,11 @@ from leafhom.linalg import (
 )
 from leafhom.scalars import NumberField
 
+try:  # test-only dependency
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # pragma: no cover
+    st = None
+
 
 @pytest.fixture(scope="module")
 def field() -> NumberField:
@@ -229,3 +234,132 @@ def test_rank_matches_sympy_over_q_sqrt2(field):
         assert rank(m) == expected
         ranks.add((expected, min(rows, cols)))
     assert any(r < full for r, full in ranks)
+
+
+# -- the rank-only echelon over Q(i, sqrt2, sqrt3) -----------------------------------
+
+QI23 = NumberField((2, 3))
+ENTRIES = tuple(
+    QI23.parse(text)
+    for text in ("1", "-1", "2", "1/2", "-3/2", "i", "sqrt2", "sqrt3", "1+sqrt2", "-1+i*sqrt3",
+                 "1/3*sqrt2*sqrt3", "2-1/2*i*sqrt2")
+)
+
+
+def dense_q23(rows):
+    return SparseMatrix(
+        len(rows),
+        len(rows[0]),
+        {(r, c): x for r, row in enumerate(rows) for c, x in enumerate(row)},
+        QI23,
+    )
+
+
+def combine(coeffs, vectors):
+    out = {}
+    for a, vec in zip(coeffs, vectors):
+        for c, v in vec.items():
+            out[c] = out.get(c, QI23.zero) + a * v
+    return {c: v for c, v in out.items() if v}
+
+
+def sympy_rank(m):
+    sympy = pytest.importorskip("sympy")
+    gens = (sympy.I, sympy.sqrt(2), sympy.sqrt(3))
+
+    def to_sympy(x):
+        total = 0
+        for mask, c in enumerate(x.coeffs):
+            term = sympy.Rational(c.numerator, c.denominator)
+            for bit, g in enumerate(gens):
+                if mask >> bit & 1:
+                    term *= g
+            total += term
+        return total
+
+    return sympy.Matrix(
+        m.rows, m.cols, lambda i, j: to_sympy(m.entries.get((i, j), QI23.zero))
+    ).rank(simplify=True)
+
+
+if st is not None:
+    SCALAR = st.one_of(st.just(QI23.zero), st.sampled_from(ENTRIES))
+
+    def grids(rows, cols):
+        return st.lists(st.lists(SCALAR, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+    @st.composite
+    def rank_deficient_matrices(draw):
+        """A product through a middle dimension below both sides: rank <= inner."""
+        rows, cols = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+        inner = draw(st.integers(1, min(rows, cols) - 1))
+        return dense_q23(draw(grids(rows, inner))).matmul(dense_q23(draw(grids(inner, cols))))
+
+    @st.composite
+    def repeated_pivot_matrices(draw):
+        """L U with unit lower-triangular integer L and x on each step of the echelon U.
+
+        Reduced in row order, every row's pivot entry is x; rows mixing the
+        earlier ones follow, so the matrix has rank len(U).
+        """
+        x = draw(st.sampled_from(ENTRIES))
+        cols = draw(st.integers(2, 5))
+        leads = sorted(draw(st.sets(st.integers(0, cols - 1), min_size=1, max_size=min(cols, 3))))
+        echelon = []
+        for lead in leads:
+            tail = draw(st.lists(SCALAR, min_size=cols - lead - 1, max_size=cols - lead - 1))
+            echelon.append([QI23.zero] * lead + [x] + tail)
+        rows = []
+        for i, _row in enumerate(echelon):
+            mix = [QI23.scalar(draw(st.integers(-2, 2))) for _ in range(i)] + [QI23.one]
+            rows.append([sum((a * r[c] for a, r in zip(mix, echelon)), QI23.zero) for c in range(cols)])
+        for _ in range(draw(st.integers(0, 2))):
+            mix = [draw(SCALAR) for _ in rows]
+            rows.append([sum((a * r[c] for a, r in zip(mix, rows)), QI23.zero) for c in range(cols)])
+        return x, len(echelon), dense_q23(rows)
+
+    def check_echelon(m, rng_vector, mix):
+        expected = rank(m)
+        assert rank_kernel(m)[0] == expected
+        ech = Echelon(QI23)
+        rows = m.row_vectors()
+        assert ech.extend(rows) == ech.dim == expected
+        assert span_dim(QI23, rows) == expected
+        # reduce is a function of the coset: no entry at a pivot, the same for v + span
+        w = combine(mix, rows)
+        assert ech.reduce(w) == {}
+        residual = ech.reduce(rng_vector)
+        assert not residual.keys() & ech.pivot_rows.keys()
+        assert ech.reduce(combine([QI23.one, QI23.one], [rng_vector, w])) == residual
+        assert ech.add(rng_vector) == bool(residual)
+        return expected
+
+    VECTOR = st.dictionaries(st.integers(0, 4), st.sampled_from(ENTRIES), max_size=4)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(rank_deficient_matrices(), VECTOR, st.lists(SCALAR, min_size=4, max_size=4))
+    def test_rank_only_echelon_on_rank_deficient_matrices(m, vec, mix):
+        vec = {c: v for c, v in vec.items() if c < m.cols}
+        r = check_echelon(m, vec, mix)
+        assert r < min(m.rows, m.cols)
+        assert r == sympy_rank(m)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(repeated_pivot_matrices(), VECTOR, st.lists(SCALAR, min_size=5, max_size=5))
+    def test_rank_only_echelon_with_one_repeated_pivot(drawn, vec, mix):
+        x, expected, m = drawn
+        vec = {c: v for c, v in vec.items() if c < m.cols}
+        assert check_echelon(m, vec, mix) == expected == sympy_rank(m)
+        ech = Echelon(QI23)
+        ech.extend(m.row_vectors())
+        assert {inv for _tail, inv in ech.pivot_rows.values()} == {x.inverse()}
+
+else:  # pragma: no cover
+
+    @pytest.mark.skip(reason="hypothesis is not installed")
+    def test_rank_only_echelon_on_rank_deficient_matrices():
+        pass
+
+    @pytest.mark.skip(reason="hypothesis is not installed")
+    def test_rank_only_echelon_with_one_repeated_pivot():
+        pass

@@ -9,7 +9,13 @@ from collections import Counter
 import pytest
 
 from leafhom import cli, poisson
-from leafhom.derham import block_homology, cohomology_dims, differential, operator_matrix
+from leafhom.derham import (
+    block_homology,
+    cohomology_dims,
+    component_terms,
+    differential,
+    operator_matrix,
+)
 from leafhom.errors import ComplexViolationError, UnsupportedModelError, ValidationError
 from leafhom.linalg import homology_dims
 from leafhom.models import (
@@ -19,6 +25,8 @@ from leafhom.models import (
     KroneckerTorus,
     LieFrameModel,
     ModeWindow,
+    linear_extension,
+    make_model,
 )
 from leafhom.poisson import (
     BoundaryDims,
@@ -455,6 +463,29 @@ def commutator_delta(form, variant):
     return contract_bivector(model, dd(form)) - dd(contract_bivector(model, form))
 
 
+# the torus cones of the direct formula, and the frame cones, whose frame part
+# stays a composite
+CONES = {
+    "t2": {"family": "kronecker_torus", "alpha": ["1", "sqrt2"]},
+    "t3_spec": {"family": "kronecker_torus", "alpha": ["1", "1/2*sqrt2", "-3*sqrt3"]},
+    "resonant_t3": {"family": "kronecker_torus", "alpha": ["1", "sqrt2", "sqrt2-1"]},
+    "affine": {"family": "lie_frame", "n": 2, "brackets": [[1, 2, [[1, "1"]]]], "leaf": [1]},
+    "so3": {
+        "family": "lie_frame",
+        "n": 3,
+        "brackets": [[1, 2, [[3, "1"]]], [2, 3, [[1, "1"]]], [1, 3, [[2, "-1"]]]],
+        "leaf": [3],
+    },
+    "heisenberg": {"family": "lie_frame", "n": 3, "brackets": [[1, 2, [[3, "1"]]]], "leaf": [3]},
+}
+TORUS_CONES = ("t2", "t3_spec", "resonant_t3")
+FRAME_CONES = ("affine", "so3", "heisenberg")
+
+
+def cone(name):
+    return ConicDualModel(make_model(CONES[name]))
+
+
 @pytest.mark.parametrize("base", ["torus", "resonant_torus", "lie_frame"])
 def test_delta_terms_match_form_commutator(base, field):
     conic = {
@@ -471,3 +502,77 @@ def test_delta_terms_match_form_commutator(base, field):
             assert len({m for m, _c in image}) == len(image)
             expected = commutator_delta(Form(conic, {mono: field.one}), variant)
             assert dict(image) == expected.terms, (variant, conic.monomial_label(mono))
+
+
+def composite_delta(conic, variant):
+    """[i_G, d] (or its piece) composed from the contraction's and d's term maps."""
+    i_g = poisson._contraction_terms(conic)
+    d = component_terms(conic, {"delta": "d", "delta_F": "d_F", "delta_perp": "d_perp"}[variant])
+
+    def image(mono):
+        out = linear_extension(i_g, d(mono))
+        return linear_extension(d, ((m, -c) for m, c in i_g(mono)), out)
+
+    return image
+
+
+def test_direct_delta_matches_composite_on_torus_cones():
+    # every windowed monomial and variant of three cones at bound 1: T^2, the
+    # T^3 spec and resonant T^3, where m . alpha = 0 on the lattice modes
+    compared = 0
+    for name in TORUS_CONES:
+        conic = cone(name)
+        for variant in poisson.DELTA_VARIANTS:
+            direct, composite = poisson.delta_terms(conic, variant), composite_delta(conic, variant)
+            for mono in conic.basis_monomials(ModeWindow(bound=1)):
+                image = list(direct(mono))
+                assert dict(image) == composite(mono), (name, variant, conic.monomial_label(mono))
+                assert len(dict(image)) == len(image) and all(c for _m, c in image)
+                if variant == "delta_perp":
+                    assert not image  # delta_perp is the zero map on a torus cone
+                compared += 1
+    assert compared == 3 * (9 * 2 * 5 * 8 + 2 * 27 * 2 * 5 * 16)
+
+
+@pytest.mark.parametrize("name", FRAME_CONES)
+def test_frame_cones_keep_the_composite_frame_part(name, monkeypatch):
+    calls = Counter()
+    real = poisson._frame_d
+
+    def counting(frame, mono):
+        calls["frame_d"] += 1
+        return real(frame, mono)
+
+    monkeypatch.setattr(poisson, "_frame_d", counting)
+    window = ModeWindow(bound=0)
+    # the torus cone's delta runs no frame composite
+    torus = cone("t2")
+    for variant in poisson.DELTA_VARIANTS:
+        terms = poisson.delta_terms(torus, variant)
+        for mono in torus.basis_monomials(window):
+            list(terms(mono))
+    assert not calls
+    conic = cone(name)
+    for variant in poisson.DELTA_VARIANTS:
+        direct, composite = poisson.delta_terms(conic, variant), composite_delta(conic, variant)
+        for mono in conic.basis_monomials(window):
+            assert dict(direct(mono)) == composite(mono), (variant, conic.monomial_label(mono))
+    assert calls["frame_d"]
+    report = verify_star_delta_identity(conic, window)
+    assert report["passed"], [c for c in report["checks"] if not c["passed"]]
+
+
+def test_identity_suite_checks_delta_against_its_definition(conic, monkeypatch):
+    # a direct delta with its iota_theta term dropped: the definition row
+    # fails and names the first monomial it fails on
+    real = poisson.delta_terms
+
+    def no_iota_theta(model, variant="delta"):
+        terms = real(model, variant)
+        return lambda m: [(m2, c) for m2, c in terms(m) if m2.xi == m.xi]
+
+    monkeypatch.setattr(poisson, "delta_terms", no_iota_theta)
+    report = verify_star_delta_identity(conic, ModeWindow(bound=1, l_min=-1, l_max=1))
+    failing = {c["name"]: c["detail"] for c in report["checks"] if not c["passed"]}
+    assert "delta = [i_G, d]" in failing
+    assert failing["delta = [i_G, d]"] == "+*e[-1, -1]*xi^-1*theta"

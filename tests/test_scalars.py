@@ -72,6 +72,52 @@ def test_inverse_of_nonzero(field):
         field.zero.inverse()
 
 
+def test_inverse_memo_one_entry_per_value():
+    field = NumberField((2, 3))
+    built = [
+        field.parse("1/2+sqrt2"),
+        field.sqrt(2) + field.scalar(Fraction(1, 2)),
+        field.parse("1+2*sqrt2") * field.parse("1+2*sqrt2")
+        - field.parse("8+4*sqrt2")
+        + field.parse("-1/2+sqrt2"),
+    ]
+    assert all(x == built[0] for x in built)
+    first = built[0].inverse()
+    entries = len(field._inverses)  # the value and the norms its inversion passes through
+    assert all(x.inverse() is first for x in built)
+    assert len(field._inverses) == entries
+    assert built[0] * first == field.one
+    # the same numerators over another denominator are another value
+    half, one = field.scalar(Fraction(1, 2)), field.one
+    assert half.nums == one.nums and half.inverse() == field.scalar(2)
+    assert one.inverse() == one and half.inverse() == field.scalar(2)
+
+
+def test_inverse_memo_is_per_field():
+    # 1 + sqrt d has the same coordinates in Q(i, sqrt2) and Q(i, sqrt3)
+    q2, q3, q2_again = NumberField((2,)), NumberField((3,)), NumberField((2,))
+    x2, x3 = q2.parse("1+sqrt2"), q3.parse("1+sqrt3")
+    assert (x2.nums, x2.den) == (x3.nums, x3.den)
+    inv2, inv3 = x2.inverse(), x3.inverse()
+    assert inv2 == q2.parse("-1+sqrt2") and inv3 == q3.parse("-1/2+1/2*sqrt3")
+    assert inv2.field is q2 and inv3.field is q3
+    assert x2 * inv2 == q2.one and x3 * inv3 == q3.one
+    # an equal field built apart keeps its own memo, and its inverses live in it
+    assert not q2_again._inverses
+    assert q2_again.parse("1+sqrt2").inverse().field is q2_again
+
+
+def test_inverse_memo_is_bounded(monkeypatch):
+    from leafhom import scalars
+
+    monkeypatch.setattr(scalars, "INVERSE_MEMO_SIZE", 3)
+    field = NumberField((2,))
+    values = [field.parse(f"{k}+sqrt2") for k in range(1, 7)]
+    for x in values:
+        assert x * x.inverse() == field.one
+    assert len(field._inverses) == 3
+
+
 def test_parse_and_render_round_trip(field):
     samples = [
         "0",
