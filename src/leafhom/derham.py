@@ -45,7 +45,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import ComplexViolationError, UnsupportedModelError, ValidationError
-from .linalg import SparseMatrix, homology_dims, rank, rank_kernel
+from .linalg import SparseMatrix, column_matrix, homology_dims, rank, rank_kernel
 from .models import (
     FoliatedModel,
     Form,
@@ -488,12 +488,7 @@ def basic_cohomology_dims(
             source = by_deg.get((0, s), [])
             # basic s-forms of the block: the kernel of d_F on (0, s)
             _, kernel = rank_kernel(operator_matrix(model, dF, source, by_deg.get((1, s), [])))
-            basic = SparseMatrix(
-                len(source),
-                len(kernel),
-                {(i, j): c for j, vec in enumerate(kernel) for i, c in vec.items()},
-                model.field,
-            )
+            basic = column_matrix(len(source), kernel, model.field)
             # induced d_perp on them, in (0, s+1) coordinates; the image stays
             # leafwise closed by the anticommutation identities, and (0, q+1)
             # is empty, so the top degree must map to zero

@@ -1,10 +1,10 @@
 """Sparse exact linear algebra over a NumberField.
 
-Ranks come from a rank-only row echelon (`Echelon`): each row is stored as
-its residual modulo the rows before it, with the memoized inverse of its
-lead entry, and is never normalized or back-substituted.  Kernels come from
-a pivoted Gauss-Jordan elimination (`rank_kernel`), whose reduced rows they
-read.  Exact field arithmetic throughout; no floating point anywhere.
+One elimination, a row echelon (`Echelon`), gives ranks, spans and kernels:
+each row is stored as its residual modulo the rows before it, with the
+memoized inverse of its lead entry, and is never normalized or
+back-substituted.  `rank_kernel` solves for the kernel off the stored rows.
+Exact field arithmetic throughout; no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ SparseVector = dict[int, Scalar]
 class SparseMatrix:
     """Immutable sparse matrix: entries keyed by (row, col), no stored zeros."""
 
-    __slots__ = ("rows", "cols", "entries", "field", "_cols_cache")
+    __slots__ = ("rows", "cols", "entries", "field")
 
     def __init__(
         self,
@@ -43,7 +43,6 @@ class SparseMatrix:
         self.cols = cols
         self.entries = clean
         self.field = field
-        self._cols_cache: dict[int, dict[int, Scalar]] | None = None
 
     def row_vectors(self) -> list[SparseVector]:
         out: list[SparseVector] = [dict() for _ in range(self.rows)]
@@ -74,43 +73,11 @@ class SparseMatrix:
                     acc[key] = prod
         return SparseMatrix(self.rows, other.cols, acc, self.field)
 
-    def apply(self, vec: SparseVector) -> SparseVector:
-        out: SparseVector = {}
-        cols = self._columns()
-        for c, x in vec.items():
-            for r, v in cols.get(c, {}).items():
-                prod = v * x
-                if r in out:
-                    out[r] = out[r] + prod
-                else:
-                    out[r] = prod
-        return {r: v for r, v in out.items() if v}
-
-    def _columns(self) -> dict[int, dict[int, Scalar]]:
-        if self._cols_cache is None:
-            cols: dict[int, dict[int, Scalar]] = {}
-            for (r, c), v in self.entries.items():
-                cols.setdefault(c, {})[r] = v
-            self._cols_cache = cols
-        return self._cols_cache
-
     def is_zero(self) -> bool:
         return not self.entries
 
     def __repr__(self) -> str:
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={len(self.entries)})"
-
-
-def _subtract_scaled(work: SparseVector, row: SparseVector, coeff: Scalar) -> None:
-    """work -= coeff * row, in place, dropping exact zeros."""
-    for c, v in row.items():
-        delta = coeff * v
-        cur = work.get(c)
-        new = -delta if cur is None else cur - delta
-        if new:
-            work[c] = new
-        else:
-            work.pop(c, None)
 
 
 class Echelon:
@@ -184,62 +151,52 @@ class Echelon:
         return added
 
 
-def _rref(matrix: SparseMatrix) -> tuple[dict[int, SparseVector], list[int]]:
-    """Reduced row echelon form; returns (pivot_col -> row, free columns).
-
-    Gauss-Jordan: each pivot row is normalized to 1 at its pivot and carries
-    no entry at another pivot column, so a row reduces in one sweep and the
-    kernel is read off the rows.
-    """
-    pivots: dict[int, SparseVector] = {}
-    for work in matrix.row_vectors():
-        for c in sorted(set(work) & pivots.keys()):
-            coeff = work.get(c)
-            if coeff:
-                _subtract_scaled(work, pivots[c], coeff)
-        if not work:
-            continue
-        lead = min(work)
-        inv = work[lead].inverse()
-        normalized = {c: v * inv for c, v in work.items()}
-        for prow in pivots.values():
-            coeff = prow.get(lead)
-            if coeff:
-                _subtract_scaled(prow, normalized, coeff)
-        pivots[lead] = normalized
-    free = [c for c in range(matrix.cols) if c not in pivots]
-    return pivots, free
-
-
 def rank(matrix: SparseMatrix) -> int:
     return Echelon(matrix.field).extend([row for row in matrix.row_vectors() if row])
+
+
+def column_matrix(rows: int, vectors: list[SparseVector], field: NumberField) -> SparseMatrix:
+    """The rows x len(vectors) matrix whose column j is vectors[j]."""
+    entries = {(i, j): c for j, vec in enumerate(vectors) for i, c in vec.items()}
+    return SparseMatrix(rows, len(vectors), entries, field)
 
 
 def rank_kernel(matrix: SparseMatrix) -> tuple[int, list[SparseVector]]:
     """Exact rank and a basis of the right kernel (vectors as {col: Scalar}).
 
-    Each kernel vector v satisfies  matrix @ v = 0; the basis vectors are
-    linearly independent and rank + len(basis) = cols.  Both facts are checked
-    on the result (rank-nullity and M v = 0 for every basis vector), and a
+    The rows go into an `Echelon`; each free column f gives the kernel vector
+    with x_f = 1 and every other free column 0.  A stored row's tail lies
+    right of its pivot, so the pivots are solved right to left.  Each kernel
+    vector v satisfies  matrix @ v = 0; the basis vectors are linearly
+    independent and rank + len(basis) = cols.  Both facts are checked on the
+    result (rank-nullity and one product with the basis matrix), and a
     failure raises ComplexViolationError.
     """
-    pivots, free = _rref(matrix)
-    one = matrix.field.one
+    field = matrix.field
+    ech = Echelon(field)
+    ech.extend([row for row in matrix.row_vectors() if row])
+    pivots = ech.pivot_rows
+    right_to_left = sorted(pivots, reverse=True)
     kernel: list[SparseVector] = []
-    for f in free:
-        vec: SparseVector = {f: one}
-        for pcol, prow in pivots.items():
-            c = prow.get(f)
-            if c is not None and c:
-                vec[pcol] = -c
+    for f in range(matrix.cols):
+        if f in pivots:
+            continue
+        vec: SparseVector = {f: field.one}
+        for p in right_to_left:
+            if p < f:  # a pivot right of f solves to 0
+                tail, inv = pivots[p]
+                total = sum((v * vec[c] for c, v in tail.items() if c in vec), field.zero)
+                if total:
+                    vec[p] = -(total * inv)
         kernel.append(vec)
     if len(pivots) + len(kernel) != matrix.cols:
         raise ComplexViolationError(
             f"rank-nullity fails: rank {len(pivots)} + kernel {len(kernel)} != {matrix.cols} columns"
         )
-    for vec in kernel:
-        if matrix.apply(vec):
-            raise ComplexViolationError(f"kernel vector {sorted(vec)} is not annihilated")
+    product = matrix.matmul(column_matrix(matrix.cols, kernel, field))
+    if not product.is_zero():
+        vec = kernel[min(j for _i, j in product.entries)]
+        raise ComplexViolationError(f"kernel vector {sorted(vec)} is not annihilated")
     return len(pivots), kernel
 
 

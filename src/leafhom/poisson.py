@@ -23,7 +23,7 @@ operator identities.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .derham import (
     BigradedDims,
@@ -248,26 +248,41 @@ def verify_star_delta_identity(
 # -- homogeneous Poisson homology --------------------------------------------------
 
 
+def line_blocks(
+    conic: ConicDualModel, c: int, window: ModeWindow
+) -> Iterator[tuple[tuple, dict[int, list[FormMonomial]]]]:
+    """The block complexes of the line k - l = c: ((comp, mode), {t: cell}).
+
+    A boundary operator lowers degree and homogeneity by one, so on each
+    (component, mode) block the cells of degree k = c + l at homogeneity l,
+    k = 0 .. top, form one complex in degrees t = -l.  One pass over the
+    exterior basis builds each monomial once; a cell keeps basis order.
+    """
+    top, xi_gen = conic.leaf_dim + conic.codim, conic.XI_GEN
+    for comp in range(conic.components_count):
+        for mode in window.modes(conic.mode_len):
+            cells: dict[int, list[FormMonomial]] = {c - k: [] for k in range(top + 1)}
+            for ext in conic.exterior.subsets:
+                l = len(ext) - c
+                cells[-l].append(FormMonomial(mode, l - (xi_gen in ext), comp, ext))
+            yield (comp, mode), cells
+
+
 def _line_dims(
     conic: ConicDualModel, operator: str, c: int, window: ModeWindow
 ) -> dict[str, dict[int, int]]:
     """Homology of a boundary operator along the line k - l = c, per component.
 
-    The operator lowers degree and homogeneity by one, so on each
-    (component, mode) block the cells (k, k - c), k = 0 .. top, form one
-    complex in degrees t = -l.  Each block complex gets its own term map, so
-    the multipliers the term map caches are those of one block's keys.
+    Each block complex of `line_blocks` gets its own term map, so the
+    multipliers the term map caches are those of one block's keys.
     """
     top = conic.leaf_dim + conic.codim
     out = {name: dict.fromkeys(range(top + 1), 0) for name in conic.components}
-    for comp, name in enumerate(conic.components):
-        for mode in window.modes(conic.mode_len):
-            cells = {k: conic.block_monomials((comp, mode, k - c)) for k in range(top + 1)}
-            graded = {c - k: [m for m in b if len(m.ext) == k] for k, b in cells.items()}
-            op = delta_terms(conic, operator)
-            dims = block_homology(conic, op, graded, f"{(comp, mode)}, {operator} line k - l = {c}")
-            for k in range(top + 1):
-                out[name][k] += dims[c - k]
+    for block, cells in line_blocks(conic, c, window):
+        op = delta_terms(conic, operator)
+        dims = block_homology(conic, op, cells, f"{block}, {operator} line k - l = {c}")
+        for t, h in dims.items():
+            out[conic.components[block[0]]][c - t] += h
     return out
 
 

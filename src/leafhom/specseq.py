@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 from .derham import block_differentials
 from .errors import ComplexViolationError, UnsupportedModelError, ValidationError
-from .linalg import SparseMatrix, SparseVector, _subtract_scaled, homology_dims
+from .linalg import SparseMatrix, SparseVector, homology_dims
 from .models import ConicDualModel, FoliatedModel, FormMonomial, ModeWindow
-from .poisson import delta_terms
-from .scalars import NumberField
+from .poisson import delta_terms, line_blocks
+from .scalars import NumberField, Scalar
 
 
 @dataclass(frozen=True)
@@ -178,19 +178,34 @@ def _pairs(mat: SparseMatrix, src: list[int], dst: list[int]) -> list[tuple[int,
     cols: dict[int, SparseVector] = {}
     for (i, j), v in mat.entries.items():
         cols.setdefault(j, {})[pos[i]] = v
-    reduced: dict[int, SparseVector] = {}  # low -> its column, scaled to 1 there
+    # low -> (its column without the low, inverse of its entry there)
+    reduced: dict[int, tuple[SparseVector, Scalar]] = {}
     out = []
     for j in sorted(cols, key=lambda j: (-src[j], j)):
         col = cols[j]
         while col:
             low = max(col)
+            entry = col.pop(low)
             if low not in reduced:
-                inv = col[low].inverse()
-                reduced[low] = {p: v * inv for p, v in col.items()}
+                reduced[low] = (col, entry.inverse())
                 out.append((j, rows[low]))
                 break
-            _subtract_scaled(col, reduced[low], col[low])
+            # the stored rest lies below the low, so max(col) strictly falls
+            rest, inv = reduced[low]
+            _subtract_scaled(col, rest, entry * inv)
     return out
+
+
+def _subtract_scaled(work: SparseVector, row: SparseVector, coeff: Scalar) -> None:
+    """work -= coeff * row, in place, dropping exact zeros."""
+    for c, v in row.items():
+        delta = coeff * v
+        cur = work.get(c)
+        new = -delta if cur is None else cur - delta
+        if new:
+            work[c] = new
+        else:
+            work.pop(c, None)
 
 
 # -- the transverse-degree filtration of the cone boundary complex ----------------
@@ -211,21 +226,15 @@ def poisson_filtration(
     conic = model
     if not isinstance(conic, ConicDualModel):
         raise UnsupportedModelError("the filtration lives on the conic dual model")
-    window = window or ModeWindow()
-    top = conic.leaf_dim + conic.codim
-    basis: list[BasisVector] = []
     graded: dict[int, list[FormMonomial]] = {}
-    for l in range(-k, top - k + 1):
-        deg = k + l
-        for comp in range(conic.components_count):
-            for mode in window.modes(conic.mode_len):
-                for mono in conic.block_monomials((comp, mode, l)):
-                    if len(mono.ext) != deg:
-                        continue
-                    label = f"l={l}|{conic.monomial_label(mono)}"
-                    _r, s = conic.bidegree(mono.ext)
-                    basis.append(BasisVector(label, -l, s))
-                    graded.setdefault(-l, []).append(mono)
+    for _block, cells in line_blocks(conic, k, window or ModeWindow()):
+        for t, monos in cells.items():
+            graded.setdefault(t, []).extend(monos)
+    basis = [
+        BasisVector(f"l={-t}|{conic.monomial_label(mono)}", t, conic.bidegree(mono.ext)[1])
+        for t in sorted(graded, reverse=True)
+        for mono in graded[t]
+    ]
     try:
         diffs = block_differentials(conic, delta_terms(conic), graded)
         return FilteredComplex(conic.field, basis, diffs)

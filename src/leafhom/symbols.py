@@ -208,11 +208,6 @@ class Derivation:
     def key(self) -> tuple[str, int]:
         return (self.tag, self.index)
 
-    def label(self) -> str:
-        if self.tag == "transverse":
-            return f"transverse_{self.index}"
-        return self.tag
-
 
 def derivation_set(torus: KroneckerTorus) -> list[Derivation]:
     """The n+1 commuting derivations: n-1 transverse, leafwise, radial."""

@@ -11,6 +11,7 @@ from leafhom.errors import ComplexViolationError, ShapeError
 from leafhom.linalg import (
     Echelon,
     SparseMatrix,
+    column_matrix,
     homology_dims,
     integer_kernel,
     rank,
@@ -39,6 +40,11 @@ def dense(field, rows):
     return SparseMatrix(len(rows), len(rows[0]), entries, field)
 
 
+def annihilates(m, vectors):
+    """m @ v = 0 for every v, as one product with the matrix of the vectors."""
+    return m.matmul(column_matrix(m.cols, vectors, m.field)).is_zero()
+
+
 def test_identity_full_rank(field):
     m = dense(field, [[1, 0], [0, 1]])
     r, kernel = rank_kernel(m)
@@ -62,7 +68,7 @@ def test_sqrt2_rank_one_kernel(field):
     # normalize to second coordinate 1
     scale = vec[1].inverse()
     assert {c: v * scale for c, v in vec.items()} == {0: -s2, 1: field.one}
-    assert not m.apply(vec)
+    assert annihilates(m, [vec])
 
 
 def test_kernel_vectors_annihilated(field):
@@ -77,32 +83,45 @@ def test_kernel_vectors_annihilated(field):
         m = SparseMatrix(rows, cols, entries, field)
         r, kernel = rank_kernel(m)
         assert r + len(kernel) == cols
-        for v in kernel:
-            assert not m.apply(v)
+        assert annihilates(m, kernel)
         assert span_dim(field, kernel) == len(kernel)
 
 
 def test_corrupted_elimination_trips_the_kernel_check(field, monkeypatch):
-    from leafhom import linalg
-
     m = dense(field, [[1, 2, 0], [0, 1, 1]])
-    real = linalg._rref
+    real = Echelon.add
 
-    def wrong_row(matrix):
-        # a pivot row off by a factor at the free column
-        pivots, free = real(matrix)
-        pivots[0] = {c: v if c == 0 else v * 2 for c, v in pivots[0].items()}
-        return pivots, free
+    def wrong_inverse(self, vec):
+        # a stored lead inverse off by a factor: the solved pivots go wrong
+        residual = self.reduce(vec)
+        if not residual:
+            return False
+        lead = min(residual)
+        inv = residual.pop(lead).inverse()
+        self.pivot_rows[lead] = (residual, inv * 2)
+        return True
 
-    def extra_pivot(matrix):
+    def wrong_tail(self, vec):
+        # a stored tail off by a factor at the free column
+        grew = real(self, vec)
+        for tail, _inv in self.pivot_rows.values():
+            if 2 in tail:
+                tail[2] = tail[2] * 2
+        return grew
+
+    def extra_pivot(self, vec):
         # a pivot outside the columns: rank + nullity exceeds them
-        pivots, free = real(matrix)
-        pivots[matrix.cols] = {matrix.cols: field.one}
-        return pivots, free
+        grew = real(self, vec)
+        self.pivot_rows[99] = ({}, field.one)
+        return grew
 
     assert rank_kernel(m)[0] == 2
-    for corrupted, message in ((wrong_row, "not annihilated"), (extra_pivot, "rank-nullity")):
-        monkeypatch.setattr(linalg, "_rref", corrupted)
+    for corrupted, message in (
+        (wrong_inverse, "not annihilated"),
+        (wrong_tail, "not annihilated"),
+        (extra_pivot, "rank-nullity"),
+    ):
+        monkeypatch.setattr(Echelon, "add", corrupted)
         with pytest.raises(ComplexViolationError, match=message):
             rank_kernel(m)
 
@@ -363,3 +382,86 @@ else:  # pragma: no cover
     @pytest.mark.skip(reason="hypothesis is not installed")
     def test_rank_only_echelon_with_one_repeated_pivot():
         pass
+
+
+# -- the kernel oracle: a normalized Gauss-Jordan elimination ------------------------
+
+
+def _subtract_scaled(work, row, coeff):
+    for c, v in row.items():
+        new = work.get(c, coeff.field.zero) - coeff * v
+        if new:
+            work[c] = new
+        else:
+            work.pop(c, None)
+
+
+def rref_rank_kernel(matrix):
+    """Rank and kernel read off a normalized Gauss-Jordan RREF, independent of `Echelon`.
+
+    Each pivot row is scaled to 1 at its pivot and carries no entry at another
+    pivot column, so the kernel vector of a free column f is e_f minus the
+    rows' entries at f.
+    """
+    pivots = {}
+    for work in matrix.row_vectors():
+        for c in sorted(set(work) & pivots.keys()):
+            coeff = work.get(c)
+            if coeff:
+                _subtract_scaled(work, pivots[c], coeff)
+        if not work:
+            continue
+        lead = min(work)
+        inv = work[lead].inverse()
+        normalized = {c: v * inv for c, v in work.items()}
+        for prow in pivots.values():
+            coeff = prow.get(lead)
+            if coeff:
+                _subtract_scaled(prow, normalized, coeff)
+        pivots[lead] = normalized
+    kernel = []
+    for f in range(matrix.cols):
+        if f not in pivots:
+            vec = {f: matrix.field.one}
+            vec.update({p: -row[f] for p, row in pivots.items() if row.get(f)})
+            kernel.append(vec)
+    return len(pivots), kernel
+
+
+KERNEL_FIELDS = {
+    "Q(i,sqrt2)": (NumberField((2,)), ("1", "-1", "2", "1/2", "i", "sqrt2", "1+sqrt2", "-3/2*i*sqrt2")),
+    "Q(i,sqrt2,sqrt3)": (QI23, tuple(str(x) for x in ENTRIES)),
+}
+
+
+def kernel_cases(field, entries, rng):
+    """Zero and empty matrices, random ones, and products through a thin middle."""
+    yield from (SparseMatrix(r, c, {}, field) for r, c in ((3, 4), (0, 3), (3, 0), (0, 0)))
+
+    def grid(rows, cols, density):
+        return SparseMatrix(rows, cols, {
+            (i, j): rng.choice(entries)
+            for i in range(rows)
+            for j in range(cols)
+            if rng.random() < density
+        }, field)
+
+    for _ in range(150):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        yield grid(rows, cols, rng.choice((0.3, 0.6, 1.0)))
+        inner = rng.randint(1, max(1, min(rows, cols) - 1))
+        yield grid(rows, inner, 0.8).matmul(grid(inner, cols, 0.8))
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
+def test_kernels_match_the_gauss_jordan_oracle(name):
+    field, texts = KERNEL_FIELDS[name]
+    entries = [field.parse(text) for text in texts]
+    deficient = vectors = 0
+    for m in kernel_cases(field, entries, random.Random(43)):
+        r, kernel = rank_kernel(m)
+        # the same rank, and vector for vector the same kernel basis
+        assert (r, kernel) == rref_rank_kernel(m)
+        deficient += r < min(m.rows, m.cols)
+        vectors += len(kernel)
+    assert deficient > 100 and vectors > 300

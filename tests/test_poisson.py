@@ -34,6 +34,7 @@ from leafhom.poisson import (
     contract_bivector,
     delta,
     delta_terms,
+    line_blocks,
     poisson_tensor,
     verify_homology_correspondence,
     verify_star_delta_identity,
@@ -484,6 +485,27 @@ FRAME_CONES = ("affine", "so3", "heisenberg")
 
 def cone(name):
     return ConicDualModel(make_model(CONES[name]))
+
+
+@pytest.mark.parametrize("name", ["t2", "t3_spec", "so3"])
+def test_line_blocks_partition_each_block(name):
+    # every line a run reads: k - l = c for k = 0 .. top and |l| <= p + 1
+    conic, window = cone(name), ModeWindow(bound=1)
+    p, top = conic.leaf_dim // 2, conic.leaf_dim + conic.codim
+    modes = list(window.modes(conic.mode_len))
+    keys = [(comp, mode) for comp in range(conic.components_count) for mode in modes]
+    for c in range(-p - 1, top + p + 2):
+        blocks = list(line_blocks(conic, c, window))
+        assert [block for block, _cells in blocks] == keys
+        for (comp, mode), cells in blocks:
+            # each exterior subset exactly once, in the cell of its degree
+            exts = [m.ext for cell in cells.values() for m in cell]
+            assert sorted(exts) == sorted(conic.exterior.subsets), (c, comp, mode)
+            for t, cell in cells.items():
+                l = -t
+                assert all(len(m.ext) == c + l and conic.homogeneity(m) == l for m in cell)
+                block = conic.block_monomials((comp, mode, l))
+                assert cell == [m for m in block if len(m.ext) == c + l], (c, comp, mode, l)
 
 
 @pytest.mark.parametrize("base", ["torus", "resonant_torus", "lie_frame"])

@@ -19,7 +19,7 @@ import pytest
 
 from leafhom import cli
 from leafhom.errors import ComplexViolationError, ValidationError
-from leafhom.linalg import Echelon, SparseMatrix, SparseVector, rank_kernel
+from leafhom.linalg import Echelon, SparseMatrix, SparseVector, column_matrix, rank_kernel
 from leafhom.models import ConicDualModel, KroneckerTorus, ModeWindow, make_model
 from leafhom.poisson import BoundaryDims
 from leafhom.scalars import NumberField, Scalar
@@ -80,7 +80,8 @@ def zspace_pages(fc: FilteredComplex) -> list[SpectralPage]:
         d_t = fc.diffs.get(t)
         if d_t is None:
             return {}
-        return d_t.apply(vec)
+        image = d_t.matmul(column_matrix(d_t.cols, [vec], fc.field))
+        return {i: v for (i, _j), v in image.entries.items()}
 
     def denominator(r: int, w: int, t: int) -> Echelon:
         ech = Echelon(fc.field)
@@ -287,6 +288,21 @@ def test_cone_filtration_requires_conic(field):
     torus = KroneckerTorus(field, ["1", "sqrt2"])
     with pytest.raises(Exception):
         poisson_filtration(torus, 1, ModeWindow(bound=1))
+
+
+def test_pages_end_under_wrong_inverses(conic, monkeypatch):
+    # every inverse off by a factor 2: the persistence reduction goes wrong,
+    # but it must still end, in pages or in a ComplexViolationError
+    window = ModeWindow(bound=1)
+    top = conic.leaf_dim + conic.codim
+    filtrations = [poisson_filtration(conic, k, window) for k in range(top + 1)]
+    real = Scalar.inverse
+    monkeypatch.setattr(Scalar, "inverse", lambda self: real(self) * 2)
+    for fc in filtrations:
+        try:
+            assert pages(fc)
+        except ComplexViolationError:
+            pass
 
 
 def load_filtration(path):
