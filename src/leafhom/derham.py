@@ -60,6 +60,7 @@ from .models import (
 )
 from .scalars import Scalar
 
+BLOCK_CACHE_SIZE = 64  # blocks a term map keeps multipliers for; a full cache is cleared
 _SHIFTS = {"d": None, "d_F": (1, 0), "d_perp": (0, 1), "boundary": (-1, 2)}
 COMPONENTS = tuple(_SHIFTS)
 
@@ -94,7 +95,8 @@ def component_terms(model: FoliatedModel, component: str) -> TermMap:
     d keeps every term, a component the terms of its shift.  The term map
     keeps, per block key, the block's kept nonzero multipliers as Scalars
     (g, c, -c); the cache lives in the closure, so it belongs to one model
-    and one component."""
+    and one component, and it is cleared when it holds BLOCK_CACHE_SIZE
+    blocks, so a map that walks a whole window keeps only the recent ones."""
     kept, frame = _component_filter(model, component)
     blocks: dict[tuple, list[tuple[int, Scalar, Scalar]]] = {}
 
@@ -102,6 +104,8 @@ def component_terms(model: FoliatedModel, component: str) -> TermMap:
         key = model.block_key(mono)
         mults = blocks.get(key)
         if mults is None:
+            if len(blocks) >= BLOCK_CACHE_SIZE:
+                blocks.clear()
             # field.scalar shares the Scalars of small ints, the usual multipliers
             scalar = model.field.scalar
             mults = [(g, scalar(c), scalar(-c)) for g, c in model.multipliers(key) if kept[g] and c]
@@ -438,8 +442,7 @@ def diophantine_certificate(torus: KroneckerTorus) -> DiophantineCertificate:
     den = 1
     cprime = Fraction(0)
     for a in alpha:
-        den_a = a.denominator_lcm()
-        den = math.lcm(den, den_a)
+        den = math.lcm(den, a.den)
         cprime = max(cprime, a.abs_upper_bound())
     n_exp = degree - 1
     c_const = Fraction(den) ** degree * cprime**n_exp

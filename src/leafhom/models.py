@@ -220,14 +220,8 @@ class Form:
 
     def __add__(self, other: Form) -> Form:
         self._check_model(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            cur = out.get(m)
-            new = c if cur is None else cur + c
-            if new:
-                out[m] = new
-            else:
-                out.pop(m, None)
+        one = self.model.field.one
+        out = linear_extension(lambda m: ((m, one),), other.terms.items(), dict(self.terms))
         return Form(self.model, out)
 
     def __sub__(self, other: Form) -> Form:
@@ -247,28 +241,17 @@ class Form:
 
     def wedge(self, other: Form) -> Form:
         self._check_model(other)
-        model = self.model
-        out: dict[FormMonomial, Scalar] = {}
-        for ma, ca in self.terms.items():
+
+        def times_other(ma: FormMonomial) -> Iterator[tuple[FormMonomial, Scalar]]:
             for mb, cb in other.terms.items():
-                if model.components_count > 1 and ma.comp != mb.comp:
-                    continue  # supported on disjoint components
                 merged = merge_ext(ma.ext, mb.ext)
-                if merged is None:
-                    continue
-                sign, ext = merged
-                mode = tuple(x + y for x, y in zip(ma.mode, mb.mode))
-                mono = FormMonomial(mode, ma.xi + mb.xi, ma.comp, ext)
-                coeff = ca * cb
-                if sign < 0:
-                    coeff = -coeff
-                cur = out.get(mono)
-                new = coeff if cur is None else cur + coeff
-                if new:
-                    out[mono] = new
-                else:
-                    out.pop(mono, None)
-        return Form(self.model, out)
+                # forms on different components have disjoint supports
+                if merged is not None and ma.comp == mb.comp:
+                    sign, ext = merged
+                    mode = tuple(x + y for x, y in zip(ma.mode, mb.mode))
+                    yield FormMonomial(mode, ma.xi + mb.xi, ma.comp, ext), cb if sign > 0 else -cb
+
+        return self.map(times_other)
 
     def __xor__(self, other: Form) -> Form:
         return self.wedge(other)
@@ -354,9 +337,6 @@ class FoliatedModel:
 
     # -- form builders -------------------------------------------------------
 
-    def zero_form(self) -> Form:
-        return Form.zero(self)
-
     def monomial_form(
         self,
         coeff: Scalar | int | Fraction | str,
@@ -393,7 +373,7 @@ class FoliatedModel:
                 indices.append(int(g))
         sorted_idx = tuple(sorted(indices))
         if len(set(sorted_idx)) != len(sorted_idx):
-            return self.zero_form()
+            return Form.zero(self)
         sign = _sort_sign(indices)
         if sign < 0:
             c = -c

@@ -221,9 +221,6 @@ class Scalar:
 
     # -- predicates ----------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not any(self.nums)
-
     def __bool__(self) -> bool:
         return any(self.nums)
 
@@ -358,9 +355,6 @@ class Scalar:
                     rad *= d
             total += abs(n) * ceil_sqrt(rad)
         return Fraction(total, self.den)
-
-    def denominator_lcm(self) -> int:
-        return self.den
 
     # -- rendering -------------------------------------------------------
 

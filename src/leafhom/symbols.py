@@ -15,6 +15,8 @@ preserve the canonical splitting of the algebra.
 
 A cocycle value is one coefficient, the zero mode at order -1 on one side of
 ((a_0 o D_1 a_1) o D_2 a_2) o ..., so `cocycle_evaluate` computes only that.
+The residue trace itself is the l = 0 cocycle: `residue_trace(a, side)` is
+`cocycle_evaluate([], side, [a])`, with the same side and watermark checks.
 The coefficients are Laurent polynomials over a field, which have no zero
 divisors, so the top order of a product on one side is the sum of its
 factors' top orders (the k = 0 term, the product of the two top
@@ -35,13 +37,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 from typing import Sequence
 
 from .errors import InsufficientTruncationError, ValidationError
 from .expansion import SIDES, Expansion, TrigPoly, product_shape, side_tops, tp_add, tp_scale
+from .linalg import Echelon
 from .models import KroneckerTorus, Mode
 from .scalars import Scalar
+
+MAX_LEVEL = 2  # the highest cocycle degree l the verification suite checks
 
 
 class TruncatedSymbol:
@@ -91,9 +97,6 @@ class TruncatedSymbol:
     def order(self) -> int | None:
         orders = [j for s in SIDES for j in self.sides[s]]
         return max(orders) if orders else None
-
-    def coefficient(self, side: int, j: int, m: Mode) -> Scalar:
-        return self.sides[side].get(j, {}).get(tuple(m), self.torus.field.zero)
 
     def __add__(self, other: TruncatedSymbol) -> TruncatedSymbol:
         self._check(other)
@@ -179,22 +182,6 @@ def commutator(a: TruncatedSymbol, b: TruncatedSymbol, depth: int) -> TruncatedS
     return compose(a, b, depth) - compose(b, a, depth)
 
 
-def _check_residue_readable(side: int, floor: int | None) -> None:
-    if side not in SIDES:
-        raise ValidationError("side must be +1 or -1")
-    if floor is not None and floor > -1:
-        raise InsufficientTruncationError(
-            f"order -1 lies below the validity watermark {floor}"
-        )
-
-
-def residue_trace(a: TruncatedSymbol, side: int) -> Scalar:
-    """Zero-mode coefficient of the order -1 term on one side (unit volume)."""
-    _check_residue_readable(side, a.floor)
-    zero_mode = (0,) * a.torus.n
-    return a.sides[side].get(-1, {}).get(zero_mode, a.torus.field.zero)
-
-
 # -- derivations -----------------------------------------------------------------
 
 
@@ -204,9 +191,6 @@ class Derivation:
 
     tag: str  # "transverse" | "leafwise" | "radial"
     index: int = 0
-
-    def key(self) -> tuple[str, int]:
-        return (self.tag, self.index)
 
 
 def derivation_set(torus: KroneckerTorus) -> list[Derivation]:
@@ -288,16 +272,16 @@ def cocycle_evaluate(
 ) -> Scalar:
     """Evaluate (i_{D_1} ... i_{D_l} trace_side)(a_0, ..., a_l).
 
-    The value is residue_trace(((a_0 o D_1 a_1) o D_2 a_2) o ... o D_l a_l,
-    side) with every product at the given depth, and it raises where that
-    would; repeated derivation slots are rejected (the basis uses distinct
+    The value is the residue trace on `side` of ((a_0 o D_1 a_1) o D_2 a_2)
+    o ... o D_l a_l with every product at the given depth, and it raises
+    InsufficientTruncationError where order -1 lies below that chain's
+    watermark; repeated derivation slots are rejected (the basis uses distinct
     derivations).  Only what the trace reads is computed (see the module
     docstring): product i keeps the orders >= -1 - sum_{j>i} top_side(D_j a_j)
     on `side` alone, and the last product only the terms u - k + v = -1 with
     opposite modes.
     """
-    keys = [d.key() for d in dirs]
-    if len(set(keys)) != len(keys):
+    if len(set(dirs)) != len(dirs):
         raise ValidationError("cocycle derivations must be pairwise distinct")
     if len(args) != len(dirs) + 1:
         raise ValidationError(
@@ -315,7 +299,10 @@ def cocycle_evaluate(
         tops, floor = product_shape(tops, floor, side_tops(image.sides), image.floor, depth)
         images.append(image)
         floors.append(floor)
-    _check_residue_readable(side, floor)
+    if side not in SIDES:
+        raise ValidationError("side must be +1 or -1")
+    if floor is not None and floor > -1:
+        raise InsufficientTruncationError(f"order -1 lies below the validity watermark {floor}")
     zero = first.torus.field.zero
     # needs[i]: the lowest order of product i that can still reach order -1
     needs = [-1]
@@ -334,6 +321,11 @@ def cocycle_evaluate(
         lo = _floor_max(product_floor, need)
         chain = expansion.product(chain, image.sides[side], side, lo)
     return expansion.residue(chain, images[-1].sides[side], side)
+
+
+def residue_trace(a: TruncatedSymbol, side: int) -> Scalar:
+    """Zero-mode coefficient of the order -1 term on one side (unit volume): the l = 0 cocycle."""
+    return cocycle_evaluate([], side, [a])
 
 
 def _coboundary_terms(
@@ -374,19 +366,16 @@ def _signed_sum(
 def random_symbol(
     torus: KroneckerTorus,
     rng: random.Random,
-    mode_bound: int = 1,
     orders: tuple[int, int] = (-3, 2),
 ) -> TruncatedSymbol:
-    """Seeded random symbol: small modes, orders in a fixed range, int coeffs."""
+    """Seeded random symbol: modes in {-1, 0, 1}^n, orders in a fixed range, int coeffs."""
     sides: dict[int, dict[int, TrigPoly]] = {1: {}, -1: {}}
     for s in SIDES:
         for j in range(orders[0], orders[1] + 1):
             if rng.random() < 0.4:
                 poly: TrigPoly = {}
                 for _ in range(rng.randint(1, 2)):
-                    m = tuple(
-                        rng.randint(-mode_bound, mode_bound) for _ in range(torus.n)
-                    )
+                    m = tuple(rng.randint(-1, 1) for _ in range(torus.n))
                     c = rng.randint(-2, 2)
                     if c:
                         poly[m] = torus.field.scalar(c)
@@ -424,14 +413,13 @@ def verify_traces_and_collapse(
     trials: int = 100,
     depth: int = 6,
     seed: int = 0,
-    max_level: int = 2,
 ) -> dict:
     """Trace property, cocycle coboundaries, and the independence count.
 
     (a) the residue trace kills `trials` seeded random commutators on both
     sides, evaluated above the watermark; (b) the iterated-contraction
     cocycles have vanishing Hochschild coboundary on random tuples for
-    l <= max_level; (c) their evaluation matrix has full rank 2*C(n+1, l);
+    l <= MAX_LEVEL; (c) their evaluation matrix has full rank 2*C(n+1, l);
     the collapse certificate is set when those counts match ``predicted``,
     the closed-form dimensions `hochschild.hh_dims_assuming_collapse` reads
     off the cosphere-circle table.  The report passes when (a), (b) and (c)
@@ -462,9 +450,9 @@ def verify_traces_and_collapse(
                 trace_ok = False
     # (b) coboundaries
     coboundary_levels: dict[int, bool] = {}
-    for l in range(0, max_level + 1):
+    for l in range(0, MAX_LEVEL + 1):
         ok = True
-        subsets = _derivation_subsets(derivations, l)
+        subsets = list(combinations(derivations, l))
         for _ in range(4):
             dirs = subsets[rng.randrange(len(subsets))]
             args = []
@@ -478,11 +466,9 @@ def verify_traces_and_collapse(
                     ok = False
         coboundary_levels[l] = ok
     # (c) independence
-    from .linalg import Echelon
-
     independence: dict[int, tuple[int, int]] = {}
-    for l in range(0, max_level + 1):
-        subsets = _derivation_subsets(derivations, l)
+    for l in range(0, MAX_LEVEL + 1):
+        subsets = list(combinations(derivations, l))
         expected = 2 * comb(torus.n + 1, l)
         assert len(subsets) * 2 == expected
         tuples: list[tuple[int, list[TruncatedSymbol]]] = []
@@ -542,9 +528,3 @@ def verify_traces_and_collapse(
             and all(e == r for e, r in independence.values())
         ),
     }
-
-
-def _derivation_subsets(derivations: list[Derivation], l: int) -> list[tuple[Derivation, ...]]:
-    from itertools import combinations
-
-    return list(combinations(derivations, l))

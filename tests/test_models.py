@@ -16,6 +16,7 @@ from leafhom.models import (
     CosphereCircleModel,
     ExteriorTables,
     FoliatedModel,
+    Form,
     FormMonomial,
     KroneckerTorus,
     LieFrameModel,
@@ -225,10 +226,60 @@ def test_odd_degree_squares_vanish(field):
     gens = [model.monomial_form(1, ext=(nm,)) for nm in model.gen_names]
     # random odd-degree forms square to zero
     for _ in range(10):
-        form = model.zero_form()
+        form = Form.zero(model)
         for g in gens:
             form = form + g.scale(rng.randint(-3, 3))
         assert form.wedge(form).is_zero()
+
+
+def random_form(model, rng):
+    """A seeded random form: a few monomials on random components, some coefficients cancelling."""
+    terms = {}
+    for _ in range(rng.randint(0, 5)):
+        ext = tuple(sorted(rng.sample(range(len(model.gen_names)), rng.randint(0, 2))))
+        mode = tuple(rng.randint(-1, 1) for _ in range(model.mode_len))
+        xi = rng.randint(-1, 1) if model.has_xi else 0
+        terms[FormMonomial(mode, xi, rng.randrange(model.components_count), ext)] = rng.randint(-2, 2)
+    return Form(model, {m: model.field.scalar(c) for m, c in terms.items()})
+
+
+def literal_sum(a, b):
+    out = dict(a.terms)
+    for m, c in b.terms.items():
+        out[m] = out[m] + c if m in out else c
+    return {m: c for m, c in out.items() if c}
+
+
+def literal_wedge(a, b):
+    """Double loop over the terms; the sign counts the inversions of ext_a + ext_b."""
+    out = {}
+    for ma, ca in a.terms.items():
+        for mb, cb in b.terms.items():
+            gens = ma.ext + mb.ext
+            if ma.comp != mb.comp or len(set(gens)) < len(gens):
+                continue
+            inversions = sum(1 for i, x in enumerate(gens) for y in gens[i + 1 :] if x > y)
+            mode = tuple(x + y for x, y in zip(ma.mode, mb.mode))
+            mono = FormMonomial(mode, ma.xi + mb.xi, ma.comp, tuple(sorted(gens)))
+            value = ca * cb if inversions % 2 == 0 else -(ca * cb)
+            out[mono] = out[mono] + value if mono in out else value
+    return {m: c for m, c in out.items() if c}
+
+
+def test_sum_and_wedge_match_literal_double_loop(field):
+    torus3 = KroneckerTorus(field, ["1", "sqrt2", "1/3"])
+    cone = ConicDualModel(KroneckerTorus(field, ["1", "sqrt2"]))
+    rng = random.Random(17)
+    for model in (torus3, cone):
+        cross = 0
+        for _ in range(150):
+            a, b = random_form(model, rng), random_form(model, rng)
+            cancel = {m: -c for m, c in a.terms.items() if rng.random() < 0.3}
+            b = Form(model, {**b.terms, **cancel})  # a + b drops these monomials
+            assert (a + b).terms == literal_sum(a, b)
+            assert a.wedge(b).terms == literal_wedge(a, b)
+            cross += any(ma.comp != mb.comp for ma in a.terms for mb in b.terms)
+        assert model is torus3 or cross > 50  # the cone draws cross-component products
 
 
 def test_homogeneity_decompose(field):

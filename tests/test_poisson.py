@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -163,8 +165,15 @@ def test_delta_on_scalars_vanishes(conic):
 
 
 def test_delta_leafwise_matches_star_route(conic):
-    a = conic.monomial_form(1, mode=(1, 1), xi=1, ext=("dxi",))
-    assert delta(a, "delta_F") == a.map(poisson._star_conjugated_terms(conic))
+    # delta_F = (-1)^(r+1) star d_F star on bidegree (r, s), composed here from the star and d_F
+    signs = Counter()
+    for mono in conic.basis_monomials(ModeWindow(bound=1, l_min=-1, l_max=1)):
+        a = Form(conic, {mono: conic.field.one})
+        r = conic.bidegree(mono.ext)[0]
+        route = star(differential(conic, "d_F", star(a))).scale((-1) ** (r + 1))
+        assert delta(a, "delta_F") == route, conic.monomial_label(mono)
+        signs[r % 2] += bool(route)
+    assert signs[0] and signs[1]  # both signs of the parity meet a nonzero image
 
 
 def test_delta_perp_vanishes_on_flat_cone(conic):
@@ -506,6 +515,34 @@ def test_line_blocks_partition_each_block(name):
                 assert all(len(m.ext) == c + l and conic.homogeneity(m) == l for m in cell)
                 block = conic.block_monomials((comp, mode, l))
                 assert cell == [m for m in block if len(m.ext) == c + l], (c, comp, mode, l)
+
+
+def test_term_maps_keep_a_bounded_block_cache():
+    # a term map walking the T^3-spec cone window at bound 2 (1,250 blocks)
+    # retains at most BLOCK_CACHE_SIZE blocks' multipliers, not all of them
+    conic, window = cone("t3_spec"), ModeWindow(bound=2)
+    monos = list(conic.basis_monomials(window))
+    assert len({conic.block_key(m) for m in monos}) == 1250
+
+    def walk(terms):
+        for mono in monos:
+            list(terms(mono))
+        return terms
+
+    makers = (lambda: component_terms(conic, "d"), lambda: delta_terms(conic))
+    for make in makers:
+        walk(make())  # fills the model's and the field's own caches first
+    tracemalloc.start()
+    try:
+        for make in makers:
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            terms = walk(make())
+            gc.collect()
+            assert tracemalloc.get_traced_memory()[0] - before < 250_000
+            del terms
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("base", ["torus", "resonant_torus", "lie_frame"])

@@ -151,8 +151,8 @@ def test_mixed_field_operations_rejected():
 def test_exact_zero_detection(field):
     s2 = field.sqrt(2)
     x = (field.one + s2) * (field.one - s2) + field.one  # (1-2)+1 = 0
-    assert x.is_zero()
-    assert not (x + field.one).is_zero()
+    assert not x
+    assert x + field.one
 
 
 def test_galois_image_and_real_parts(field):
@@ -172,7 +172,7 @@ def test_abs_upper_bound_dominates(field):
 
 def test_denominator_lcm(field):
     x = field.parse("1/6+1/4*sqrt2")
-    assert x.denominator_lcm() == 12
+    assert x.den == 12
 
 
 def test_rational_scalars_hash_like_equal_numbers():
@@ -309,7 +309,7 @@ if st is not None:
             assert_normal(got)
         assert (x == y) == (a == b)
         assert str(x) == ref_str(field, a)
-        assert x.denominator_lcm() == lcm(*(c.denominator for c in a))
+        assert x.den == lcm(*(c.denominator for c in a))
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(field_elements(3))
@@ -321,7 +321,7 @@ if st is not None:
         assert x * (y + z) == x * y + x * z
         assert x * y == y * x and x + y == y + x
         assert x + field.zero == x and x * field.one == x
-        assert (x - x).is_zero() and x * field.zero == field.zero
+        assert not (x - x) and x * field.zero == field.zero
         if x:
             assert x * x.inverse() == field.one
             assert (y * x.inverse()) * x == y

@@ -188,6 +188,22 @@ def test_trace_kills_specific_commutator(torus, field):
     assert residue_trace(comm, -1) == field.zero
 
 
+def test_residue_trace_is_the_l0_cocycle(torus):
+    rng = random.Random(23)
+    residue = TruncatedSymbol.mode(torus, (0, 0), -1)
+    for _ in range(40):
+        a = random_symbol(torus, rng) + residue  # mostly a nonzero trace
+        for s in (1, -1):
+            assert residue_trace(a, s) == cocycle_evaluate([], s, [a]) == read_residue(a, s)
+    deep = TruncatedSymbol.mode(torus, (0, 0), 2)
+    shallow = compose(deep, deep, 1)  # exact only above order 3
+    for read in (residue_trace, lambda a, s: cocycle_evaluate([], s, [a])):
+        with pytest.raises(InsufficientTruncationError):
+            read(shallow, 1)
+        with pytest.raises(ValidationError):
+            read(deep, 0)
+
+
 def test_trace_kills_commutators(torus, field):
     rng = random.Random(41)
     checked = 0
@@ -209,14 +225,14 @@ def test_trace_kills_commutators(torus, field):
 def test_leafwise_derivation(torus, field):
     m = (2, -1)
     out = apply_derivation(Derivation("leafwise"), TruncatedSymbol.mode(torus, m))
-    assert out.coefficient(1, 0, m) == lam(field, m)
+    assert out.sides[1][0][m] == lam(field, m)
 
 
 def test_transverse_derivation(torus, field):
     m = (2, 3)
     out = apply_derivation(Derivation("transverse", 1), TruncatedSymbol.mode(torus, m))
-    assert out.coefficient(1, 0, m) == field.scalar(3)
-    assert out.coefficient(-1, 0, m) == field.scalar(3)
+    assert out.sides[1][0][m] == field.scalar(3)
+    assert out.sides[-1][0][m] == field.scalar(3)
 
 
 def test_radial_derivation_expansion(torus, field):
@@ -224,11 +240,11 @@ def test_radial_derivation_expansion(torus, field):
     out = apply_derivation(Derivation("radial"), TruncatedSymbol.mode(torus, m), depth=2)
     c = lam(field, m)
     # + side carries xi^-1 = |xi|^-1: coefficients c and -c^2/2
-    assert out.coefficient(1, -1, m) == c
-    assert out.coefficient(1, -2, m) == -(c * c) * Fraction(1, 2)
+    assert out.sides[1][-1][m] == c
+    assert out.sides[1][-2][m] == -(c * c) * Fraction(1, 2)
     # - side: xi^-1 = -|xi|^-1 but xi^-2 = |xi|^-2
-    assert out.coefficient(-1, -1, m) == -c
-    assert out.coefficient(-1, -2, m) == -(c * c) * Fraction(1, 2)
+    assert out.sides[-1][-1][m] == -c
+    assert out.sides[-1][-2][m] == -(c * c) * Fraction(1, 2)
 
 
 def test_derivations_satisfy_leibniz(torus):
@@ -402,12 +418,19 @@ def reference_radial(a, depth):
     return TruncatedSymbol(torus, sides, floor)
 
 
+def read_residue(a, side):
+    """The zero-mode coefficient at order -1 on one side, read off the symbol's dicts."""
+    if a.floor is not None and a.floor > -1:
+        raise InsufficientTruncationError("order -1 lies below the watermark")
+    return a.sides[side].get(-1, {}).get((0,) * a.torus.n, a.torus.field.zero)
+
+
 def full_chain(dirs, side, args, depth):
-    """residue_trace of the whole chain ((a_0 o D_1 a_1) o ...) built with compose."""
+    """The residue of the whole chain ((a_0 o D_1 a_1) o ...) built with compose."""
     acc = args[0]
     for d, arg in zip(dirs, args[1:]):
         acc = compose(acc, apply_derivation(d, arg, depth), depth)
-    return residue_trace(acc, side)
+    return read_residue(acc, side)
 
 
 def full_coboundary(dirs, side, args, depth):
@@ -459,7 +482,7 @@ def test_suite_cocycles_match_full_chain(torus, monkeypatch):
     report = verify_traces_and_collapse(torus, predicted_hh(torus), trials=20, depth=6, seed=11)
     monkeypatch.undo()
     assert report["collapse_certified"]
-    assert len(cocycles) == 360 and len(coboundaries) == 24
+    assert len(cocycles) == 400 and len(coboundaries) == 24
     for dirs, side, args, depth, value in cocycles:
         assert value == full_chain(dirs, side, args, depth)
     for dirs, side, args, depth, value in coboundaries:
