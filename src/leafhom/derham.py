@@ -16,18 +16,22 @@ the window; a block's monomials are grouped by bidegree once
 not None), d on a block is sum c_g eps_g over the block's `multipliers`, and
 `koszul_block_dims` settles the block: a nonzero leaf multiplier c_j makes
 h = c_j^-1 iota_j a contracting homotopy, and with none d_F vanishes.  The
-Cartan identity eps_g iota_j + iota_j eps_g = delta_gj behind h is checked
-on the model's exterior tables (`models.ExteriorTables`) for every table.
+same identity settles the cone's boundary lines: `cone_block_acyclic` finds a
+torus-cone block with a nonzero theta multiplier c, where h = -c^-1 eps_dxi
+contracts delta and delta_F.  The Cartan identity eps_g iota_j + iota_j eps_g
+= delta_gj behind both homotopies is checked on the model's exterior tables
+(`models.ExteriorTables`) for every table and every boundary-dims table.
 
 An operator is a term map (`models.TermMap`): its action on one monomial,
 a list of (monomial, coefficient).  `component_terms` gives d and its three
 components, each caching its blocks' multipliers as Scalars; `Form.map` is
 the one linear extension to forms.
 
-One block engine ranks the other blocks: the leafwise tables of frame models
-and their cones, the basic table and closed/exact sets here, poisson's
-boundary homology and the specseq filtration use it.  A block is given as its
-monomial bases by degree; `block_differentials` assembles each differential
+One block engine ranks the blocks no rule settles: the leafwise tables of
+frame models and their cones, the basic table and closed/exact sets here,
+poisson's boundary homology (frame cones, and the torus-cone blocks with
+c = 0) and the specseq filtration (every block) use it.  A block is given as
+its monomial bases by degree; `block_differentials` assembles each differential
 d_t once, reading the term map of each source monomial into the matrix
 (`operator_matrix`), and `linalg.homology_dims` ranks each d_t once and returns
 dim C^t - rank d_t - rank d_(t-1).  Its invariants: d_(t+1) d_t = 0 is checked
@@ -135,7 +139,8 @@ def check_identities(
     An identity is (name, [(c, f, g, ...), ...]), composites c * f g ... of term
     maps that must sum to zero, or (name, maps, holds), a predicate
     holds(mono, image) on one composite's image.  Each image of a monomial is
-    computed once and shared by every identity.  Returns one check document
+    computed once and shared by every identity, and a sum adds each
+    composite's image into its total directly.  Returns one check document
     {"name", "passed", "detail"} per identity.
     """
     bad: dict[str, str] = {}
@@ -149,7 +154,15 @@ def check_identities(
             else:
                 total: dict[FormMonomial, Scalar] = {}
                 for c, *maps in spec[0]:
-                    linear_extension(lambda m: ((m, c),), _image(images, tuple(maps)).items(), total)
+                    for m, v in _image(images, tuple(maps)).items():
+                        if c != 1:
+                            v = -v if c == -1 else v * c
+                        cur = total.get(m)
+                        new = v if cur is None else cur + v
+                        if new:
+                            total[m] = new
+                        else:
+                            total.pop(m, None)
                 holds = not total
             if not holds:
                 bad[name] = detail.format(model.monomial_label(mono))
@@ -334,6 +347,23 @@ def koszul_block_dims(
         return {}
     p, q = model.leaf_dim, model.codim
     return {(r, s): math.comb(p, r) * math.comb(q, s) for r in range(p + 1) for s in range(q + 1)}
+
+
+def cone_block_acyclic(model: FoliatedModel, key: tuple) -> bool:
+    """Whether delta and delta_F are acyclic on a block of a torus cone, settled by eps_dxi.
+
+    On a cone built on a Kronecker torus both are d_xi iota_theta - c iota_dxi
+    on the block (`poisson.delta_terms`), c its theta multiplier m . alpha.
+    For c != 0, h = -c^-1 eps_dxi is a contracting homotopy: eps_dxi commutes
+    with d_xi and anticommutes with iota_theta, and eps_dxi iota_dxi +
+    iota_dxi eps_dxi = 1 (the Cartan identity), so delta h + h delta = 1.  h
+    raises k and l by one, so it keeps each line k - l, and c does not depend
+    on the homogeneity key[2].  Frame cones are never settled: their frame
+    terms are not multipliers.
+    """
+    if not model.has_xi or model.torus is None:
+        return False
+    return any(c for g, c in model.multipliers(key) if g == 0)  # theta keeps slot 0
 
 
 def cohomology_dims(

@@ -12,6 +12,10 @@ and identity check on the cone reads it, and the identity suite checks it
 against [i_G, d] composed from the two term maps.  The suite also composes
 a second route to delta_F that never reads delta: star d_F star, signed by
 (-1)^(r+1) on bidegree (r, s).
+The boundary homology (`BoundaryDims`) ranks a block of a torus cone only
+when its theta multiplier c is zero: for c != 0, -c^-1 eps_dxi contracts delta
+and delta_F (`derham.cone_block_acyclic`), so the block adds nothing to any
+line.  Frame cones, and the specseq filtration on every cone, rank every block.
 The tensor, the identity suite and the correspondence table return their
 report documents, the JSON the poisson report holds, verdicts included.
 
@@ -32,6 +36,7 @@ from .derham import (
     block_homology,
     check_identities,
     component_terms,
+    cone_block_acyclic,
     differential,
 )
 from .errors import UnsupportedModelError, ValidationError
@@ -43,6 +48,7 @@ from .models import (
     ModeWindow,
     TermMap,
     _frame_d,
+    check_cartan_identity,
     linear_extension,
 )
 from .scalars import Scalar
@@ -179,11 +185,12 @@ def delta(form: Form, variant: str = "delta") -> Form:
 
 def _star_terms(conic: ConicDualModel) -> TermMap:
     """Term map of the leafwise symplectic star: `_STAR_TABLE` on the leaf factor."""
+    signs = {1: conic.field.one, -1: conic.field.scalar(-1)}
 
     def terms(mono: FormMonomial) -> list[tuple[FormMonomial, Scalar]]:
         image, sign = _STAR_TABLE[tuple(g for g in mono.ext if g in (0, 1))]
         ext = image + tuple(g for g in mono.ext if g not in (0, 1))
-        return [(FormMonomial(mono.mode, mono.xi, mono.comp, ext), conic.field.scalar(sign))]
+        return [(FormMonomial(mono.mode, mono.xi, mono.comp, ext), signs[sign])]
 
     return terms
 
@@ -247,27 +254,46 @@ def line_blocks(
 
     A boundary operator lowers degree and homogeneity by one, so on each
     (component, mode) block the cells of degree k = c + l at homogeneity l,
-    k = 0 .. top, form one complex in degrees t = -l.  One pass over the
-    exterior basis builds each monomial once; a cell keeps basis order.
+    k = 0 .. top, form one complex in degrees t = -l (`_line_cells`).
     """
-    top, xi_gen = conic.leaf_dim + conic.codim, conic.XI_GEN
+    for block in _line_keys(conic, window):
+        yield block, _line_cells(conic, c, block)
+
+
+def _line_keys(conic: ConicDualModel, window: ModeWindow) -> Iterator[tuple]:
+    """The (comp, mode) blocks of every line, in `line_blocks` order."""
     for comp in range(conic.components_count):
         for mode in window.modes(conic.mode_len):
-            cells: dict[int, list[FormMonomial]] = {c - k: [] for k in range(top + 1)}
-            for ext in conic.exterior.subsets:
-                l = len(ext) - c
-                cells[-l].append(FormMonomial(mode, l - (xi_gen in ext), comp, ext))
-            yield (comp, mode), cells
+            yield comp, mode
+
+
+def _line_cells(conic: ConicDualModel, c: int, block: tuple) -> dict[int, list[FormMonomial]]:
+    """One block's cells on the line k - l = c: one pass over the exterior basis
+    builds each monomial once, and a cell keeps basis order."""
+    (comp, mode), xi_gen = block, conic.XI_GEN
+    top = conic.leaf_dim + conic.codim
+    cells: dict[int, list[FormMonomial]] = {c - k: [] for k in range(top + 1)}
+    for ext in conic.exterior.subsets:
+        l = len(ext) - c
+        cells[-l].append(FormMonomial(mode, l - (xi_gen in ext), comp, ext))
+    return cells
 
 
 def _line_dims(
     conic: ConicDualModel, operator: str, c: int, window: ModeWindow
 ) -> dict[str, dict[int, int]]:
-    """Homology of a boundary operator along the line k - l = c, per component."""
+    """Homology of a boundary operator along the line k - l = c, per component.
+
+    A block `derham.cone_block_acyclic` settles adds nothing to any line, so
+    its cells are never built; every other block is ranked.
+    """
     top = conic.leaf_dim + conic.codim
     out = {name: dict.fromkeys(range(top + 1), 0) for name in conic.components}
     op = delta_terms(conic, operator)
-    for block, cells in line_blocks(conic, c, window):
+    for block in _line_keys(conic, window):
+        if cone_block_acyclic(conic, (*block, 0)):
+            continue
+        cells = _line_cells(conic, c, block)
         dims = block_homology(conic, op, cells, f"{block}, {operator} line k - l = {c}")
         for t, h in dims.items():
             out[conic.components[block[0]]][c - t] += h
@@ -278,7 +304,11 @@ class BoundaryDims:
     """Homology dims of a boundary operator on the cone, read cell by cell.
 
     The first read of a cell (k, l) computes its whole line k - l = c, each
-    block complex once; only the integer dims are kept.
+    block complex once; only the integer dims are kept.  On a torus cone the
+    blocks with a nonzero theta multiplier are settled as acyclic by the
+    homotopy of `derham.cone_block_acyclic`, so only the others are ranked;
+    the Cartan identity behind it is checked once, on construction.  Frame
+    cones rank every block.
     """
 
     def __init__(self, model: FoliatedModel, window: ModeWindow | None = None, operator="delta"):
@@ -287,6 +317,8 @@ class BoundaryDims:
         self.conic = _require_conic(model)
         self.window = window or ModeWindow()
         self.operator = operator
+        if self.conic.torus is not None:
+            check_cartan_identity(self.conic.exterior)
         self._lines: dict[int, dict[str, dict[int, int]]] = {}
 
     def get(self, k: int, l: int, per_component: bool = False):

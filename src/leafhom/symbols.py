@@ -29,7 +29,11 @@ keeping of each product only the orders that can still reach order -1, and
 its last product sums only the terms that land on the zero mode at order -1.
 
 `verify_traces_and_collapse` returns the symbols report document, verdict
-included.
+included.  It repeats no work the values do not need: a trace pair
+trace(a o b) - trace(b o a) is read off two targeted residues after the same
+watermark check (`_commutator_trace`), with neither product built, and the
+cocycles of one level of one stage share a memo of derivation images keyed
+by value (`_derivation_memo`), dropped when the level ends.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import InsufficientTruncationError, ValidationError
 from .expansion import SIDES, Expansion, TrigPoly, product_shape, side_tops, tp_add, tp_scale
@@ -179,6 +183,7 @@ def compose(a: TruncatedSymbol, b: TruncatedSymbol, depth: int) -> TruncatedSymb
 
 
 def commutator(a: TruncatedSymbol, b: TruncatedSymbol, depth: int) -> TruncatedSymbol:
+    """a o b - b o a, both products built; `_commutator_trace` reads its trace without them."""
     return compose(a, b, depth) - compose(b, a, depth)
 
 
@@ -261,6 +266,33 @@ def apply_derivation(
     raise ValidationError(f"unknown derivation tag {d.tag!r}")
 
 
+_Derive = Callable[[Derivation, TruncatedSymbol, int], TruncatedSymbol]
+
+
+def _derivation_memo() -> _Derive:
+    """`apply_derivation` memoized by value: (derivation, depth, floor, sides).
+
+    TruncatedSymbol defines __eq__ without __hash__, so the key is built from
+    the floor and, per side, the set of (order, mode, numerators, denominator)
+    of its coefficients.  It holds no torus or field: a memo serves one torus,
+    and the suite makes one per level of each stage and then drops it.
+    """
+    memo: dict[tuple, TruncatedSymbol] = {}
+
+    def derive(d: Derivation, a: TruncatedSymbol, depth: int) -> TruncatedSymbol:
+        sides = (
+            frozenset((j, m, c.nums, c.den) for j, p in a.sides[s].items() for m, c in p.items())
+            for s in SIDES
+        )
+        key = (d, depth, a.floor, *sides)
+        image = memo.get(key)
+        if image is None:
+            image = memo[key] = apply_derivation(d, a, depth)
+        return image
+
+    return derive
+
+
 # -- cocycles ----------------------------------------------------------------------
 
 
@@ -281,6 +313,17 @@ def cocycle_evaluate(
     on `side` alone, and the last product only the terms u - k + v = -1 with
     opposite modes.
     """
+    return _cocycle(dirs, side, args, depth, apply_derivation)
+
+
+def _cocycle(
+    dirs: Sequence[Derivation],
+    side: int,
+    args: Sequence[TruncatedSymbol],
+    depth: int,
+    derive: _Derive,
+) -> Scalar:
+    """`cocycle_evaluate` with the derivation images read from ``derive``."""
     if len(set(dirs)) != len(dirs):
         raise ValidationError("cocycle derivations must be pairwise distinct")
     if len(args) != len(dirs) + 1:
@@ -292,7 +335,7 @@ def cocycle_evaluate(
     images: list[TruncatedSymbol] = []
     floors: list[int | None] = []
     for d, arg in zip(dirs, args[1:]):
-        image = apply_derivation(d, arg, depth)
+        image = derive(d, arg, depth)
         first._check(image)
         if depth < 0:
             raise ValidationError("expansion depth must be nonnegative")
@@ -328,6 +371,25 @@ def residue_trace(a: TruncatedSymbol, side: int) -> Scalar:
     return cocycle_evaluate([], side, [a])
 
 
+def _commutator_trace(a: TruncatedSymbol, b: TruncatedSymbol, side: int, depth: int) -> Scalar:
+    """residue_trace(commutator(a, b, depth), side), with neither product built.
+
+    The watermark of `product_shape` is symmetric in the factors, so a o b,
+    b o a and their difference share it, and the check raises exactly where
+    the commutator's trace would; the two traces are then read off
+    `Expansion.residue`.
+    """
+    a._check(b)
+    _tops, floor = product_shape(side_tops(a.sides), a.floor, side_tops(b.sides), b.floor, depth)
+    if floor is None:
+        return a.torus.field.zero
+    if floor > -1:
+        raise InsufficientTruncationError(f"order -1 lies below the validity watermark {floor}")
+    expansion = Expansion(a.torus)
+    forward = expansion.residue(a.sides[side], b.sides[side], side)
+    return forward - expansion.residue(b.sides[side], a.sides[side], side)
+
+
 def _coboundary_terms(
     args: list[TruncatedSymbol], depth: int
 ) -> list[tuple[int, list[TruncatedSymbol]]]:
@@ -352,10 +414,11 @@ def _signed_sum(
     side: int,
     terms: list[tuple[int, list[TruncatedSymbol]]],
     depth: int,
+    derive: _Derive,
 ) -> Scalar:
     total = terms[0][1][0].torus.field.zero
     for sign, merged in terms:
-        value = cocycle_evaluate(dirs, side, merged, depth)
+        value = _cocycle(dirs, side, merged, depth, derive)
         total = total + (value if sign > 0 else -value)
     return total
 
@@ -417,10 +480,12 @@ def verify_traces_and_collapse(
     """Trace property, cocycle coboundaries, and the independence count.
 
     (a) the residue trace kills `trials` seeded random commutators on both
-    sides, evaluated above the watermark; (b) the iterated-contraction
-    cocycles have vanishing Hochschild coboundary on random tuples for
-    l <= MAX_LEVEL; (c) their evaluation matrix has full rank 2*C(n+1, l);
-    the collapse certificate is set when those counts match ``predicted``,
+    sides, evaluated above the watermark and read off targeted residues;
+    (b) the iterated-contraction cocycles have vanishing Hochschild
+    coboundary on random tuples for l <= MAX_LEVEL; (c) their evaluation
+    matrix has full rank 2*C(n+1, l).  (b) and (c) derive each distinct
+    argument once per level.  The collapse certificate is set when those
+    counts match ``predicted``,
     the closed-form dimensions `hochschild.hh_dims_assuming_collapse` reads
     off the cosphere-circle table.  The report passes when (a), (b) and (c)
     hold.
@@ -443,15 +508,14 @@ def verify_traces_and_collapse(
         if a.is_zero() or b.is_zero():
             continue
         need = (a.order() or 0) + (b.order() or 0) + 1
-        comm = commutator(a, b, max(depth, need))
         pairs += 1
         for s in SIDES:
-            if residue_trace(comm, s):
+            if _commutator_trace(a, b, s, max(depth, need)):
                 trace_ok = False
     # (b) coboundaries
     coboundary_levels: dict[int, bool] = {}
     for l in range(0, MAX_LEVEL + 1):
-        ok = True
+        ok, derive = True, _derivation_memo()
         subsets = list(combinations(derivations, l))
         for _ in range(4):
             dirs = subsets[rng.randrange(len(subsets))]
@@ -462,7 +526,7 @@ def verify_traces_and_collapse(
                     args.append(cand)
             terms = _coboundary_terms(args, max(depth, 12))
             for s in SIDES:
-                if _signed_sum(list(dirs), s, terms, max(depth, 12)):
+                if _signed_sum(list(dirs), s, terms, max(depth, 12), derive):
                     ok = False
         coboundary_levels[l] = ok
     # (c) independence
@@ -483,14 +547,14 @@ def verify_traces_and_collapse(
                 if not cand.is_zero():
                     args.append(cand)
             tuples.append((s, args))
-        ech = Echelon(field)
+        ech, derive = Echelon(field), _derivation_memo()
         for s in SIDES:
             for dirs in subsets:
                 vec = {}
                 for col, (_ts, args) in enumerate(tuples):
                     if not args[0].sides[s]:
                         continue  # the chain stays supported where a_0 lives
-                    value = cocycle_evaluate(list(dirs), s, args, depth=max(depth, 10))
+                    value = _cocycle(dirs, s, args, max(depth, 10), derive)
                     if value:
                         vec[col] = value
                 if vec:

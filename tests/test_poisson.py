@@ -15,6 +15,7 @@ from leafhom.derham import (
     block_homology,
     cohomology_dims,
     component_terms,
+    cone_block_acyclic,
     differential,
     operator_matrix,
 )
@@ -443,11 +444,18 @@ def test_boundary_lines_once_per_run(tmp_path, monkeypatch):
     spec.write_text(json.dumps({"family": "kronecker_torus", "alpha": ["1", "sqrt2"]}))
     args = ["run", "--model", str(spec), "--analyses", "poisson,specseq,hochschild"]
     assert cli.main([*args, "--mode-bound", "1", "--out", str(tmp_path / "o")]) == 0
-    # each (component, mode, line) complex once per operator: 2 x 9 blocks on
-    # the correspondence lines k - l = -2..5 of delta and of delta_F; specseq
-    # and hochschild read lines delta already holds
+    # each (component, mode, line) complex at most once per operator, on the
+    # correspondence lines k - l = -2..5 of delta and of delta_F; specseq and
+    # hochschild read lines delta already holds.  The rule settles every
+    # block with m . alpha != 0, so of the 9 modes only m = 0 is ranked
+    ranked = {
+        f"{(comp, (0, 0))}, {op} line k - l = {c}"
+        for comp in range(2)
+        for op in ("delta", "delta_F")
+        for c in range(-2, 6)
+    }
     assert max(blocks.values()) == 1
-    assert len(blocks) == 2 * 9 * 8 * 2
+    assert set(blocks) == ranked and len(ranked) == 2 * 1 * 8 * 2
 
 
 def test_broken_cone_names_block_and_line(field):
@@ -635,3 +643,124 @@ def test_identity_suite_checks_delta_against_its_definition(conic, monkeypatch):
     failing = {c["name"]: c["detail"] for c in report["checks"] if not c["passed"]}
     assert "delta = [i_G, d]" in failing
     assert failing["delta = [i_G, d]"] == "+*e[-1, -1]*xi^-1*theta"
+
+
+# -- the cone rule: torus-cone blocks with m . alpha != 0 are acyclic -------------------
+
+
+def ranked_lines(conic, operator, window):
+    """Every correspondence line of `operator` by the rank engine, block by block.
+
+    Returns ({c: {component: {k: dim}}}, the blocks the rule settles, with
+    their ranked dims, which must all vanish).
+    """
+    p, top = conic.leaf_dim // 2, conic.leaf_dim + conic.codim
+    op, lines, settled = delta_terms(conic, operator), {}, {}
+    for c in range(-p - 1, top + p + 2):
+        out = lines[c] = {name: dict.fromkeys(range(top + 1), 0) for name in conic.components}
+        for block, cells in line_blocks(conic, c, window):
+            dims = block_homology(conic, op, cells, str(block))
+            if cone_block_acyclic(conic, (*block, 0)):
+                settled[(block, c)] = dims
+            for t, h in dims.items():
+                out[conic.components[block[0]]][c - t] += h
+    return lines, settled
+
+
+@pytest.mark.parametrize(
+    "name, bound", [("t2", 1), ("t2", 2), ("t3_spec", 1), ("resonant_t3", 1)]
+)
+def test_rule_settled_lines_match_the_rank_engine(name, bound):
+    conic, window = cone(name), ModeWindow(bound=bound)
+    blocks = [block for block, _cells in line_blocks(conic, 0, window)]
+    for operator in ("delta", "delta_F"):
+        lines, settled = ranked_lines(conic, operator, window)
+        # the rule settles exactly the blocks with m . alpha != 0, and each is acyclic
+        assert {block for block, _c in settled} == {
+            block for block in blocks if conic.torus.pairing(block[1])
+        }
+        assert all(not any(dims.values()) for dims in settled.values()), operator
+        table = BoundaryDims(conic, window, operator)
+        for c, per_comp in lines.items():
+            for k in per_comp[conic.components[0]]:
+                expected = {name: dims[k] for name, dims in per_comp.items()}
+                assert table.get(k, k - c, per_component=True) == expected, (operator, k, c)
+
+
+def contracting_homotopy(conic):
+    """h = -c^-1 eps_dxi on a block with theta multiplier c != 0, as a term map."""
+    insert = conic.exterior.insert[conic.XI_GEN]
+
+    def terms(mono):
+        c = conic.torus.pairing(mono.mode)
+        ins = insert[mono.ext]
+        if ins is None:
+            return []
+        sign, ext = ins
+        return [(mono._replace(ext=ext), conic.field.scalar(-sign) * c.inverse())]
+
+    return terms
+
+
+@pytest.mark.parametrize("name", TORUS_CONES)
+def test_homotopy_contracts_every_settled_block(name):
+    conic, window = cone(name), ModeWindow(bound=1)
+    h, one = contracting_homotopy(conic), conic.field.one
+    keys = [key for key in conic.block_keys(window) if cone_block_acyclic(conic, key)]
+    assert keys and all(conic.torus.pairing(key[1]) for key in keys)
+    for operator in ("delta", "delta_F"):
+        op = delta_terms(conic, operator)
+        for key in keys:
+            for mono in conic.block_monomials(key):
+                # h raises k and l by one, so it keeps the line k - l
+                assert all(
+                    len(m.ext) - conic.homogeneity(m) == len(mono.ext) - conic.homogeneity(mono)
+                    for m, _ in h(mono)
+                )
+                total = linear_extension(op, h(mono))
+                linear_extension(h, op(mono), total)
+                assert total == {mono: one}, (operator, conic.monomial_label(mono))
+
+
+def test_frame_cones_rank_every_block(field, monkeypatch):
+    ranked: Counter = Counter()
+    real = poisson.block_homology
+
+    def counting(model, terms, graded, block):
+        ranked[block] += 1
+        return real(model, terms, graded, block)
+
+    monkeypatch.setattr(poisson, "block_homology", counting)
+    # an abelian frame whose base reports a theta multiplier: the rule reads
+    # the torus, not the multipliers, so its blocks are still ranked
+    flat = LieFrameModel.create(field, 2, {}, {0})
+    monkeypatch.setattr(flat, "multipliers", lambda key: [(0, 1)])
+    for conic in (affine_conic(field), ConicDualModel(flat)):
+        ranked.clear()
+        assert not cone_block_acyclic(conic, (0, (), 0))
+        for operator in ("delta", "delta_F"):
+            table = BoundaryDims(conic, ModeWindow(bound=1), operator)
+            for k in range(conic.leaf_dim + conic.codim + 1):
+                table.get(k, 0)
+        # two components, one mode, four lines, two operators
+        assert len(ranked) == 2 * 1 * 4 * 2 and max(ranked.values()) == 1
+
+
+def test_cartan_identity_checked_before_any_block_is_settled(monkeypatch):
+    calls = []
+    monkeypatch.setattr(poisson, "check_cartan_identity", calls.append)
+    conic = cone("t2")
+    table = BoundaryDims(conic, ModeWindow(bound=1))
+    assert [id(t) for t in calls] == [id(conic.exterior)]
+    for k in range(4):
+        table.get(k, 0)
+    assert len(calls) == 1
+    BoundaryDims(cone("affine"), ModeWindow(bound=1)).get(1, 0)  # frame cones settle nothing
+    assert len(calls) == 1
+
+    def broken(tables):
+        raise ComplexViolationError("Cartan identity fails")
+
+    monkeypatch.setattr(poisson, "check_cartan_identity", broken)
+    with pytest.raises(ComplexViolationError, match="Cartan"):
+        BoundaryDims(conic, ModeWindow(bound=1))
