@@ -13,19 +13,19 @@ differential preserves the block (comp, mode, l) of `FoliatedModel.block_key`,
 so the complex is a direct sum of small exact-arithmetic complexes indexed by
 the window; a block's monomials are grouped by bidegree once
 (`_by_bidegree`).  On a model built on a Kronecker torus (``model.torus`` is
-not None), d on a block is sum c_g eps_g over the block's `multipliers`, and
-`koszul_block_dims` settles the block: a nonzero leaf multiplier c_j makes
-h = c_j^-1 iota_j a contracting homotopy, and with none d_F vanishes.  The
-same identity settles the cone's boundary lines: `cone_block_acyclic` finds a
-torus-cone block with a nonzero theta multiplier c, where h = -c^-1 eps_dxi
-contracts delta and delta_F.  The Cartan identity eps_g iota_j + iota_j eps_g
-= delta_gj behind both homotopies is checked on the model's exterior tables
-(`models.ExteriorTables`) for every table and every boundary-dims table.
+not None), d on a block is sum c_g eps_g over the block's multipliers.  One
+rule, `contracted`, settles a block as acyclic when a flagged generator has a
+nonzero multiplier, by a contracting homotopy: c_j^-1 iota_j for d and d_F
+(`koszul_block_dims`; with no such multiplier the differential vanishes),
+-c^-1 eps_dxi for the cone's delta and delta_F, flagged on theta.  The
+Cartan identity eps_g iota_j + iota_j eps_g = delta_gj behind both is
+checked on every model's exterior tables when they are built
+(`models.ExteriorTables`), and each caller reads its flags from those tables.
 
 An operator is a term map (`models.TermMap`): its action on one monomial,
 a list of (monomial, coefficient).  `component_terms` gives d and its three
-components, each caching its blocks' multipliers as Scalars; `Form.map` is
-the one linear extension to forms.
+components from the model's multiplier memo (`FoliatedModel.block_multipliers`);
+`Form.map` is the one linear extension to forms.
 
 One block engine ranks the blocks no rule settles: the leafwise tables of
 frame models and their cones, the basic table and closed/exact sets here,
@@ -59,12 +59,10 @@ from .models import (
     TermMap,
     _frame_d,
     _multiplier_d,
-    check_cartan_identity,
     linear_extension,
 )
 from .scalars import Scalar
 
-BLOCK_CACHE_SIZE = 64  # blocks a term map keeps multipliers for; a full cache is cleared
 _SHIFTS = {"d": None, "d_F": (1, 0), "d_perp": (0, 1), "boundary": (-1, 2)}
 COMPONENTS = tuple(_SHIFTS)
 
@@ -96,25 +94,12 @@ def component_terms(model: FoliatedModel, component: str) -> TermMap:
 
     `_multiplier_d` over the block's multipliers (g, c), of shift bideg(g), plus
     `_frame_d` over the frame terms g -> c a ^ b, of shift bideg(a ^ b) - bideg(g):
-    d keeps every term, a component the terms of its shift.  The term map
-    keeps, per block key, the block's kept nonzero multipliers as Scalars
-    (g, c, -c); the cache lives in the closure, so it belongs to one model
-    and one component, and it is cleared when it holds BLOCK_CACHE_SIZE
-    blocks, so a map that walks a whole window keeps only the recent ones."""
+    d keeps every term, a component the terms of its shift.  The map holds no
+    cache: the multipliers come from the model's memo."""
     kept, frame = _component_filter(model, component)
-    blocks: dict[tuple, list[tuple[int, Scalar, Scalar]]] = {}
 
     def terms(mono: FormMonomial) -> list[tuple[FormMonomial, Scalar]]:
-        key = model.block_key(mono)
-        mults = blocks.get(key)
-        if mults is None:
-            if len(blocks) >= BLOCK_CACHE_SIZE:
-                blocks.clear()
-            # field.scalar shares the Scalars of small ints, the usual multipliers
-            scalar = model.field.scalar
-            mults = [(g, scalar(c), scalar(-c)) for g, c in model.multipliers(key) if kept[g] and c]
-            blocks[key] = mults
-        out = _multiplier_d(model, mono, mults)
+        out = _multiplier_d(model, mono, kept)
         return out + _frame_d(frame, mono) if frame else out
 
     return terms
@@ -176,7 +161,7 @@ def _image(images: dict[tuple, dict], maps: tuple) -> dict[FormMonomial, Scalar]
     """The image of a composite of term maps, each suffix's image computed once.
 
     A module-level function: a recursive closure would be a reference cycle,
-    keeping the term maps (and their block caches) alive until a full collection.
+    keeping the term maps alive until a full collection.
     """
     if maps not in images:
         images[maps] = linear_extension(maps[0], _image(images, maps[1:]).items())
@@ -334,36 +319,36 @@ def _block_bidegree_dims(
     return out
 
 
-def koszul_block_dims(
-    model: FoliatedModel, key: tuple, full: bool = False
-) -> dict[tuple[int, int], int]:
-    """H^{r,s} of one block of a torus-family model, settled by the Cartan homotopy.
+def contracted(model: FoliatedModel, key: tuple, flags: Sequence[bool]) -> bool:
+    """Whether a generator g with flags[g] has a nonzero multiplier c on a torus-family block.
 
-    d = sum c_g eps_g over ``model.multipliers(key)``; d_F keeps the leaf terms,
-    ``full`` all.  A kept c_j != 0 makes c_j^-1 iota_j a contraction: no classes.
-    Otherwise the differential vanishes: C(p, r) * C(q, s) classes.
+    Then a contracting homotopy makes the block acyclic, by the Cartan identity
+    eps_g iota_j + iota_j eps_g = delta_gj that the model's exterior tables
+    check: for d or d_F (flags from `_component_filter`), sum c_g eps_g over the
+    kept g, h = c_j^-1 iota_j; for delta or delta_F on a torus cone (flagged on
+    theta), d_xi iota_theta - c iota_dxi (`poisson.delta_terms`), h = -c^-1 eps_dxi,
+    which commutes with d_xi, anticommutes with iota_theta, keeps each line
+    k - l and does not depend on the homogeneity key[2].  A model built on no
+    torus is never settled: frame terms are not multipliers.  Only c != 0
+    matters, so the raw `multipliers` are read, not the term maps' Scalar memo
+    (`FoliatedModel.block_multipliers`): tables walk more blocks than it keeps.
     """
-    if any(c for g, c in model.multipliers(key) if full or model.long_flags[g]):
+    return model.torus is not None and any(flags[g] and c for g, c in model.multipliers(key))
+
+
+def koszul_block_dims(
+    model: FoliatedModel, key: tuple, flags: Sequence[bool]
+) -> dict[tuple[int, int], int]:
+    """H^{r,s} of one block of a torus-family model for d or d_F, by `contracted`.
+
+    ``flags`` are the operator's kept flags (`_component_filter`).  A
+    contracted block has no classes; otherwise the operator vanishes on it:
+    C(p, r) * C(q, s) classes.
+    """
+    if contracted(model, key, flags):
         return {}
     p, q = model.leaf_dim, model.codim
     return {(r, s): math.comb(p, r) * math.comb(q, s) for r in range(p + 1) for s in range(q + 1)}
-
-
-def cone_block_acyclic(model: FoliatedModel, key: tuple) -> bool:
-    """Whether delta and delta_F are acyclic on a block of a torus cone, settled by eps_dxi.
-
-    On a cone built on a Kronecker torus both are d_xi iota_theta - c iota_dxi
-    on the block (`poisson.delta_terms`), c its theta multiplier m . alpha.
-    For c != 0, h = -c^-1 eps_dxi is a contracting homotopy: eps_dxi commutes
-    with d_xi and anticommutes with iota_theta, and eps_dxi iota_dxi +
-    iota_dxi eps_dxi = 1 (the Cartan identity), so delta h + h delta = 1.  h
-    raises k and l by one, so it keeps each line k - l, and c does not depend
-    on the homogeneity key[2].  Frame cones are never settled: their frame
-    terms are not multipliers.
-    """
-    if not model.has_xi or model.torus is None:
-        return False
-    return any(c for g, c in model.multipliers(key) if g == 0)  # theta keeps slot 0
 
 
 def cohomology_dims(
@@ -374,15 +359,17 @@ def cohomology_dims(
 ) -> BigradedDims:
     """Leafwise cohomology dimensions H^{r,s}, summed over window blocks.
 
-    On the conic model, pass ``homogeneity`` to restrict to one radial degree
-    (required there, since only fixed-degree slices are finite).  Blocks of
-    models built on a Kronecker torus are settled by `koszul_block_dims`, the
-    others ranked; ``certificate`` is that torus's `diophantine_certificate`.
+    ``homogeneity`` restricts the conic model to one radial degree, required
+    there (only fixed-degree slices are finite) and rejected elsewhere.  Blocks
+    of models built on a Kronecker torus are settled by `koszul_block_dims`,
+    the others ranked; ``certificate`` is that torus's `diophantine_certificate`.
     """
     window = window or ModeWindow()
     is_conic = model.has_xi
     if is_conic and homogeneity is None:
         raise ValidationError("conic cohomology needs a homogeneity degree")
+    if not is_conic and homogeneity is not None:
+        raise ValidationError("a homogeneity degree needs the conic model")
     base = model.torus
     # on the cone, every block at the one homogeneity, in the window's range or not
     narrowed = replace(window, l_min=homogeneity, l_max=homogeneity) if is_conic else window
@@ -391,8 +378,8 @@ def cohomology_dims(
         op = component_terms(model, "d_F")
         block_dims = lambda key: _block_bidegree_dims(model, key, op)
     else:
-        check_cartan_identity(model.exterior)
-        block_dims = lambda key: koszul_block_dims(model, key)
+        flags, _ = _component_filter(model, "d_F")
+        block_dims = lambda key: koszul_block_dims(model, key, flags)
     totals: dict[tuple[int, int], int] = {}
     for key in keys:
         for rs, v in block_dims(key).items():
@@ -540,10 +527,10 @@ def ordinary_derham_dims(
         raise UnsupportedModelError(
             "ordinary de Rham dims are computed on torus and circle bundle models"
         )
-    check_cartan_identity(model.exterior)
+    flags, _ = _component_filter(model, "d")
     dims = [0] * (len(model.gen_names) + 1)
     for key in model.block_keys(window or ModeWindow()):
-        for (r, s), h in koszul_block_dims(model, key, full=True).items():
+        for (r, s), h in koszul_block_dims(model, key, flags).items():
             dims[r + s] += h
     return dims
 

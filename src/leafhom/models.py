@@ -29,8 +29,10 @@ immutable and freely shareable across threads.
 The exterior structure of a model's generators is read from its
 `ExteriorTables`, built once per model from `merge_ext` and the leaf flags:
 the subsets of every size, the bidegree of each, and the insertion
-eps_g(ext) = merge_ext((g,), ext) of each generator.  `_multiplier_d` and
-`check_cartan_identity` read the same insertion table.
+eps_g(ext) = merge_ext((g,), ext) of each generator, which `_multiplier_d`
+reads; the tables check the Cartan identity on it when they are built.  Every
+term map reads a block's multipliers from the model's one memo
+(`FoliatedModel.block_multipliers`).
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from .linalg import integer_kernel
 from .scalars import NumberField, Scalar
 
 Mode = tuple[int, ...]
+BLOCK_CACHE_SIZE = 64  # blocks a model keeps multipliers for; a full memo is cleared
 
 
 @dataclass(frozen=True)
@@ -167,8 +170,8 @@ class ExteriorTables:
     """The exterior basis of generators with the given leaf flags, as lookup tables.
 
     ``subsets`` lists the increasing index tuples by size, ``bidegree[ext]`` is
-    (leaf count, transverse count), and ``insert[g][ext]`` is
-    merge_ext((g,), ext): (sign, ext with g) or None when g is in ext.
+    (leaf count, transverse count), and ``insert[g][ext]`` is merge_ext((g,), ext):
+    (sign, ext with g) or None when g is in ext.  Building them checks the Cartan identity.
     """
 
     __slots__ = ("subsets", "bidegree", "insert")
@@ -183,6 +186,7 @@ class ExteriorTables:
             r = sum(1 for g in ext if long_flags[g])
             self.bidegree[ext] = (r, len(ext) - r)
         self.insert = tuple({ext: merge_ext((g,), ext) for ext in self.subsets} for g in range(n))
+        check_cartan_identity(self)
 
 
 class Form:
@@ -402,6 +406,25 @@ class FoliatedModel:
         """The block's (gen, c): d = sum c * gen ^ (-) plus the `_dual_d` terms."""
         return []
 
+    def block_multipliers(self, key: tuple) -> list[tuple[int, Scalar, Scalar]]:
+        """The block's nonzero `multipliers` as Scalars (gen, c, -c), theta (slot 0) first.
+
+        The model keeps its last blocks' lists and clears them when it holds
+        BLOCK_CACHE_SIZE, so a walk over a whole window keeps only recent ones.
+        """
+        memo = self._block_memo
+        mults = memo.get(key)
+        if mults is None:
+            if len(memo) >= BLOCK_CACHE_SIZE:
+                memo.clear()
+            # field.scalar shares the Scalars of small ints, the usual multipliers
+            scalar = self.field.scalar
+            pairs = sorted(self.multipliers(key), key=lambda gc: gc[0])
+            mults = memo[key] = [(g, scalar(c), scalar(-c)) for g, c in pairs if c]
+        return mults
+
+    _block_memo = cached_property(lambda self: {})  # block key -> block_multipliers(key)
+
     def block_key(self, mono: FormMonomial) -> tuple:
         return (mono.comp, mono.mode, mono.xi + (self.XI_GEN in mono.ext))
 
@@ -437,20 +460,20 @@ def _sort_sign(indices: list[int]) -> int:
 
 
 def _multiplier_d(
-    model: FoliatedModel, mono: FormMonomial, multipliers: list[tuple[int, Scalar, Scalar]]
+    model: FoliatedModel, mono: FormMonomial, kept: Sequence[bool]
 ) -> list[tuple[FormMonomial, Scalar]]:
-    """d of a monomial from its block's multipliers: sum over (gen, c, -c) of c * gen ^ mono.
+    """d of a monomial from its block's multipliers: sum of c * gen ^ mono over kept gens.
 
-    ``multipliers`` holds the block's nonzero multipliers with their negations;
-    gen ^ mono is read from the model's insertion table.  On the cone, gen =
-    dxi also lowers the xi power, so the monomial stays in its homogeneity block.
+    The multipliers (gen, c, -c) are read from `FoliatedModel.block_multipliers`,
+    gen ^ mono from the model's insertion table.  On the cone, gen = dxi also
+    lowers the xi power, so the monomial stays in its homogeneity block.
     """
     insert, xi_gen = model.exterior.insert, model.XI_GEN
     mode, xi, comp, ext = mono
     out = []
-    for gen, c, neg in multipliers:
-        ins = insert[gen][ext]
-        if ins is not None:
+    for gen, c, neg in model.block_multipliers(model.block_key(mono)):
+        ins = kept[gen] and insert[gen][ext]
+        if ins:
             sign, new = ins
             mono2 = FormMonomial(mode, xi - 1 if gen == xi_gen else xi, comp, new)
             out.append((mono2, c if sign > 0 else neg))
@@ -461,8 +484,9 @@ def check_cartan_identity(tables: ExteriorTables) -> None:
     """eps_g iota_j + iota_j eps_g = delta_gj on the whole exterior basis of ``tables``.
 
     eps_g is the insertion table `_multiplier_d` reads, iota_j the contraction;
-    the identity makes c_j^-1 iota_j a contracting homotopy of a block with
-    c_j != 0.  Raises ComplexViolationError at the first failure.
+    the identity gives the contracting homotopies of `derham.contracted`.
+    `ExteriorTables` runs it on itself when it is built.  Raises
+    ComplexViolationError at the first failure.
     """
     eps, n = tables.insert, len(tables.insert)
 

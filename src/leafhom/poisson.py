@@ -14,8 +14,9 @@ a second route to delta_F that never reads delta: star d_F star, signed by
 (-1)^(r+1) on bidegree (r, s).
 The boundary homology (`BoundaryDims`) ranks a block of a torus cone only
 when its theta multiplier c is zero: for c != 0, -c^-1 eps_dxi contracts delta
-and delta_F (`derham.cone_block_acyclic`), so the block adds nothing to any
-line.  Frame cones, and the specseq filtration on every cone, rank every block.
+and delta_F (`derham.contracted`, flagged on theta), so the block adds
+nothing to any line.  Frame cones, and the specseq filtration on every cone,
+rank every block.
 The tensor, the identity suite and the correspondence table return their
 report documents, the JSON the poisson report holds, verdicts included.
 
@@ -30,13 +31,12 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from .derham import (
-    BLOCK_CACHE_SIZE,
     BigradedDims,
     _component_filter,
     block_homology,
     check_identities,
     component_terms,
-    cone_block_acyclic,
+    contracted,
     differential,
 )
 from .errors import UnsupportedModelError, ValidationError
@@ -48,7 +48,6 @@ from .models import (
     ModeWindow,
     TermMap,
     _frame_d,
-    check_cartan_identity,
     linear_extension,
 )
 from .scalars import Scalar
@@ -141,18 +140,6 @@ def delta_terms(model: FoliatedModel, variant: str = "delta") -> TermMap:
     )
     theta, xi_gen = 0, conic.XI_GEN  # the base's leaf generator keeps slot 0
     i_g, scalar = _contraction_terms(conic), conic.field.scalar
-    # per block key, the theta multiplier and its negation, or None when zero
-    blocks: dict[tuple, tuple[Scalar, Scalar] | None] = {}
-
-    def theta_multiplier(mono: FormMonomial) -> tuple[Scalar, Scalar] | None:
-        key = conic.block_key(mono)
-        if key not in blocks:
-            if len(blocks) >= BLOCK_CACHE_SIZE:
-                blocks.clear()
-            c = next((c for g, c in conic.multipliers(key) if g == theta), 0)
-            blocks[key] = (scalar(c), scalar(-c)) if kept[theta] and c else None
-        return blocks[key]
-
     has_frame = any(frame)
 
     def frame_d(mono: FormMonomial) -> list[tuple[FormMonomial, Scalar]]:
@@ -164,12 +151,13 @@ def delta_terms(model: FoliatedModel, variant: str = "delta") -> TermMap:
         out = []
         if leads and xi and kept[xi_gen]:
             out.append((FormMonomial(mode, xi - 1, comp, ext[1:]), scalar(xi)))
-        if xi_gen in ext[:2]:
-            c = theta_multiplier(mono)
-            if c is not None:
+        if xi_gen in ext[:2] and kept[theta]:
+            mults = conic.block_multipliers(conic.block_key(mono))
+            if mults and mults[0][0] == theta:  # sorted by generator: theta's, if nonzero
+                _theta, c, neg = mults[0]
                 # iota_dxi(e_S) = -e_(S - dxi) when theta leads S, +e_(S - dxi) otherwise
                 rest = ext[:1] + ext[2:] if leads else ext[1:]
-                out.append((FormMonomial(mode, xi, comp, rest), c[0] if leads else c[1]))
+                out.append((FormMonomial(mode, xi, comp, rest), c if leads else neg))
         if not has_frame:
             return out
         image = linear_extension(i_g, frame_d(mono), dict(out))
@@ -284,14 +272,15 @@ def _line_dims(
 ) -> dict[str, dict[int, int]]:
     """Homology of a boundary operator along the line k - l = c, per component.
 
-    A block `derham.cone_block_acyclic` settles adds nothing to any line, so
-    its cells are never built; every other block is ranked.
+    A block `derham.contracted` settles, flagged on theta, adds nothing to any
+    line, so its cells are never built; every other block is ranked.
     """
     top = conic.leaf_dim + conic.codim
     out = {name: dict.fromkeys(range(top + 1), 0) for name in conic.components}
-    op = delta_terms(conic, operator)
+    op = delta_terms(conic, operator)  # reads conic.exterior: its tables passed the Cartan check
+    theta = [g == 0 for g in range(len(conic.gen_names))]
     for block in _line_keys(conic, window):
-        if cone_block_acyclic(conic, (*block, 0)):
+        if contracted(conic, (*block, 0), theta):
             continue
         cells = _line_cells(conic, c, block)
         dims = block_homology(conic, op, cells, f"{block}, {operator} line k - l = {c}")
@@ -306,9 +295,9 @@ class BoundaryDims:
     The first read of a cell (k, l) computes its whole line k - l = c, each
     block complex once; only the integer dims are kept.  On a torus cone the
     blocks with a nonzero theta multiplier are settled as acyclic by the
-    homotopy of `derham.cone_block_acyclic`, so only the others are ranked;
-    the Cartan identity behind it is checked once, on construction.  Frame
-    cones rank every block.
+    homotopy of `derham.contracted`, so only the others are ranked; the
+    Cartan identity behind it is checked when the cone's exterior tables are
+    built.  Frame cones rank every block.
     """
 
     def __init__(self, model: FoliatedModel, window: ModeWindow | None = None, operator="delta"):
@@ -317,8 +306,6 @@ class BoundaryDims:
         self.conic = _require_conic(model)
         self.window = window or ModeWindow()
         self.operator = operator
-        if self.conic.torus is not None:
-            check_cartan_identity(self.conic.exterior)
         self._lines: dict[int, dict[str, dict[int, int]]] = {}
 
     def get(self, k: int, l: int, per_component: bool = False):

@@ -324,6 +324,10 @@ def _cocycle(
     derive: _Derive,
 ) -> Scalar:
     """`cocycle_evaluate` with the derivation images read from ``derive``."""
+    if depth < 0:
+        raise ValidationError("expansion depth must be nonnegative")
+    if side not in SIDES:
+        raise ValidationError("side must be +1 or -1")
     if len(set(dirs)) != len(dirs):
         raise ValidationError("cocycle derivations must be pairwise distinct")
     if len(args) != len(dirs) + 1:
@@ -337,13 +341,9 @@ def _cocycle(
     for d, arg in zip(dirs, args[1:]):
         image = derive(d, arg, depth)
         first._check(image)
-        if depth < 0:
-            raise ValidationError("expansion depth must be nonnegative")
         tops, floor = product_shape(tops, floor, side_tops(image.sides), image.floor, depth)
         images.append(image)
         floors.append(floor)
-    if side not in SIDES:
-        raise ValidationError("side must be +1 or -1")
     if floor is not None and floor > -1:
         raise InsufficientTruncationError(f"order -1 lies below the validity watermark {floor}")
     zero = first.torus.field.zero

@@ -225,6 +225,16 @@ def test_check_identities_names_first_counterexample(torus):
     ]
 
 
+def test_homogeneity_only_on_the_cone(field, torus):
+    # the radial degree slices the cone's table and labels no other model's
+    window = ModeWindow(bound=1)
+    for model in (torus, CosphereCircleModel(torus), so3(field)):
+        with pytest.raises(ValidationError, match="homogeneity"):
+            cohomology_dims(model, window, homogeneity=5)
+    with pytest.raises(ValidationError, match="homogeneity"):
+        cohomology_dims(ConicDualModel(torus), window)
+
+
 def test_cohomology_rejects_broken_complex(field):
     s = lambda d: {k: field.scalar(v) for k, v in d.items()}
     structure = {

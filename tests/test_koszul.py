@@ -1,10 +1,11 @@
 """The Cartan-homotopy rule for torus-family blocks against the rank engine.
 
-`derham.koszul_block_dims` settles a block of a model built on a Kronecker
-torus from its multipliers alone.  Here every such block is also ranked by
-the engine (`_block_bidegree_dims` for the leafwise table, `block_homology`
-on the full differential for the Betti numbers), for the golden specs and
-two resonant tori, and the two must agree block by block and in total.
+`derham.contracted` settles a block of a model built on a Kronecker torus
+from its multipliers alone, and `derham.koszul_block_dims` reads the
+leafwise table off it.  Here every such block is also ranked by the engine
+(`_block_bidegree_dims` for the leafwise table, `block_homology` on the full
+differential for the Betti numbers), for the golden specs and two resonant
+tori, and the two must agree block by block and in total.
 The engine ranks `component_terms(model, "d_F")` and `component_terms(model,
 "d")`, which are built from the same multipliers, so a wrong multiplier is
 caught by the closed-form oracles (test_oracles.py), not here.
@@ -12,15 +13,19 @@ caught by the closed-form oracles (test_oracles.py), not here.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from test_golden import CASES
 
 from leafhom import models
 from leafhom.derham import (
     _block_bidegree_dims,
+    _component_filter,
     block_homology,
     cohomology_dims,
     component_terms,
+    contracted,
     koszul_block_dims,
     ordinary_derham_dims,
 )
@@ -69,26 +74,30 @@ def test_rule_matches_rank_engine(name, bound):
     # the spec's own model is one of the four a run builds on its torus
     for model in (torus, CosphereCircleModel(torus), CircleProductModel(torus), ConicDualModel(torus)):
         dF = component_terms(model, "d_F")
+        (dF_flags, _), (d_flags, _) = _component_filter(model, "d_F"), _component_filter(model, "d")
         is_conic = isinstance(model, ConicDualModel)
         for l in window.homogeneities() if is_conic else [None]:
             keys = [k for k in model.block_keys(window) if not is_conic or k[2] == l]
             ranked: dict = {}
             for key in keys:
                 block = _block_bidegree_dims(model, key, dF)
-                assert koszul_block_dims(model, key) == {k: v for k, v in block.items() if v}, key
+                assert koszul_block_dims(model, key, dF_flags) == {
+                    k: v for k, v in block.items() if v
+                }, key
                 _add(ranked, block)
             assert cohomology_dims(model, window, homogeneity=l).dims == ranked, (model, l)
         if is_conic:
             continue
-        betti = [0] * (len(model.gen_names) + 1)
+        n = len(model.gen_names)
+        betti = [0] * (n + 1)
         for key in model.block_keys(window):
-            by_deg = {k: [] for k in range(len(model.gen_names) + 2)}
+            by_deg = {k: [] for k in range(n + 2)}
             for m in model.block_monomials(key):
                 by_deg[len(m.ext)].append(m)
             ranked_block = block_homology(model, component_terms(model, "d"), by_deg, str(key))
-            rule_block: dict = {}
-            for (r, s), v in koszul_block_dims(model, key, full=True).items():
-                rule_block[r + s] = rule_block.get(r + s, 0) + v
+            # a contracted block is acyclic; on any other d vanishes
+            contracts = contracted(model, key, d_flags)
+            rule_block = {} if contracts else {k: math.comb(n, k) for k in range(n + 1)}
             assert rule_block == {k: v for k, v in ranked_block.items() if v}, key
             for k, v in rule_block.items():
                 betti[k] += v

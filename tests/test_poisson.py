@@ -10,12 +10,12 @@ from collections import Counter
 
 import pytest
 
-from leafhom import cli, poisson
+from leafhom import cli, derham, models, poisson
 from leafhom.derham import (
     block_homology,
     cohomology_dims,
     component_terms,
-    cone_block_acyclic,
+    contracted,
     differential,
     operator_matrix,
 )
@@ -504,6 +504,11 @@ def cone(name):
     return ConicDualModel(make_model(CONES[name]))
 
 
+def theta_flags(conic):
+    """The flags of the cone rule: `contracted` reads theta's multiplier alone."""
+    return [g == 0 for g in range(len(conic.gen_names))]
+
+
 @pytest.mark.parametrize("name", ["t2", "t3_spec", "so3"])
 def test_line_blocks_partition_each_block(name):
     # every line a run reads: k - l = c for k = 0 .. top and |l| <= p + 1
@@ -551,6 +556,29 @@ def test_term_maps_keep_a_bounded_block_cache():
             del terms
     finally:
         tracemalloc.stop()
+
+
+def test_term_maps_share_one_multiplier_memo(field, monkeypatch):
+    # d, d_F and delta walking one window side by side read each block's
+    # multipliers once, from the model's memo; 90 blocks overflow the memo
+    conic, window = ConicDualModel(KroneckerTorus(field, ["1", "sqrt2"])), ModeWindow(bound=1)
+    reads, real = Counter(), conic.multipliers
+
+    def counting(key):
+        reads[key] += 1
+        return real(key)
+
+    monkeypatch.setattr(conic, "multipliers", counting)
+    maps = (component_terms(conic, "d"), component_terms(conic, "d_F"), delta_terms(conic))
+    for mono in conic.basis_monomials(window):
+        for terms in maps:
+            list(terms(mono))
+    assert len(reads) == 90 and set(reads) == set(conic.block_keys(window))
+    assert set(reads.values()) == {1}
+    # the memo is bounded: the first block has left it and is read afresh
+    first = conic.block_keys(window)[0]
+    conic.block_multipliers(first)
+    assert reads[first] == 2
 
 
 @pytest.mark.parametrize("base", ["torus", "resonant_torus", "lie_frame"])
@@ -660,7 +688,7 @@ def ranked_lines(conic, operator, window):
         out = lines[c] = {name: dict.fromkeys(range(top + 1), 0) for name in conic.components}
         for block, cells in line_blocks(conic, c, window):
             dims = block_homology(conic, op, cells, str(block))
-            if cone_block_acyclic(conic, (*block, 0)):
+            if contracted(conic, (*block, 0), theta_flags(conic)):
                 settled[(block, c)] = dims
             for t, h in dims.items():
                 out[conic.components[block[0]]][c - t] += h
@@ -706,7 +734,7 @@ def contracting_homotopy(conic):
 def test_homotopy_contracts_every_settled_block(name):
     conic, window = cone(name), ModeWindow(bound=1)
     h, one = contracting_homotopy(conic), conic.field.one
-    keys = [key for key in conic.block_keys(window) if cone_block_acyclic(conic, key)]
+    keys = [key for key in conic.block_keys(window) if contracted(conic, key, theta_flags(conic))]
     assert keys and all(conic.torus.pairing(key[1]) for key in keys)
     for operator in ("delta", "delta_F"):
         op = delta_terms(conic, operator)
@@ -737,7 +765,7 @@ def test_frame_cones_rank_every_block(field, monkeypatch):
     monkeypatch.setattr(flat, "multipliers", lambda key: [(0, 1)])
     for conic in (affine_conic(field), ConicDualModel(flat)):
         ranked.clear()
-        assert not cone_block_acyclic(conic, (0, (), 0))
+        assert not contracted(conic, (0, (), 0), theta_flags(conic))
         for operator in ("delta", "delta_F"):
             table = BoundaryDims(conic, ModeWindow(bound=1), operator)
             for k in range(conic.leaf_dim + conic.codim + 1):
@@ -747,20 +775,45 @@ def test_frame_cones_rank_every_block(field, monkeypatch):
 
 
 def test_cartan_identity_checked_before_any_block_is_settled(monkeypatch):
+    # every model's exterior tables check the identity once, when first read
     calls = []
-    monkeypatch.setattr(poisson, "check_cartan_identity", calls.append)
-    conic = cone("t2")
-    table = BoundaryDims(conic, ModeWindow(bound=1))
-    assert [id(t) for t in calls] == [id(conic.exterior)]
-    for k in range(4):
-        table.get(k, 0)
-    assert len(calls) == 1
-    BoundaryDims(cone("affine"), ModeWindow(bound=1)).get(1, 0)  # frame cones settle nothing
-    assert len(calls) == 1
+    monkeypatch.setattr(models, "check_cartan_identity", calls.append)
+    for name in ("t2", "affine"):  # a torus cone and a frame cone
+        calls.clear()
+        base = make_model(CONES[name])
+        assert calls == []
+        conic = ConicDualModel(base)  # moves the base's monomials: reads its tables
+        assert calls == [base.exterior]
+        tables = conic.exterior
+        assert calls == [base.exterior, tables]
+        table = BoundaryDims(conic, ModeWindow(bound=1))
+        for k in range(4):
+            table.get(k, 0)
+        cohomology_dims(conic, ModeWindow(bound=1), homogeneity=0)
+        assert conic.exterior is tables and len(calls) == 2
+    monkeypatch.undo()
 
-    def broken(tables):
-        raise ComplexViolationError("Cartan identity fails")
+    # a wrong exterior sign raises before any block is settled or ranked
+    conic, torus = cone("t2"), make_model(CONES["t3_spec"])  # T^2 has no 2-form to sign
+    real, settled = models.merge_ext, []
 
-    monkeypatch.setattr(poisson, "check_cartan_identity", broken)
-    with pytest.raises(ComplexViolationError, match="Cartan"):
-        BoundaryDims(conic, ModeWindow(bound=1))
+    def corrupted(a, b):
+        out = real(a, b)
+        return out if out is None or len(b) != 2 else (-out[0], out[1])
+
+    def settle(*args):
+        settled.append(args)
+        return False
+
+    monkeypatch.setattr(models, "merge_ext", corrupted)
+    for module in (derham, poisson):
+        monkeypatch.setattr(module, "contracted", settle)
+        monkeypatch.setattr(module, "block_homology", settle)
+    for run in (
+        lambda: derham.cohomology_dims(torus, ModeWindow(bound=1)),
+        lambda: derham.ordinary_derham_dims(torus, ModeWindow(bound=1)),
+        lambda: BoundaryDims(conic, ModeWindow(bound=1)).get(1, 0),
+    ):
+        with pytest.raises(ComplexViolationError, match="Cartan identity fails"):
+            run()
+    assert settled == []

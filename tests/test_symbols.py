@@ -313,6 +313,26 @@ def test_repeated_derivations_rejected(torus):
         cocycle_evaluate([d, d], 1, args)
 
 
+def test_depth_and_side_checked_before_any_derivation(torus):
+    a, b = TruncatedSymbol.mode(torus, (1, 0), 1), TruncatedSymbol.mode(torus, (-1, 0), -1)
+    leafwise, radial = Derivation("leafwise"), Derivation("radial")
+    derived = []
+
+    def derive(d, arg, depth):
+        derived.append(d)
+        return apply_derivation(d, arg, depth)
+
+    # leafwise, radial and no derivation all reject a negative depth alike
+    for dirs, args in (([leafwise], [a, b]), ([radial], [a, b]), ([], [b])):
+        with pytest.raises(ValidationError, match="depth"):
+            cocycle_evaluate(dirs, 1, args, depth=-1)
+        with pytest.raises(ValidationError, match="depth"):
+            symbols._cocycle(dirs, 1, args, -1, derive)
+        with pytest.raises(ValidationError, match="side"):
+            symbols._cocycle(dirs, 0, args, 6, derive)
+    assert derived == []
+
+
 def test_coboundary_of_trace_is_trace_of_commutator(torus, field):
     rng = random.Random(37)
     for _ in range(5):
