@@ -59,6 +59,11 @@ class RunConfig:
                 raise SpecParseError(f"unknown analysis {a!r}")
         if self.format not in ("json", "markdown", "csv"):
             raise SpecParseError(f"unknown output format {self.format!r}")
+        # flags only the symbols analysis reads, checked before any analysis runs
+        if self.depth < 0:
+            raise SpecParseError(f"--depth {self.depth}: expansion depth must be nonnegative")
+        if self.trials < 0:
+            raise SpecParseError(f"--trials {self.trials}: trial count must be nonnegative")
 
 
 # -- the run context ----------------------------------------------------------

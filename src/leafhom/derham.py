@@ -8,6 +8,14 @@ identities written as data on every windowed basis monomial, which by
 linearity covers every form.  The identity suite and the basic table return
 their report documents, the JSON the derham report holds, verdicts included.
 
+The identity walk (`check_identities`, which also runs the poisson star-delta
+suite and the gysin chain-map checks) is compiled once per call: each distinct
+composite suffix f g ... gets a slot, children before parents, and per
+monomial each slot's image is its term map applied to its child's image, with
+every term added in place.  Only the slots a live identity reads are computed,
+so a failed identity costs nothing more.  Most terms carry a sign, and no
+product is taken with the field's cached `one` or `minus_one` (see `scalars`).
+
 Cohomology dimensions are computed block by block: every supported
 differential preserves the block (comp, mode, l) of `FoliatedModel.block_key`,
 so the complex is a direct sum of small exact-arithmetic complexes indexed by
@@ -59,7 +67,6 @@ from .models import (
     TermMap,
     _frame_d,
     _multiplier_d,
-    linear_extension,
 )
 from .scalars import Scalar
 
@@ -123,49 +130,105 @@ def check_identities(
 
     An identity is (name, [(c, f, g, ...), ...]), composites c * f g ... of term
     maps that must sum to zero, or (name, maps, holds), a predicate
-    holds(mono, image) on one composite's image.  Each image of a monomial is
-    computed once and shared by every identity, and a sum adds each
-    composite's image into its total directly.  Returns one check document
+    holds(mono, image) on one composite's image; see the module docstring for
+    the compiled walk (`_compile_walk`).  Returns one check document
     {"name", "passed", "detail"} per identity.
     """
+    steps, compiled = _compile_walk(identities)
+    one, minus_one = model.field.one, model.field.minus_one
     bad: dict[str, str] = {}
+    reads = lambda ids: sorted(set().union(*(uses for *_, uses in ids)))  # in slot order
+    live, order = compiled, reads(compiled)
     for mono in model.basis_monomials(window):
-        images: dict[tuple, dict[FormMonomial, Scalar]] = {(): {mono: model.field.one}}
-        for name, *spec in identities:
-            if name in bad:
-                continue
-            if len(spec) == 2:
-                holds = spec[1](mono, _image(images, spec[0]))
+        images: list = [None] * len(steps)
+        images[0] = {mono: one}
+        for slot in order:
+            terms, child = steps[slot]
+            out: dict[FormMonomial, Scalar] = {}
+            for m, coeff in images[child].items():
+                for m2, v in terms(m):
+                    # the multiply is skipped for the field's cached signs
+                    if coeff is not one:
+                        if v is one:
+                            v = coeff
+                        elif v is minus_one:
+                            v = -coeff
+                        else:
+                            v = coeff * v
+                    cur = out.get(m2)
+                    if cur is None:
+                        if v:
+                            out[m2] = v
+                    else:
+                        v = cur + v
+                        if v:
+                            out[m2] = v
+                        else:
+                            del out[m2]
+            images[slot] = out
+        failed = False
+        for name, sums, slot, holds, _uses in live:
+            if sums is None:
+                ok = holds(mono, images[slot])
             else:
                 total: dict[FormMonomial, Scalar] = {}
-                for c, *maps in spec[0]:
-                    for m, v in _image(images, tuple(maps)).items():
-                        if c != 1:
-                            v = -v if c == -1 else v * c
+                for c, slot in sums:
+                    for m, v in images[slot].items():
                         cur = total.get(m)
-                        new = v if cur is None else cur + v
-                        if new:
-                            total[m] = new
+                        if c == -1:
+                            v = -v if cur is None else cur - v
+                        else:
+                            if c != 1:
+                                v = v * c
+                            if cur is not None:
+                                v = cur + v
+                        if v:
+                            total[m] = v
                         else:
                             total.pop(m, None)
-                holds = not total
-            if not holds:
+                ok = not total
+            if not ok:
                 bad[name] = detail.format(model.monomial_label(mono))
+                failed = True
+        if failed:
+            live = [c for c in live if c[0] not in bad]
+            order = reads(live)
     return [
         {"name": name, "passed": name not in bad, "detail": bad.get(name, "")}
         for name, *_ in identities
     ]
 
 
-def _image(images: dict[tuple, dict], maps: tuple) -> dict[FormMonomial, Scalar]:
-    """The image of a composite of term maps, each suffix's image computed once.
+def _compile_walk(identities: Sequence[tuple]) -> tuple[list[tuple], list[tuple]]:
+    """Slot numbers for the composite suffixes of ``identities``, children before parents.
 
-    A module-level function: a recursive closure would be a reference cycle,
-    keeping the term maps alive until a full collection.
+    Returns the steps, one (term map, child slot) per slot, where the image of
+    a slot is its term map applied to its child's image and slot 0 is the
+    monomial itself, and one (name, sums, slot, holds, uses) per identity: a
+    sum's (c, slot) terms, or a predicate's slot and ``holds``, with the
+    slots above 0 that it reads, directly or through a child.
     """
-    if maps not in images:
-        images[maps] = linear_extension(maps[0], _image(images, maps[1:]).items())
-    return images[maps]
+    slots: dict[tuple, int] = {(): 0}
+    steps: list[tuple] = [(None, 0)]
+
+    def place(maps: tuple, uses: set[int]) -> int:
+        for i in range(len(maps) - 1, -1, -1):
+            suffix = maps[i:]
+            if suffix not in slots:
+                slots[suffix] = len(steps)
+                steps.append((maps[i], slots[maps[i + 1 :]]))
+            uses.add(slots[suffix])
+        return slots[maps]
+
+    compiled = []
+    for name, *spec in identities:
+        uses: set[int] = set()
+        if len(spec) == 2:
+            compiled.append((name, None, place(tuple(spec[0]), uses), spec[1], uses))
+        else:
+            sums = [(c, place(tuple(maps), uses)) for c, *maps in spec[0]]
+            compiled.append((name, sums, 0, None, uses))
+    return steps, compiled
 
 
 def verify_decomposition_identities(
@@ -539,18 +602,30 @@ def ordinary_derham_dims(
 
 
 def closed_and_exact(
-    model: FoliatedModel, d_f: TermMap, bidegree: tuple[int, int], key: tuple
-) -> tuple[list[dict[FormMonomial, Scalar]], list[dict[FormMonomial, Scalar]]]:
-    """(Z, B) of one block at a bidegree: the d_F kernel basis, the nonzero columns of d_F into it.
+    model: FoliatedModel, d_f: TermMap, key: tuple, bidegrees: Sequence[tuple[int, int]]
+) -> dict[tuple[int, int], tuple[list[dict], list[dict]]]:
+    """(Z, B) of one block per bidegree: the d_F kernel basis, the nonzero d_F columns into it.
 
-    ``d_f`` is the model's d_F term map.  The block's cohomology there has
-    dimension |Z| - dim span(B).
+    ``d_f`` is the model's d_F term map.  The block is split by bidegree once,
+    and each d_F matrix (r, s) -> (r + 1, s) is assembled once, whichever
+    bidegrees read it; an image term outside the next bidegree raises
+    ComplexViolationError.  The block's cohomology at (r, s) has dimension
+    |Z| - dim span(B).
     """
-    r, s = bidegree
     by_deg = _by_bidegree(model, key)
-    chain = {t: by_deg.get((t, s), []) for t in (r - 1, r, r + 1)}
-    diffs = block_differentials(model, d_f, chain)
-    vector = lambda v: {chain[r][i]: c for i, c in v.items()}
-    _, kernel = rank_kernel(diffs[r])
-    columns = diffs[r - 1].transpose().row_vectors()
-    return [vector(v) for v in kernel], [vector(v) for v in columns if v]
+    diffs: dict[tuple[int, int], SparseMatrix] = {}
+
+    def diff(r: int, s: int) -> SparseMatrix:
+        if (r, s) not in diffs:
+            source, target = by_deg.get((r, s), []), by_deg.get((r + 1, s), [])
+            diffs[(r, s)] = operator_matrix(model, d_f, source, target)
+        return diffs[(r, s)]
+
+    out = {}
+    for r, s in bidegrees:
+        cell = by_deg.get((r, s), [])
+        vector = lambda v: {cell[i]: c for i, c in v.items()}
+        _, kernel = rank_kernel(diff(r, s))
+        columns = diff(r - 1, s).transpose().row_vectors()
+        out[(r, s)] = [vector(v) for v in kernel], [vector(v) for v in columns if v]
+    return out

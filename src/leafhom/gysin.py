@@ -9,9 +9,10 @@ standing test, not an assumption).  Both maps are term maps; the chain-map
 checks and the splitting pi_*(pi^*c ^ dphi) = c do not depend on the
 transverse degree h and run once, as identities on every windowed monomial.
 The isomorphism checks count ranks on closed and exact block vectors, with no
-representatives.  The splitting table reads the leafwise tables of the base
-and of the total space that it is given, and returns one report document per
-transverse degree, verdict included.
+representatives, read off one pass over each model's blocks for every h.  The
+splitting table reads the leafwise tables of the base and of the total space
+that it is given, and returns one report document per transverse degree,
+verdict included.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .derham import BigradedDims, check_identities, closed_and_exact, component_
 from .linalg import Echelon, span_dim
 from .models import (
     CircleProductModel,
+    FoliatedModel,
     FormMonomial,
     ModeWindow,
     TermMap,
@@ -27,7 +29,7 @@ from .models import (
     merge_ext,
     pullback_terms,
 )
-from .scalars import Scalar
+from .scalars import NumberField, Scalar
 
 
 def fiber_integration_terms(total: CircleProductModel) -> TermMap:
@@ -70,7 +72,7 @@ def product_splitting_dims(
     direct dim equals its prediction and every check passes.
     """
     base, window = total.base, total_dims.window
-    identities = _identity_checks(total, window)
+    identities, isos = _identity_checks(total, window), _iso_checks(total, window)
     reports = []
     for h in range(base.codim + 1):
         rows = []
@@ -88,7 +90,7 @@ def product_splitting_dims(
                     "consistent": direct == predicted,
                 }
             )
-        checks = identities + _iso_checks(total, h, window)
+        checks = identities + isos[h]
         reports.append(
             {
                 "base": repr(base),
@@ -140,44 +142,61 @@ def _dphi_terms(total: CircleProductModel) -> TermMap:
     return terms
 
 
-def _iso_checks(total: CircleProductModel, h: int, window: ModeWindow) -> list[dict]:
-    """Pullback at (0, h), with no boundaries; integration at (p+1, h), all closed."""
+def _iso_checks(total: CircleProductModel, window: ModeWindow) -> list[list[dict]]:
+    """Per h: pullback at (0, h), with no boundaries; integration at (p+1, h), all closed.
+
+    Each model's blocks are walked once for every h (`_block_cells`).
+    """
     base, p = total.base, total.base.leaf_dim
     pull, push = pullback_terms(total), fiber_integration_terms(total)
+    hs = range(base.codim + 1)
+    down = _block_cells(base, [(r, h) for h in hs for r in (0, p)], window)
+    up = _block_cells(total, [(r, h) for h in hs for r in (0, p + 1)], window)
     return [
-        {
-            "name": "pullback iso in fiber-low degrees (k = 0)",
-            "passed": _induces_iso(pull, (base, (0, h)), (total, (0, h)), window),
-            "detail": "",
-        },
-        {
-            "name": "fiber integration iso above the leaf degree (k = p+1)",
-            "passed": _induces_iso(push, (total, (p + 1, h)), (base, (p, h)), window),
-            "detail": "",
-        },
+        [
+            {
+                "name": "pullback iso in fiber-low degrees (k = 0)",
+                "passed": _induces_iso(pull, down[(0, h)], up[(0, h)], base.field),
+                "detail": "",
+            },
+            {
+                "name": "fiber integration iso above the leaf degree (k = p+1)",
+                "passed": _induces_iso(push, up[(p + 1, h)], down[(p, h)], base.field),
+                "detail": "",
+            },
+        ]
+        for h in hs
     ]
 
 
-def _induces_iso(f: TermMap, src: tuple, tgt: tuple, window: ModeWindow) -> bool:
-    """Whether the chain map f induces an isomorphism between two (model, bidegree) cells.
+def _block_cells(
+    model: FoliatedModel, bidegrees: list[tuple[int, int]], window: ModeWindow
+) -> dict[tuple[int, int], list]:
+    """bidegree -> the `closed_and_exact` (Z, B) of every window block, one block pass.
 
-    Rank counts on the `closed_and_exact` vectors Z, B of every block: each
-    side's cohomology has dim |Z| - dim span(B), and the induced map has rank
-    dim span(f(Z_src) + B_tgt) - dim span(B_tgt).  Each side's walk builds
-    its d_F term map once.
+    The walk builds the model's d_F term map once.
+    """
+    d_f = component_terms(model, "d_F")
+    cells: dict[tuple[int, int], list] = {rs: [] for rs in bidegrees}
+    for key in model.block_keys(window):
+        for rs, zb in closed_and_exact(model, d_f, key, bidegrees).items():
+            cells[rs].append(zb)
+    return cells
+
+
+def _induces_iso(f: TermMap, src: list, tgt: list, field: NumberField) -> bool:
+    """Whether the chain map f induces an isomorphism between two cells' cohomology.
+
+    ``src`` and ``tgt`` are the (Z, B) of every block of each side (`_block_cells`):
+    each side's cohomology has dim |Z| - dim span(B), and the induced map has
+    rank dim span(f(Z_src) + B_tgt) - dim span(B_tgt).
     """
     index: dict[FormMonomial, int] = {}
     coords = lambda vecs: [{index.setdefault(m, len(index)): c for m, c in v.items()} for v in vecs]
-
-    def cells(model, bidegree):
-        d_f = component_terms(model, "d_F")
-        return (closed_and_exact(model, d_f, bidegree, key) for key in model.block_keys(window))
-
-    field = tgt[0].field
     span = Echelon(field)
-    tgt_dim = sum(len(z) - span.extend(coords(b)) for z, b in cells(*tgt))
+    tgt_dim = sum(len(z) - span.extend(coords(b)) for z, b in tgt)
     src_dim = rank = 0
-    for z, b in cells(*src):
+    for z, b in src:
         src_dim += len(z) - span_dim(field, coords(b))
         rank += span.extend(coords(linear_extension(f, v.items()) for v in z))
     return rank == src_dim == tgt_dim

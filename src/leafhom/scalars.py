@@ -7,6 +7,13 @@ The coordinates are int numerators over one denominator (FLINT's fmpq_poly
 layout) in normal form: den > 0, gcd(den, *nums) == 1, zero is (0, ..., 0)/1.
 The form is unique, so zero testing and equality are exact int comparisons.
 `Scalar.coeffs` reads the coordinates as Fractions.
+
+Each field keeps one `one` and one `minus_one` object, and `field.scalar(1)`,
+`field.scalar(-1)` and the negation of either return them.  Multiplication
+checks for them by identity (`is`, never by value: `__eq__` costs more than
+the product it would save) and returns the other factor or its negation, so
+the signs term maps attach cost no arithmetic.  Any other unit, such as a
+sum that comes out as -1, takes the general path, which is exact as well.
 """
 
 from __future__ import annotations
@@ -54,6 +61,7 @@ class NumberField:
         "_zeros",
         "zero",
         "one",
+        "minus_one",
         "_cache",
         "_inverses",
     )
@@ -82,7 +90,8 @@ class NumberField:
         self._zeros = (0,) * (self.dim - 1)
         self.zero = Scalar(self, (0,) + self._zeros, 1)
         self.one = Scalar(self, (1,) + self._zeros, 1)
-        self._cache: dict[int, Scalar] = {0: self.zero, 1: self.one}
+        self.minus_one = Scalar(self, (-1,) + self._zeros, 1)
+        self._cache: dict[int, Scalar] = {0: self.zero, 1: self.one, -1: self.minus_one}
         # Scalar.inverse's memo, keyed by (nums, den): a value inverted again
         # (the same multiplier in every block) costs one lookup
         self._inverses: dict[tuple[tuple[int, ...], int], Scalar] = {}
@@ -253,11 +262,25 @@ class Scalar:
         )
 
     def __neg__(self) -> Scalar:
-        return Scalar(self.field, tuple(map(neg, self.nums)), self.den)
+        field = self.field
+        if self is field.one:
+            return field.minus_one
+        if self is field.minus_one:
+            return field.one
+        return Scalar(field, tuple(map(neg, self.nums)), self.den)
 
     def __mul__(self, other: int | Fraction | Scalar) -> Scalar:
-        o = self._coerce(other)
         field = self.field
+        # the field's cached signs, by identity: the product is the other factor up to sign
+        if other is field.one:
+            return self
+        if other is field.minus_one:
+            return -self
+        o = self._coerce(other)
+        if self is field.one:
+            return o
+        if self is field.minus_one:
+            return -o
         a, b = self.nums, o.nums
         den = self.den * o.den
         # fast paths: one factor +-1 (the other, in normal form, is the product up

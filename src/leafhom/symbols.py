@@ -33,12 +33,16 @@ included.  It repeats no work the values do not need: a trace pair
 trace(a o b) - trace(b o a) is read off two targeted residues after the same
 watermark check (`_commutator_trace`), with neither product built, and the
 cocycles of one level of one stage share a memo of derivation images keyed
-by value (`_derivation_memo`), dropped when the level ends.
+by value (`_derivation_memo`), dropped when the level ends.  One
+`Expansion` of the suite's torus serves every product, derivation, cocycle
+and trace pair of the run (`_expansion`), so its caches of powers and
+factors fill once; it is dropped when the run ends.
 """
 
 from __future__ import annotations
 
 import random
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -52,6 +56,16 @@ from .models import KroneckerTorus, Mode
 from .scalars import Scalar
 
 MAX_LEVEL = 2  # the highest cocycle degree l the verification suite checks
+
+# the running suite's Expansion: set by verify_traces_and_collapse in its own
+# context (thread or task) and reset when it returns
+_SUITE_EXPANSION: ContextVar[Expansion | None] = ContextVar("suite_expansion", default=None)
+
+
+def _expansion(torus: KroneckerTorus) -> Expansion:
+    """The running suite's `Expansion` when it is of ``torus``, else a fresh one."""
+    shared = _SUITE_EXPANSION.get()
+    return shared if shared is not None and shared.torus is torus else Expansion(torus)
 
 
 class TruncatedSymbol:
@@ -173,7 +187,7 @@ def compose(a: TruncatedSymbol, b: TruncatedSymbol, depth: int) -> TruncatedSymb
     tops, floor = product_shape(side_tops(a.sides), a.floor, side_tops(b.sides), b.floor, depth)
     if floor is None:
         return TruncatedSymbol.zero(torus)
-    expansion = Expansion(torus)
+    expansion = _expansion(torus)
     sides = {
         s: expansion.product(a.sides[s], b.sides[s], s, floor)
         for s in SIDES
@@ -231,7 +245,7 @@ def apply_derivation(
         }
         return TruncatedSymbol(torus, sides, a.floor)
     if d.tag == "leafwise":
-        expansion = Expansion(torus)
+        expansion = _expansion(torus)
         sides = {
             s: {j: expansion.derived(poly, 1) for j, poly in a.sides[s].items()}
             for s in SIDES
@@ -248,7 +262,7 @@ def apply_derivation(
         if a.floor is not None:
             candidates.append(a.floor - 1)
         floor = max(candidates)
-        expansion = Expansion(torus)
+        expansion = _expansion(torus)
         sides: dict[int, dict[int, TrigPoly]] = {1: {}, -1: {}}
         for s in SIDES:
             acc = sides[s]
@@ -357,7 +371,7 @@ def _cocycle(
     chain = {u: p for u, p in first.sides[side].items() if u >= needs[0]}
     if not images:
         return chain.get(-1, {}).get((0,) * first.torus.n, zero)
-    expansion = Expansion(first.torus)
+    expansion = _expansion(first.torus)
     for image, need, product_floor in zip(images[:-1], needs[1:], floors):
         if not chain:
             return zero
@@ -385,7 +399,7 @@ def _commutator_trace(a: TruncatedSymbol, b: TruncatedSymbol, side: int, depth: 
         return a.torus.field.zero
     if floor > -1:
         raise InsufficientTruncationError(f"order -1 lies below the validity watermark {floor}")
-    expansion = Expansion(a.torus)
+    expansion = _expansion(a.torus)
     forward = expansion.residue(a.sides[side], b.sides[side], side)
     return forward - expansion.residue(b.sides[side], a.sides[side], side)
 
@@ -484,7 +498,8 @@ def verify_traces_and_collapse(
     (b) the iterated-contraction cocycles have vanishing Hochschild
     coboundary on random tuples for l <= MAX_LEVEL; (c) their evaluation
     matrix has full rank 2*C(n+1, l).  (b) and (c) derive each distinct
-    argument once per level.  The collapse certificate is set when those
+    argument once per level, and one `Expansion` of the torus serves every
+    product of the run.  The collapse certificate is set when those
     counts match ``predicted``,
     the closed-form dimensions `hochschild.hh_dims_assuming_collapse` reads
     off the cosphere-circle table.  The report passes when (a), (b) and (c)
@@ -496,6 +511,17 @@ def verify_traces_and_collapse(
         raise ValidationError("expansion depth must be nonnegative")
     if torus.resonant:
         raise ValidationError("the trace suite needs a nonresonant frequency vector")
+    token = _SUITE_EXPANSION.set(Expansion(torus))
+    try:
+        return _run_suite(torus, predicted, trials, depth, seed)
+    finally:
+        _SUITE_EXPANSION.reset(token)
+
+
+def _run_suite(
+    torus: KroneckerTorus, predicted: Sequence[int], trials: int, depth: int, seed: int
+) -> dict:
+    """The body of `verify_traces_and_collapse`, with its arguments checked."""
     rng = random.Random(seed)
     field = torus.field
     derivations = derivation_set(torus)

@@ -300,6 +300,26 @@ def test_bad_input_exits_2_with_one_line(spec, args, message, tmp_path, capsys):
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "flag, message",
+    [
+        ("--depth", "expansion depth must be nonnegative"),
+        ("--trials", "trial count must be nonnegative"),
+    ],
+)
+def test_negative_symbol_flag_rejected_before_any_analysis(
+    flag, message, torus_spec, tmp_path, capsys
+):
+    # the flag is at fault, not the model: no analysis runs and no report is written
+    out = tmp_path / "o"
+    args = ["run", "--model", str(torus_spec), "--analyses", "all", flag, "-1", "--out", str(out)]
+    code = cli.main(args)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {flag} -1: {message}\n"
+    assert not out.exists()
+
+
 def test_exit_2_still_writes_summary(tmp_path, capsys):
     lie = tmp_path / "lie.json"
     lie.write_text(

@@ -225,6 +225,100 @@ def test_check_identities_names_first_counterexample(torus):
     ]
 
 
+def sign_identities(model):
+    """Identities whose terms carry the field's signs: six hold, two fail."""
+    field = model.field
+    d, dF, dP, dB = (component_terms(model, c) for c in ("d", "d_F", "d_perp", "boundary"))
+    flip = lambda m: [(m, field.minus_one)]
+    parity = lambda m: [(m, field.one if len(m.ext) % 2 else field.minus_one)]
+    raises = lambda m, img: all(len(m2.ext) == len(m.ext) + 1 for m2 in img)
+    return [
+        ("d^2 = 0", [(1, d, d)]),
+        ("d = d_F + d_perp + boundary", [(1, d), (-1, dF), (-1, dP), (-1, dB)]),
+        ("flip d = -d", [(1, flip, d), (1, d)]),
+        ("flip^2 = id", [(1, flip, flip), (-1,)]),
+        ("parity d parity = -d", [(1, parity, d, parity), (1, d)]),
+        ("flip d_F = d_F", [(1, flip, dF), (-1, dF)]),
+        ("d_F flip raises the degree", (dF, flip), raises),
+        ("parity = id", [(1, parity), (-1,)]),
+    ]
+
+
+@pytest.mark.parametrize("name", ["torus", "cosphere", "cone"])
+def test_fresh_unit_coefficients_give_the_same_checks(name, torus, field):
+    # the walk skips multiplying by the field's cached +-1 objects; term maps
+    # that return equal units built apart take the general product instead
+    model = {
+        "torus": torus,
+        "cosphere": CosphereCircleModel(torus),
+        "cone": ConicDualModel(torus),
+    }[name]
+    fresh = {1: field.from_components({0: 1}), -1: field.from_components({0: -1})}
+    assert fresh[1] is not field.one and fresh[-1] is not field.minus_one
+
+    def unshared(c):
+        return fresh[1] if c is field.one else fresh[-1] if c is field.minus_one else c
+
+    wrapped = {}
+
+    def rebuilt(terms):
+        if id(terms) not in wrapped:  # one wrapper per map, so composites still share suffixes
+            wrapped[id(terms)] = lambda m: [(m2, unshared(c)) for m2, c in terms(m)]
+        return wrapped[id(terms)]
+
+    identities = sign_identities(model)
+    copies = [
+        (name, [(c, *map(rebuilt, maps)) for c, *maps in spec[0]])
+        if len(spec) == 1
+        else (name, tuple(map(rebuilt, spec[0])), spec[1])
+        for name, *spec in identities
+    ]
+    window = ModeWindow(bound=1, l_min=-1, l_max=1)
+    checks = check_identities(model, window, identities)
+    assert checks == check_identities(model, window, copies)
+    assert [c["passed"] for c in checks] == [True] * 5 + [False, True, False]
+    first = next(iter(model.basis_monomials(window)))
+    assert checks[-1]["detail"] == f"counterexample: {model.monomial_label(first)}"
+
+
+def test_failed_identity_reads_no_more_composites(torus):
+    window = ModeWindow(bound=1)
+    dF = component_terms(torus, "d_F")
+    calls = {"own": 0, "shared": 0}
+
+    def counting(tag):
+        def terms(mono):
+            calls[tag] += 1
+            return dF(mono)
+
+        return terms
+
+    own, shared = counting("own"), counting("shared")
+    raises = lambda m, img: all(len(m2.ext) == len(m.ext) + 1 for m2 in img)
+    checks = check_identities(
+        torus,
+        window,
+        [
+            ("own^2 + own = 0", [(1, own, own), (1, own)]),
+            ("shared = 0", [(1, shared)]),
+            ("shared raises the degree", (shared,), raises),
+        ],
+    )
+    monos = list(torus.basis_monomials(window))
+    at = next(i for i, m in enumerate(monos) if dF(m))
+    label = f"counterexample: {torus.monomial_label(monos[at])}"
+    assert checks == [
+        {"name": "own^2 + own = 0", "passed": False, "detail": label},
+        {"name": "shared = 0", "passed": False, "detail": label},
+        {"name": "shared raises the degree", "passed": True, "detail": ""},
+    ]
+    # up to the first counterexample own runs once on each monomial and once on
+    # each term of its image, then never again; the shared composite is still
+    # read by the predicate, once per monomial
+    assert calls["own"] == sum(1 + len(dF(m)) for m in monos[: at + 1])
+    assert calls["shared"] == len(monos)
+
+
 def test_homogeneity_only_on_the_cone(field, torus):
     # the radial degree slices the cone's table and labels no other model's
     window = ModeWindow(bound=1)
@@ -415,13 +509,16 @@ def test_closed_and_exact_match_block_dims(name, torus, field):
     }[name]
     window = ModeWindow(bound=1)
     dF = component_terms(model, "d_F")
+    bidegrees = [(r, s) for s in range(model.codim + 1) for r in range(model.leaf_dim + 2)]
     for key in model.block_keys(window):
         dims = _block_bidegree_dims(model, key, dF)
         monos = model.block_monomials(key)
+        cells = closed_and_exact(model, dF, key, bidegrees)
+        assert list(cells) == bidegrees
         for s in range(model.codim + 1):
             pick = lambda r: [m for m in monos if model.bidegree(m.ext) == (r, s)]
             for r in range(model.leaf_dim + 2):
-                closed, exact = closed_and_exact(model, dF, (r, s), key)
+                closed, exact = cells[(r, s)]
                 here = {m: i for i, m in enumerate(pick(r))}
                 coords = lambda vecs: [{here[m]: c for m, c in v.items()} for v in vecs]
                 exact_dim = span_dim(model.field, coords(exact))

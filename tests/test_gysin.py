@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from leafhom import cli, gysin, models
+from leafhom import cli, derham, gysin, models
 from leafhom.derham import cohomology_dims, differential
 from leafhom.errors import ValidationError
 from leafhom.gysin import fiber_integration_terms, product_splitting_dims
@@ -194,6 +194,38 @@ def test_zero_map_fails_its_iso_check(zeroed, readers, iso, bundle, monkeypatch)
         assert failing == {"fiber-class wedge splits the sequence", iso}, h
 
 
+@pytest.mark.parametrize(
+    "blinded, readers, iso",
+    [
+        ("pullback_terms", (gysin, models), "pullback iso in fiber-low degrees (k = 0)"),
+        (
+            "fiber_integration_terms",
+            (gysin,),
+            "fiber integration iso above the leaf degree (k = p+1)",
+        ),
+    ],
+)
+def test_iso_checks_read_each_transverse_degree(blinded, readers, iso, monkeypatch):
+    # a map that kills the forms of transverse degree 1 breaks its iso at h = 1
+    # alone, so no h may read another h's cells
+    torus = KroneckerTorus(NumberField((2, 3)), ["1", "sqrt2", "sqrt3"])
+    bundle, window = CircleProductModel(torus), ModeWindow(bound=1)
+    original = getattr(readers[0], blinded)
+
+    def blind(total):
+        terms, source = original(total), total.base if blinded == "pullback_terms" else total
+        return lambda mono: [] if source.bidegree(mono.ext)[1] == 1 else terms(mono)
+
+    for module in readers:
+        monkeypatch.setattr(module, blinded, blind)
+    reports = product_splitting_dims(
+        bundle, cohomology_dims(torus, window), cohomology_dims(bundle, window)
+    )
+    failing = [{c["name"] for c in report["checks"] if not c["passed"]} for report in reports]
+    split = "fiber-class wedge splits the sequence"
+    assert failing == [{split}, {split, iso}, {split}]
+
+
 def test_chain_map_checks_once_per_run(tmp_path, monkeypatch):
     walks: Counter = Counter()
     walk = FoliatedModel.basis_monomials
@@ -205,12 +237,20 @@ def test_chain_map_checks_once_per_run(tmp_path, monkeypatch):
     assemblies = []
     closed_and_exact = gysin.closed_and_exact
 
-    def counting_assembly(model, d_f, bidegree, key):
-        assemblies.append((model, bidegree))
-        return closed_and_exact(model, d_f, bidegree, key)
+    def counting_assembly(model, d_f, key, bidegrees):
+        assemblies.append((type(model).__name__, key, tuple(bidegrees)))
+        return closed_and_exact(model, d_f, key, bidegrees)
+
+    matrices = Counter()
+    operator_matrix = derham.operator_matrix
+
+    def counting_matrix(model, terms, source, target):
+        matrices[type(model).__name__] += 1
+        return operator_matrix(model, terms, source, target)
 
     monkeypatch.setattr(FoliatedModel, "basis_monomials", counting_walk)
     monkeypatch.setattr(gysin, "closed_and_exact", counting_assembly)
+    monkeypatch.setattr(derham, "operator_matrix", counting_matrix)
     spec = tmp_path / "t3.json"
     spec.write_text(json.dumps({"family": "kronecker_torus", "alpha": ["1", "sqrt2", "sqrt3"]}))
     args = ["gysin", "--model", str(spec), "--mode-bound", "1", "--out", str(tmp_path / "o")]
@@ -220,9 +260,24 @@ def test_chain_map_checks_once_per_run(tmp_path, monkeypatch):
     # three transverse degrees, one walk per model: the pullback identities and
     # the splitting over the base, integration over the total space
     assert walks == {"KroneckerTorus": 1, "CircleProductModel": 1}
-    # per h, base (0, h) and (1, h) over 27 blocks, total (0, h) and (2, h)
-    # over 81: each block chain assembled once
-    assert len(assemblies) == 3 * (2 * 27 + 2 * 81)
+    # one pass per model: each of the base's 27 blocks and the total space's 81
+    # is split once, for (0, h) and (1, h) on the base and (0, h) and (2, h)
+    # on the total space, h = 0, 1, 2
+    hs = range(3)
+    cells = {
+        "KroneckerTorus": tuple((r, h) for h in hs for r in (0, 1)),
+        "CircleProductModel": tuple((r, h) for h in hs for r in (0, 2)),
+    }
+    assert len(assemblies) == 27 + 81
+    assert len(set(assemblies)) == len(assemblies)
+    assert Counter(name for name, _key, _cells in assemblies) == {
+        "KroneckerTorus": 27,
+        "CircleProductModel": 81,
+    }
+    assert all(bidegrees == cells[name] for name, _key, bidegrees in assemblies)
+    # each d_F matrix once per block: (r, h) -> (r + 1, h) for r = -1, 0, 1 on
+    # the base and r = -1, 0, 1, 2 on the total space, h = 0, 1, 2
+    assert matrices == {"KroneckerTorus": 27 * 3 * 3, "CircleProductModel": 81 * 4 * 3}
 
 
 @pytest.mark.parametrize("bound", [0, 2])

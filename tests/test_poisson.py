@@ -42,7 +42,7 @@ from leafhom.poisson import (
     verify_homology_correspondence,
     verify_star_delta_identity,
 )
-from leafhom.scalars import NumberField
+from leafhom.scalars import NumberField, Scalar
 
 
 @pytest.fixture(scope="module")
@@ -273,6 +273,25 @@ def test_star_delta_identity_suite_affine(field):
         affine_conic(field), ModeWindow(bound=0, l_min=-2, l_max=2)
     )
     assert report["passed"], [c for c in report["checks"] if not c["passed"]]
+
+
+def test_star_delta_suite_skips_sign_multiplications(field, monkeypatch):
+    # most terms of the suite's composites carry a +-1 factor; the walk and
+    # Scalar.__mul__ skip those (7,336 products when each was multiplied)
+    cone = ConicDualModel(KroneckerTorus(field, ["1", "sqrt2"]))
+    calls = []
+    mul = Scalar.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(Scalar, "__mul__", counting)
+    monkeypatch.setattr(Scalar, "__rmul__", counting)
+    report = verify_star_delta_identity(cone, ModeWindow(bound=1))
+    monkeypatch.undo()
+    assert report["passed"]
+    assert len(calls) <= 1000
 
 
 def test_flipped_star_sign_fails(conic, monkeypatch):

@@ -346,6 +346,25 @@ if st is not None:
             with pytest.raises(ValidationError):
                 a_ * b_
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(field_elements(1))
+    def test_cached_signs_are_shared_objects(drawn):
+        field, (a,) = drawn
+        x = Scalar(field, a)
+        one, minus_one = field.one, field.minus_one
+        assert field.scalar(1) is one and field.scalar(-1) is minus_one
+        assert -one is minus_one and -minus_one is one
+        assert x * one is x and one * x is x
+        # equal units built apart are other objects: the general product
+        fresh = {one: field.from_components({0: 1}), minus_one: field.from_components({0: -1})}
+        for unit, built in fresh.items():
+            assert built is not unit and built == unit
+            for got, general in ((x * unit, x * built), (unit * x, built * x), (-unit, -built)):
+                assert got == general and got.coeffs == general.coeffs
+                assert_normal(got)
+            assert (x * unit).coeffs == ref_mul(field, a, unit.coeffs)
+        assert (x * minus_one).coeffs == tuple(-c for c in a)
+
 else:  # pragma: no cover
 
     @pytest.mark.skip(reason="hypothesis is not installed")
@@ -358,4 +377,8 @@ else:  # pragma: no cover
 
     @pytest.mark.skip(reason="hypothesis is not installed")
     def test_field_axioms_property():
+        pass
+
+    @pytest.mark.skip(reason="hypothesis is not installed")
+    def test_cached_signs_are_shared_objects():
         pass

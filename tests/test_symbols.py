@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from leafhom import symbols
+from leafhom import expansion, symbols
 from leafhom.derham import cohomology_dims
 from leafhom.errors import InsufficientTruncationError, ValidationError
 from leafhom.hochschild import hh_dims_assuming_collapse
@@ -518,6 +518,23 @@ def test_suite_cocycles_match_full_chain(torus, monkeypatch):
         assert value == full_coboundary(dirs, side, args, depth)
     for a, b, side, depth, value in traces:
         assert value == read_residue(compose(a, b, depth) - compose(b, a, depth), side)
+
+
+def test_one_expansion_serves_the_suite(torus, monkeypatch):
+    built = []
+    init = expansion.Expansion.__init__
+
+    def counting(self, torus_):
+        built.append(torus_)
+        init(self, torus_)
+
+    monkeypatch.setattr(expansion.Expansion, "__init__", counting)
+    report = verify_traces_and_collapse(torus, predicted_hh(torus), trials=20, depth=6, seed=11)
+    assert report["collapse_certified"] and built == [torus]
+    # dropped at the end of the run: a product outside a suite builds its own
+    a = TruncatedSymbol.mode(torus, (1, 0), 1)
+    compose(a, a, 2)
+    assert symbols._SUITE_EXPANSION.get() is None and built == [torus, torus]
 
 
 def test_commutator_trace_matches_the_full_commutator(torus):
