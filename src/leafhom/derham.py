@@ -11,10 +11,10 @@ their report documents, the JSON the derham report holds, verdicts included.
 The identity walk (`check_identities`, which also runs the poisson star-delta
 suite and the gysin chain-map checks) is compiled once per call: each distinct
 composite suffix f g ... gets a slot, children before parents, and per
-monomial each slot's image is its term map applied to its child's image, with
-every term added in place.  Only the slots a live identity reads are computed,
-so a failed identity costs nothing more.  Most terms carry a sign, and no
-product is taken with the field's cached `one` or `minus_one` (see `scalars`).
+monomial each slot's image is the `linear_extension` of its term map over its
+child's image.  Only the slots a live identity reads are computed, so a failed
+identity costs nothing more.  Most terms carry a sign, and a product with the
+field's cached `one` or `minus_one` takes no arithmetic (see `scalars`).
 
 Cohomology dimensions are computed block by block: every supported
 differential preserves the block (comp, mode, l) of `FoliatedModel.block_key`,
@@ -67,6 +67,7 @@ from .models import (
     TermMap,
     _frame_d,
     _multiplier_d,
+    linear_extension,
 )
 from .scalars import Scalar
 
@@ -135,38 +136,16 @@ def check_identities(
     {"name", "passed", "detail"} per identity.
     """
     steps, compiled = _compile_walk(identities)
-    one, minus_one = model.field.one, model.field.minus_one
     bad: dict[str, str] = {}
     reads = lambda ids: sorted(set().union(*(uses for *_, uses in ids)))  # in slot order
     live, order = compiled, reads(compiled)
     for mono in model.basis_monomials(window):
         images: list = [None] * len(steps)
-        images[0] = {mono: one}
+        images[0] = {mono: model.field.one}
         for slot in order:
             terms, child = steps[slot]
-            out: dict[FormMonomial, Scalar] = {}
-            for m, coeff in images[child].items():
-                for m2, v in terms(m):
-                    # the multiply is skipped for the field's cached signs
-                    if coeff is not one:
-                        if v is one:
-                            v = coeff
-                        elif v is minus_one:
-                            v = -coeff
-                        else:
-                            v = coeff * v
-                    cur = out.get(m2)
-                    if cur is None:
-                        if v:
-                            out[m2] = v
-                    else:
-                        v = cur + v
-                        if v:
-                            out[m2] = v
-                        else:
-                            del out[m2]
-            images[slot] = out
-        failed = False
+            images[slot] = linear_extension(terms, images[child].items())
+        failures = len(bad)
         for name, sums, slot, holds, _uses in live:
             if sums is None:
                 ok = holds(mono, images[slot])
@@ -174,23 +153,18 @@ def check_identities(
                 total: dict[FormMonomial, Scalar] = {}
                 for c, slot in sums:
                     for m, v in images[slot].items():
+                        if c != 1:
+                            v = -v if c == -1 else v * c
                         cur = total.get(m)
-                        if c == -1:
-                            v = -v if cur is None else cur - v
-                        else:
-                            if c != 1:
-                                v = v * c
-                            if cur is not None:
-                                v = cur + v
-                        if v:
-                            total[m] = v
+                        new = v if cur is None else cur + v
+                        if new:
+                            total[m] = new
                         else:
                             total.pop(m, None)
                 ok = not total
             if not ok:
                 bad[name] = detail.format(model.monomial_label(mono))
-                failed = True
-        if failed:
+        if len(bad) > failures:
             live = [c for c in live if c[0] not in bad]
             order = reads(live)
     return [

@@ -33,16 +33,14 @@ included.  It repeats no work the values do not need: a trace pair
 trace(a o b) - trace(b o a) is read off two targeted residues after the same
 watermark check (`_commutator_trace`), with neither product built, and the
 cocycles of one level of one stage share a memo of derivation images keyed
-by value (`_derivation_memo`), dropped when the level ends.  One
-`Expansion` of the suite's torus serves every product, derivation, cocycle
-and trace pair of the run (`_expansion`), so its caches of powers and
-factors fill once; it is dropped when the run ends.
+by value (`_derivation_memo`), dropped when the level ends.  Every product,
+derivation, cocycle and trace pair of a torus reads one `Expansion`, kept on
+the torus (`_expansion`), so its caches of powers and factors fill once.
 """
 
 from __future__ import annotations
 
 import random
-from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -57,15 +55,13 @@ from .scalars import Scalar
 
 MAX_LEVEL = 2  # the highest cocycle degree l the verification suite checks
 
-# the running suite's Expansion: set by verify_traces_and_collapse in its own
-# context (thread or task) and reset when it returns
-_SUITE_EXPANSION: ContextVar[Expansion | None] = ContextVar("suite_expansion", default=None)
-
 
 def _expansion(torus: KroneckerTorus) -> Expansion:
-    """The running suite's `Expansion` when it is of ``torus``, else a fresh one."""
-    shared = _SUITE_EXPANSION.get()
-    return shared if shared is not None and shared.torus is torus else Expansion(torus)
+    """The torus's one `Expansion`, built on first use and kept on the torus."""
+    expansion = vars(torus).get("_expansion")
+    if expansion is None:
+        expansion = vars(torus)["_expansion"] = Expansion(torus)
+    return expansion
 
 
 class TruncatedSymbol:
@@ -498,8 +494,7 @@ def verify_traces_and_collapse(
     (b) the iterated-contraction cocycles have vanishing Hochschild
     coboundary on random tuples for l <= MAX_LEVEL; (c) their evaluation
     matrix has full rank 2*C(n+1, l).  (b) and (c) derive each distinct
-    argument once per level, and one `Expansion` of the torus serves every
-    product of the run.  The collapse certificate is set when those
+    argument once per level.  The collapse certificate is set when those
     counts match ``predicted``,
     the closed-form dimensions `hochschild.hh_dims_assuming_collapse` reads
     off the cosphere-circle table.  The report passes when (a), (b) and (c)
@@ -511,17 +506,6 @@ def verify_traces_and_collapse(
         raise ValidationError("expansion depth must be nonnegative")
     if torus.resonant:
         raise ValidationError("the trace suite needs a nonresonant frequency vector")
-    token = _SUITE_EXPANSION.set(Expansion(torus))
-    try:
-        return _run_suite(torus, predicted, trials, depth, seed)
-    finally:
-        _SUITE_EXPANSION.reset(token)
-
-
-def _run_suite(
-    torus: KroneckerTorus, predicted: Sequence[int], trials: int, depth: int, seed: int
-) -> dict:
-    """The body of `verify_traces_and_collapse`, with its arguments checked."""
     rng = random.Random(seed)
     field = torus.field
     derivations = derivation_set(torus)

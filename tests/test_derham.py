@@ -246,8 +246,8 @@ def sign_identities(model):
 
 @pytest.mark.parametrize("name", ["torus", "cosphere", "cone"])
 def test_fresh_unit_coefficients_give_the_same_checks(name, torus, field):
-    # the walk skips multiplying by the field's cached +-1 objects; term maps
-    # that return equal units built apart take the general product instead
+    # a product with the field's cached +-1 objects takes no arithmetic; term
+    # maps that return equal units built apart take the general product instead
     model = {
         "torus": torus,
         "cosphere": CosphereCircleModel(torus),

@@ -520,7 +520,7 @@ def test_suite_cocycles_match_full_chain(torus, monkeypatch):
         assert value == read_residue(compose(a, b, depth) - compose(b, a, depth), side)
 
 
-def test_one_expansion_serves_the_suite(torus, monkeypatch):
+def test_one_expansion_serves_the_suite(torus, field, monkeypatch):
     built = []
     init = expansion.Expansion.__init__
 
@@ -529,12 +529,13 @@ def test_one_expansion_serves_the_suite(torus, monkeypatch):
         init(self, torus_)
 
     monkeypatch.setattr(expansion.Expansion, "__init__", counting)
-    report = verify_traces_and_collapse(torus, predicted_hh(torus), trials=20, depth=6, seed=11)
-    assert report["collapse_certified"] and built == [torus]
-    # dropped at the end of the run: a product outside a suite builds its own
-    a = TruncatedSymbol.mode(torus, (1, 0), 1)
+    fresh = KroneckerTorus(field, ["1", "sqrt2"])
+    report = verify_traces_and_collapse(fresh, predicted_hh(fresh), trials=20, depth=6, seed=11)
+    assert report["collapse_certified"] and built == [fresh]
+    # kept on the torus: a later product reads the same caches
+    a = TruncatedSymbol.mode(fresh, (1, 0), 1)
     compose(a, a, 2)
-    assert symbols._SUITE_EXPANSION.get() is None and built == [torus, torus]
+    assert built == [fresh]
 
 
 def test_commutator_trace_matches_the_full_commutator(torus):
