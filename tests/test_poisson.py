@@ -277,8 +277,7 @@ def test_star_delta_identity_suite_affine(field):
 
 def test_star_delta_suite_multiplies_no_signs(field, monkeypatch):
     # most terms of the suite's composites carry the field's cached +-1, which
-    # Scalar.__mul__ returns by identity; count the products that reach
-    # arithmetic (372 when negation built a fresh -1 each time)
+    # Scalar.__mul__ returns by identity; count the products that reach arithmetic
     cone = ConicDualModel(KroneckerTorus(field, ["1", "sqrt2"]))
     signs = (field.one, field.minus_one)
     products = []
