@@ -303,8 +303,8 @@ def run(config: RunConfig) -> int:
     """Run the selected analyses; returns the process exit status."""
     try:
         model = make_model(json.loads(config.model_path.read_text(encoding="utf-8")))
-    except FileNotFoundError:
-        print(f"error: model spec not found: {config.model_path}", file=sys.stderr)
+    except OSError as exc:  # missing, a directory, unreadable
+        print(f"error: cannot read model spec {config.model_path}: {exc.strerror}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:
         print(
@@ -319,6 +319,11 @@ def run(config: RunConfig) -> int:
     # an integer beyond Python's digit limit, or nesting beyond the recursion limit
     except (ValueError, RecursionError) as exc:
         print(f"error: malformed model spec {config.model_path}: {exc}", file=sys.stderr)
+        return 2
+    try:  # before any analysis runs, so a bad --out costs no work
+        config.out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create --out {config.out_dir}: {exc.strerror}", file=sys.stderr)
         return 2
     summary: dict = {
         "schema_version": SCHEMA_VERSION,

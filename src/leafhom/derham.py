@@ -57,7 +57,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import ComplexViolationError, UnsupportedModelError, ValidationError
-from .linalg import SparseMatrix, column_matrix, homology_dims, rank, rank_kernel
+from .linalg import SparseMatrix, add_into, column_matrix, homology_dims, rank, rank_kernel
 from .models import (
     FoliatedModel,
     Form,
@@ -69,7 +69,7 @@ from .models import (
     _multiplier_d,
     linear_extension,
 )
-from .scalars import Scalar
+from .scalars import NumberField, Scalar
 
 _SHIFTS = {"d": None, "d_F": (1, 0), "d_perp": (0, 1), "boundary": (-1, 2)}
 COMPONENTS = tuple(_SHIFTS)
@@ -135,7 +135,7 @@ def check_identities(
     the compiled walk (`_compile_walk`).  Returns one check document
     {"name", "passed", "detail"} per identity.
     """
-    steps, compiled = _compile_walk(identities)
+    steps, compiled = _compile_walk(identities, model.field)
     bad: dict[str, str] = {}
     reads = lambda ids: sorted(set().union(*(uses for *_, uses in ids)))  # in slot order
     live, order = compiled, reads(compiled)
@@ -152,15 +152,7 @@ def check_identities(
             else:
                 total: dict[FormMonomial, Scalar] = {}
                 for c, slot in sums:
-                    for m, v in images[slot].items():
-                        if c != 1:
-                            v = -v if c == -1 else v * c
-                        cur = total.get(m)
-                        new = v if cur is None else cur + v
-                        if new:
-                            total[m] = new
-                        else:
-                            total.pop(m, None)
+                    add_into(total, images[slot].items(), c)
                 ok = not total
             if not ok:
                 bad[name] = detail.format(model.monomial_label(mono))
@@ -173,14 +165,17 @@ def check_identities(
     ]
 
 
-def _compile_walk(identities: Sequence[tuple]) -> tuple[list[tuple], list[tuple]]:
+def _compile_walk(
+    identities: Sequence[tuple], field: NumberField
+) -> tuple[list[tuple], list[tuple]]:
     """Slot numbers for the composite suffixes of ``identities``, children before parents.
 
     Returns the steps, one (term map, child slot) per slot, where the image of
     a slot is its term map applied to its child's image and slot 0 is the
     monomial itself, and one (name, sums, slot, holds, uses) per identity: a
-    sum's (c, slot) terms, or a predicate's slot and ``holds``, with the
-    slots above 0 that it reads, directly or through a child.
+    sum's (c, slot) terms, c a Scalar of ``field`` or None for +1, or a
+    predicate's slot and ``holds``, with the slots above 0 that it reads,
+    directly or through a child.
     """
     slots: dict[tuple, int] = {(): 0}
     steps: list[tuple] = [(None, 0)]
@@ -200,7 +195,10 @@ def _compile_walk(identities: Sequence[tuple]) -> tuple[list[tuple], list[tuple]
         if len(spec) == 2:
             compiled.append((name, None, place(tuple(spec[0]), uses), spec[1], uses))
         else:
-            sums = [(c, place(tuple(maps), uses)) for c, *maps in spec[0]]
+            sums = [
+                (None if c == 1 else field.scalar(c), place(tuple(maps), uses))
+                for c, *maps in spec[0]
+            ]
             compiled.append((name, sums, 0, None, uses))
     return steps, compiled
 

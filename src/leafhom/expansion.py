@@ -2,10 +2,11 @@
 
 A side of a truncated symbol maps each order j to the trigonometric
 polynomial (mode -> exact scalar) multiplying |xi|^j there.  This module
-holds the arithmetic on those coefficients, the shape rule of a product
-(per-side top orders and watermark), and `Expansion`, which sums the terms
-(1/k!) (d/dxi)^k a_u . D^k b_v of one side's product: in full down to a
-given order, or only at the residue (the zero mode at order -1).
+holds the shape rule of a product (per-side top orders and watermark) and
+`Expansion`, which sums the terms (1/k!) (d/dxi)^k a_u . D^k b_v of one
+side's product: in full down to a given order, each term added into its
+order's coefficient in place (`linalg.add_into`, the package's one sparse
+accumulation), or only at the residue (the zero mode at order -1).
 
 The shape rule rests on one lemma: the trigonometric polynomials are
 Laurent polynomials over a field, which have no zero divisors.  On one side,
@@ -17,7 +18,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
+from operator import add
 
+from .linalg import add_into
 from .models import KroneckerTorus, Mode
 from .scalars import Scalar
 
@@ -25,37 +28,10 @@ TrigPoly = dict[Mode, Scalar]
 SIDES = (1, -1)
 
 
-def tp_add(a: TrigPoly, b: TrigPoly) -> TrigPoly:
-    out = dict(a)
-    for m, c in b.items():
-        cur = out.get(m)
-        new = c if cur is None else cur + c
-        if new:
-            out[m] = new
-        else:
-            out.pop(m, None)
-    return out
-
-
 def tp_scale(a: TrigPoly, c: Scalar | int | Fraction) -> TrigPoly:
     if not c:
         return {}
     return {m: v * c for m, v in a.items()}
-
-
-def tp_mul(a: TrigPoly, b: TrigPoly) -> TrigPoly:
-    out: TrigPoly = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            m = tuple(x + y for x, y in zip(m1, m2))
-            prod = c1 * c2
-            cur = out.get(m)
-            new = prod if cur is None else cur + prod
-            if new:
-                out[m] = new
-            else:
-                out.pop(m, None)
-    return out
 
 
 def side_tops(sides: dict[int, dict[int, TrigPoly]]) -> dict[int, int | None]:
@@ -165,12 +141,10 @@ class Expansion:
                     pb_k = derived.get(k)
                     if pb_k is None:
                         pb_k = derived[k] = self.derived(pb, k)
-                    term = tp_mul(pa, pb_k)
-                    if k:
-                        term = tp_scale(term, factor)
-                    if term:
-                        j = u - k + v
-                        acc[j] = tp_add(acc.get(j, {}), term)
+                    out = acc.setdefault(u - k + v, {})
+                    for m1, c1 in pa.items():
+                        shifted = ((tuple(map(add, m1, m2)), c2) for m2, c2 in pb_k.items())
+                        add_into(out, shifted, c1 * factor)
         return {j: p for j, p in acc.items() if p}
 
     def residue(

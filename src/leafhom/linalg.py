@@ -1,5 +1,10 @@
 """Sparse exact linear algebra over a NumberField.
 
+`add_into` is the one sparse accumulation of the package: out += c * v into
+a dict of exact Scalars, dropping the keys that sum to zero.  Operator
+images (forms), symbol products (trigonometric polynomials) and matrix
+columns are all built through it.
+
 One elimination, a row echelon (`Echelon`), gives ranks, spans and kernels:
 each row is stored as its residual modulo the rows before it, with the
 memoized inverse of its lead entry, and is never normalized or
@@ -10,11 +15,31 @@ Exact field arithmetic throughout; no floating point anywhere.
 from __future__ import annotations
 
 from bisect import insort
+from typing import Hashable, Iterable
 
 from .errors import ComplexViolationError, ShapeError
 from .scalars import NumberField, Scalar
 
 SparseVector = dict[int, Scalar]
+
+
+def add_into(out: dict, pairs: Iterable[tuple[Hashable, Scalar]], coeff: Scalar | None = None):
+    """out += coeff * pairs in place (unscaled when coeff is None); returns out.
+
+    Each (key, v) of ``pairs`` adds coeff * v at key, and a key whose sum is
+    exactly zero is dropped, so ``out`` never holds a zero.
+    """
+    for key, v in pairs:
+        if coeff is not None:
+            v = coeff * v
+        cur = out.get(key)
+        if cur is not None:
+            v = cur + v
+        if v:
+            out[key] = v
+        else:
+            out.pop(key, None)
+    return out
 
 
 class SparseMatrix:
@@ -64,13 +89,7 @@ class SparseMatrix:
         by_row_other: list[SparseVector] = other.row_vectors()
         acc: dict[tuple[int, int], Scalar] = {}
         for (r, k), v in self.entries.items():
-            for c, w in by_row_other[k].items():
-                key = (r, c)
-                prod = v * w
-                if key in acc:
-                    acc[key] = acc[key] + prod
-                else:
-                    acc[key] = prod
+            add_into(acc, (((r, c), w) for c, w in by_row_other[k].items()), v)
         return SparseMatrix(self.rows, other.cols, acc, self.field)
 
     def is_zero(self) -> bool:
@@ -106,7 +125,9 @@ class Echelon:
         """Return vec reduced modulo the current span (a fresh dict).
 
         The result has no entry at any pivot column, so it is the same for
-        every vector of the coset vec + span.
+        every vector of the coset vec + span.  The elimination keeps its own
+        loop rather than `add_into`: it must learn which pivot columns a tail
+        brings into the vector, to insert them into the walk (`insort`).
         """
         work = {c: v for c, v in vec.items() if v}
         pivots = self.pivot_rows

@@ -21,10 +21,11 @@ itself, a bundle's base torus, or None for a frame and its cone.
 
 Forms are finite sums of monomials (Fourier mode x radial power x component
 label x ordered exterior monomial) with exact Scalar coefficients; a monomial
-is a `FormMonomial` named tuple.  The monomials split into blocks
-(comp, mode, l), described once on `FoliatedModel`; l is the radial
-homogeneity, 0 on models without it.  All model and form objects are
-immutable and freely shareable across threads.
+is a `FormMonomial` named tuple.  Sums of forms and the linear extension of a
+term map (`linear_extension`) accumulate through `linalg.add_into`.  The
+monomials split into blocks (comp, mode, l), described once on
+`FoliatedModel`; l is the radial homogeneity, 0 on models without it.  All
+model and form objects are immutable and freely shareable across threads.
 
 The exterior structure of a model's generators is read from its
 `ExteriorTables`, built once per model from `merge_ext` and the leaf flags:
@@ -45,7 +46,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ComplexViolationError, SpecParseError, UnsupportedModelError, ValidationError
-from .linalg import integer_kernel
+from .linalg import add_into, integer_kernel
 from .scalars import NumberField, Scalar
 
 Mode = tuple[int, ...]
@@ -123,17 +124,10 @@ def linear_extension(
     pairs: Iterable[tuple[FormMonomial, Scalar]],
     out: dict[FormMonomial, Scalar] | None = None,
 ) -> dict[FormMonomial, Scalar]:
-    """Add sum c * terms(m) over (m, c) in ``pairs`` into ``out``; zeros are dropped."""
+    """Add sum c * terms(m) over (m, c) in ``pairs`` into ``out`` (`linalg.add_into`)."""
     out = {} if out is None else out
     for mono, coeff in pairs:
-        for mono2, val in terms(mono):
-            total = coeff * val
-            cur = out.get(mono2)
-            new = total if cur is None else cur + total
-            if new:
-                out[mono2] = new
-            else:
-                out.pop(mono2, None)
+        add_into(out, terms(mono), coeff)
     return out
 
 
@@ -224,9 +218,7 @@ class Form:
 
     def __add__(self, other: Form) -> Form:
         self._check_model(other)
-        one = self.model.field.one
-        out = linear_extension(lambda m: ((m, one),), other.terms.items(), dict(self.terms))
-        return Form(self.model, out)
+        return Form(self.model, add_into(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other: Form) -> Form:
         return self + (-other)
@@ -517,17 +509,10 @@ def _frame_d(
         outer_sign = -1 if pos & 1 else 1
         for coeff, (a, b) in dual_d[g]:
             merged = merge_ext((a, b), rest)
-            if merged is None:
-                continue
-            sign, new_ext = merged
-            total = coeff * (outer_sign * sign)
-            mono2 = FormMonomial(mono.mode, mono.xi, mono.comp, new_ext)
-            cur = out.get(mono2)
-            new = total if cur is None else cur + total
-            if new:
-                out[mono2] = new
-            else:
-                out.pop(mono2, None)
+            if merged is not None:
+                sign, new_ext = merged
+                mono2 = FormMonomial(mono.mode, mono.xi, mono.comp, new_ext)
+                add_into(out, ((mono2, coeff if outer_sign * sign > 0 else -coeff),))
     return list(out.items())
 
 
@@ -652,7 +637,6 @@ class LieFrameModel(FoliatedModel):
         return {k: -c for k, c in self.structure.get((j, i), {}).items()}
 
     def validate(self) -> None:
-        zero = self.field.zero
         for i in range(self.n):
             for j in range(self.n):
                 for k in range(self.n):
@@ -660,10 +644,8 @@ class LieFrameModel(FoliatedModel):
                     for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
                         # [[e_a, e_b], e_c]
                         for l, coeff in self.bracket_vector(a, b).items():
-                            for m2, coeff2 in self.bracket_vector(l, c).items():
-                                cur = acc.get(m2, zero)
-                                acc[m2] = cur + coeff * coeff2
-                    if any(v for v in acc.values()):
+                            add_into(acc, self.bracket_vector(l, c).items(), coeff)
+                    if acc:
                         raise ValidationError(
                             f"Jacobi identity fails on frame indices ({i+1}, {j+1}, {k+1})"
                         )

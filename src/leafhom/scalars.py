@@ -9,11 +9,12 @@ The form is unique, so zero testing and equality are exact int comparisons.
 `Scalar.coeffs` reads the coordinates as Fractions.
 
 Each field keeps one `one` and one `minus_one` object, and `field.scalar(1)`,
-`field.scalar(-1)` and the negation of either return them.  Multiplication
-checks for them by identity (`is`, never by value: `__eq__` costs more than
-the product it would save) and returns the other factor or its negation, so
-the signs term maps attach cost no arithmetic.  Any other unit, such as a
-sum that comes out as -1, takes the general path, which is exact as well.
+`field.scalar(-1)` (of an int or an integral Fraction) and the negation of
+either return them.  Multiplication checks for them by identity (`is`, never
+by value: `__eq__` costs more than the product it would save) and returns the
+other factor or its negation, so the signs term maps attach cost no
+arithmetic.  Any other unit, such as a sum that comes out as -1, takes the
+general path, which is exact as well.
 """
 
 from __future__ import annotations
@@ -115,6 +116,8 @@ class NumberField:
             return value
         if isinstance(value, str):
             return self.parse(value)
+        if isinstance(value, Fraction) and value.denominator == 1:
+            value = value.numerator  # an integral Fraction shares the int path's cache
         if isinstance(value, int):
             cached = self._cache.get(value)
             if cached is not None:

@@ -7,7 +7,8 @@ reduction of each differential (Zomorodian & Carlsson, "Computing
 persistent homology", 2005): the pairs it finds are the differentials
 d_r, and the vectors it leaves unpaired survive to the limit (Basu &
 Parida, "Spectral sequences, exact couples and persistent homology of
-filtrations", 2017).  The final page is checked against the homology of
+filtrations", 2017); a column absorbs an earlier one through `linalg.add_into`,
+the package's one sparse accumulation.  The final page is checked against the homology of
 the underlying complex, computed by a separate elimination, so a
 convergence failure cannot pass silently.
 """
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 from .derham import block_differentials
 from .errors import ComplexViolationError, UnsupportedModelError, ValidationError
-from .linalg import SparseMatrix, SparseVector, homology_dims
+from .linalg import SparseMatrix, SparseVector, add_into, homology_dims
 from .models import ConicDualModel, FoliatedModel, FormMonomial, ModeWindow
 from .poisson import delta_terms, line_blocks
 from .scalars import NumberField, Scalar
@@ -192,20 +193,8 @@ def _pairs(mat: SparseMatrix, src: list[int], dst: list[int]) -> list[tuple[int,
                 break
             # the stored rest lies below the low, so max(col) strictly falls
             rest, inv = reduced[low]
-            _subtract_scaled(col, rest, entry * inv)
+            add_into(col, rest.items(), -(entry * inv))
     return out
-
-
-def _subtract_scaled(work: SparseVector, row: SparseVector, coeff: Scalar) -> None:
-    """work -= coeff * row, in place, dropping exact zeros."""
-    for c, v in row.items():
-        delta = coeff * v
-        cur = work.get(c)
-        new = -delta if cur is None else cur - delta
-        if new:
-            work[c] = new
-        else:
-            work.pop(c, None)
 
 
 # -- the transverse-degree filtration of the cone boundary complex ----------------

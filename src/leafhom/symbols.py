@@ -48,8 +48,8 @@ from math import comb
 from typing import Callable, Sequence
 
 from .errors import InsufficientTruncationError, ValidationError
-from .expansion import SIDES, Expansion, TrigPoly, product_shape, side_tops, tp_add, tp_scale
-from .linalg import Echelon
+from .expansion import SIDES, Expansion, TrigPoly, product_shape, side_tops, tp_scale
+from .linalg import Echelon, add_into
 from .models import KroneckerTorus, Mode
 from .scalars import Scalar
 
@@ -157,7 +157,7 @@ class TruncatedSymbol:
 def _merge_orders(a: dict[int, TrigPoly], b: dict[int, TrigPoly]) -> dict[int, TrigPoly]:
     out = {j: dict(p) for j, p in a.items()}
     for j, p in b.items():
-        out[j] = tp_add(out.get(j, {}), p)
+        add_into(out.setdefault(j, {}), p.items())
     return out
 
 
@@ -269,9 +269,8 @@ def apply_derivation(
                     sign = 1 if k % 2 == 1 else -1
                     if s < 0 and k % 2 == 1:
                         sign = -sign
-                    term = tp_scale(expansion.derived(p, k), torus.field.scalar(Fraction(sign, k)))
-                    if term:
-                        acc[u - k] = tp_add(acc.get(u - k, {}), term)
+                    c = torus.field.scalar(Fraction(sign, k))
+                    add_into(acc.setdefault(u - k, {}), expansion.derived(p, k).items(), c)
         return TruncatedSymbol(torus, sides, floor)
     raise ValidationError(f"unknown derivation tag {d.tag!r}")
 

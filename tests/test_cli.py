@@ -268,6 +268,17 @@ def test_unsupported_pairing(tmp_path):
             ["derham"],
             "malformed model spec",
         ),
+        # file errors: "{tmp}" is the test's directory, and these flags override the defaults
+        (
+            {"family": "kronecker_torus", "alpha": ["1", "sqrt2"]},
+            ["run", "--analyses", "all", "--out", "{tmp}/model.json"],
+            "cannot create --out",
+        ),
+        (
+            {"family": "kronecker_torus", "alpha": ["1", "sqrt2"]},
+            ["derham", "--model", "{tmp}"],
+            "cannot read model spec",
+        ),
     ],
     ids=[
         "window-too-small",
@@ -288,12 +299,15 @@ def test_unsupported_pairing(tmp_path):
         "infinite-bracket-index",
         "radicand-beyond-int-digit-limit",
         "integer-beyond-int-digit-limit",
+        "out-is-a-file",
+        "model-is-a-directory",
     ],
 )
 def test_bad_input_exits_2_with_one_line(spec, args, message, tmp_path, capsys):
     path = tmp_path / "model.json"
     path.write_text(spec if isinstance(spec, str) else json.dumps(spec))
-    code = cli.main([*args, "--model", str(path), "--out", str(tmp_path / "o")])
+    command, *flags = (a.replace("{tmp}", str(tmp_path)) for a in args)
+    code = cli.main([command, "--model", str(path), "--out", str(tmp_path / "o"), *flags])
     assert code == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ")

@@ -11,6 +11,7 @@ from leafhom.errors import ComplexViolationError, ShapeError
 from leafhom.linalg import (
     Echelon,
     SparseMatrix,
+    add_into,
     column_matrix,
     homology_dims,
     integer_kernel,
@@ -18,6 +19,7 @@ from leafhom.linalg import (
     rank_kernel,
     span_dim,
 )
+from leafhom.models import FormMonomial
 from leafhom.scalars import NumberField
 
 try:  # test-only dependency
@@ -253,6 +255,77 @@ def test_rank_matches_sympy_over_q_sqrt2(field):
         assert rank(m) == expected
         ranks.add((expected, min(rows, cols)))
     assert any(r < full for r, full in ranks)
+
+
+# -- the sparse accumulation kernel over Q(i, sqrt2) ---------------------------------
+
+
+def test_add_into_works_in_place_and_returns_out(field):
+    two, x = field.scalar(2), field.parse("1+sqrt2")
+    out = {0: two}
+    assert add_into(out, [(1, x), (0, two)]) is out
+    assert out == {0: field.scalar(4), 1: x}
+
+
+def test_add_into_drops_a_key_that_cancels(field):
+    x = field.parse("i-sqrt2")
+    assert add_into({0: x, 1: x}, [(0, -x)]) == {1: x}
+    assert add_into({}, [(0, x), (0, -x), (1, field.zero)]) == {}
+    assert add_into({0: x}, [(0, x)], field.minus_one) == {}
+
+
+def test_add_into_scales_by_a_scalar_or_adds_unscaled(field):
+    x, c = field.parse("1/2+i"), field.parse("sqrt2")
+    assert add_into({}, [(0, x)], c) == {0: c * x}
+    assert add_into({0: x}, [(0, x)], c) == {0: x + c * x}
+    assert add_into({0: x}, [(0, x)]) == add_into({0: x}, [(0, x)], None) == {0: x + x}
+
+
+def test_add_into_takes_int_tuple_and_monomial_keys(field):
+    x = field.parse("i")
+    for key in (3, (1, -1), FormMonomial((1, 0), 0, 0, (0,))):
+        assert add_into({key: x}, [(key, x), (key, x)], field.minus_one) == {key: -x}
+
+
+QI2 = NumberField((2,))
+
+
+def ref_product(a, b):
+    """Product of coordinate tuples on the basis 1, i, sqrt2, i*sqrt2 of Q(i, sqrt2)."""
+    out = [Fraction(0)] * 4
+    for ma, x in enumerate(a):
+        for mb, y in enumerate(b):
+            both = ma & mb  # i^2 = -1, sqrt2^2 = 2
+            out[ma ^ mb] += x * y * (-1 if both & 1 else 1) * (2 if both & 2 else 1)
+    return out
+
+
+if st is not None:
+    QI2_VALUES = [QI2.parse(t) for t in ("1", "i", "sqrt2", "1/2-i*sqrt2", "2+i")]
+    QI2_ELEMENT = st.sampled_from(QI2_VALUES + [-v for v in QI2_VALUES])
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        st.dictionaries(st.integers(0, 3), QI2_ELEMENT, max_size=4),
+        st.lists(st.tuples(st.integers(0, 3), QI2_ELEMENT), max_size=8),
+        st.one_of(st.none(), st.just(QI2.one), st.just(QI2.minus_one), QI2_ELEMENT),
+    )
+    def test_add_into_matches_a_dense_fraction_reference(start, pairs, coeff):
+        dense = [list(start[k].coeffs) if k in start else [Fraction(0)] * 4 for k in range(4)]
+        c = (1, 0, 0, 0) if coeff is None else coeff.coeffs
+        for key, v in pairs:
+            dense[key] = [a + b for a, b in zip(dense[key], ref_product(c, v.coeffs))]
+        out = dict(start)
+        assert add_into(out, iter(pairs), coeff) is out
+        assert {k: v.coeffs for k, v in out.items()} == {
+            k: tuple(x) for k, x in enumerate(dense) if any(x)
+        }
+
+else:  # pragma: no cover
+
+    @pytest.mark.skip(reason="hypothesis is not installed")
+    def test_add_into_matches_a_dense_fraction_reference():
+        pass
 
 
 # -- the rank-only echelon over Q(i, sqrt2, sqrt3) -----------------------------------

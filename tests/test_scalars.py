@@ -188,6 +188,15 @@ def test_rational_scalars_hash_like_equal_numbers():
         assert hash(third) == hash(Fraction(1, 3))
 
 
+def test_integral_fractions_share_the_cached_scalars():
+    for field in (NumberField(()), NumberField((2,)), NumberField((2, 3))):
+        assert field.scalar(Fraction(-1)) is field.minus_one
+        assert field.scalar(Fraction(1)) is field.one
+        assert field.scalar(Fraction(0)) is field.zero
+        assert field.scalar(Fraction(4, 2)) is field.scalar(2)
+        assert field.scalar(Fraction(1, 2)).coeffs[0] == Fraction(1, 2)
+
+
 def assert_normal(x: Scalar) -> None:
     """den > 0, no common factor of den and all numerators, zero is (0, ..., 0)/1."""
     assert isinstance(x.den, int) and x.den > 0
