@@ -10,7 +10,9 @@ error and the run stops.  A broken complex found by the engine
 (ComplexViolationError) is a failed check: the summary records its
 message in place of the report and the run goes on.  The analyses of one
 run share a `RunContext`, so each derived model and each leafwise table
-is computed once per run.
+is computed once per run.  Of the analyses only `derham`, which the context
+needs, is imported here; each runner imports its own, so a run loads (and,
+with no cached bytecode, compiles) only what it selects.
 """
 
 from __future__ import annotations
@@ -18,11 +20,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import derham, gysin, hochschild, poisson, specseq, symbols
+from . import derham
 from .errors import ComplexViolationError, LeafhomError, SpecParseError, UnsupportedModelError
 from .models import (
     CircleProductModel,
@@ -37,33 +39,41 @@ from .models import (
 )
 from .reports import SCHEMA_VERSION, write_report
 
+if TYPE_CHECKING:
+    from . import poisson
+
 ANALYSES = ("derham", "poisson", "gysin", "specseq", "hochschild", "symbols")
 
 
-@dataclass
 class RunConfig:
-    model_path: Path
-    analyses: tuple[str, ...]
-    window: ModeWindow = dc_field(default_factory=ModeWindow)
-    depth: int = 6
-    trials: int = 100
-    seed: int = 0
-    out_dir: Path = Path("leafhom-out")
-    format: str = "json"
+    """The settings of one run, checked when built, before any analysis runs."""
 
-    def __post_init__(self):
-        if not self.analyses:
+    def __init__(
+        self,
+        model_path: Path,
+        analyses: tuple[str, ...],
+        window: ModeWindow = ModeWindow(),
+        depth: int = 6,
+        trials: int = 100,
+        seed: int = 0,
+        out_dir: Path = Path("leafhom-out"),
+        format: str = "json",
+    ):
+        if not analyses:
             raise SpecParseError("at least one analysis must be selected")
-        for a in self.analyses:
+        for a in analyses:
             if a not in ANALYSES:
                 raise SpecParseError(f"unknown analysis {a!r}")
-        if self.format not in ("json", "markdown", "csv"):
-            raise SpecParseError(f"unknown output format {self.format!r}")
-        # flags only the symbols analysis reads, checked before any analysis runs
-        if self.depth < 0:
-            raise SpecParseError(f"--depth {self.depth}: expansion depth must be nonnegative")
-        if self.trials < 0:
-            raise SpecParseError(f"--trials {self.trials}: trial count must be nonnegative")
+        if format not in ("json", "markdown", "csv"):
+            raise SpecParseError(f"unknown output format {format!r}")
+        # flags only the symbols analysis reads
+        if depth < 0:
+            raise SpecParseError(f"--depth {depth}: expansion depth must be nonnegative")
+        if trials < 0:
+            raise SpecParseError(f"--trials {trials}: trial count must be nonnegative")
+        self.model_path, self.analyses, self.window = model_path, analyses, window
+        self.depth, self.trials, self.seed = depth, trials, seed
+        self.out_dir, self.format = out_dir, format
 
 
 # -- the run context ----------------------------------------------------------
@@ -124,6 +134,7 @@ class RunContext:
 
     def boundary(self, operator: str = "delta") -> poisson.BoundaryDims:
         """The cone's boundary homology under ``operator``, each line computed once."""
+        from . import poisson
         if operator not in self._boundary:
             self._boundary[operator] = poisson.BoundaryDims(self.cone, self.window, operator)
         return self._boundary[operator]
@@ -165,6 +176,7 @@ def _run_derham(ctx: RunContext, cfg: RunConfig) -> tuple[dict, bool]:
 
 
 def _run_poisson(ctx: RunContext, cfg: RunConfig) -> tuple[dict, bool]:
+    from . import poisson
     conic = ctx.cone
     star = poisson.verify_star_delta_identity(conic, cfg.window)
     doc = {
@@ -186,6 +198,7 @@ def _run_poisson(ctx: RunContext, cfg: RunConfig) -> tuple[dict, bool]:
 
 
 def _run_gysin(ctx: RunContext, cfg: RunConfig) -> tuple[dict, bool]:
+    from . import gysin
     total = ctx.circle_product
     base_dims, total_dims = ctx.table(ctx.torus), ctx.table(total)
     reports = gysin.product_splitting_dims(total, base_dims, total_dims)
@@ -201,6 +214,7 @@ def _run_gysin(ctx: RunContext, cfg: RunConfig) -> tuple[dict, bool]:
 
 
 def _run_specseq(ctx: RunContext, cfg: RunConfig) -> tuple[dict, bool]:
+    from . import specseq
     conic, direct = ctx.cone, ctx.boundary()
     top = conic.leaf_dim + conic.codim
     p = conic.leaf_dim // 2
@@ -231,6 +245,7 @@ def _run_specseq(ctx: RunContext, cfg: RunConfig) -> tuple[dict, bool]:
 
 
 def _run_hochschild(ctx: RunContext, cfg: RunConfig) -> tuple[dict, bool]:
+    from . import hochschild
     torus = ctx.torus
     circle = ctx.table(ctx.cosphere)
     e2 = hochschild.e2_dims(torus, circle)
@@ -260,6 +275,7 @@ def _run_hochschild(ctx: RunContext, cfg: RunConfig) -> tuple[dict, bool]:
 
 
 def _run_symbols(ctx: RunContext, cfg: RunConfig) -> tuple[dict, bool]:
+    from . import hochschild, symbols
     torus = ctx.torus
     if torus.resonant:
         return (

@@ -52,9 +52,8 @@ naming the block and the degrees.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ComplexViolationError, UnsupportedModelError, ValidationError
 from .linalg import SparseMatrix, add_into, column_matrix, homology_dims, rank, rank_kernel
@@ -144,7 +143,8 @@ def check_identities(
         images[0] = {mono: model.field.one}
         for slot in order:
             terms, child = steps[slot]
-            images[slot] = linear_extension(terms, images[child].items())
+            source = images[child]  # an empty image maps to an empty image
+            images[slot] = linear_extension(terms, source.items()) if source else {}
         failures = len(bad)
         for name, sums, slot, holds, _uses in live:
             if sums is None:
@@ -152,7 +152,8 @@ def check_identities(
             else:
                 total: dict[FormMonomial, Scalar] = {}
                 for c, slot in sums:
-                    add_into(total, images[slot].items(), c)
+                    if images[slot]:
+                        add_into(total, images[slot].items(), c)
                 ok = not total
             if not ok:
                 bad[name] = detail.format(model.monomial_label(mono))
@@ -301,8 +302,7 @@ def block_homology(
         raise ComplexViolationError(f"block {block}: {exc}") from exc
 
 
-@dataclass
-class BigradedDims:
+class BigradedDims(NamedTuple):
     """Exact dimension table (r, s) -> count with provenance flags."""
 
     dims: dict[tuple[int, int], int]
@@ -407,7 +407,7 @@ def cohomology_dims(
         raise ValidationError("a homogeneity degree needs the conic model")
     base = model.torus
     # on the cone, every block at the one homogeneity, in the window's range or not
-    narrowed = replace(window, l_min=homogeneity, l_max=homogeneity) if is_conic else window
+    narrowed = ModeWindow(window.bound, homogeneity, homogeneity) if is_conic else window
     keys = model.block_keys(narrowed)
     if base is None:
         op = component_terms(model, "d_F")
@@ -440,8 +440,7 @@ def cohomology_dims(
 # -- Diophantine certificates ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DiophantineCertificate:
+class DiophantineCertificate(NamedTuple):
     """Either an exact resonance witness or an explicit (C, N) lower bound.
 
     A `diophantine` verdict certifies |m . alpha|^(-1) <= C * |m|_1^N for all

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -53,17 +52,22 @@ Mode = tuple[int, ...]
 BLOCK_CACHE_SIZE = 64  # blocks a model keeps multipliers for; a full memo is cleared
 
 
-@dataclass(frozen=True)
-class ModeWindow:
-    """Finite truncation: per-axis Fourier bound and radial degree range."""
-
+class _WindowFields(NamedTuple):
     bound: int = 2
     l_min: int = -2
     l_max: int = 2
 
-    def __post_init__(self):
+
+class ModeWindow(_WindowFields):
+    """Finite truncation: per-axis Fourier bound and radial range; ``_replace`` skips the check."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.bound < 0 or self.l_min > self.l_max:
             raise ValidationError("inconsistent mode window")
+        return self
 
     def modes(self, length: int) -> Iterator[Mode]:
         return itertools.product(range(-self.bound, self.bound + 1), repeat=length)
@@ -90,23 +94,28 @@ class FormMonomial(NamedTuple):
         return (self.comp, self.mode, self.xi, len(self.ext), self.ext)
 
 
-@dataclass(frozen=True)
-class FrameSpec:
-    """The chosen coframe: leafwise and transverse generator names.
-
-    The complement is always the constant (frame-parallel) span; leafwise
-    results do not depend on that choice, and it makes the splitting
-    computable in closed form.
-    """
-
+class _FrameFields(NamedTuple):
     longitudinal: tuple[str, ...]
     transverse: tuple[str, ...]
     convention: str = "constant-span complement"
 
-    def __post_init__(self):
+
+class FrameSpec(_FrameFields):
+    """The chosen coframe: leafwise and transverse generator names.
+
+    The complement is always the constant (frame-parallel) span; leafwise
+    results do not depend on that choice, and it makes the splitting
+    computable in closed form.  A named tuple, checked like `ModeWindow`.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         names = self.longitudinal + self.transverse
         if len(set(names)) != len(names):
             raise ValidationError("coframe generator names must be distinct")
+        return self
 
     def to_json(self) -> dict:
         return {

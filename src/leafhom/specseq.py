@@ -15,7 +15,7 @@ convergence failure cannot pass silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .derham import block_differentials
 from .errors import ComplexViolationError, UnsupportedModelError, ValidationError
@@ -25,8 +25,7 @@ from .poisson import delta_terms, line_blocks
 from .scalars import NumberField, Scalar
 
 
-@dataclass(frozen=True)
-class BasisVector:
+class BasisVector(NamedTuple):
     label: str
     degree: int
     weight: int
@@ -84,8 +83,7 @@ class FilteredComplex:
     def homology_dims(self) -> dict[int, int]:
         return dict(self._homology)
 
-@dataclass(frozen=True)
-class SpectralPage:
+class SpectralPage(NamedTuple):
     """One page: cell dimensions and the exact ranks of its differential."""
 
     index: int

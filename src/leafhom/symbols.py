@@ -41,11 +41,10 @@ the torus (`_expansion`), so its caches of powers and factors fill once.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import InsufficientTruncationError, ValidationError
 from .expansion import SIDES, Expansion, TrigPoly, product_shape, side_tops, tp_scale
@@ -200,8 +199,7 @@ def commutator(a: TruncatedSymbol, b: TruncatedSymbol, depth: int) -> TruncatedS
 # -- derivations -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(NamedTuple):
     """transverse_i (frame direction), leafwise, or radial (log-commutator)."""
 
     tag: str  # "transverse" | "leafwise" | "radial"

@@ -6,6 +6,8 @@ import ast
 import copy
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -491,6 +493,33 @@ def test_package_imports_only_the_stdlib():
                 if top != "leafhom" and top not in sys.stdlib_module_names:
                     outside.append(f"{path.name}:{node.lineno}: {name}")
     assert not outside
+
+
+def _modules_loaded(statement: str, *argv: str) -> set[str]:
+    """The modules a fresh interpreter loads running ``statement``, past its own preloads."""
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)  # site hooks preload certifi and the like\n"
+        f"{statement}\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    )
+    path = (str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    done = subprocess.run(
+        [sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True, check=True
+    )
+    return set(done.stdout.splitlines()[-1].split())
+
+
+def test_start_up_loads_only_the_analyses_a_run_selects(torus_spec, tmp_path):
+    # each runner imports its own modules, and no record is a dataclass
+    args = ["run", "--model", str(torus_spec), "--analyses", "derham,hochschild,gysin",
+            "--mode-bound", "1", "--out", str(tmp_path / "o")]
+    loaded = _modules_loaded("from leafhom import cli\nassert cli.main(sys.argv[1:]) == 0", *args)
+    assert {"leafhom.derham", "leafhom.hochschild", "leafhom.gysin"} <= loaded
+    unused = {"leafhom.symbols", "leafhom.specseq", "leafhom.expansion", "dataclasses"}
+    assert sorted(loaded & unused) == []
+    assert "dataclasses" not in _modules_loaded("import leafhom")
 
 
 def test_analysis_documents_equal_their_written_json(torus_spec, tmp_path):

@@ -18,6 +18,7 @@ from leafhom.models import (
     FoliatedModel,
     Form,
     FormMonomial,
+    FrameSpec,
     KroneckerTorus,
     LieFrameModel,
     ModeWindow,
@@ -331,6 +332,24 @@ def test_mode_window_validation():
         ModeWindow(bound=-1)
     with pytest.raises(ValidationError):
         ModeWindow(bound=1, l_min=2, l_max=-2)
+
+
+def test_mode_window_is_an_immutable_value():
+    window = ModeWindow(1, -1, 1)
+    assert repr(window) == "ModeWindow(bound=1, l_min=-1, l_max=1)"
+    table = {window: "entry"}
+    assert table[ModeWindow(bound=1, l_min=-1, l_max=1)] == "entry"
+    with pytest.raises(AttributeError):
+        window.bound = 2
+
+
+def test_frame_spec_rejects_a_repeated_generator_name():
+    with pytest.raises(ValidationError):
+        FrameSpec(("x",), ("y", "x"))
+    spec = FrameSpec(("x",), ("y",))
+    assert spec.to_json() == {
+        "longitudinal": ["x"], "transverse": ["y"], "convention": "constant-span complement"
+    }
 
 
 def test_lie_blocks(field):

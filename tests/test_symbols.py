@@ -580,9 +580,11 @@ def test_derivation_memo_matches_apply_derivation(torus, monkeypatch):
     for d, arg, depth in cases + cases:
         assert derive(d, arg, depth) == real(d, arg, depth), (d, arg.floor, depth)
     assert len(calls) == len(cases)
-    # an equal symbol built apart, its orders in another order, is the same key
+    # an equal symbol built apart, its orders in another order, is the same key,
+    # and so is each equal derivation built apart
     rebuilt = TruncatedSymbol(torus, {s: dict(reversed(a.sides[s].items())) for s in (1, -1)})
-    derive(Derivation("radial"), rebuilt, 6)
+    for d in (Derivation("radial"), Derivation("leafwise", 0), Derivation("transverse", 1)):
+        derive(d, rebuilt, 6)
     assert len(calls) == len(cases)
 
 
