@@ -28,12 +28,6 @@ TrigPoly = dict[Mode, Scalar]
 SIDES = (1, -1)
 
 
-def tp_scale(a: TrigPoly, c: Scalar | int | Fraction) -> TrigPoly:
-    if not c:
-        return {}
-    return {m: v * c for m, v in a.items()}
-
-
 def side_tops(sides: dict[int, dict[int, TrigPoly]]) -> dict[int, int | None]:
     """Top order on each side (None where the side is empty)."""
     return {s: max(sides[s]) if sides[s] else None for s in SIDES}

@@ -14,9 +14,8 @@ The two sides never interact: composition, derivations and traces all
 preserve the canonical splitting of the algebra.
 
 A cocycle value is one coefficient, the zero mode at order -1 on one side of
-((a_0 o D_1 a_1) o D_2 a_2) o ..., so `cocycle_evaluate` computes only that.
-The residue trace itself is the l = 0 cocycle: `residue_trace(a, side)` is
-`cocycle_evaluate([], side, [a])`, with the same side and watermark checks.
+((a_0 o D_1 a_1) o D_2 a_2) o ..., so `cocycle_evaluate` computes only that;
+with no derivation (l = 0) it is the residue trace itself.
 The coefficients are Laurent polynomials over a field, which have no zero
 divisors, so the top order of a product on one side is the sum of its
 factors' top orders (the k = 0 term, the product of the two top
@@ -31,7 +30,7 @@ its last product sums only the terms that land on the zero mode at order -1.
 `verify_traces_and_collapse` returns the symbols report document, verdict
 included.  It repeats no work the values do not need: a trace pair
 trace(a o b) - trace(b o a) is read off two targeted residues after the same
-watermark check (`_commutator_trace`), with neither product built, and the
+watermark check (`commutator_trace`), with neither product built, and the
 cocycles of one level of one stage share a memo of derivation images keyed
 by value (`_derivation_memo`), dropped when the level ends.  Every product,
 derivation, cocycle and trace pair of a torus reads one `Expansion`, kept on
@@ -47,7 +46,7 @@ from math import comb
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import InsufficientTruncationError, ValidationError
-from .expansion import SIDES, Expansion, TrigPoly, product_shape, side_tops, tp_scale
+from .expansion import SIDES, Expansion, TrigPoly, product_shape, side_tops
 from .linalg import Echelon, add_into
 from .models import KroneckerTorus, Mode
 from .scalars import Scalar
@@ -111,23 +110,6 @@ class TruncatedSymbol:
         orders = [j for s in SIDES for j in self.sides[s]]
         return max(orders) if orders else None
 
-    def __add__(self, other: TruncatedSymbol) -> TruncatedSymbol:
-        self._check(other)
-        sides = {
-            s: _merge_orders(self.sides[s], other.sides[s]) for s in SIDES
-        }
-        return TruncatedSymbol(self.torus, sides, _floor_max(self.floor, other.floor))
-
-    def __sub__(self, other: TruncatedSymbol) -> TruncatedSymbol:
-        return self + other.scale(-1)
-
-    def scale(self, c: Scalar | int | Fraction) -> TruncatedSymbol:
-        cc = c if isinstance(c, Scalar) else self.torus.field.scalar(c)
-        sides = {
-            s: {j: tp_scale(p, cc) for j, p in self.sides[s].items()} for s in SIDES
-        }
-        return TruncatedSymbol(self.torus, sides, self.floor)
-
     def _check(self, other: TruncatedSymbol) -> None:
         if self.torus is not other.torus:
             raise ValidationError("symbols live on different tori")
@@ -151,13 +133,6 @@ class TruncatedSymbol:
                 bits.append(f"[{'+' if s > 0 else '-'}|xi|^{j}: {terms}]")
         floor = "" if self.floor is None else f" (exact above {self.floor})"
         return "Symbol(" + " ".join(bits or ["0"]) + ")" + floor
-
-
-def _merge_orders(a: dict[int, TrigPoly], b: dict[int, TrigPoly]) -> dict[int, TrigPoly]:
-    out = {j: dict(p) for j, p in a.items()}
-    for j, p in b.items():
-        add_into(out.setdefault(j, {}), p.items())
-    return out
 
 
 def _floor_max(fa: int | None, fb: int | None) -> int | None:
@@ -189,11 +164,6 @@ def compose(a: TruncatedSymbol, b: TruncatedSymbol, depth: int) -> TruncatedSymb
         if tops[s] is not None
     }
     return TruncatedSymbol(torus, sides, floor)
-
-
-def commutator(a: TruncatedSymbol, b: TruncatedSymbol, depth: int) -> TruncatedSymbol:
-    """a o b - b o a, both products built; `_commutator_trace` reads its trace without them."""
-    return compose(a, b, depth) - compose(b, a, depth)
 
 
 # -- derivations -----------------------------------------------------------------
@@ -304,33 +274,24 @@ def _derivation_memo() -> _Derive:
 
 
 def cocycle_evaluate(
-    dirs: list[Derivation],
-    side: int,
-    args: tuple[TruncatedSymbol, ...] | list[TruncatedSymbol],
-    depth: int = 6,
-) -> Scalar:
-    """Evaluate (i_{D_1} ... i_{D_l} trace_side)(a_0, ..., a_l).
-
-    The value is the residue trace on `side` of ((a_0 o D_1 a_1) o D_2 a_2)
-    o ... o D_l a_l with every product at the given depth, and it raises
-    InsufficientTruncationError where order -1 lies below that chain's
-    watermark; repeated derivation slots are rejected (the basis uses distinct
-    derivations).  Only what the trace reads is computed (see the module
-    docstring): product i keeps the orders >= -1 - sum_{j>i} top_side(D_j a_j)
-    on `side` alone, and the last product only the terms u - k + v = -1 with
-    opposite modes.
-    """
-    return _cocycle(dirs, side, args, depth, apply_derivation)
-
-
-def _cocycle(
     dirs: Sequence[Derivation],
     side: int,
     args: Sequence[TruncatedSymbol],
     depth: int,
     derive: _Derive,
 ) -> Scalar:
-    """`cocycle_evaluate` with the derivation images read from ``derive``."""
+    """Evaluate (i_{D_1} ... i_{D_l} trace_side)(a_0, ..., a_l).
+
+    The value is the residue trace on `side` of ((a_0 o D_1 a_1) o D_2 a_2)
+    o ... o D_l a_l with every product at the given depth and each image
+    D_j a_j read from ``derive`` (`apply_derivation`, or a memo of it), and
+    it raises InsufficientTruncationError where order -1 lies below that
+    chain's watermark; repeated derivation slots are rejected (the basis uses
+    distinct derivations).  Only what the trace reads is computed (see the
+    module docstring): product i keeps the orders >= -1 - sum_{j>i}
+    top_side(D_j a_j) on `side` alone, and the last product only the terms
+    u - k + v = -1 with opposite modes.
+    """
     if depth < 0:
         raise ValidationError("expansion depth must be nonnegative")
     if side not in SIDES:
@@ -373,13 +334,8 @@ def _cocycle(
     return expansion.residue(chain, images[-1].sides[side], side)
 
 
-def residue_trace(a: TruncatedSymbol, side: int) -> Scalar:
-    """Zero-mode coefficient of the order -1 term on one side (unit volume): the l = 0 cocycle."""
-    return cocycle_evaluate([], side, [a])
-
-
-def _commutator_trace(a: TruncatedSymbol, b: TruncatedSymbol, side: int, depth: int) -> Scalar:
-    """residue_trace(commutator(a, b, depth), side), with neither product built.
+def commutator_trace(a: TruncatedSymbol, b: TruncatedSymbol, side: int, depth: int) -> Scalar:
+    """The residue trace of a o b - b o a on one side, with neither product built.
 
     The watermark of `product_shape` is symmetric in the factors, so a o b,
     b o a and their difference share it, and the check raises exactly where
@@ -425,7 +381,7 @@ def _signed_sum(
 ) -> Scalar:
     total = terms[0][1][0].torus.field.zero
     for sign, merged in terms:
-        value = _cocycle(dirs, side, merged, depth, derive)
+        value = cocycle_evaluate(dirs, side, merged, depth, derive)
         total = total + (value if sign > 0 else -value)
     return total
 
@@ -457,7 +413,12 @@ def random_symbol(
 def _crafted_tuples(
     torus: KroneckerTorus, l: int, side: int
 ) -> list[list[TruncatedSymbol]]:
-    """Argument tuples aimed at separating the degree-l cocycles on one side."""
+    """Argument tuples aimed at separating the degree-l cocycles on one side.
+
+    One tuple per unordered l-subset of a fixed mode palette and per order
+    -1 or 0 of a_0, whose mode cancels the others'.  Fewer tuples can only
+    lower the rank, so they can withhold the certificate but never grant it.
+    """
     n = torus.n
     palette: list[Mode] = [
         tuple(1 if j == i else 0 for j in range(n)) for i in range(n)
@@ -465,11 +426,8 @@ def _crafted_tuples(
     palette.append(tuple(1 for _ in range(n)))
     palette.append(tuple(1 if j <= 1 else 0 for j in range(n)))
     tuples: list[list[TruncatedSymbol]] = []
-    combos: list[list[Mode]] = [[]]
-    for _slot in range(l):
-        combos = [prev + [m] for prev in combos for m in palette]
     for a0_order in (-1, 0):
-        for modes in combos:
+        for modes in combinations(palette, l):
             m0 = tuple(-sum(m[j] for m in modes) for j in range(n))
             args = [TruncatedSymbol.mode(torus, m0, order=a0_order, side=side)]
             args.extend(TruncatedSymbol.mode(torus, m) for m in modes)
@@ -517,7 +475,7 @@ def verify_traces_and_collapse(
         need = (a.order() or 0) + (b.order() or 0) + 1
         pairs += 1
         for s in SIDES:
-            if _commutator_trace(a, b, s, max(depth, need)):
+            if commutator_trace(a, b, s, max(depth, need)):
                 trace_ok = False
     # (b) coboundaries
     coboundary_levels: dict[int, bool] = {}
@@ -561,20 +519,19 @@ def verify_traces_and_collapse(
                 for col, (_ts, args) in enumerate(tuples):
                     if not args[0].sides[s]:
                         continue  # the chain stays supported where a_0 lives
-                    value = _cocycle(dirs, s, args, max(depth, 10), derive)
+                    value = cocycle_evaluate(dirs, s, args, max(depth, 10), derive)
                     if value:
                         vec[col] = value
                 if vec:
                     ech.add(vec)
         independence[l] = (expected, ech.dim)
-    certified = (
-        all(v for v in coboundary_levels.values())
+    passed = (
+        trace_ok
+        and all(coboundary_levels.values())
         and all(e == r for e, r in independence.values())
-        and all(
-            independence[l][0] == predicted[l]
-            for l in independence
-            if l < len(predicted)
-        )
+    )
+    certified = passed and all(
+        independence[l][0] == predicted[l] for l in independence if l < len(predicted)
     )
     return {
         "model": repr(torus),
@@ -591,11 +548,7 @@ def verify_traces_and_collapse(
         "independence": {
             str(l): {"expected": e, "rank": r} for l, (e, r) in independence.items()
         },
-        "collapse_certified": certified and trace_ok,
+        "collapse_certified": certified,
         "predicted_dims": list(predicted),
-        "passed": (
-            trace_ok
-            and all(coboundary_levels.values())
-            and all(e == r for e, r in independence.values())
-        ),
+        "passed": passed,
     }

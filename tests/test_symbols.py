@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -18,11 +19,10 @@ from leafhom.symbols import (
     TruncatedSymbol,
     apply_derivation,
     cocycle_evaluate,
-    commutator,
+    commutator_trace,
     compose,
     derivation_set,
     random_symbol,
-    residue_trace,
     verify_traces_and_collapse,
 )
 
@@ -56,7 +56,7 @@ def coordinate_power(torus, j):
     """xi^j = (sign xi)^j |xi|^j on both sides."""
     plus = TruncatedSymbol.mode(torus, (0, 0), j, side=1)
     minus = TruncatedSymbol.mode(torus, (0, 0), j, side=-1)
-    return plus + minus.scale((-1) ** j)
+    return add(plus, scale(minus, (-1) ** j))
 
 
 def agrees_with(a, b, at_or_above):
@@ -86,7 +86,7 @@ def test_coordinate_against_mode(torus, field):
     m = (1, 0)
     em = TruncatedSymbol.mode(torus, m)
     comm = commutator(xi, em, 4)
-    expected = TruncatedSymbol.mode(torus, m).scale(lam(field, m))
+    expected = scale(TruncatedSymbol.mode(torus, m), lam(field, m))
     assert agrees_with(comm, expected, comm.floor)
 
 
@@ -145,7 +145,7 @@ def test_sides_never_mix(torus):
     minus = TruncatedSymbol.mode(torus, (0, 1), order=1, side=-1)
     prod = compose(plus, minus, 4)
     assert prod.is_zero()
-    both = compose(plus + minus, plus + minus, 4)
+    both = compose(add(plus, minus), add(plus, minus), 4)
     assert all(j >= -4 for j in both.sides[1])
     der = apply_derivation(Derivation("radial"), plus, depth=3)
     assert not der.sides[-1]
@@ -162,13 +162,13 @@ def test_depth_validation(torus):
 
 def test_trace_of_radial_inverse(torus, field):
     a = TruncatedSymbol.mode(torus, (0, 0), -1)
-    assert residue_trace(a, 1) == field.one
-    assert residue_trace(a, -1) == field.one
+    assert trace(a, 1) == field.one
+    assert trace(a, -1) == field.one
 
 
 def test_trace_ignores_other_orders_and_modes(torus, field):
-    assert residue_trace(TruncatedSymbol.mode(torus, (1, 0), order=0), 1) == field.zero
-    assert residue_trace(TruncatedSymbol.mode(torus, (1, 0), order=-1), 1) == field.zero
+    assert trace(TruncatedSymbol.mode(torus, (1, 0), order=0), 1) == field.zero
+    assert trace(TruncatedSymbol.mode(torus, (1, 0), order=-1), 1) == field.zero
 
 
 def test_trace_below_watermark_rejected(torus):
@@ -176,7 +176,7 @@ def test_trace_below_watermark_rejected(torus):
     b = TruncatedSymbol.mode(torus, (0, 0), 2)
     shallow = compose(a, b, 1)  # exact only above order 3
     with pytest.raises(InsufficientTruncationError):
-        residue_trace(shallow, 1)
+        trace(shallow, 1)
 
 
 def test_trace_kills_specific_commutator(torus, field):
@@ -184,24 +184,24 @@ def test_trace_kills_specific_commutator(torus, field):
     xi = coordinate_power(torus, 1)
     b = TruncatedSymbol.mode(torus, (1, 0), order=-1)
     comm = commutator(xi, b, 5)
-    assert residue_trace(comm, 1) == field.zero
-    assert residue_trace(comm, -1) == field.zero
+    assert trace(comm, 1) == field.zero
+    assert trace(comm, -1) == field.zero
 
 
 def test_residue_trace_is_the_l0_cocycle(torus):
     rng = random.Random(23)
     residue = TruncatedSymbol.mode(torus, (0, 0), -1)
     for _ in range(40):
-        a = random_symbol(torus, rng) + residue  # mostly a nonzero trace
+        a = add(random_symbol(torus, rng), residue)  # mostly a nonzero trace
         for s in (1, -1):
-            assert residue_trace(a, s) == cocycle_evaluate([], s, [a]) == read_residue(a, s)
+            assert trace(a, s) == read_residue(a, s)
     deep = TruncatedSymbol.mode(torus, (0, 0), 2)
     shallow = compose(deep, deep, 1)  # exact only above order 3
-    for read in (residue_trace, lambda a, s: cocycle_evaluate([], s, [a])):
+    for read in (trace, read_residue):
         with pytest.raises(InsufficientTruncationError):
             read(shallow, 1)
-        with pytest.raises(ValidationError):
-            read(deep, 0)
+    with pytest.raises(ValidationError):
+        trace(deep, 0)
 
 
 def test_trace_kills_commutators(torus, field):
@@ -215,8 +215,8 @@ def test_trace_kills_commutators(torus, field):
         depth = a.order() + b.order() + 2
         comm = commutator(a, b, max(depth, 5))
         checked += 1
-        assert residue_trace(comm, 1) == field.zero
-        assert residue_trace(comm, -1) == field.zero
+        assert trace(comm, 1) == field.zero
+        assert trace(comm, -1) == field.zero
 
 
 # -- derivations ---------------------------------------------------------------------
@@ -256,8 +256,9 @@ def test_derivations_satisfy_leibniz(torus):
             if a.is_zero() or b.is_zero():
                 continue
             lhs = apply_derivation(d, compose(a, b, 9), depth=9)
-            rhs = compose(apply_derivation(d, a, 9), b, 9) + compose(
-                a, apply_derivation(d, b, 9), 9
+            rhs = add(
+                compose(apply_derivation(d, a, 9), b, 9),
+                compose(a, apply_derivation(d, b, 9), 9),
             )
             level = max(x for x in (lhs.floor, rhs.floor, -6) if x is not None)
             assert agrees_with(lhs, rhs, level), d
@@ -282,7 +283,7 @@ def test_derivations_commute_pairwise(torus):
 
 
 def test_empty_cocycle_is_the_trace(torus, field):
-    value = cocycle_evaluate([], 1, [TruncatedSymbol.mode(torus, (0, 0), -1)])
+    value = cocycle_evaluate([], 1, [TruncatedSymbol.mode(torus, (0, 0), -1)], 6, apply_derivation)
     assert value == field.one
 
 
@@ -290,7 +291,7 @@ def test_one_step_cocycle(torus, field):
     m = (1, 0)
     a0 = TruncatedSymbol.mode(torus, tuple(-x for x in m), order=-1)
     a1 = TruncatedSymbol.mode(torus, m)
-    value = cocycle_evaluate([Derivation("leafwise")], 1, [a0, a1], depth=6)
+    value = cocycle_evaluate([Derivation("leafwise")], 1, [a0, a1], 6, apply_derivation)
     assert value == lam(field, m)
 
 
@@ -301,8 +302,8 @@ def test_cocycle_antisymmetry_under_slot_swap(torus, field):
         args = [random_symbol(torus, rng, orders=(-1, 1)) for _ in range(3)]
         if any(a.is_zero() for a in args):
             continue
-        v12 = cocycle_evaluate([d1, d2], 1, args, depth=10)
-        v21 = cocycle_evaluate([d2, d1], 1, args, depth=10)
+        v12 = cocycle_evaluate([d1, d2], 1, args, 10, apply_derivation)
+        v21 = cocycle_evaluate([d2, d1], 1, args, 10, apply_derivation)
         assert v12 == -v21
 
 
@@ -310,7 +311,52 @@ def test_repeated_derivations_rejected(torus):
     d = Derivation("leafwise")
     args = [TruncatedSymbol.mode(torus, (0, 0), -1)] * 3
     with pytest.raises(ValidationError):
-        cocycle_evaluate([d, d], 1, args)
+        cocycle_evaluate([d, d], 1, args, 6, apply_derivation)
+
+
+def _unit(torus, m=(0, 0), order=0):
+    return TruncatedSymbol.mode(torus, m, order)
+
+
+def _one_cocycle(d, a0, a1):
+    return cocycle_evaluate([d], 1, [a0, a1], 6, apply_derivation)
+
+
+BAD_INPUT = {  # case: (message, call on the test torus t and another torus o)
+    "compose-two-tori": ("different tori", lambda t, o: compose(_unit(t), _unit(o), 4)),
+    "trace-pair-two-tori": (
+        "different tori",
+        lambda t, o: commutator_trace(_unit(t), _unit(o), 1, 4),
+    ),
+    "cocycle-two-tori": (
+        "different tori",
+        lambda t, o: _one_cocycle(Derivation("leafwise"), _unit(t, (-1, 0), -1), _unit(o, (1, 0))),
+    ),
+    "cocycle-argument-count": (
+        "takes 2 arguments",
+        lambda t, o: cocycle_evaluate([Derivation("leafwise")], 1, [_unit(t)], 6, apply_derivation),
+    ),
+    "transverse-index": (
+        "out of range",
+        lambda t, o: _one_cocycle(
+            Derivation("transverse", t.n), _unit(t, (0, -1), -1), _unit(t, (0, 1))
+        ),
+    ),
+    "derivation-tag": (
+        "unknown derivation tag",
+        lambda t, o: _one_cocycle(Derivation("angular"), _unit(t, (-1, 0), -1), _unit(t, (1, 0))),
+    ),
+    "suite-trials": ("trial count", lambda t, o: verify_traces_and_collapse(t, [2, 6, 6, 2], trials=-1)),
+    "suite-depth": ("depth", lambda t, o: verify_traces_and_collapse(t, [2, 6, 6, 2], depth=-1)),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUT))
+def test_symbol_layer_rejects_bad_input(torus, field, case):
+    message, call = BAD_INPUT[case]
+    other = KroneckerTorus(field, ["1", "1/2*sqrt2"])
+    with pytest.raises(ValidationError, match=message):
+        call(torus, other)
 
 
 def test_depth_and_side_checked_before_any_derivation(torus):
@@ -325,11 +371,9 @@ def test_depth_and_side_checked_before_any_derivation(torus):
     # leafwise, radial and no derivation all reject a negative depth alike
     for dirs, args in (([leafwise], [a, b]), ([radial], [a, b]), ([], [b])):
         with pytest.raises(ValidationError, match="depth"):
-            cocycle_evaluate(dirs, 1, args, depth=-1)
-        with pytest.raises(ValidationError, match="depth"):
-            symbols._cocycle(dirs, 1, args, -1, derive)
+            cocycle_evaluate(dirs, 1, args, -1, derive)
         with pytest.raises(ValidationError, match="side"):
-            symbols._cocycle(dirs, 0, args, 6, derive)
+            cocycle_evaluate(dirs, 0, args, 6, derive)
     assert derived == []
 
 
@@ -360,6 +404,20 @@ def test_trace_suite_certifies_collapse(torus):
     assert report["predicted_dims"] == [2, 6, 6, 2]
 
 
+def test_suite_verdict_needs_every_check_and_the_prediction(torus, monkeypatch):
+    run = lambda predicted: verify_traces_and_collapse(torus, predicted, trials=3, depth=6, seed=5)
+    mispredicted = run([2, 6, 5, 2])
+    assert mispredicted["passed"] and not mispredicted["collapse_certified"]
+    one = lambda *_args: torus.field.one
+    stages = (("commutator_trace", "trace_property_holds"), ("_signed_sum", "coboundary_vanishes"))
+    for stage, key in stages:
+        with monkeypatch.context() as patch:
+            patch.setattr(symbols, stage, one)  # every trace pair, or every coboundary, nonzero
+            report = run(predicted_hh(torus))
+        assert report[key] in (False, {"0": False, "1": False, "2": False}), stage
+        assert not report["passed"] and not report["collapse_certified"], stage
+
+
 def test_trace_suite_rejects_resonant(field):
     resonant = KroneckerTorus(field, ["1", "2"])
     with pytest.raises(ValidationError):
@@ -369,8 +427,8 @@ def test_trace_suite_rejects_resonant(field):
 def test_two_sided_trace_independence(torus, field):
     plus = TruncatedSymbol.mode(torus, (0, 0), -1, side=1)
     minus = TruncatedSymbol.mode(torus, (0, 0), -1, side=-1)
-    assert residue_trace(plus, 1) == field.one and residue_trace(plus, -1) == field.zero
-    assert residue_trace(minus, -1) == field.one and residue_trace(minus, 1) == field.zero
+    assert trace(plus, 1) == field.one and trace(plus, -1) == field.zero
+    assert trace(minus, -1) == field.one and trace(minus, 1) == field.zero
 
 
 # -- the targeted cocycle path against the full product chain -------------------------
@@ -445,6 +503,36 @@ def read_residue(a, side):
     return a.sides[side].get(-1, {}).get((0,) * a.torus.n, a.torus.field.zero)
 
 
+def add(a, b):
+    """a + b order by order on each side, exact above the higher watermark."""
+    sides = {s: {j: dict(p) for j, p in a.sides[s].items()} for s in (1, -1)}
+    for s in (1, -1):
+        for j, p in b.sides[s].items():
+            acc = sides[s].setdefault(j, {})
+            for m, c in p.items():
+                acc[m] = acc[m] + c if m in acc else c
+    floors = [f for f in (a.floor, b.floor) if f is not None]
+    return TruncatedSymbol(a.torus, sides, max(floors) if floors else None)
+
+
+def scale(a, c):
+    """c * a for a scalar or rational c."""
+    sides = {
+        s: {j: {m: v * c for m, v in p.items()} for j, p in a.sides[s].items()} for s in (1, -1)
+    }
+    return TruncatedSymbol(a.torus, sides, a.floor)
+
+
+def commutator(a, b, depth):
+    """a o b - b o a with both products built."""
+    return add(compose(a, b, depth), scale(compose(b, a, depth), -1))
+
+
+def trace(a, side):
+    """The residue trace on one side: the package's l = 0 cocycle."""
+    return cocycle_evaluate([], side, [a], 0, apply_derivation)
+
+
 def full_chain(dirs, side, args, depth):
     """The residue of the whole chain ((a_0 o D_1 a_1) o ...) built with compose."""
     acc = args[0]
@@ -475,11 +563,11 @@ def outcome(evaluate, *call):
 
 def test_suite_cocycles_match_full_chain(torus, monkeypatch):
     cocycles, coboundaries, traces, raw = [], [], [], {}
-    cocycle, signed_sum, terms_of, trace = (
-        symbols._cocycle,
+    cocycle, signed_sum, terms_of, pair_trace = (
+        symbols.cocycle_evaluate,
         symbols._signed_sum,
         symbols._coboundary_terms,
-        symbols._commutator_trace,
+        symbols.commutator_trace,
     )
 
     def record_cocycle(dirs, side, args, depth, derive):
@@ -498,26 +586,35 @@ def test_suite_cocycles_match_full_chain(torus, monkeypatch):
         return value
 
     def record_trace(a, b, side, depth):
-        value = trace(a, b, side, depth)
+        value = pair_trace(a, b, side, depth)
         traces.append((a, b, side, depth, value))
         return value
 
-    monkeypatch.setattr(symbols, "_cocycle", record_cocycle)
+    monkeypatch.setattr(symbols, "cocycle_evaluate", record_cocycle)
     monkeypatch.setattr(symbols, "_coboundary_terms", record_terms)
     monkeypatch.setattr(symbols, "_signed_sum", record_sum)
-    monkeypatch.setattr(symbols, "_commutator_trace", record_trace)
+    monkeypatch.setattr(symbols, "commutator_trace", record_trace)
     report = verify_traces_and_collapse(torus, predicted_hh(torus), trials=20, depth=6, seed=11)
     monkeypatch.undo()
     assert report["collapse_certified"]
     # the 40 trace pairs (20 pairs, two sides) are read off targeted residues,
-    # not cocycles: 72 coboundary terms and 288 independence entries remain
-    assert len(cocycles) == 360 and len(coboundaries) == 24 and len(traces) == 40
+    # not cocycles; the cocycles are the l + 2 terms of each signed sum, each
+    # crafted tuple under every l-subset of derivations on its own side, and
+    # the four seeded random tuples per level on the sides where a_0 lives
+    assert len(coboundaries) == 24 and len(traces) == 40
+    terms = sum(len(args) for _dirs, _side, args, _depth, _value in coboundaries)
+    crafted = sum(
+        comb(torus.n + 1, l) * len(symbols._crafted_tuples(torus, l, s))
+        for l in range(symbols.MAX_LEVEL + 1)
+        for s in (1, -1)
+    )
+    assert (terms, crafted) == (72, 124) and len(cocycles) == terms + crafted + 44
     for dirs, side, args, depth, value in cocycles:
         assert value == full_chain(dirs, side, args, depth)
     for dirs, side, args, depth, value in coboundaries:
         assert value == full_coboundary(dirs, side, args, depth)
     for a, b, side, depth, value in traces:
-        assert value == read_residue(compose(a, b, depth) - compose(b, a, depth), side)
+        assert value == read_residue(commutator(a, b, depth), side)
 
 
 def test_one_expansion_serves_the_suite(torus, field, monkeypatch):
@@ -548,12 +645,12 @@ def test_commutator_trace_matches_the_full_commutator(torus):
         a = TruncatedSymbol(torus, a.sides, rng.choice((None, None, -6, -3)))
         depth = rng.randint(0, 8)
         for s in (1, -1):
-            got = outcome(symbols._commutator_trace, a, b, s, depth)
-            assert got == outcome(lambda: residue_trace(commutator(a, b, depth), s))
+            got = outcome(commutator_trace, a, b, s, depth)
+            assert got == outcome(lambda: read_residue(commutator(a, b, depth), s))
             raised.add(got == "insufficient truncation")
             if got != "insufficient truncation":
                 # a o b alone has a nonzero trace somewhere, so a sign slip would show
-                forward = forward or bool(residue_trace(compose(a, b, depth), s))
+                forward = forward or bool(read_residue(compose(a, b, depth), s))
     assert raised == {True, False} and forward
 
 
@@ -642,7 +739,7 @@ if st is not None:
     @given(st.sampled_from(("nonresonant", "resonant")).map(_torus).flatmap(cocycle_call))
     def test_targeted_cocycle_matches_full_chain(call):
         dirs, side, args, depth = call
-        assert outcome(cocycle_evaluate, dirs, side, args, depth) == outcome(
+        assert outcome(cocycle_evaluate, dirs, side, args, depth, apply_derivation) == outcome(
             full_chain, dirs, side, args, depth
         )
 
@@ -652,7 +749,7 @@ if st is not None:
         _dirs, side, args, depth = call
         if len(args) >= 2:
             a, b = args[:2]
-            assert outcome(symbols._commutator_trace, a, b, side, depth) == outcome(
+            assert outcome(commutator_trace, a, b, side, depth) == outcome(
                 lambda: read_residue(commutator(a, b, depth), side)
             )
 
