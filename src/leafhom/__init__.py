@@ -15,7 +15,6 @@ from .models import (
     CircleProductModel,
     Form,
     FormMonomial,
-    FrameSpec,
     KroneckerTorus,
     LieFrameModel,
     ModeWindow,
@@ -31,7 +30,6 @@ __all__ = [
     "CircleProductModel",
     "Form",
     "FormMonomial",
-    "FrameSpec",
     "KroneckerTorus",
     "LieFrameModel",
     "ModeWindow",

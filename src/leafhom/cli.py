@@ -85,26 +85,20 @@ class RunContext:
     `run` builds one context and hands it to every analysis.  The derived
     models (torus, cone, cosphere-circle bundle, circle product) are built on
     first use, each leafwise table is computed once per model instance and
-    homogeneity, and each cone boundary line once per operator.  The memo is
-    keyed by the model object, never by its repr: two models can print alike
-    and differ (`LieFrameModel.__repr__` omits the structure constants).
+    homogeneity, and the cone's one boundary table computes each line once per
+    operator.  The memo is keyed by the model object, never by its repr: two
+    models can print alike and differ (`LieFrameModel.__repr__` omits the
+    structure constants).
     """
 
     def __init__(self, model: FoliatedModel, window: ModeWindow):
         self.model = model
         self.window = window
         self._tables: dict[tuple[FoliatedModel, int | None], derham.BigradedDims] = {}
-        self._boundary: dict[str, poisson.BoundaryDims] = {}
 
     @cached_property
     def torus(self) -> KroneckerTorus:
         return torus_of(self.model)
-
-    @cached_property
-    def certificate(self) -> derham.DiophantineCertificate | None:
-        """The torus's small-divisor certificate, shared by the summary and every table."""
-        torus = self.model.torus
-        return None if torus is None else derham.diophantine_certificate(torus)
 
     @cached_property
     def cone(self) -> ConicDualModel:
@@ -128,16 +122,14 @@ class RunContext:
         """The leafwise cohomology table of ``model`` on the run's window."""
         key = (model, homogeneity)
         if key not in self._tables:
-            cert = self.certificate
-            self._tables[key] = derham.cohomology_dims(model, self.window, homogeneity, cert)
+            self._tables[key] = derham.cohomology_dims(model, self.window, homogeneity)
         return self._tables[key]
 
-    def boundary(self, operator: str = "delta") -> poisson.BoundaryDims:
-        """The cone's boundary homology under ``operator``, each line computed once."""
+    @cached_property
+    def boundary(self) -> poisson.BoundaryDims:
+        """The cone's delta and delta_F homology, each line computed once per operator."""
         from . import poisson
-        if operator not in self._boundary:
-            self._boundary[operator] = poisson.BoundaryDims(self.cone, self.window, operator)
-        return self._boundary[operator]
+        return poisson.BoundaryDims(self.cone, self.window)
 
 
 # -- analyses -----------------------------------------------------------------
@@ -189,9 +181,7 @@ def _run_poisson(ctx: RunContext, cfg: RunConfig) -> tuple[dict, bool]:
     }
     passed = star["passed"]
     if conic.torus is not None:
-        table = poisson.verify_homology_correspondence(
-            ctx.boundary("delta"), ctx.boundary("delta_F"), ctx.table(ctx.cosphere)
-        )
+        table = poisson.verify_homology_correspondence(ctx.boundary, ctx.table(ctx.cosphere))
         doc["homology_correspondence"] = table
         passed = passed and table["passed"]
     return doc, passed
@@ -215,7 +205,7 @@ def _run_gysin(ctx: RunContext, cfg: RunConfig) -> tuple[dict, bool]:
 
 def _run_specseq(ctx: RunContext, cfg: RunConfig) -> tuple[dict, bool]:
     from . import specseq
-    conic, direct = ctx.cone, ctx.boundary()
+    conic, direct = ctx.cone, ctx.boundary
     top = conic.leaf_dim + conic.codim
     p = conic.leaf_dim // 2
     out = {}
@@ -227,7 +217,9 @@ def _run_specseq(ctx: RunContext, cfg: RunConfig) -> tuple[dict, bool]:
         single_row = first.nonzero_weights() <= {k - p}
         collapse = all(page.differentials_vanish() for page in result)
         totals = final.total_dims()
-        limit_ok = all(totals.get(-l, 0) == direct.get(k + l, l) for l in range(-k, top - k + 1))
+        limit_ok = all(
+            totals.get(-l, 0) == direct.get("delta", k + l, l) for l in range(-k, top - k + 1)
+        )
         out[str(k)] = {
             "pages": [p_.to_json() for p_ in result],
             "single_row": single_row,
@@ -249,7 +241,7 @@ def _run_hochschild(ctx: RunContext, cfg: RunConfig) -> tuple[dict, bool]:
     torus = ctx.torus
     circle = ctx.table(ctx.cosphere)
     e2 = hochschild.e2_dims(torus, circle)
-    bridge = hochschild.e1_to_e2(ctx.boundary(), e2)
+    bridge = hochschild.e1_to_e2(ctx.boundary, e2)
     doc = {
         "source_ops": [
             "hochschild.e2_dims",
@@ -355,8 +347,8 @@ def run(config: RunConfig) -> int:
         "analyses": {},
     }
     ctx = RunContext(model, config.window)
-    cert = ctx.certificate
-    if cert is not None:
+    if model.torus is not None:
+        cert = model.torus.certificate
         summary["certificate"] = cert.to_json()
         if cert.verdict != "diophantine":
             summary["banner"] = (

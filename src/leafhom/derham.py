@@ -52,16 +52,15 @@ naming the block and the degrees.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .errors import ComplexViolationError, UnsupportedModelError, ValidationError
 from .linalg import SparseMatrix, add_into, column_matrix, homology_dims, rank, rank_kernel
 from .models import (
+    DiophantineCertificate,
     FoliatedModel,
     Form,
     FormMonomial,
-    KroneckerTorus,
     ModeWindow,
     TermMap,
     _frame_d,
@@ -311,7 +310,7 @@ class BigradedDims(NamedTuple):
     homogeneity: int | None = None
     unbounded: bool = False
     formal: bool = False
-    certificate: "DiophantineCertificate | None" = None
+    certificate: DiophantineCertificate | None = None
 
     def get(self, r: int, s: int) -> int:
         return self.dims.get((r, s), 0)
@@ -390,14 +389,13 @@ def cohomology_dims(
     model: FoliatedModel,
     window: ModeWindow | None = None,
     homogeneity: int | None = None,
-    certificate: DiophantineCertificate | None = None,
 ) -> BigradedDims:
     """Leafwise cohomology dimensions H^{r,s}, summed over window blocks.
 
     ``homogeneity`` restricts the conic model to one radial degree, required
     there (only fixed-degree slices are finite) and rejected elsewhere.  Blocks
     of models built on a Kronecker torus are settled by `koszul_block_dims`,
-    the others ranked; ``certificate`` is that torus's `diophantine_certificate`.
+    the others ranked; a table on a torus carries `KroneckerTorus.certificate`.
     """
     window = window or ModeWindow()
     is_conic = model.has_xi
@@ -420,7 +418,7 @@ def cohomology_dims(
         for rs, v in block_dims(key).items():
             if v:
                 totals[rs] = totals.get(rs, 0) + v
-    cert = None if base is None else certificate or diophantine_certificate(base)
+    cert = None if base is None else base.certificate
     formal = cert is not None and cert.verdict != "diophantine"
     # every resonant mode block has a vanishing leafwise differential, so a
     # nonzero lattice makes the in-range entries grow with the window; on the
@@ -435,86 +433,6 @@ def cohomology_dims(
         formal=formal,
         certificate=cert,
     )
-
-
-# -- Diophantine certificates ---------------------------------------------------
-
-
-class DiophantineCertificate(NamedTuple):
-    """Either an exact resonance witness or an explicit (C, N) lower bound.
-
-    A `diophantine` verdict certifies |m . alpha|^(-1) <= C * |m|_1^N for all
-    nonzero integer vectors m: the norm of the algebraic integer
-    den * (m . alpha) is at least 1, each of its deg-1 conjugates is at most
-    C' * |m|_1 in absolute value, so |m . alpha| >= den^(-deg) (C'|m|_1)^(1-deg).
-    """
-
-    verdict: str  # "diophantine" | "resonant"
-    C: Fraction | None = None
-    N: int | None = None
-    witness: tuple[int, ...] | None = None
-    method: str = ""
-
-    def to_json(self) -> dict:
-        out = {"verdict": self.verdict, "method": self.method}
-        if self.verdict == "diophantine":
-            assert self.C is not None and self.N is not None
-            out["C"] = f"{self.C.numerator}/{self.C.denominator}"
-            out["N"] = self.N
-        else:
-            out["witness"] = list(self.witness or ())
-        return out
-
-
-def diophantine_certificate(torus: KroneckerTorus) -> DiophantineCertificate:
-    """Certify the small-divisor behaviour of the torus's frequency vector alpha.
-
-    The resonance lattice is the torus's own ``resonance_basis``; the torus
-    constructor has already checked that alpha is real and nonzero.
-    """
-    alpha, field = torus.alpha, torus.field
-    if torus.resonance_basis:
-        witness = min(torus.resonance_basis, key=lambda v: (sum(abs(x) for x in v), v))
-        return DiophantineCertificate(
-            verdict="resonant",
-            witness=witness,
-            method="exact integer kernel of the component matrix of alpha",
-        )
-    # the subfield generated by the entries: subgroup of sign patterns fixing
-    # every used basis mask
-    used_masks = {mask for mask in range(field.dim) if any(a.coeffs[mask] for a in alpha)}
-    t = len(field.radicals)
-    fixers = []
-    for bits in range(1 << t):
-        signs = tuple(-1 if bits & (1 << j) else 1 for j in range(t))
-        if all(_mask_fixed(mask, signs) for mask in used_masks):
-            fixers.append(signs)
-    degree = (1 << t) // len(fixers)
-    den = 1
-    cprime = Fraction(0)
-    for a in alpha:
-        den = math.lcm(den, a.den)
-        cprime = max(cprime, a.abs_upper_bound())
-    n_exp = degree - 1
-    c_const = Fraction(den) ** degree * cprime**n_exp
-    return DiophantineCertificate(
-        verdict="diophantine",
-        C=c_const,
-        N=n_exp,
-        method=(
-            f"norm bound over the degree-{degree} subfield generated by alpha: "
-            f"|Norm(den*(m.alpha))| >= 1 with den = {den}, conjugates bounded by "
-            f"{cprime} * |m|_1"
-        ),
-    )
-
-
-def _mask_fixed(mask: int, signs: tuple[int, ...]) -> bool:
-    prod = 1
-    for j, s in enumerate(signs):
-        if mask & (1 << (1 + j)):
-            prod *= s
-    return prod == 1
 
 
 # -- basic and ordinary cohomology ----------------------------------------------

@@ -79,8 +79,9 @@ def e1_to_e2(cone_dims: BoundaryDims, e2: dict[tuple[int, int], int]) -> dict:
 
     The first page is the space of (k+h)-forms on the cone of homogeneity k;
     applying the boundary operator and taking exact homology gives the second
-    page, read off ``cone_dims``, which must match ``e2``, the table `e2_dims`
-    reads off the cosphere-circle bundle of the cone's base torus.  A cell is
+    page, read off the delta lines of ``cone_dims``, which must match ``e2``,
+    the table `e2_dims` reads off the cosphere-circle bundle of the cone's
+    base torus.  A cell is
     consistent when the two agree; the report passes when every cell is.
     """
     conic, window = cone_dims.conic, cone_dims.window
@@ -95,7 +96,7 @@ def e1_to_e2(cone_dims: BoundaryDims, e2: dict[tuple[int, int], int]) -> dict:
     expected += [((k, h), 0) for k, h in ((p + 1, p), (-p - 1, p), (p, 2 * p + q + 1 - p))]
     cells = []
     for (k, h), closed_form in expected:
-        from_cone = cone_dims.get(k + h, k)
+        from_cone = cone_dims.get("delta", k + h, k)
         cells.append(
             {
                 "k": k,

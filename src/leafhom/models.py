@@ -17,7 +17,8 @@ Four families are supported:
   forms by homogeneity degree.
 
 ``model.torus`` is the Kronecker torus a model is built on: the torus
-itself, a bundle's base torus, or None for a frame and its cone.
+itself, a bundle's base torus, or None for a frame and its cone; every table
+built on it carries the torus's one small-divisor `KroneckerTorus.certificate`.
 
 Forms are finite sums of monomials (Fourier mode x radial power x component
 label x ordered exterior monomial) with exact Scalar coefficients; a monomial
@@ -92,37 +93,6 @@ class FormMonomial(NamedTuple):
 
     def sort_key(self):
         return (self.comp, self.mode, self.xi, len(self.ext), self.ext)
-
-
-class _FrameFields(NamedTuple):
-    longitudinal: tuple[str, ...]
-    transverse: tuple[str, ...]
-    convention: str = "constant-span complement"
-
-
-class FrameSpec(_FrameFields):
-    """The chosen coframe: leafwise and transverse generator names.
-
-    The complement is always the constant (frame-parallel) span; leafwise
-    results do not depend on that choice, and it makes the splitting
-    computable in closed form.  A named tuple, checked like `ModeWindow`.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        names = self.longitudinal + self.transverse
-        if len(set(names)) != len(names):
-            raise ValidationError("coframe generator names must be distinct")
-        return self
-
-    def to_json(self) -> dict:
-        return {
-            "longitudinal": list(self.longitudinal),
-            "transverse": list(self.transverse),
-            "convention": self.convention,
-        }
 
 
 TermMap = Callable[[FormMonomial], Iterable[tuple[FormMonomial, Scalar]]]
@@ -317,15 +287,6 @@ class FoliatedModel:
     @property
     def components_count(self) -> int:
         return len(self.components)
-
-    def frame_spec(self) -> FrameSpec:
-        longitudinal = tuple(
-            name for name, flag in zip(self.gen_names, self.long_flags) if flag
-        )
-        transverse = tuple(
-            name for name, flag in zip(self.gen_names, self.long_flags) if not flag
-        )
-        return FrameSpec(longitudinal, transverse)
 
     # -- grading helpers ---------------------------------------------------
 
@@ -569,6 +530,11 @@ class KroneckerTorus(FoliatedModel):
     def resonant(self) -> bool:
         return bool(self.resonance_basis)
 
+    @cached_property
+    def certificate(self) -> DiophantineCertificate:
+        """The small-divisor certificate every table of the torus and its bundles carries."""
+        return diophantine_certificate(self)
+
     def pairing(self, mode: Mode) -> Scalar:
         """The reduced leafwise derivative multiplier m . alpha."""
         m = tuple(mode[: self.n])
@@ -773,6 +739,84 @@ def resonance_lattice(alpha: Sequence[Scalar]) -> list[tuple[int, ...]]:
             denom = math.lcm(*(x.denominator for x in row))
             rows.append([int(x * denom) for x in row])
     return integer_kernel(rows, len(alpha))
+
+
+class DiophantineCertificate(NamedTuple):
+    """Either an exact resonance witness or an explicit (C, N) lower bound.
+
+    A `diophantine` verdict certifies |m . alpha|^(-1) <= C * |m|_1^N for all
+    nonzero integer vectors m: the norm of the algebraic integer
+    den * (m . alpha) is at least 1, each of its deg-1 conjugates is at most
+    C' * |m|_1 in absolute value, so |m . alpha| >= den^(-deg) (C'|m|_1)^(1-deg).
+    """
+
+    verdict: str  # "diophantine" | "resonant"
+    C: Fraction | None = None
+    N: int | None = None
+    witness: tuple[int, ...] | None = None
+    method: str = ""
+
+    def to_json(self) -> dict:
+        out = {"verdict": self.verdict, "method": self.method}
+        if self.verdict == "diophantine":
+            assert self.C is not None and self.N is not None
+            out["C"] = f"{self.C.numerator}/{self.C.denominator}"
+            out["N"] = self.N
+        else:
+            out["witness"] = list(self.witness or ())
+        return out
+
+
+def diophantine_certificate(torus: KroneckerTorus) -> DiophantineCertificate:
+    """Certify the small-divisor behaviour of the torus's frequency vector alpha.
+
+    The resonance lattice is the torus's own ``resonance_basis``; the torus
+    constructor has already checked that alpha is real and nonzero.  Read
+    once per torus through `KroneckerTorus.certificate`.
+    """
+    alpha, field = torus.alpha, torus.field
+    if torus.resonance_basis:
+        witness = min(torus.resonance_basis, key=lambda v: (sum(abs(x) for x in v), v))
+        return DiophantineCertificate(
+            verdict="resonant",
+            witness=witness,
+            method="exact integer kernel of the component matrix of alpha",
+        )
+    # the subfield generated by the entries: subgroup of sign patterns fixing
+    # every used basis mask
+    used_masks = {mask for mask in range(field.dim) if any(a.coeffs[mask] for a in alpha)}
+    t = len(field.radicals)
+    fixers = []
+    for bits in range(1 << t):
+        signs = tuple(-1 if bits & (1 << j) else 1 for j in range(t))
+        if all(_mask_fixed(mask, signs) for mask in used_masks):
+            fixers.append(signs)
+    degree = (1 << t) // len(fixers)
+    den = 1
+    cprime = Fraction(0)
+    for a in alpha:
+        den = math.lcm(den, a.den)
+        cprime = max(cprime, a.abs_upper_bound())
+    n_exp = degree - 1
+    c_const = Fraction(den) ** degree * cprime**n_exp
+    return DiophantineCertificate(
+        verdict="diophantine",
+        C=c_const,
+        N=n_exp,
+        method=(
+            f"norm bound over the degree-{degree} subfield generated by alpha: "
+            f"|Norm(den*(m.alpha))| >= 1 with den = {den}, conjugates bounded by "
+            f"{cprime} * |m|_1"
+        ),
+    )
+
+
+def _mask_fixed(mask: int, signs: tuple[int, ...]) -> bool:
+    prod = 1
+    for j, s in enumerate(signs):
+        if mask & (1 << (1 + j)):
+            prod *= s
+    return prod == 1
 
 
 def torus_of(model: FoliatedModel) -> KroneckerTorus:

@@ -290,30 +290,31 @@ def _line_dims(
 
 
 class BoundaryDims:
-    """Homology dims of a boundary operator on the cone, read cell by cell.
+    """Homology dims of delta and delta_F on the cone, read cell by cell.
 
-    The first read of a cell (k, l) computes its whole line k - l = c, each
-    block complex once; only the integer dims are kept.  On a torus cone the
+    One table serves both operators.  The first read of a cell (k, l) under
+    an operator computes that operator's whole line k - l = c, each block
+    complex once; only the integer dims are kept.  On a torus cone the
     blocks with a nonzero theta multiplier are settled as acyclic by the
     homotopy of `derham.contracted`, so only the others are ranked; the
     Cartan identity behind it is checked when the cone's exterior tables are
     built.  Frame cones rank every block.
     """
 
-    def __init__(self, model: FoliatedModel, window: ModeWindow | None = None, operator="delta"):
-        if operator not in ("delta", "delta_F"):
-            raise ValidationError(f"unsupported homology operator {operator!r}")
+    def __init__(self, model: FoliatedModel, window: ModeWindow | None = None):
         self.conic = _require_conic(model)
         self.window = window or ModeWindow()
-        self.operator = operator
-        self._lines: dict[int, dict[str, dict[int, int]]] = {}
+        self._lines: dict[tuple[str, int], dict[str, dict[int, int]]] = {}
 
-    def get(self, k: int, l: int, per_component: bool = False):
-        """dim of the degree-k homology on l-homogeneous forms; zero out of range."""
+    def get(self, operator: str, k: int, l: int, per_component: bool = False):
+        """dim of the degree-k ``operator`` homology on l-homogeneous forms; zero out of range."""
+        if operator not in ("delta", "delta_F"):
+            raise ValidationError(f"unsupported homology operator {operator!r}")
         if 0 <= k <= self.conic.leaf_dim + self.conic.codim:
-            if k - l not in self._lines:
-                self._lines[k - l] = _line_dims(self.conic, self.operator, k - l, self.window)
-            per_comp = {name: dims[k] for name, dims in self._lines[k - l].items()}
+            line = (operator, k - l)
+            if line not in self._lines:
+                self._lines[line] = _line_dims(self.conic, operator, k - l, self.window)
+            per_comp = {name: dims[k] for name, dims in self._lines[line].items()}
         else:
             per_comp = dict.fromkeys(self.conic.components, 0)
         return per_comp if per_component else sum(per_comp.values())
@@ -322,25 +323,21 @@ class BoundaryDims:
 # -- the three-pipeline correspondence ----------------------------------------------
 
 
-def verify_homology_correspondence(
-    delta_dims: BoundaryDims, delta_f_dims: BoundaryDims, circle_dims: BigradedDims
-) -> dict:
+def verify_homology_correspondence(boundary: BoundaryDims, circle_dims: BigradedDims) -> dict:
     """Three independent pipelines for the same numbers, tabulated.
 
-    (a) ``delta_dims``, full-boundary homology of the cone, (b)
-    ``delta_f_dims``, leafwise-boundary homology, (c) ``circle_dims``, the
-    leafwise cohomology of the cosphere-circle bundle of the cone's base, read
-    at the shifted indices (p - l, k - l - p); rows outside |l| <= p must
-    vanish.  The three tables share one cone and one window.  A row is
-    consistent when its three dims agree; the report passes when every row is.
+    (a) full-boundary and (b) leafwise-boundary homology of the cone, both
+    read off ``boundary``, (c) ``circle_dims``, the leafwise cohomology of the
+    cosphere-circle bundle of the cone's base, read at the shifted indices
+    (p - l, k - l - p); rows outside |l| <= p must vanish.  The two tables
+    share one window.  A row is consistent when its three dims agree; the
+    report passes when every row is.
     """
-    conic = delta_dims.conic
+    conic = boundary.conic
     if conic.torus is None:
         raise UnsupportedModelError("the correspondence table needs a torus base")
-    window = circle_dims.window
-    same = delta_f_dims.conic is conic and delta_dims.window == delta_f_dims.window == window
-    if not same or (delta_dims.operator, delta_f_dims.operator) != ("delta", "delta_F"):
-        raise ValidationError("the correspondence reads delta and delta_F on one cone and window")
+    if boundary.window != circle_dims.window:
+        raise ValidationError("the correspondence reads its two tables on one window")
     p = conic.leaf_dim // 2
     top = conic.leaf_dim + conic.codim
     rows = []
@@ -348,7 +345,7 @@ def verify_homology_correspondence(
         for l in range(-p - 1, p + 2):
             r_idx, s_idx = p - l, k - l - p
             c = circle_dims.get(r_idx, s_idx) if s_idx >= 0 and r_idx >= 0 else 0
-            a, b = delta_dims.get(k, l), delta_f_dims.get(k, l)
+            a, b = boundary.get("delta", k, l), boundary.get("delta_F", k, l)
             rows.append(
                 {
                     "k": k,

@@ -292,10 +292,7 @@ def cocycle_evaluate(
     top_side(D_j a_j) on `side` alone, and the last product only the terms
     u - k + v = -1 with opposite modes.
     """
-    if depth < 0:
-        raise ValidationError("expansion depth must be nonnegative")
-    if side not in SIDES:
-        raise ValidationError("side must be +1 or -1")
+    _check_side_depth(side, depth)
     if len(set(dirs)) != len(dirs):
         raise ValidationError("cocycle derivations must be pairwise distinct")
     if len(args) != len(dirs) + 1:
@@ -340,8 +337,9 @@ def commutator_trace(a: TruncatedSymbol, b: TruncatedSymbol, side: int, depth: i
     The watermark of `product_shape` is symmetric in the factors, so a o b,
     b o a and their difference share it, and the check raises exactly where
     the commutator's trace would; the two traces are then read off
-    `Expansion.residue`.
+    `Expansion.residue`.  Side and depth are checked as in `cocycle_evaluate`.
     """
+    _check_side_depth(side, depth)
     a._check(b)
     _tops, floor = product_shape(side_tops(a.sides), a.floor, side_tops(b.sides), b.floor, depth)
     if floor is None:
@@ -351,6 +349,14 @@ def commutator_trace(a: TruncatedSymbol, b: TruncatedSymbol, side: int, depth: i
     expansion = _expansion(a.torus)
     forward = expansion.residue(a.sides[side], b.sides[side], side)
     return forward - expansion.residue(b.sides[side], a.sides[side], side)
+
+
+def _check_side_depth(side: int, depth: int) -> None:
+    """The argument checks `cocycle_evaluate` and `commutator_trace` share."""
+    if depth < 0:
+        raise ValidationError("expansion depth must be nonnegative")
+    if side not in SIDES:
+        raise ValidationError("side must be +1 or -1")
 
 
 def _coboundary_terms(
@@ -415,7 +421,8 @@ def _crafted_tuples(
 ) -> list[list[TruncatedSymbol]]:
     """Argument tuples aimed at separating the degree-l cocycles on one side.
 
-    One tuple per unordered l-subset of a fixed mode palette and per order
+    One tuple per unordered l-subset of a fixed mode palette, each mode
+    once (on T^2 the all-ones mode is also the last one), and per order
     -1 or 0 of a_0, whose mode cancels the others'.  Fewer tuples can only
     lower the rank, so they can withhold the certificate but never grant it.
     """
@@ -427,7 +434,7 @@ def _crafted_tuples(
     palette.append(tuple(1 if j <= 1 else 0 for j in range(n)))
     tuples: list[list[TruncatedSymbol]] = []
     for a0_order in (-1, 0):
-        for modes in combinations(palette, l):
+        for modes in combinations(dict.fromkeys(palette), l):
             m0 = tuple(-sum(m[j] for m in modes) for j in range(n))
             args = [TruncatedSymbol.mode(torus, m0, order=a0_order, side=side)]
             args.extend(TruncatedSymbol.mode(torus, m) for m in modes)
@@ -500,23 +507,19 @@ def verify_traces_and_collapse(
         subsets = list(combinations(derivations, l))
         expected = 2 * comb(torus.n + 1, l)
         assert len(subsets) * 2 == expected
-        tuples: list[tuple[int, list[TruncatedSymbol]]] = []
-        for s in SIDES:
-            for args in _crafted_tuples(torus, l, s):
-                tuples.append((s, args))
+        tuples = [args for s in SIDES for args in _crafted_tuples(torus, l, s)]
         for _ in range(4):
-            s = rng.choice(SIDES)
             args = [random_symbol(torus, rng, orders=(-2, 1))]
             while len(args) < l + 1:
                 cand = random_symbol(torus, rng, orders=(-1, 1))
                 if not cand.is_zero():
                     args.append(cand)
-            tuples.append((s, args))
+            tuples.append(args)
         ech, derive = Echelon(field), _derivation_memo()
         for s in SIDES:
             for dirs in subsets:
                 vec = {}
-                for col, (_ts, args) in enumerate(tuples):
+                for col, args in enumerate(tuples):
                     if not args[0].sides[s]:
                         continue  # the chain stays supported where a_0 lives
                     value = cocycle_evaluate(dirs, s, args, max(depth, 10), derive)

@@ -156,11 +156,7 @@ def test_criterion_04_star_delta_identity(conic2):
 def test_criterion_05_homology_correspondence(conic2, torus2):
     watch = Stopwatch(60.0)
     window = ModeWindow(bound=1, l_min=-2, l_max=2)
-    rep = verify_homology_correspondence(
-        BoundaryDims(conic2, window, "delta"),
-        BoundaryDims(conic2, window, "delta_F"),
-        circle_table(torus2, window),
-    )
+    rep = verify_homology_correspondence(BoundaryDims(conic2, window), circle_table(torus2, window))
     covered = {(row["k"], row["l"]) for row in rep["rows"]}
     needed = {(k, l) for k in range(0, 4) for l in (-2, -1, 0, 1, 2)}
     range_ok = needed <= covered
@@ -190,7 +186,7 @@ def test_criterion_06_filtration_spectral_collapse(conic2):
             ok = False
         totals = result[-1].total_dims()
         for l in range(-k, top - k + 1):
-            if totals.get(-l, 0) != BoundaryDims(conic2, window).get(k + l, l):
+            if totals.get(-l, 0) != BoundaryDims(conic2, window).get("delta", k + l, l):
                 ok = False
     elapsed = watch.check()
     report(6, "filtration collapses at the first page", ok and elapsed < watch.limit, elapsed)

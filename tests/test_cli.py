@@ -15,7 +15,18 @@ from pathlib import Path
 
 import pytest
 
-from leafhom import cli, derham, expansion, gysin, hochschild, poisson, reports, specseq, symbols
+from leafhom import (
+    cli,
+    derham,
+    expansion,
+    gysin,
+    hochschild,
+    models,
+    poisson,
+    reports,
+    specseq,
+    symbols,
+)
 from leafhom.errors import ComplexViolationError
 from leafhom.models import ConicDualModel, LieFrameModel, ModeWindow
 from leafhom.scalars import NumberField
@@ -463,14 +474,14 @@ def test_nesting_at_the_recursion_limit_exits_2_with_one_line(tmp_path, capsys):
 
 
 def test_one_certificate_per_run(torus_spec, tmp_path, monkeypatch):
-    real = derham.diophantine_certificate
+    real = models.diophantine_certificate
     calls = []
 
     def counted(torus):
         calls.append(torus)
         return real(torus)
 
-    monkeypatch.setattr(derham, "diophantine_certificate", counted)
+    monkeypatch.setattr(models, "diophantine_certificate", counted)
     args = ["run", "--model", str(torus_spec), "--analyses", "all", "--mode-bound", "1"]
     assert cli.main([*args, "--trials", "2", "--out", str(tmp_path / "o")]) == 0
     assert len(calls) == 1

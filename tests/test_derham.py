@@ -15,7 +15,6 @@ from leafhom.derham import (
     cohomology_dims,
     component_terms,
     differential,
-    diophantine_certificate,
     operator_matrix,
     ordinary_derham_dims,
     verify_decomposition_identities,
@@ -426,7 +425,7 @@ def test_functoriality_of_bundle_pullback(t3, field, bundle, on_frame, component
 
 
 def test_certificate_sqrt2(torus):
-    cert = diophantine_certificate(torus)
+    cert = torus.certificate
     assert cert.verdict == "diophantine"
     assert cert.N == 1
     assert cert.C is not None and cert.C >= 1
@@ -434,7 +433,7 @@ def test_certificate_sqrt2(torus):
 
 def test_certificate_resonant_lattice(field):
     model = KroneckerTorus(field, ["1", "sqrt2", "sqrt2-1"])
-    cert = diophantine_certificate(model)
+    cert = model.certificate
     assert cert.verdict == "resonant"
     assert cert.witness == (1, -1, 1)
     # the witness really kills the pairing
@@ -443,7 +442,7 @@ def test_certificate_resonant_lattice(field):
 
 def test_certificate_rational_slope(field):
     model = KroneckerTorus(field, ["1", "2"])
-    cert = diophantine_certificate(model)
+    cert = model.certificate
     assert cert.verdict == "resonant"
     w = cert.witness
     assert w is not None and w[0] + 2 * w[1] == 0 and any(w)
@@ -452,9 +451,25 @@ def test_certificate_rational_slope(field):
 def test_certificate_detects_rational_combination_resonance(field):
     # (1, sqrt2, 1/3) looks irrational but (1, 0, -3) kills it exactly
     model = KroneckerTorus(field, ["1", "sqrt2", "1/3"])
-    cert = diophantine_certificate(model)
+    cert = model.certificate
     assert cert.verdict == "resonant"
     assert cert.witness == (1, 0, -3)
+
+
+@pytest.mark.parametrize("alpha", [["1", "sqrt2"], ["1", "2"]])
+def test_every_table_carries_its_torus_certificate(field, alpha):
+    torus = KroneckerTorus(field, alpha)
+    window = ModeWindow(bound=1)
+    tables = [
+        cohomology_dims(torus, window),
+        cohomology_dims(CosphereCircleModel(torus), window),
+        cohomology_dims(CircleProductModel(torus), window),
+        cohomology_dims(ConicDualModel(torus), window, homogeneity=0),
+    ]
+    assert all(table.certificate is torus.certificate for table in tables)
+    # the certificate is held per torus: an equal torus computes an equal one of its own
+    other = KroneckerTorus(field, alpha).certificate
+    assert other == torus.certificate and other is not torus.certificate
 
 
 # -- basic and ordinary cohomology ------------------------------------------------

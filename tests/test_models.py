@@ -18,7 +18,6 @@ from leafhom.models import (
     FoliatedModel,
     Form,
     FormMonomial,
-    FrameSpec,
     KroneckerTorus,
     LieFrameModel,
     ModeWindow,
@@ -343,15 +342,6 @@ def test_mode_window_is_an_immutable_value():
         window.bound = 2
 
 
-def test_frame_spec_rejects_a_repeated_generator_name():
-    with pytest.raises(ValidationError):
-        FrameSpec(("x",), ("y", "x"))
-    spec = FrameSpec(("x",), ("y",))
-    assert spec.to_json() == {
-        "longitudinal": ["x"], "transverse": ["y"], "convention": "constant-span complement"
-    }
-
-
 def test_lie_blocks(field):
     model = so3_model(field)
     window = ModeWindow(bound=3)
@@ -396,16 +386,16 @@ def test_torus_lookup(field, torus):
 
 
 def test_frame_specs(field, torus):
-    spec = torus.frame_spec()
-    assert spec.longitudinal == ("theta",)
-    assert spec.transverse == ("eta1",)
-    conic = ConicDualModel(torus)
-    assert conic.frame_spec().longitudinal == ("theta", "dxi")
-    cos = CosphereCircleModel(torus)
-    assert cos.frame_spec().longitudinal == ("theta", "dphi")
-    heis = heisenberg_model(field)
-    assert heis.frame_spec().longitudinal == ("e3",)
-    assert heis.frame_spec().transverse == ("e1", "e2")
+    # the coframe layout: generator names in slot order, leafwise flags alongside
+    layouts = {
+        torus: (("theta", "eta1"), (True, False)),
+        ConicDualModel(torus): (("theta", "dxi", "eta1"), (True, True, False)),
+        CosphereCircleModel(torus): (("theta", "dphi", "eta1"), (True, True, False)),
+        heisenberg_model(field): (("e1", "e2", "e3"), (False, False, True)),
+    }
+    for model, (names, flags) in layouts.items():
+        assert (model.gen_names, model.long_flags) == (names, flags), model
+        assert len(set(model.gen_names)) == len(names), model
 
 
 # -- spec fuzzer ------------------------------------------------------------------

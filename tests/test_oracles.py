@@ -176,13 +176,13 @@ def _cone_tables(cone: ConicDualModel, e2: dict | None = None) -> dict:
     """
     top = cone.leaf_dim + cone.codim
     cells = [(k, l) for k in range(top + 1) for l in WINDOW.homogeneities()]
-    boundary = {op: BoundaryDims(cone, WINDOW, op) for op in ("delta", "delta_F")}
+    boundary = BoundaryDims(cone, WINDOW)
     out = {
-        op: {cell: dims.get(*cell, per_component=True) for cell in cells}
-        for op, dims in boundary.items()
+        op: {cell: boundary.get(op, *cell, per_component=True) for cell in cells}
+        for op in ("delta", "delta_F")
     }
     if e2 is not None:
-        out["page_bridge"] = hochschild.e1_to_e2(boundary["delta"], e2)["cells"]
+        out["page_bridge"] = hochschild.e1_to_e2(boundary, e2)["cells"]
     filtrations = (poisson_filtration(cone, k, WINDOW) for k in range(top + 1))
     out["pages"] = [[page.to_json() for page in pages(fc)] for fc in filtrations]
     return out

@@ -55,10 +55,6 @@ def conic(field):
     return ConicDualModel(KroneckerTorus(field, ["1", "sqrt2"]))
 
 
-def boundary_tables(conic, window):
-    return BoundaryDims(conic, window, "delta"), BoundaryDims(conic, window, "delta_F")
-
-
 def star(form):
     """The leafwise symplectic star, extended over transverse factors."""
     return form.map(poisson._star_terms(form.model))
@@ -316,26 +312,33 @@ def test_flipped_star_sign_fails(conic, monkeypatch):
 def test_homology_vanishes_beyond_leaf_degree(conic):
     window = ModeWindow(bound=1, l_min=-3, l_max=3)
     for k in range(0, 4):
-        assert BoundaryDims(conic, window).get(k, 2) == 0
-        assert BoundaryDims(conic, window).get(k, -2) == 0
+        assert BoundaryDims(conic, window).get("delta", k, 2) == 0
+        assert BoundaryDims(conic, window).get("delta", k, -2) == 0
 
 
 def test_homology_k2_l0(conic):
     window = ModeWindow(bound=1, l_min=-2, l_max=2)
-    assert BoundaryDims(conic, window).get(2, 0) == 4
+    assert BoundaryDims(conic, window).get("delta", 2, 0) == 4
 
 
 def test_homology_k0_lminus1(conic):
     window = ModeWindow(bound=1, l_min=-2, l_max=2)
-    assert BoundaryDims(conic, window).get(0, -1) == 2
-    per = BoundaryDims(conic, window).get(0, -1, per_component=True)
+    assert BoundaryDims(conic, window).get("delta", 0, -1) == 2
+    per = BoundaryDims(conic, window).get("delta", 0, -1, per_component=True)
     assert per == {"+": 1, "-": 1}
 
 
 def test_out_of_range_degrees_are_zero(conic):
     window = ModeWindow(bound=1, l_min=-2, l_max=2)
-    assert BoundaryDims(conic, window).get(-1, 0) == 0
-    assert BoundaryDims(conic, window).get(5, 0) == 0
+    assert BoundaryDims(conic, window).get("delta", -1, 0) == 0
+    assert BoundaryDims(conic, window).get("delta", 5, 0) == 0
+
+
+def test_boundary_table_reads_delta_and_delta_f_only(conic):
+    table = BoundaryDims(conic, ModeWindow(bound=1))
+    for operator in ("delta_perp", "d_F"):
+        with pytest.raises(ValidationError, match="unsupported homology operator"):
+            table.get(operator, 1, 0)
 
 
 def delta_f_bigraded_dims(conic, r, s, l, window):
@@ -382,7 +385,7 @@ def test_bigraded_star_correspondence(conic):
 def test_homology_correspondence_table(conic):
     window = ModeWindow(bound=1, l_min=-2, l_max=2)
     circle_dims = cohomology_dims(CosphereCircleModel(conic.base), window)
-    report = verify_homology_correspondence(*boundary_tables(conic, window), circle_dims)
+    report = verify_homology_correspondence(BoundaryDims(conic, window), circle_dims)
     assert report["passed"]
     assert not report["formal"]
     # spot values frozen from the closed form: 2 C(2, p-l) C(1, k-l-p) per sign
@@ -393,17 +396,15 @@ def test_homology_correspondence_table(conic):
     assert table[(3, 1)] == 2
     assert table[(3, 0)] == 0
     assert table[(0, 1)] == 0
-    delta_dims, delta_f_dims = boundary_tables(conic, window)
-    for tables in [(delta_f_dims, delta_dims), boundary_tables(conic, ModeWindow(bound=0))]:
-        with pytest.raises(ValidationError, match="one cone and window"):
-            verify_homology_correspondence(*tables, circle_dims)
+    with pytest.raises(ValidationError, match="one window"):
+        verify_homology_correspondence(BoundaryDims(conic, ModeWindow(bound=0)), circle_dims)
 
 
 def test_homology_correspondence_resonant_stays_consistent(field):
     model = ConicDualModel(KroneckerTorus(field, ["1", "2"]))
     window = ModeWindow(bound=1, l_min=-2, l_max=2)
     circle_dims = cohomology_dims(CosphereCircleModel(model.base), window)
-    report = verify_homology_correspondence(*boundary_tables(model, window), circle_dims)
+    report = verify_homology_correspondence(BoundaryDims(model, window), circle_dims)
     assert report["passed"]
     assert report["formal"]
 
@@ -439,16 +440,16 @@ def test_line_table_matches_cell_slices(base, bound, field):
     }[base]()
     window = ModeWindow(bound=bound)
     top = conic.leaf_dim + conic.codim
+    table = BoundaryDims(conic, window)
     for operator in ("delta", "delta_F"):
-        table = BoundaryDims(conic, window, operator)
         # l = +-3 lies outside the window's homogeneity range
         for k in range(-1, top + 2):
             for l in range(-3, 4):
                 expected = slice_dims(conic, operator, k, l, window)
-                fresh = BoundaryDims(conic, window, operator).get(k, l, per_component=True)
+                fresh = BoundaryDims(conic, window).get(operator, k, l, per_component=True)
                 assert fresh == expected, (operator, k, l)
-                assert table.get(k, l, per_component=True) == expected, (operator, k, l)
-                assert table.get(k, l) == sum(expected.values()), (operator, k, l)
+                assert table.get(operator, k, l, per_component=True) == expected, (operator, k, l)
+                assert table.get(operator, k, l) == sum(expected.values()), (operator, k, l)
 
 
 def test_boundary_lines_once_per_run(tmp_path, monkeypatch):
@@ -488,7 +489,7 @@ def test_broken_cone_names_block_and_line(field):
     broken._dual_d[1] = [(field.one, (0, 1))]
     message = r"block \(0, \(\)\), delta line k - l = 1: d\^2 != 0 between degrees -2 and 0"
     with pytest.raises(ComplexViolationError, match=message):
-        BoundaryDims(broken, ModeWindow(bound=0)).get(2, 1)
+        BoundaryDims(broken, ModeWindow(bound=0)).get("delta", 2, 1)
 
 
 # -- the boundary operator as a composed term map -----------------------------------
@@ -729,11 +730,12 @@ def test_rule_settled_lines_match_the_rank_engine(name, bound):
             block for block in blocks if conic.torus.pairing(block[1])
         }
         assert all(not any(dims.values()) for dims in settled.values()), operator
-        table = BoundaryDims(conic, window, operator)
+        table = BoundaryDims(conic, window)
         for c, per_comp in lines.items():
             for k in per_comp[conic.components[0]]:
                 expected = {name: dims[k] for name, dims in per_comp.items()}
-                assert table.get(k, k - c, per_component=True) == expected, (operator, k, c)
+                got = table.get(operator, k, k - c, per_component=True)
+                assert got == expected, (operator, k, c)
 
 
 def contracting_homotopy(conic):
@@ -787,10 +789,10 @@ def test_frame_cones_rank_every_block(field, monkeypatch):
     for conic in (affine_conic(field), ConicDualModel(flat)):
         ranked.clear()
         assert not contracted(conic, (0, (), 0), theta_flags(conic))
+        table = BoundaryDims(conic, ModeWindow(bound=1))
         for operator in ("delta", "delta_F"):
-            table = BoundaryDims(conic, ModeWindow(bound=1), operator)
             for k in range(conic.leaf_dim + conic.codim + 1):
-                table.get(k, 0)
+                table.get(operator, k, 0)
         # two components, one mode, four lines, two operators
         assert len(ranked) == 2 * 1 * 4 * 2 and max(ranked.values()) == 1
 
@@ -809,7 +811,7 @@ def test_cartan_identity_checked_before_any_block_is_settled(monkeypatch):
         assert calls == [base.exterior, tables]
         table = BoundaryDims(conic, ModeWindow(bound=1))
         for k in range(4):
-            table.get(k, 0)
+            table.get("delta", k, 0)
         cohomology_dims(conic, ModeWindow(bound=1), homogeneity=0)
         assert conic.exterior is tables and len(calls) == 2
     monkeypatch.undo()
@@ -833,7 +835,7 @@ def test_cartan_identity_checked_before_any_block_is_settled(monkeypatch):
     for run in (
         lambda: derham.cohomology_dims(torus, ModeWindow(bound=1)),
         lambda: derham.ordinary_derham_dims(torus, ModeWindow(bound=1)),
-        lambda: BoundaryDims(conic, ModeWindow(bound=1)).get(1, 0),
+        lambda: BoundaryDims(conic, ModeWindow(bound=1)).get("delta", 1, 0),
     ):
         with pytest.raises(ComplexViolationError, match="Cartan identity fails"):
             run()

@@ -280,7 +280,7 @@ def test_cone_filtration_limit_matches_direct_dims(conic):
         totals = final.total_dims()
         top = conic.leaf_dim + conic.codim
         for l in range(-k, top - k + 1):
-            expected = BoundaryDims(conic, window).get(k + l, l)
+            expected = BoundaryDims(conic, window).get("delta", k + l, l)
             assert totals.get(-l, 0) == expected, (k, l)
 
 

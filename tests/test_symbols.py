@@ -332,6 +332,8 @@ BAD_INPUT = {  # case: (message, call on the test torus t and another torus o)
         "different tori",
         lambda t, o: _one_cocycle(Derivation("leafwise"), _unit(t, (-1, 0), -1), _unit(o, (1, 0))),
     ),
+    "trace-pair-side": ("side must be", lambda t, o: commutator_trace(_unit(t), _unit(t), 0, 4)),
+    "trace-pair-depth": ("depth", lambda t, o: commutator_trace(_unit(t), _unit(t), 1, -1)),
     "cocycle-argument-count": (
         "takes 2 arguments",
         lambda t, o: cocycle_evaluate([Derivation("leafwise")], 1, [_unit(t)], 6, apply_derivation),
@@ -608,7 +610,7 @@ def test_suite_cocycles_match_full_chain(torus, monkeypatch):
         for l in range(symbols.MAX_LEVEL + 1)
         for s in (1, -1)
     )
-    assert (terms, crafted) == (72, 124) and len(cocycles) == terms + crafted + 44
+    assert (terms, crafted) == (72, 76) and len(cocycles) == terms + crafted + 43
     for dirs, side, args, depth, value in cocycles:
         assert value == full_chain(dirs, side, args, depth)
     for dirs, side, args, depth, value in coboundaries:
