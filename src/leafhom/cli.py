@@ -301,7 +301,9 @@ _RUNNERS = {
 
 
 def _small(window: ModeWindow) -> ModeWindow:
-    return ModeWindow(min(window.bound, 1), max(window.l_min, -1), min(window.l_max, 1))
+    """The identity window: bound at most 1, and the (at most) three l of the range nearest 0."""
+    lo = max(window.l_min, min(-1, window.l_max - 2))
+    return ModeWindow(min(window.bound, 1), lo, min(lo + 2, window.l_max))
 
 
 # -- orchestration ----------------------------------------------------------------

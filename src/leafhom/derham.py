@@ -36,17 +36,18 @@ components from the model's multiplier memo (`FoliatedModel.block_multipliers`);
 `Form.map` is the one linear extension to forms.
 
 One block engine ranks the blocks no rule settles: the leafwise tables of
-frame models and their cones, the basic table and closed/exact sets here,
-poisson's boundary homology (frame cones, and the torus-cone blocks with
-c = 0) and the specseq filtration (every block) use it.  A block is given as
-its monomial bases by degree; `block_differentials` assembles each differential
-d_t once, reading the term map of each source monomial into the matrix
-(`operator_matrix`), and `linalg.homology_dims` ranks each d_t once and returns
-dim C^t - rank d_t - rank d_(t-1).  Its invariants: d_(t+1) d_t = 0 is checked
-once per consecutive pair; an image term outside the next degree of the block
-raises (the leak check), so a wrong block split or grading is never counted;
-and no dimension is negative.  Each failure raises ComplexViolationError
-naming the block and the degrees.
+frame models and their cones, poisson's boundary homology (frame cones, and
+the torus-cone blocks with c = 0) and the specseq filtration (every block)
+use it.  A block is given as its monomial bases by degree; `block_differentials`
+assembles each differential d_t once, reading the term map of each source
+monomial into the matrix (`operator_matrix`), and `linalg.homology_dims` ranks
+each d_t once and returns dim C^t - rank d_t - rank d_(t-1).  Its invariants:
+d_(t+1) d_t = 0 is checked once per consecutive pair; an image term outside
+the next degree of the block raises (the leak check), so a wrong block split
+or grading is never counted; and no dimension is negative.  Each failure
+raises ComplexViolationError naming the block and the degrees.  The basic
+table and the gysin isomorphism checks read ranks of `operator_matrix`
+matrices alone (`block_ranks`) and build no kernel basis.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ import math
 from typing import NamedTuple, Sequence
 
 from .errors import ComplexViolationError, UnsupportedModelError, ValidationError
-from .linalg import SparseMatrix, add_into, column_matrix, homology_dims, rank, rank_kernel
+from .linalg import SparseMatrix, add_into, homology_dims, rank
 from .models import (
     DiophantineCertificate,
     FoliatedModel,
@@ -353,6 +354,23 @@ def _block_bidegree_dims(
     return out
 
 
+def block_ranks(
+    model: FoliatedModel, key: tuple, op: TermMap
+) -> tuple[dict[tuple[int, int], list[FormMonomial]], dict[tuple[int, int], int]]:
+    """One block's monomials by bidegree, and the rank of a (1,0)-shift operator out of each.
+
+    Each matrix (r, s) -> (r + 1, s) is assembled once, with the leak check
+    of `operator_matrix`, and ranked once, so the block's H^{r,s} has
+    dimension |C^{r,s}| - rank (r, s) - rank (r - 1, s).
+    """
+    by_deg = _by_bidegree(model, key)
+    ranks = {
+        (r, s): rank(operator_matrix(model, op, cell, by_deg.get((r + 1, s), [])))
+        for (r, s), cell in by_deg.items()
+    }
+    return by_deg, ranks
+
+
 def contracted(model: FoliatedModel, key: tuple, flags: Sequence[bool]) -> bool:
     """Whether a generator g with flags[g] has a nonzero multiplier c on a torus-family block.
 
@@ -443,30 +461,28 @@ def basic_cohomology_dims(
 ) -> dict:
     """Dimensions of the basic complex: leafwise-closed (0, s) forms under d_perp.
 
-    The result is window-truncated; ``window_sensitive`` flags a nonzero
-    resonance lattice (infinitely many basic functions off-window).
+    On (0, s) the boundary part of d would land in the empty (-1, s + 2), so
+    d = d_F + d_perp there: the matrix of d_F stacked over that of d_perp.  So
+    d_perp on the basic forms ker d_F of (0, s-1) has rank (rank d - rank d_F)
+    on (0, s-1), and H_b^s = |C^{0,s}| - rank d|(0,s) - that rank, block by
+    block.  The result is window-truncated; ``window_sensitive`` flags a
+    nonzero resonance lattice (infinitely many basic functions off-window).
     """
     window = window or ModeWindow()
     if model.has_xi:
         raise UnsupportedModelError("basic complex is computed on unpunctured models")
     q = model.codim
-    dF = component_terms(model, "d_F")
-    dP = component_terms(model, "d_perp")
+    d, dF = component_terms(model, "d"), component_terms(model, "d_F")
     dims = [0] * (q + 1)
     for key in model.block_keys(window):
         by_deg = _by_bidegree(model, key)
-        ranks = [0]  # rank of the induced d_perp into degree s
+        induced = 0  # rank of d_perp on the basic (s-1)-forms
         for s in range(q + 1):
-            source = by_deg.get((0, s), [])
-            # basic s-forms of the block: the kernel of d_F on (0, s)
-            _, kernel = rank_kernel(operator_matrix(model, dF, source, by_deg.get((1, s), [])))
-            basic = column_matrix(len(source), kernel, model.field)
-            # induced d_perp on them, in (0, s+1) coordinates; the image stays
-            # leafwise closed by the anticommutation identities, and (0, q+1)
-            # is empty, so the top degree must map to zero
-            d_perp = operator_matrix(model, dP, source, by_deg.get((0, s + 1), []))
-            ranks.append(rank(d_perp.matmul(basic)))
-            dims[s] += len(kernel) - ranks[-1] - ranks[-2]
+            # (0, q+1) is empty, so the top degree must map to zero
+            source, leafwise = by_deg.get((0, s), []), by_deg.get((1, s), [])
+            full = rank(operator_matrix(model, d, source, leafwise + by_deg.get((0, s + 1), [])))
+            dims[s] += len(source) - full - induced
+            induced = full - rank(operator_matrix(model, dF, source, leafwise))
     sensitive = model.torus is not None and model.torus.resonant
     return {"model": repr(model), "dims": dims, "window_sensitive": sensitive}
 
@@ -485,36 +501,3 @@ def ordinary_derham_dims(
         for (r, s), h in koszul_block_dims(model, key, flags).items():
             dims[r + s] += h
     return dims
-
-
-# -- closed and exact vectors (the gysin isomorphism checks) ---------------------
-
-
-def closed_and_exact(
-    model: FoliatedModel, d_f: TermMap, key: tuple, bidegrees: Sequence[tuple[int, int]]
-) -> dict[tuple[int, int], tuple[list[dict], list[dict]]]:
-    """(Z, B) of one block per bidegree: the d_F kernel basis, the nonzero d_F columns into it.
-
-    ``d_f`` is the model's d_F term map.  The block is split by bidegree once,
-    and each d_F matrix (r, s) -> (r + 1, s) is assembled once, whichever
-    bidegrees read it; an image term outside the next bidegree raises
-    ComplexViolationError.  The block's cohomology at (r, s) has dimension
-    |Z| - dim span(B).
-    """
-    by_deg = _by_bidegree(model, key)
-    diffs: dict[tuple[int, int], SparseMatrix] = {}
-
-    def diff(r: int, s: int) -> SparseMatrix:
-        if (r, s) not in diffs:
-            source, target = by_deg.get((r, s), []), by_deg.get((r + 1, s), [])
-            diffs[(r, s)] = operator_matrix(model, d_f, source, target)
-        return diffs[(r, s)]
-
-    out = {}
-    for r, s in bidegrees:
-        cell = by_deg.get((r, s), [])
-        vector = lambda v: {cell[i]: c for i, c in v.items()}
-        _, kernel = rank_kernel(diff(r, s))
-        columns = diff(r - 1, s).transpose().row_vectors()
-        out[(r, s)] = [vector(v) for v in kernel], [vector(v) for v in columns if v]
-    return out

@@ -5,11 +5,12 @@ a dict of exact Scalars, dropping the keys that sum to zero.  Operator
 images (forms), symbol products (trigonometric polynomials) and matrix
 columns are all built through it.
 
-One elimination, a row echelon (`Echelon`), gives ranks, spans and kernels:
-each row is stored as its residual modulo the rows before it, with the
-memoized inverse of its lead entry, and is never normalized or
-back-substituted.  `rank_kernel` solves for the kernel off the stored rows.
-Exact field arithmetic throughout; no floating point anywhere.
+One elimination, a row echelon (`Echelon`), gives ranks and spans: each row
+is stored as its residual modulo the rows before it, with the memoized
+inverse of its lead entry, and is never normalized or back-substituted.
+Every dimension the package reports is read off ranks (`rank`,
+`homology_dims`); no kernel basis over the field is built.  Exact field
+arithmetic throughout; no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -74,14 +75,6 @@ class SparseMatrix:
         for (r, c), v in self.entries.items():
             out[r][c] = v
         return out
-
-    def transpose(self) -> SparseMatrix:
-        return SparseMatrix(
-            self.cols,
-            self.rows,
-            {(c, r): v for (r, c), v in self.entries.items()},
-            self.field,
-        )
 
     def matmul(self, other: SparseMatrix) -> SparseMatrix:
         if self.cols != other.rows:
@@ -176,51 +169,6 @@ def rank(matrix: SparseMatrix) -> int:
     return Echelon(matrix.field).extend([row for row in matrix.row_vectors() if row])
 
 
-def column_matrix(rows: int, vectors: list[SparseVector], field: NumberField) -> SparseMatrix:
-    """The rows x len(vectors) matrix whose column j is vectors[j]."""
-    entries = {(i, j): c for j, vec in enumerate(vectors) for i, c in vec.items()}
-    return SparseMatrix(rows, len(vectors), entries, field)
-
-
-def rank_kernel(matrix: SparseMatrix) -> tuple[int, list[SparseVector]]:
-    """Exact rank and a basis of the right kernel (vectors as {col: Scalar}).
-
-    The rows go into an `Echelon`; each free column f gives the kernel vector
-    with x_f = 1 and every other free column 0.  A stored row's tail lies
-    right of its pivot, so the pivots are solved right to left.  Each kernel
-    vector v satisfies  matrix @ v = 0; the basis vectors are linearly
-    independent and rank + len(basis) = cols.  Both facts are checked on the
-    result (rank-nullity and one product with the basis matrix), and a
-    failure raises ComplexViolationError.
-    """
-    field = matrix.field
-    ech = Echelon(field)
-    ech.extend([row for row in matrix.row_vectors() if row])
-    pivots = ech.pivot_rows
-    right_to_left = sorted(pivots, reverse=True)
-    kernel: list[SparseVector] = []
-    for f in range(matrix.cols):
-        if f in pivots:
-            continue
-        vec: SparseVector = {f: field.one}
-        for p in right_to_left:
-            if p < f:  # a pivot right of f solves to 0
-                tail, inv = pivots[p]
-                total = sum((v * vec[c] for c, v in tail.items() if c in vec), field.zero)
-                if total:
-                    vec[p] = -(total * inv)
-        kernel.append(vec)
-    if len(pivots) + len(kernel) != matrix.cols:
-        raise ComplexViolationError(
-            f"rank-nullity fails: rank {len(pivots)} + kernel {len(kernel)} != {matrix.cols} columns"
-        )
-    product = matrix.matmul(column_matrix(matrix.cols, kernel, field))
-    if not product.is_zero():
-        vec = kernel[min(j for _i, j in product.entries)]
-        raise ComplexViolationError(f"kernel vector {sorted(vec)} is not annihilated")
-    return len(pivots), kernel
-
-
 def homology_dims(sizes: dict[int, int], diffs: dict[int, SparseMatrix]) -> dict[int, int]:
     """Exact homology dimensions of a finite cochain complex.
 
@@ -248,12 +196,6 @@ def homology_dims(sizes: dict[int, int], diffs: dict[int, SparseMatrix]) -> dict
             raise ComplexViolationError(f"negative homology dimension at degree {t}")
         out[t] = h
     return out
-
-
-def span_dim(field: NumberField, vectors: list[SparseVector]) -> int:
-    ech = Echelon(field)
-    ech.extend(vectors)
-    return ech.dim
 
 
 def integer_kernel(rows: list[list[int]], n: int) -> list[tuple[int, ...]]:

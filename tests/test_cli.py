@@ -414,6 +414,32 @@ def test_xi_range_flag(torus_spec, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "xi_range, identity_range",
+    [("-2:2", (-1, 1)), ("2:3", (2, 3)), ("0:5", (0, 2)), ("-9:-4", (-6, -4)), ("1:1", (1, 1))],
+    ids=["-2:2", "2:3", "0:5", "-9:-4", "1:1"],
+)
+def test_derham_identity_window_keeps_the_values_nearest_zero(
+    xi_range, identity_range, tmp_path, monkeypatch
+):
+    # the identities run on at most three l of the requested range, never on none
+    windows = []
+    real = derham.verify_decomposition_identities
+
+    def recording(model, window):
+        windows.append(window)
+        return real(model, window)
+
+    monkeypatch.setattr(derham, "verify_decomposition_identities", recording)
+    spec, out = tmp_path / "cone.json", tmp_path / "o"
+    base = {"family": "kronecker_torus", "alpha": ["1", "sqrt2"]}
+    spec.write_text(json.dumps({"family": "conic_dual", "base": base}))
+    args = ["derham", "--model", str(spec), "--mode-bound", "1", f"--xi-range={xi_range}"]
+    assert cli.main([*args, "--out", str(out)]) == 0
+    assert [(w.bound, w.l_min, w.l_max) for w in windows] == [(1, *identity_range)]
+    assert json.loads((out / "derham.json").read_text())["identities"]["passed"]
+
+
 def test_one_run_computes_each_table_once(torus_spec, tmp_path, monkeypatch):
     # torus, cosphere-circle and circle-product tables: each read by several
     # analyses, computed once

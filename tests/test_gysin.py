@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import random
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,6 +13,7 @@ from leafhom import cli, derham, gysin, models
 from leafhom.derham import cohomology_dims, differential
 from leafhom.errors import ValidationError
 from leafhom.gysin import fiber_integration_terms, product_splitting_dims
+from leafhom.linalg import Echelon, SparseMatrix, add_into, rank
 from leafhom.models import (
     CircleProductModel,
     FoliatedModel,
@@ -22,6 +25,7 @@ from leafhom.models import (
 )
 from leafhom.models import pullback_from_base as pullback
 from leafhom.scalars import NumberField
+from kernel_oracle import rref_rank_kernel
 
 
 @pytest.fixture(scope="module")
@@ -234,23 +238,26 @@ def test_chain_map_checks_once_per_run(tmp_path, monkeypatch):
         walks[type(model).__name__] += 1
         return walk(model, window)
 
-    assemblies = []
-    closed_and_exact = gysin.closed_and_exact
+    passes = []
+    block_ranks = gysin.block_ranks
 
-    def counting_assembly(model, d_f, key, bidegrees):
-        assemblies.append((type(model).__name__, key, tuple(bidegrees)))
-        return closed_and_exact(model, d_f, key, bidegrees)
+    def counting_pass(model, key, d_f):
+        passes.append((type(model).__name__, key))
+        return block_ranks(model, key, d_f)
 
-    matrices = Counter()
-    operator_matrix = derham.operator_matrix
+    matrices, cones = Counter(), Counter()
 
-    def counting_matrix(model, terms, source, target):
-        matrices[type(model).__name__] += 1
-        return operator_matrix(model, terms, source, target)
+    def counting(counter, real):
+        def matrix(model, terms, source, target):
+            counter[type(model).__name__] += 1
+            return real(model, terms, source, target)
+
+        return matrix
 
     monkeypatch.setattr(FoliatedModel, "basis_monomials", counting_walk)
-    monkeypatch.setattr(gysin, "closed_and_exact", counting_assembly)
-    monkeypatch.setattr(derham, "operator_matrix", counting_matrix)
+    monkeypatch.setattr(gysin, "block_ranks", counting_pass)
+    monkeypatch.setattr(derham, "operator_matrix", counting(matrices, derham.operator_matrix))
+    monkeypatch.setattr(gysin, "operator_matrix", counting(cones, gysin.operator_matrix))
     spec = tmp_path / "t3.json"
     spec.write_text(json.dumps({"family": "kronecker_torus", "alpha": ["1", "sqrt2", "sqrt3"]}))
     args = ["gysin", "--model", str(spec), "--mode-bound", "1", "--out", str(tmp_path / "o")]
@@ -260,24 +267,146 @@ def test_chain_map_checks_once_per_run(tmp_path, monkeypatch):
     # three transverse degrees, one walk per model: the pullback identities and
     # the splitting over the base, integration over the total space
     assert walks == {"KroneckerTorus": 1, "CircleProductModel": 1}
-    # one pass per model: each of the base's 27 blocks and the total space's 81
-    # is split once, for (0, h) and (1, h) on the base and (0, h) and (2, h)
-    # on the total space, h = 0, 1, 2
-    hs = range(3)
-    cells = {
-        "KroneckerTorus": tuple((r, h) for h in hs for r in (0, 1)),
-        "CircleProductModel": tuple((r, h) for h in hs for r in (0, 2)),
-    }
-    assert len(assemblies) == 27 + 81
-    assert len(set(assemblies)) == len(assemblies)
-    assert Counter(name for name, _key, _cells in assemblies) == {
-        "KroneckerTorus": 27,
-        "CircleProductModel": 81,
-    }
-    assert all(bidegrees == cells[name] for name, _key, bidegrees in assemblies)
-    # each d_F matrix once per block: (r, h) -> (r + 1, h) for r = -1, 0, 1 on
-    # the base and r = -1, 0, 1, 2 on the total space, h = 0, 1, 2
-    assert matrices == {"KroneckerTorus": 27 * 3 * 3, "CircleProductModel": 81 * 4 * 3}
+    # one block pass per model serves every h: each of the base's 27 blocks
+    # and the total space's 81 is ranked once
+    assert len(passes) == len(set(passes)) == 27 + 81
+    by_model = Counter(name for name, _key in passes)
+    assert by_model == {"KroneckerTorus": 27, "CircleProductModel": 81}
+    # each block's d_F matrix once per bidegree (r, h) -> (r + 1, h): r = 0, 1
+    # on the base and r = 0, 1, 2 on the total space, h = 0, 1, 2
+    assert matrices == {"KroneckerTorus": 27 * 2 * 3, "CircleProductModel": 81 * 3 * 3}
+    # and one mapping-cone matrix per check and h: 2 (q + 1), from the source model
+    assert cones == {"KroneckerTorus": 3, "CircleProductModel": 3}
+
+
+# -- the mapping-cone rank against the Z/B count of a kernel oracle --------------------
+
+ENTRIES = ("1", "-1", "2", "1/2", "sqrt2", "i", "1+sqrt2")
+
+
+def dense(field, rows, cols, values):
+    """A rows x cols SparseMatrix from {(r, c): text}."""
+    return SparseMatrix(rows, cols, {rc: field.parse(x) for rc, x in values.items()}, field)
+
+
+def transpose(m):
+    return SparseMatrix(m.cols, m.rows, {(c, r): v for (r, c), v in m.entries.items()}, m.field)
+
+
+def random_pair(field, rng, n0, n1, n2):
+    """(D0, D1) with D1 D0 = 0: the rows of D1 mix the oracle's left kernel of a random D0."""
+    draw = lambda: rng.choice(ENTRIES) if rng.random() < 0.4 else None
+    d0 = dense(field, n1, n0, {(r, c): x for r in range(n1) for c in range(n0) if (x := draw())})
+    left = rref_rank_kernel(transpose(d0))[1]
+    d1: dict = {}
+    for r in range(n2):
+        for vec in left:
+            if x := draw():
+                add_into(d1, (((r, c), v) for c, v in vec.items()), field.parse(x))
+    return d0, SparseMatrix(n2, n1, d1, field)
+
+
+def hand_built(name, low, d_low, d_mid):
+    """Degrees low .. low + 2 with differentials d_low and d_mid, as a `gysin._Pass` at h = 0.
+
+    Basis element i of degree t is (name, t, i).
+    """
+    sizes = {low: d_low.cols, low + 1: d_low.rows, low + 2: d_mid.rows}
+    diffs = {low: d_low, low + 1: d_mid}
+
+    def d_f(mono):
+        _, t, i = mono
+        entries = diffs[t].entries.items() if t in diffs else ()
+        return [((name, t + 1, r), v) for (r, c), v in entries if c == i]
+
+    cells = {(t, 0): [(name, t, i) for i in range(n)] for t, n in sizes.items()}
+    ranks = {(t, 0): rank(m) for t, m in diffs.items()}
+    model = SimpleNamespace(field=d_low.field, monomial_label=repr)
+    return gysin._Pass(model, d_f, cells, ranks)
+
+
+def zb_count(d_a, f, d_b):
+    """(rank of the induced map, dim H(A), dim H(B)) at the middle degree, from kernel vectors.
+
+    ``d_a`` and ``d_b`` are each side's differentials (into, out of) the
+    middle degree and ``f`` the matrix of the map.  Z is the oracle's kernel
+    basis, B the differential's columns; the induced map has rank
+    dim span(f(Z_A) + B_B) - dim span(B_B).
+    """
+    field = f.field
+    columns = lambda m: [v for v in transpose(m).row_vectors() if v]
+    apply = lambda m, v: add_into({}, ((r, x * v[c]) for (r, c), x in m.entries.items() if c in v))
+    z_a, z_b = rref_rank_kernel(d_a[1])[1], rref_rank_kernel(d_b[1])[1]
+    span = Echelon(field)
+    dim_b = len(z_b) - span.extend(columns(d_b[0]))
+    induced = span.extend([apply(f, z) for z in z_a])
+    return induced, len(z_a) - Echelon(field).extend(columns(d_a[0])), dim_b
+
+
+def cone_cases(field):
+    """(name, d_a, f, d_b, verdict): hand-built chain maps, then random complexes and maps."""
+    m = lambda rows, cols, values={}: dense(field, rows, cols, values)
+    # A: 0 -> F -> 0, and B: F -> F^2 -> 0 with boundary e2
+    point, line = (m(1, 0), m(0, 1)), (m(2, 1, {(1, 0): "1"}), m(0, 2))
+    yield "iso off the boundaries", point, m(2, 1, {(0, 0): "1"}), line, True
+    yield "image in the boundaries", point, m(2, 1, {(1, 0): "sqrt2"}), line, False
+    # A: x -> y1, y2 -> z, y3 closed; B = A + (c0 -> c1) with y1, y3 -> y + c1:
+    # a chain map whose image meets the boundaries and is an iso
+    a = (m(3, 1, {(0, 0): "1"}), m(1, 3, {(0, 1): "1"}))
+    b = (m(4, 2, {(0, 0): "1", (3, 1): "1"}), m(1, 4, {(0, 1): "1"}))
+    twisted = {(0, 0): "1", (3, 0): "1", (1, 1): "1", (2, 2): "1", (3, 2): "1"}
+    yield "iso through the boundaries", a, m(4, 3, twisted), b, True
+    yield "not onto the classes", a, m(4, 3, {(0, 0): "1", (1, 1): "1"}), b, False
+    rng = random.Random(5)
+    sizes = lambda: (rng.randint(0, 2), rng.randint(1, 4), rng.randint(0, 2))
+    mixed = lambda rows, cols: m(rows, cols, {
+        (r, c): rng.choice(ENTRIES) for r in range(rows) for c in range(cols) if rng.random() < 0.5
+    })
+    for n in range(60):
+        # any linear map: the cone identity holds whether or not f is a chain map
+        d_a, d_b = random_pair(field, rng, *sizes()), random_pair(field, rng, *sizes())
+        yield f"random map {n}", d_a, mixed(d_b[0].rows, d_a[0].rows), d_b, None
+        # B = A + C, C exact in the middle (c0 unipotent), and f y = (y, c0 h y):
+        # a chain map and an iso, whose image meets the boundaries of C
+        (a0, a1), w = random_pair(field, rng, *sizes()), rng.randint(1, 3)
+        upper = {(r, c): rng.choice(ENTRIES) for r in range(w) for c in range(r + 1, w)}
+        c0 = m(w, w, {**upper, **{(r, r): "1" for r in range(w)}})
+        c1 = m(rng.randint(0, 2), w)
+        twist = c0.matmul(mixed(w, a0.rows)).entries
+        f = SparseMatrix(a0.rows + w, a0.rows, {
+            **{(i, i): field.one for i in range(a0.rows)},
+            **{(a0.rows + r, c): v for (r, c), v in twist.items()},
+        }, field)
+        yield f"twisted inclusion {n}", (a0, a1), f, (direct_sum(a0, c0), direct_sum(a1, c1)), True
+
+
+def direct_sum(m, n):
+    """The block-diagonal matrix of m and n."""
+    entries = {(r + m.rows, c + m.cols): v for (r, c), v in n.entries.items()}
+    return SparseMatrix(m.rows + n.rows, m.cols + n.cols, {**m.entries, **entries}, m.field)
+
+
+@pytest.mark.parametrize("degrees", [(0, 0), (2, 1)], ids=["pullback", "integration"])
+def test_cone_rank_matches_the_zb_count(degrees, monkeypatch):
+    # pullback reads (k, j) = (0, 0), fiber integration (p + 1, p)
+    k, j = degrees
+    cone_ranks = []
+    real = gysin.rank
+    monkeypatch.setattr(gysin, "rank", lambda m: cone_ranks.append(real(m)) or cone_ranks[-1])
+    seen = Counter()
+    for name, d_a, fmat, d_b, verdict in cone_cases(NumberField((2,))):
+        a, b = hand_built("A", k - 1, *d_a), hand_built("B", j - 1, *d_b)
+        f = lambda mono: [(("B", j, r), v) for (r, c), v in fmat.entries.items() if c == mono[2]]
+        induced, dim_a, dim_b = zb_count(d_a, fmat, d_b)
+        assert verdict in (None, induced == dim_a == dim_b), name
+        assert gysin._induces_iso(f, a, b, degrees, 0) == (induced == dim_a == dim_b), name
+        # the cone's rank less rank D_A^k and rank D_B^(j-1) is the induced rank itself
+        (cone_rank,) = cone_ranks
+        assert cone_rank - rank(d_a[1]) - rank(d_b[0]) == induced, name
+        cone_ranks.clear()
+        seen["iso" if induced == dim_a == dim_b else "not", induced > 0] += 1
+    # isos and non-isos, most of them with classes on both sides
+    assert seen["iso", True] > 30 and seen["not", True] > 20, seen
 
 
 @pytest.mark.parametrize("bound", [0, 2])
