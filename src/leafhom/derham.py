@@ -35,19 +35,19 @@ a list of (monomial, coefficient).  `component_terms` gives d and its three
 components from the model's multiplier memo (`FoliatedModel.block_multipliers`);
 `Form.map` is the one linear extension to forms.
 
-One block engine ranks the blocks no rule settles: the leafwise tables of
-frame models and their cones, poisson's boundary homology (frame cones, and
-the torus-cone blocks with c = 0) and the specseq filtration (every block)
-use it.  A block is given as its monomial bases by degree; `block_differentials`
-assembles each differential d_t once, reading the term map of each source
-monomial into the matrix (`operator_matrix`), and `linalg.homology_dims` ranks
-each d_t once and returns dim C^t - rank d_t - rank d_(t-1).  Its invariants:
-d_(t+1) d_t = 0 is checked once per consecutive pair; an image term outside
-the next degree of the block raises (the leak check), so a wrong block split
-or grading is never counted; and no dimension is negative.  Each failure
-raises ComplexViolationError naming the block and the degrees.  The basic
-table and the gysin isomorphism checks read ranks of `operator_matrix`
-matrices alone (`block_ranks`) and build no kernel basis.
+One block engine ranks the blocks no rule settles; no kernel basis is built.
+A block is given as its monomial bases by degree.  `block_ranks` is its one
+body: `block_differentials` assembles each d_t once from the term map
+(`operator_matrix`; an image term outside the next degree raises, the leak
+check), and `linalg.complex_ranks` checks d_(t+1) d_t = 0 once per
+consecutive pair and ranks each d_t once.  Each failure raises
+ComplexViolationError naming the block and the degrees; `block_homology`
+reads dim C^t - rank d_t - rank d_(t-1) off the ranks.  `rank_pass` runs
+d_F over a window: one r-chain per block and s, summed by bidegree.  The
+leafwise tables of frame models and their cones, the basic table and the
+gysin isomorphism checks read it, and poisson's boundary homology ranks its
+line complexes through `block_homology`; the specseq filtration assembles
+through `block_differentials` and is checked by `linalg.complex_ranks`.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ import math
 from typing import NamedTuple, Sequence
 
 from .errors import ComplexViolationError, UnsupportedModelError, ValidationError
-from .linalg import SparseMatrix, add_into, homology_dims, rank
+from .linalg import SparseMatrix, add_into, complex_ranks, homology_dims
 from .models import (
     DiophantineCertificate,
     FoliatedModel,
@@ -266,9 +266,7 @@ def operator_matrix(
 
 
 def block_differentials(
-    model: FoliatedModel,
-    terms: TermMap,
-    graded: dict[int, Sequence[FormMonomial]],
+    model: FoliatedModel, terms: TermMap, graded: dict[int, Sequence[FormMonomial]]
 ) -> dict[int, SparseMatrix]:
     """Matrices d_t: graded[t] -> graded[t + 1] of a degree-raising term map.
 
@@ -284,22 +282,27 @@ def block_differentials(
     }
 
 
-def block_homology(
-    model: FoliatedModel,
-    terms: TermMap,
-    graded: dict[int, Sequence[FormMonomial]],
-    block: str,
+def block_ranks(
+    model: FoliatedModel, terms: TermMap, graded: dict[int, Sequence[FormMonomial]], block: str
 ) -> dict[int, int]:
-    """Homology dims of one block complex, degree by degree.
+    """The rank of each differential of one block complex: assembled once by
+    `block_differentials`, then checked and ranked by `linalg.complex_ranks`.
 
-    Each differential is assembled once and ranked once; a broken complex
-    raises ComplexViolationError naming ``block`` and the degrees.
+    A broken complex raises ComplexViolationError naming ``block`` and the degrees.
     """
     try:
         diffs = block_differentials(model, terms, graded)
-        return homology_dims({t: len(b) for t, b in graded.items()}, diffs)
+        return complex_ranks({t: len(b) for t, b in graded.items()}, diffs)
     except ComplexViolationError as exc:
         raise ComplexViolationError(f"block {block}: {exc}") from exc
+
+
+def block_homology(
+    model: FoliatedModel, terms: TermMap, graded: dict[int, Sequence[FormMonomial]], block: str
+) -> dict[int, int]:
+    """Homology dims of one block complex, degree by degree, from its `block_ranks`."""
+    ranks = block_ranks(model, terms, graded, block)
+    return homology_dims({t: len(b) for t, b in graded.items()}, ranks)
 
 
 class BigradedDims(NamedTuple):
@@ -340,35 +343,39 @@ def _by_bidegree(model: FoliatedModel, key: tuple) -> dict[tuple[int, int], list
     return by_deg
 
 
-def _block_bidegree_dims(
-    model: FoliatedModel, key: tuple, op: TermMap
-) -> dict[tuple[int, int], int]:
-    """H^{r,s} of one block for a (1,0)-shift operator: one chain in r per s."""
-    by_deg = _by_bidegree(model, key)
-    out: dict[tuple[int, int], int] = {}
-    for s in sorted({s for _r, s in by_deg}):
-        # r = leaf_dim + 1 stays empty, so the top degree must map to zero
-        chain = {r: by_deg.get((r, s), []) for r in range(model.leaf_dim + 2)}
-        for r, h in block_homology(model, op, chain, f"{key}, s = {s}").items():
-            out[(r, s)] = h
-    return out
+class RankPass(NamedTuple):
+    """d_F over a window's blocks (`rank_pass`): its cells, ranks and dims by bidegree."""
+
+    model: FoliatedModel
+    d_f: TermMap
+    cells: dict[tuple[int, int], list[FormMonomial]]  # the window's monomials
+    ranks: dict[tuple[int, int], int]  # the rank of d_F out of each cell
+    dims: dict[tuple[int, int], int]  # H^{r,s}, nonzero entries only
 
 
-def block_ranks(
-    model: FoliatedModel, key: tuple, op: TermMap
-) -> tuple[dict[tuple[int, int], list[FormMonomial]], dict[tuple[int, int], int]]:
-    """One block's monomials by bidegree, and the rank of a (1,0)-shift operator out of each.
+def rank_pass(model: FoliatedModel, window: ModeWindow) -> RankPass:
+    """d_F on the window's blocks: one `block_ranks` chain per block and s.
 
-    Each matrix (r, s) -> (r + 1, s) is assembled once, with the leak check
-    of `operator_matrix`, and ranked once, so the block's H^{r,s} has
-    dimension |C^{r,s}| - rank (r, s) - rank (r - 1, s).
+    A chain runs over r = 0 .. leaf_dim + 1, the last cell empty, so the top
+    degree must map to zero.  Cells and ranks are summed over the blocks and
+    the dims computed once, from the sums.
     """
-    by_deg = _by_bidegree(model, key)
-    ranks = {
-        (r, s): rank(operator_matrix(model, op, cell, by_deg.get((r + 1, s), [])))
-        for (r, s), cell in by_deg.items()
-    }
-    return by_deg, ranks
+    d_f, top = component_terms(model, "d_F"), model.leaf_dim + 1
+    cells: dict[tuple[int, int], list[FormMonomial]] = {}
+    ranks: dict[tuple[int, int], int] = {}
+    for key in model.block_keys(window):
+        by_deg = _by_bidegree(model, key)
+        for s in sorted({s for _r, s in by_deg}):
+            chain = {r: by_deg.get((r, s), []) for r in range(top + 1)}
+            for r, n in block_ranks(model, d_f, chain, f"{key}, s = {s}").items():
+                cells.setdefault((r, s), []).extend(chain[r])
+                ranks[(r, s)] = ranks.get((r, s), 0) + n
+    dims: dict[tuple[int, int], int] = {}
+    for s in sorted({s for _r, s in cells}):
+        sizes = {r: len(cells[(r, s)]) for r in range(top)}
+        chain = homology_dims(sizes, {r: ranks[(r, s)] for r in range(top)})
+        dims.update(((r, s), h) for r, h in chain.items() if h)
+    return RankPass(model, d_f, cells, ranks, dims)
 
 
 def contracted(model: FoliatedModel, key: tuple, flags: Sequence[bool]) -> bool:
@@ -424,18 +431,15 @@ def cohomology_dims(
     base = model.torus
     # on the cone, every block at the one homogeneity, in the window's range or not
     narrowed = ModeWindow(window.bound, homogeneity, homogeneity) if is_conic else window
-    keys = model.block_keys(narrowed)
     if base is None:
-        op = component_terms(model, "d_F")
-        block_dims = lambda key: _block_bidegree_dims(model, key, op)
+        totals = rank_pass(model, narrowed).dims
     else:
         flags, _ = _component_filter(model, "d_F")
-        block_dims = lambda key: koszul_block_dims(model, key, flags)
-    totals: dict[tuple[int, int], int] = {}
-    for key in keys:
-        for rs, v in block_dims(key).items():
-            if v:
-                totals[rs] = totals.get(rs, 0) + v
+        totals: dict[tuple[int, int], int] = {}
+        for key in model.block_keys(narrowed):
+            for rs, v in koszul_block_dims(model, key, flags).items():
+                if v:
+                    totals[rs] = totals.get(rs, 0) + v
     cert = None if base is None else base.certificate
     formal = cert is not None and cert.verdict != "diophantine"
     # every resonant mode block has a vanishing leafwise differential, so a
@@ -464,25 +468,28 @@ def basic_cohomology_dims(
     On (0, s) the boundary part of d would land in the empty (-1, s + 2), so
     d = d_F + d_perp there: the matrix of d_F stacked over that of d_perp.  So
     d_perp on the basic forms ker d_F of (0, s-1) has rank (rank d - rank d_F)
-    on (0, s-1), and H_b^s = |C^{0,s}| - rank d|(0,s) - that rank, block by
-    block.  The result is window-truncated; ``window_sensitive`` flags a
-    nonzero resonance lattice (infinitely many basic functions off-window).
+    on (0, s-1), and H_b^s = |C^{0,s}| - rank d|(0,s) - that rank.  The cells
+    and the d_F ranks are those of the `rank_pass`; d is ranked per block,
+    through `block_ranks`, and every count is summed over the blocks.  The
+    result is window-truncated; ``window_sensitive`` flags a nonzero
+    resonance lattice (infinitely many basic functions off-window).
     """
     window = window or ModeWindow()
     if model.has_xi:
         raise UnsupportedModelError("basic complex is computed on unpunctured models")
-    q = model.codim
-    d, dF = component_terms(model, "d"), component_terms(model, "d_F")
-    dims = [0] * (q + 1)
+    q, leafwise, d = model.codim, rank_pass(model, window), component_terms(model, "d")
+    full = [0] * (q + 1)  # rank of d out of (0, s)
     for key in model.block_keys(window):
         by_deg = _by_bidegree(model, key)
-        induced = 0  # rank of d_perp on the basic (s-1)-forms
         for s in range(q + 1):
             # (0, q+1) is empty, so the top degree must map to zero
-            source, leafwise = by_deg.get((0, s), []), by_deg.get((1, s), [])
-            full = rank(operator_matrix(model, d, source, leafwise + by_deg.get((0, s + 1), [])))
-            dims[s] += len(source) - full - induced
-            induced = full - rank(operator_matrix(model, dF, source, leafwise))
+            target = by_deg.get((1, s), []) + by_deg.get((0, s + 1), [])
+            graded = {0: by_deg.get((0, s), []), 1: target}
+            full[s] += block_ranks(model, d, graded, f"{key}, s = {s}")[0]
+    dims, induced = [], 0  # rank of d_perp on the basic (s-1)-forms
+    for s in range(q + 1):
+        dims.append(len(leafwise.cells.get((0, s), [])) - full[s] - induced)
+        induced = full[s] - leafwise.ranks.get((0, s), 0)
     sensitive = model.torus is not None and model.torus.resonant
     return {"model": repr(model), "dims": dims, "window_sensitive": sensitive}
 

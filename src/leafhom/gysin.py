@@ -8,29 +8,26 @@ intertwine the leafwise differentials on the nose; the intertwining is a
 standing test, not an assumption).  Both maps are term maps; the chain-map
 checks and the splitting pi_*(pi^*c ^ dphi) = c do not depend on the
 transverse degree h and run once, as identities on every windowed monomial.
-The isomorphism checks are rank counts, with no kernel vectors: one pass
-over each model's blocks ranks every d_F matrix once for every h, and one
-mapping-cone matrix per check gives the rank of the induced map.  The
-splitting table reads the leafwise tables of the base and of the total space
-that it is given, and returns one report document per transverse degree,
-verdict included.
+The isomorphism checks are rank counts, with no kernel vectors: one
+`derham.rank_pass` per model checks d_F^2 = 0 and ranks every d_F matrix once
+for every h, and one mapping-cone matrix per check gives the rank of the
+induced map.  The splitting table reads the leafwise tables of the base and
+of the total space that it is given, and returns one report document per
+transverse degree, verdict included.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
-from .derham import BigradedDims, block_ranks, check_identities, component_terms, operator_matrix
-from .linalg import rank
-from .models import (
-    CircleProductModel,
-    FoliatedModel,
-    FormMonomial,
-    ModeWindow,
-    TermMap,
-    merge_ext,
-    pullback_terms,
+from .derham import (
+    BigradedDims,
+    RankPass,
+    check_identities,
+    component_terms,
+    operator_matrix,
+    rank_pass,
 )
+from .linalg import rank
+from .models import CircleProductModel, FormMonomial, ModeWindow, TermMap, merge_ext, pullback_terms
 from .scalars import Scalar
 
 
@@ -59,9 +56,7 @@ def fiber_integration_terms(total: CircleProductModel) -> TermMap:
 
 
 def product_splitting_dims(
-    total: CircleProductModel,
-    base_dims: BigradedDims,
-    total_dims: BigradedDims,
+    total: CircleProductModel, base_dims: BigradedDims, total_dims: BigradedDims
 ) -> list[dict]:
     """Direct vs predicted dimensions for the product circle bundle, one report per h.
 
@@ -147,7 +142,7 @@ def _dphi_terms(total: CircleProductModel) -> TermMap:
 def _iso_checks(total: CircleProductModel, window: ModeWindow) -> list[list[dict]]:
     """Per h: pullback (0, h) -> (0, h) and integration (p+1, h) -> (p, h), one pass per model."""
     base, p = total.base, total.base.leaf_dim
-    down, up = _block_pass(base, window), _block_pass(total, window)
+    down, up = rank_pass(base, window), rank_pass(total, window)
     pull, push = pullback_terms(total), fiber_integration_terms(total)
     return [
         [
@@ -166,32 +161,10 @@ def _iso_checks(total: CircleProductModel, window: ModeWindow) -> list[list[dict
     ]
 
 
-class _Pass(NamedTuple):
-    """A model's d_F, its window cells by bidegree, and the summed d_F rank out of each."""
-
-    model: FoliatedModel
-    d_f: TermMap
-    cells: dict[tuple[int, int], list[FormMonomial]]
-    ranks: dict[tuple[int, int], int]
-
-
-def _block_pass(model: FoliatedModel, window: ModeWindow) -> _Pass:
-    """One pass over the window's blocks: each block's d_F matrices assembled and ranked once."""
-    d_f = component_terms(model, "d_F")
-    cells: dict[tuple[int, int], list[FormMonomial]] = {}
-    ranks: dict[tuple[int, int], int] = {}
-    for key in model.block_keys(window):
-        by_deg, block = block_ranks(model, key, d_f)
-        for rs, cell in by_deg.items():
-            cells.setdefault(rs, []).extend(cell)
-            ranks[rs] = ranks.get(rs, 0) + block[rs]
-    return _Pass(model, d_f, cells, ranks)
-
-
-def _induces_iso(f: TermMap, a: _Pass, b: _Pass, degrees: tuple[int, int], h: int) -> bool:
+def _induces_iso(f: TermMap, a: RankPass, b: RankPass, degrees: tuple[int, int], h: int) -> bool:
     """Whether the chain map f: A^{k,h} -> B^{j,h} induces an isomorphism on d_F cohomology.
 
-    dim H^k(A) = |A^k| - rank D_A^k - rank D_A^(k-1), likewise for B, and the
+    dim H^k(A) and dim H^j(B) are read off each side's pass, and the
     induced map has rank rank M - rank D_A^k - rank D_B^(j-1), where
     M(x, y) = (D_A x, f x + D_B y) on A^k + B^(j-1) is the mapping cone's
     differential.  Base and total monomials differ in mode length, so one
@@ -200,8 +173,7 @@ def _induces_iso(f: TermMap, a: _Pass, b: _Pass, degrees: tuple[int, int], h: in
     k, j = degrees
     cell = lambda side, r: side.cells.get((r, h), [])
     rk = lambda side, r: side.ranks.get((r, h), 0)
-    dim = lambda side, r: len(cell(side, r)) - rk(side, r) - rk(side, r - 1)
     on_a = set(cell(a, k))
     cone = lambda mono: a.d_f(mono) + f(mono) if mono in on_a else b.d_f(mono)
     m = operator_matrix(a.model, cone, cell(a, k) + cell(b, j - 1), cell(a, k + 1) + cell(b, j))
-    return rank(m) - rk(a, k) - rk(b, j - 1) == dim(a, k) == dim(b, j)
+    return rank(m) - rk(a, k) - rk(b, j - 1) == a.dims.get((k, h), 0) == b.dims.get((j, h), 0)

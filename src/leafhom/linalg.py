@@ -8,9 +8,11 @@ columns are all built through it.
 One elimination, a row echelon (`Echelon`), gives ranks and spans: each row
 is stored as its residual modulo the rows before it, with the memoized
 inverse of its lead entry, and is never normalized or back-substituted.
-Every dimension the package reports is read off ranks (`rank`,
-`homology_dims`); no kernel basis over the field is built.  Exact field
-arithmetic throughout; no floating point anywhere.
+Every dimension the package reports is read off ranks: `complex_ranks` is
+the one body that checks a complex (shapes, d^2 = 0 once per consecutive
+pair) and ranks each differential once, and `homology_dims` the one body of
+dim C^t - rank d_t - rank d_(t-1).  No kernel basis over the field is built.
+Exact field arithmetic throughout; no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -84,9 +86,6 @@ class SparseMatrix:
         for (r, k), v in self.entries.items():
             add_into(acc, (((r, c), w) for c, w in by_row_other[k].items()), v)
         return SparseMatrix(self.rows, other.cols, acc, self.field)
-
-    def is_zero(self) -> bool:
-        return not self.entries
 
     def __repr__(self) -> str:
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={len(self.entries)})"
@@ -169,15 +168,12 @@ def rank(matrix: SparseMatrix) -> int:
     return Echelon(matrix.field).extend([row for row in matrix.row_vectors() if row])
 
 
-def homology_dims(sizes: dict[int, int], diffs: dict[int, SparseMatrix]) -> dict[int, int]:
-    """Exact homology dimensions of a finite cochain complex.
+def complex_ranks(sizes: dict[int, int], diffs: dict[int, SparseMatrix]) -> dict[int, int]:
+    """The rank of each d_t: C^t -> C^(t+1) (``diffs[t]``, dim C^t = ``sizes[t]``).
 
-    ``sizes[t]`` is dim C^t and ``diffs[t]`` the matrix of d: C^t -> C^(t+1);
-    a missing differential is the zero map.  d_(t+1) d_t = 0 is checked once
-    per consecutive pair, each d_t is ranked once, and the result
-    dim H^t = dim C^t - rank d_t - rank d_(t-1) is returned for every t in
-    ``sizes``.  A broken complex raises ComplexViolationError naming the
-    degrees.
+    Shapes (ShapeError) and d_(t+1) d_t = 0 once per consecutive pair of
+    nonzero maps (ComplexViolationError naming the degrees) are checked
+    before any d_t is ranked; each is ranked once.
     """
     for t, mat in diffs.items():
         if mat.cols != sizes.get(t, 0) or mat.rows != sizes.get(t + 1, 0):
@@ -186,9 +182,17 @@ def homology_dims(sizes: dict[int, int], diffs: dict[int, SparseMatrix]) -> dict
                 f"{sizes.get(t + 1, 0)}x{sizes.get(t, 0)}"
             )
         nxt = diffs.get(t + 1)
-        if nxt is not None and not nxt.matmul(mat).is_zero():
+        if mat.entries and nxt is not None and nxt.entries and nxt.matmul(mat).entries:
             raise ComplexViolationError(f"d^2 != 0 between degrees {t} and {t + 2}")
-    ranks = {t: rank(mat) for t, mat in diffs.items()}
+    return {t: rank(mat) for t, mat in diffs.items()}
+
+
+def homology_dims(sizes: dict[int, int], ranks: dict[int, int]) -> dict[int, int]:
+    """dim H^t = dim C^t - rank d_t - rank d_(t-1) for every t in ``sizes``.
+
+    ``ranks`` come from `complex_ranks`, or sum them over a direct sum of
+    complexes; a missing rank is zero.
+    """
     out = {}
     for t, n in sorted(sizes.items()):
         h = n - ranks.get(t, 0) - ranks.get(t - 1, 0)

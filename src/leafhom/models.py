@@ -47,7 +47,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ComplexViolationError, SpecParseError, UnsupportedModelError, ValidationError
 from .linalg import add_into, integer_kernel
-from .scalars import NumberField, Scalar
+from .scalars import NumberField, Scalar, sqrt_in, square_class
 
 Mode = tuple[int, ...]
 BLOCK_CACHE_SIZE = 64  # blocks a model keeps multipliers for; a full memo is cleared
@@ -856,7 +856,11 @@ def make_model(spec: dict):
 
 
 def _infer_field_spec(spec: dict) -> dict:
-    """Collect sqrt radicands appearing in any string of the document."""
+    """A basis of the square classes of the document's sqrt radicands.
+
+    A radicand in the span of the kept ones adds no radical: `NumberField.parse`
+    reads sqrt6 beside sqrt2 and sqrt3 as their product, and sqrt8 as 2*sqrt2.
+    """
     rads: set[int] = set()
 
     def scan(obj):
@@ -882,7 +886,15 @@ def _infer_field_spec(spec: dict) -> dict:
                 scan(v)
 
     scan(spec)
-    return {"sqrts": sorted(rads)}
+    basis: list[int] = []
+    for d in sorted(rads):
+        if d > 10**12:  # bounds the trial division of square_class
+            raise SpecParseError(f"radicand {d} exceeds 10^12")
+        if len(basis) > 2:
+            break  # already more radicals than a NumberField takes: it says so
+        if sqrt_in(d, basis) is None:
+            basis.append(square_class(d))
+    return {"sqrts": basis}
 
 
 def _build_family(spec: dict, family: str, field: NumberField):

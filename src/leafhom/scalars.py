@@ -28,15 +28,35 @@ from .errors import ValidationError
 INVERSE_MEMO_SIZE = 4096  # values memoized per field; bounds the memo's memory
 
 
+def square_class(d: int) -> int:
+    """The square-free m with d = k^2 m, for d >= 1: sqrt(d) = k sqrt(m)."""
+    out, p = 1, 2
+    while p * p <= d:
+        while d % (p * p) == 0:
+            d //= p * p
+        if d % p == 0:
+            d //= p
+            out *= p
+        p += 1
+    return out * d
+
+
 def is_square_free(d: int) -> bool:
-    if d < 2:
-        return False
-    k = 2
-    while k * k <= d:
-        if d % (k * k) == 0:
-            return False
-        k += 1
-    return True
+    return d >= 2 and square_class(d) == d
+
+
+def sqrt_in(d: int, radicals: tuple[int, ...] | list[int]) -> tuple[int, Fraction] | None:
+    """(S, q) with sqrt(d) = q * prod(sqrt(r) for r in S), S a bitmask over ``radicals``.
+
+    sqrt(d) = sqrt(d P) / P * prod sqrt(r) with P = prod S, so S is the subset
+    with d P a perfect square k^2, and q = k / P; None when there is none.
+    """
+    for sub in range(1 << len(radicals)):
+        p = prod(r for j, r in enumerate(radicals) if sub >> j & 1)
+        k = isqrt(d * p)
+        if k * k == d * p:
+            return sub, Fraction(k, p)
+    return None
 
 
 def ceil_sqrt(v: int) -> int:
@@ -146,7 +166,10 @@ class NumberField:
     # -- parsing -------------------------------------------------------
 
     def parse(self, text: str) -> Scalar:
-        """Parse an exact scalar string such as '1+2/3*sqrt2' or '-1/2*i*sqrt3'."""
+        """Parse an exact scalar string such as '1+2/3*sqrt2' or '-1/2*i*sqrt3'.
+
+        A radical is any the field holds (`sqrt_in`): sqrt8 is 2*sqrt2.
+        """
         s = text.replace(" ", "")
         if not s:
             raise ValidationError("empty scalar string")
@@ -184,11 +207,11 @@ class NumberField:
                     d = int(factor[4:])
                 except ValueError as exc:
                     raise ValidationError(f"malformed radical {factor!r}") from exc
-                if d not in self.radicals:
-                    raise ValidationError(f"sqrt{d} is not a generator of {self!r}")
-                bit = 1 << (1 + self.radicals.index(d))
-                new_mask, extra = self._mul_table[mask][bit]
-                coeff *= extra
+                root = sqrt_in(d, self.radicals)
+                if root is None:
+                    raise ValidationError(f"sqrt{d} is not in {self!r}")
+                new_mask, extra = self._mul_table[mask][root[0] << 1]
+                coeff *= extra * root[1]
                 mask = new_mask
             else:
                 try:

@@ -8,9 +8,11 @@ persistent homology", 2005): the pairs it finds are the differentials
 d_r, and the vectors it leaves unpaired survive to the limit (Basu &
 Parida, "Spectral sequences, exact couples and persistent homology of
 filtrations", 2017); a column absorbs an earlier one through `linalg.add_into`,
-the package's one sparse accumulation.  The final page is checked against the homology of
-the underlying complex, computed by a separate elimination, so a
-convergence failure cannot pass silently.
+the package's one sparse accumulation.  A complex is checked when it is
+built: shapes and d^2 = 0 by `linalg.complex_ranks`, whose ranks give the
+homology of the underlying complex, then the weights.  The final page is
+checked against that homology, a separate elimination, so a convergence
+failure cannot pass silently.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import NamedTuple
 
 from .derham import block_differentials
 from .errors import ComplexViolationError, UnsupportedModelError, ValidationError
-from .linalg import SparseMatrix, SparseVector, add_into, homology_dims
+from .linalg import SparseMatrix, SparseVector, add_into, complex_ranks, homology_dims
 from .models import ConicDualModel, FoliatedModel, FormMonomial, ModeWindow
 from .poisson import delta_terms, line_blocks
 from .scalars import NumberField, Scalar
@@ -56,20 +58,17 @@ class FilteredComplex:
         self._validate()
 
     def _validate(self) -> None:
-        """Shapes, weights and d^2 = 0; keeps the homology dims it computes."""
+        """Shapes and d^2 = 0 (`linalg.complex_ranks`), then weights; keeps the homology dims."""
+        sizes = {t: len(idxs) for t, idxs in self.by_degree.items()}
+        self._homology = homology_dims(sizes, complex_ranks(sizes, self.diffs))
         for t, mat in self.diffs.items():
-            src = self.by_degree.get(t, [])
-            dst = self.by_degree.get(t + 1, [])
-            if mat.cols != len(src) or mat.rows != len(dst):
-                raise ValidationError(f"differential at degree {t} has the wrong shape")
+            src, dst = self.by_degree.get(t, []), self.by_degree.get(t + 1, [])
             for (i, j), _v in mat.entries.items():
                 if self.basis[dst[i]].weight < self.basis[src[j]].weight:
                     raise ValidationError(
                         "differential decreases the filtration weight at "
                         f"{self.basis[src[j]].label} -> {self.basis[dst[i]].label}"
                     )
-        sizes = {t: len(idxs) for t, idxs in self.by_degree.items()}
-        self._homology = homology_dims(sizes, self.diffs)
 
     @property
     def degrees(self) -> list[int]:

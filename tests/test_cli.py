@@ -6,6 +6,7 @@ import ast
 import copy
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -232,6 +233,22 @@ def test_unsupported_pairing(tmp_path):
             ["derham"],
             "at most two quadratic radicals are supported",
         ),
+        # an explicit field is taken as given: it must hold every radical
+        (
+            {"family": "kronecker_torus", "alpha": ["1", "sqrt7"], "field": {"sqrts": [2, 3]}},
+            ["derham"],
+            "sqrt7 is not in NumberField(Q(i, sqrt2, sqrt3))",
+        ),
+        (
+            {"family": "kronecker_torus", "alpha": ["1", "sqrt6"], "field": {"sqrts": [2, 3, 6]}},
+            ["derham"],
+            "at most two quadratic radicals are supported",
+        ),
+        (
+            {"family": "kronecker_torus", "alpha": ["1", "sqrt8"], "field": {"sqrts": [8]}},
+            ["derham"],
+            "radicand 8 is not a square-free integer >= 2",
+        ),
         (
             {"family": "kronecker_torus", "alpha": ["1", "sqrt2"]},
             ["run", "--analyses", "symbols", "--trials", "-3"],
@@ -299,6 +316,9 @@ def test_unsupported_pairing(tmp_path):
         "negative-mode-bound",
         "bracket-target",
         "three-radicals",
+        "radicand-outside-explicit-field",
+        "explicit-field-three-radicals",
+        "explicit-field-not-square-free",
         "negative-trials",
         "negative-depth",
         "non-ascii-digit",
@@ -325,6 +345,31 @@ def test_bad_input_exits_2_with_one_line(spec, args, message, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "alpha, spelled",
+    [
+        (["1", "sqrt2", "sqrt3", "sqrt6"], ["1", "sqrt2", "sqrt3", "sqrt2*sqrt3"]),
+        (["1", "sqrt8"], ["1", "2*sqrt2"]),
+        (["1", "sqrt6", "sqrt10", "sqrt15"], ["1", "sqrt6", "sqrt10", "1/2*sqrt6*sqrt10"]),
+    ],
+    ids=["sqrt6", "sqrt8", "sqrt15"],
+)
+def test_radicands_are_read_in_the_field_they_span(alpha, spelled, tmp_path):
+    # the inferred field has a basis of the radicands' square classes, and a
+    # radical it holds reads as the product that spells it out
+    reports = []
+    for n, a in enumerate((alpha, spelled)):
+        spec, out = tmp_path / f"m{n}.json", tmp_path / f"o{n}"
+        spec.write_text(json.dumps({"family": "kronecker_torus", "alpha": a}))
+        args = ["run", "--model", str(spec), "--analyses", "derham,hochschild", "--seed", "1"]
+        assert cli.main([*args, "--mode-bound", "1", "--out", str(out)]) == 0
+        reports.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert reports[0] == reports[1]
+    hh = json.loads(reports[0]["hochschild.json"])["hh_dims_assuming_collapse"]
+    # 2 C(n + 1, k) on T^n
+    assert hh == [2 * math.comb(len(alpha) + 1, k) for k in range(len(alpha) + 2)]
 
 
 @pytest.mark.parametrize(

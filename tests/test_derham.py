@@ -7,16 +7,15 @@ import random
 import pytest
 
 from leafhom.derham import (
-    _block_bidegree_dims,
     basic_cohomology_dims,
     block_homology,
-    block_ranks,
     check_identities,
     cohomology_dims,
     component_terms,
     differential,
     operator_matrix,
     ordinary_derham_dims,
+    rank_pass,
     verify_decomposition_identities,
 )
 from leafhom.errors import ComplexViolationError, ValidationError
@@ -338,10 +337,25 @@ def test_cohomology_rejects_broken_complex(field):
     }
     # raw constructor: the Jacobi identity fails, so d_F^2 != 0
     broken = LieFrameModel(field, 3, structure, {0, 1})
+    window = ModeWindow(bound=0)
+    for run in (cohomology_dims, basic_cohomology_dims, rank_pass):
+        with pytest.raises(
+            ComplexViolationError,
+            match=r"^block \(0, \(\), 0\), s = 1: d\^2 != 0 between degrees 0 and 2$",
+        ):
+            run(broken, window)
+
+
+def test_basic_table_names_the_leaking_block(field):
+    # raw constructor: the leaf {e1, e2} of the Heisenberg frame is not a
+    # subalgebra, so d e3 = -e1^e2 leaves (1, 1) + (0, 2); d_F stays a complex
+    broken = LieFrameModel(field, 3, {(0, 1): {2: field.one}}, {0, 1})
+    assert rank_pass(broken, ModeWindow(bound=0)).dims
     with pytest.raises(
-        ComplexViolationError, match=r"block \(0, \(\), 0\), s = 1: d\^2 != 0 between degrees 0 and 2"
+        ComplexViolationError,
+        match=r"^block \(0, \(\), 0\), s = 1: operator leaves the block: e3 -> e1\^e2$",
     ):
-        cohomology_dims(broken, ModeWindow(bound=0))
+        basic_cohomology_dims(broken, ModeWindow(bound=0))
 
 
 # -- cohomology tables ----------------------------------------------------------
@@ -544,30 +558,30 @@ def test_operator_leaving_the_block_raises(torus):
 
 @pytest.mark.parametrize("name", ["torus", "cosphere", "resonant_circle_product"])
 def test_closed_and_exact_match_block_dims(name, torus, field):
-    # the closed and exact dimensions of each cell, read off the d_F ranks of
-    # `block_ranks`: |C^{r,s}| - rank (r, s) closed, rank (r - 1, s) exact
+    # the closed and exact dimensions of each cell, read off the summed d_F ranks
+    # of `rank_pass`: |C^{r,s}| - rank (r, s) closed, rank (r - 1, s) exact
     model = {
         "torus": torus,
         "cosphere": CosphereCircleModel(torus),
         "resonant_circle_product": CircleProductModel(KroneckerTorus(field, ["1", "1"])),
     }[name]
-    dF = component_terms(model, "d_F")
-    for key in model.block_keys(ModeWindow(bound=1)):
-        dims = _block_bidegree_dims(model, key, dF)
-        cells, ranks = block_ranks(model, key, dF)
-        monos = model.block_monomials(key)
-        assert sorted(m for cell in cells.values() for m in cell) == sorted(monos)
-        assert ranks.keys() == cells.keys()
-        for s in range(model.codim + 1):
-            for r in range(model.leaf_dim + 2):
-                cell, above = cells.get((r, s), []), cells.get((r + 1, s), [])
-                assert all(model.bidegree(m.ext) == (r, s) for m in cell)
-                closed = len(cell) - ranks.get((r, s), 0)
-                exact = ranks.get((r - 1, s), 0)
-                assert closed - exact == dims.get((r, s), 0), (key, r, s)
-                # the closed forms against the oracle's kernel of d_F out of the cell
-                kernel = rref_rank_kernel(operator_matrix(model, dF, cell, above))[1]
-                assert closed == len(kernel), (key, r, s)
+    window = ModeWindow(bound=1)
+    run = rank_pass(model, window)
+    monos = list(model.basis_monomials(window))
+    assert sorted(m for cell in run.cells.values() for m in cell) == sorted(monos)
+    assert run.ranks.keys() == run.cells.keys()
+    for s in range(model.codim + 1):
+        for r in range(model.leaf_dim + 2):
+            cell, above = run.cells.get((r, s), []), run.cells.get((r + 1, s), [])
+            assert all(model.bidegree(m.ext) == (r, s) for m in cell)
+            closed = len(cell) - run.ranks.get((r, s), 0)
+            exact = run.ranks.get((r - 1, s), 0)
+            assert closed - exact == run.dims.get((r, s), 0), (r, s)
+            # the closed forms against the oracle's kernel of d_F out of the cell
+            kernel = rref_rank_kernel(operator_matrix(model, run.d_f, cell, above))[1]
+            assert closed == len(kernel), (r, s)
+    # the pass's dims against the table the Cartan rule settles block by block
+    assert run.dims == cohomology_dims(model, window).dims
 
 
 def test_ordinary_dims(torus, field):

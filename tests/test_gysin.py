@@ -11,9 +11,9 @@ import pytest
 
 from leafhom import cli, derham, gysin, models
 from leafhom.derham import cohomology_dims, differential
-from leafhom.errors import ValidationError
+from leafhom.errors import ComplexViolationError, ValidationError
 from leafhom.gysin import fiber_integration_terms, product_splitting_dims
-from leafhom.linalg import Echelon, SparseMatrix, add_into, rank
+from leafhom.linalg import Echelon, SparseMatrix, add_into, homology_dims, rank
 from leafhom.models import (
     CircleProductModel,
     FoliatedModel,
@@ -239,11 +239,11 @@ def test_chain_map_checks_once_per_run(tmp_path, monkeypatch):
         return walk(model, window)
 
     passes = []
-    block_ranks = gysin.block_ranks
+    block_ranks = derham.block_ranks
 
-    def counting_pass(model, key, d_f):
-        passes.append((type(model).__name__, key))
-        return block_ranks(model, key, d_f)
+    def counting_pass(model, terms, graded, block):
+        passes.append((type(model).__name__, block))
+        return block_ranks(model, terms, graded, block)
 
     matrices, cones = Counter(), Counter()
 
@@ -255,7 +255,7 @@ def test_chain_map_checks_once_per_run(tmp_path, monkeypatch):
         return matrix
 
     monkeypatch.setattr(FoliatedModel, "basis_monomials", counting_walk)
-    monkeypatch.setattr(gysin, "block_ranks", counting_pass)
+    monkeypatch.setattr(derham, "block_ranks", counting_pass)
     monkeypatch.setattr(derham, "operator_matrix", counting(matrices, derham.operator_matrix))
     monkeypatch.setattr(gysin, "operator_matrix", counting(cones, gysin.operator_matrix))
     spec = tmp_path / "t3.json"
@@ -267,16 +267,37 @@ def test_chain_map_checks_once_per_run(tmp_path, monkeypatch):
     # three transverse degrees, one walk per model: the pullback identities and
     # the splitting over the base, integration over the total space
     assert walks == {"KroneckerTorus": 1, "CircleProductModel": 1}
-    # one block pass per model serves every h: each of the base's 27 blocks
-    # and the total space's 81 is ranked once
-    assert len(passes) == len(set(passes)) == 27 + 81
-    by_model = Counter(name for name, _key in passes)
-    assert by_model == {"KroneckerTorus": 27, "CircleProductModel": 81}
+    # one `rank_pass` per model serves every h: each r-chain of the base's 27
+    # blocks and of the total space's 81 is checked and ranked once, per s = 0, 1, 2
+    assert len(passes) == len(set(passes)) == (27 + 81) * 3
+    by_model = Counter(name for name, _block in passes)
+    assert by_model == {"KroneckerTorus": 27 * 3, "CircleProductModel": 81 * 3}
     # each block's d_F matrix once per bidegree (r, h) -> (r + 1, h): r = 0, 1
     # on the base and r = 0, 1, 2 on the total space, h = 0, 1, 2
     assert matrices == {"KroneckerTorus": 27 * 2 * 3, "CircleProductModel": 81 * 3 * 3}
     # and one mapping-cone matrix per check and h: 2 (q + 1), from the source model
     assert cones == {"KroneckerTorus": 3, "CircleProductModel": 3}
+
+
+def test_iso_checks_reject_a_broken_complex(bundle, monkeypatch):
+    # d_F on the total space, doubled on monomials with theta: still a (1, 0)
+    # map within each block, but D D = -c1 c2 theta^dphi on a block whose theta
+    # and dphi multipliers c1, c2 are both nonzero
+    real = derham.component_terms
+
+    def skewed(model, component):
+        terms = real(model, component)
+        if model is not bundle:
+            return terms
+        two = model.field.scalar(2)
+        return lambda mono: [(m, two * c if 0 in mono.ext else c) for m, c in terms(mono)]
+
+    monkeypatch.setattr(derham, "component_terms", skewed)
+    with pytest.raises(
+        ComplexViolationError,
+        match=r"^block \(0, \(-1, -1, -1\), 0\), s = 0: d\^2 != 0 between degrees 0 and 2$",
+    ):
+        gysin._iso_checks(bundle, ModeWindow(bound=1))
 
 
 # -- the mapping-cone rank against the Z/B count of a kernel oracle --------------------
@@ -307,7 +328,7 @@ def random_pair(field, rng, n0, n1, n2):
 
 
 def hand_built(name, low, d_low, d_mid):
-    """Degrees low .. low + 2 with differentials d_low and d_mid, as a `gysin._Pass` at h = 0.
+    """Degrees low .. low + 2 with differentials d_low and d_mid, as a `derham.RankPass` at h = 0.
 
     Basis element i of degree t is (name, t, i).
     """
@@ -320,9 +341,10 @@ def hand_built(name, low, d_low, d_mid):
         return [((name, t + 1, r), v) for (r, c), v in entries if c == i]
 
     cells = {(t, 0): [(name, t, i) for i in range(n)] for t, n in sizes.items()}
-    ranks = {(t, 0): rank(m) for t, m in diffs.items()}
+    ranks = {t: rank(m) for t, m in diffs.items()}
+    dims = {(t, 0): h for t, h in homology_dims(sizes, ranks).items() if h}
     model = SimpleNamespace(field=d_low.field, monomial_label=repr)
-    return gysin._Pass(model, d_f, cells, ranks)
+    return derham.RankPass(model, d_f, cells, {(t, 0): n for t, n in ranks.items()}, dims)
 
 
 def zb_count(d_a, f, d_b):

@@ -3,9 +3,10 @@
 `derham.contracted` settles a block of a model built on a Kronecker torus
 from its multipliers alone, and `derham.koszul_block_dims` reads the
 leafwise table off it.  Here every such block is also ranked by the engine
-(`_block_bidegree_dims` for the leafwise table, `block_homology` on the full
-differential for the Betti numbers), for the golden specs and two resonant
-tori, and the two must agree block by block and in total.
+(`block_homology` on each r-chain of d_F for the leafwise table, and on the
+full differential for the Betti numbers), for the golden specs and two
+resonant tori, and the two must agree block by block; the leafwise totals
+must equal those of the window's `rank_pass`.
 The engine ranks `component_terms(model, "d_F")` and `component_terms(model,
 "d")`, which are built from the same multipliers, so a wrong multiplier is
 caught by the closed-form oracles (test_oracles.py), not here.
@@ -20,7 +21,6 @@ from test_golden import CASES
 
 from leafhom import models
 from leafhom.derham import (
-    _block_bidegree_dims,
     _component_filter,
     block_homology,
     cohomology_dims,
@@ -28,6 +28,7 @@ from leafhom.derham import (
     contracted,
     koszul_block_dims,
     ordinary_derham_dims,
+    rank_pass,
 )
 from leafhom.errors import ComplexViolationError, UnsupportedModelError
 from leafhom.models import (
@@ -60,6 +61,19 @@ TORUS_SPECS = {repr(_torus(spec)): name for name, spec in sorted(SPECS.items(), 
 TORUS_SPECS.pop(repr(None))
 
 
+def _leafwise_block(model, key, dF) -> dict:
+    """H^{r,s} of one block by the rank engine: one d_F chain in r per s, top cell empty."""
+    by_deg: dict = {}
+    for m in model.block_monomials(key):
+        by_deg.setdefault(model.bidegree(m.ext), []).append(m)
+    out = {}
+    for s in {s for _r, s in by_deg}:
+        chain = {r: by_deg.get((r, s), []) for r in range(model.leaf_dim + 2)}
+        dims = block_homology(model, dF, chain, f"{key}, s = {s}")
+        out.update(((r, s), h) for r, h in dims.items() if h)
+    return out
+
+
 def _add(total: dict, part: dict) -> None:
     for k, v in part.items():
         if v:
@@ -80,11 +94,11 @@ def test_rule_matches_rank_engine(name, bound):
             keys = [k for k in model.block_keys(window) if not is_conic or k[2] == l]
             ranked: dict = {}
             for key in keys:
-                block = _block_bidegree_dims(model, key, dF)
-                assert koszul_block_dims(model, key, dF_flags) == {
-                    k: v for k, v in block.items() if v
-                }, key
+                block = _leafwise_block(model, key, dF)
+                assert koszul_block_dims(model, key, dF_flags) == block, key
                 _add(ranked, block)
+            narrowed = ModeWindow(bound, l, l) if is_conic else window
+            assert rank_pass(model, narrowed).dims == ranked, (model, l)
             assert cohomology_dims(model, window, homogeneity=l).dims == ranked, (model, l)
         if is_conic:
             continue

@@ -12,6 +12,7 @@ from leafhom.linalg import (
     Echelon,
     SparseMatrix,
     add_into,
+    complex_ranks,
     homology_dims,
     integer_kernel,
     rank,
@@ -51,7 +52,7 @@ def span_dim(field, vectors):
 def annihilates(m, vectors):
     """m @ v = 0 for every v, as one product with the matrix whose columns are the vectors."""
     columns = {(i, j): c for j, vec in enumerate(vectors) for i, c in vec.items()}
-    return m.matmul(SparseMatrix(m.cols, len(vectors), columns, m.field)).is_zero()
+    return not m.matmul(SparseMatrix(m.cols, len(vectors), columns, m.field)).entries
 
 
 # The kernel cases check `rank` against the oracle, and the oracle's kernel
@@ -131,25 +132,50 @@ def test_shape_errors(field):
         a.matmul(b)
 
 
+def dims_of(sizes, diffs):
+    return homology_dims(sizes, complex_ranks(sizes, diffs))
+
+
 def test_homology_dims_plain(field):
     # C^0 (dim 1) -> C^1 (dim 3) -> C^2 (dim 1): a line mapped into the
     # kernel of the zero map leaves a 2-dim middle homology
     z = SparseMatrix(1, 3, {}, field)
     b = SparseMatrix(3, 1, {(0, 0): field.one}, field)
-    assert homology_dims({0: 1, 1: 3, 2: 1}, {0: b, 1: z}) == {0: 0, 1: 2, 2: 1}
+    sizes = {0: 1, 1: 3, 2: 1}
+    assert complex_ranks(sizes, {0: b, 1: z}) == {0: 1, 1: 0}
+    assert dims_of(sizes, {0: b, 1: z}) == {0: 0, 1: 2, 2: 1}
+    # ranks summed over a direct sum give the direct sum's dims
+    assert homology_dims({0: 2, 1: 6, 2: 2}, {0: 2, 1: 0}) == {0: 0, 1: 4, 2: 2}
 
 
-def test_homology_dims_detects_broken_complex(field):
+def test_homology_dims_detects_broken_complex(field, monkeypatch):
     z = SparseMatrix(1, 2, {(0, 0): field.one}, field)
     b = SparseMatrix(2, 1, {(0, 0): field.one}, field)
+    ranked = []
+    monkeypatch.setattr(Echelon, "extend", lambda self, rows: ranked.append(rows) or 0)
     with pytest.raises(ComplexViolationError, match="d\\^2 != 0 between degrees 3 and 5"):
-        homology_dims({3: 1, 4: 2, 5: 1}, {3: b, 4: z})
+        complex_ranks({3: 1, 4: 2, 5: 1}, {3: b, 4: z})
+    assert ranked == []  # the check comes before any rank
+
+
+def test_d_squared_checked_once_per_pair_of_nonzero_maps(field, monkeypatch):
+    products = []
+    real = SparseMatrix.matmul
+    monkeypatch.setattr(SparseMatrix, "matmul", lambda a, b: products.append(1) or real(a, b))
+    m = lambda rows, cols, entries={}: SparseMatrix(rows, cols, entries, field)
+    one = field.one
+    diffs = {0: m(2, 1, {(0, 0): one}), 1: m(1, 2, {(0, 1): one}), 2: m(1, 1), 3: m(1, 1, {(0, 0): one})}
+    sizes = {0: 1, 1: 2, 2: 1, 3: 1, 4: 1}
+    assert complex_ranks(sizes, diffs) == {0: 1, 1: 1, 2: 0, 3: 1}
+    # d_1 d_0 is the one product: d_2 is zero, and there is no d_4
+    assert len(products) == 1
+    assert dims_of(sizes, diffs) == dict.fromkeys(sizes, 0)
 
 
 def test_homology_dims_rejects_wrong_shape(field):
     b = SparseMatrix(2, 1, {(0, 0): field.one}, field)
     with pytest.raises(ShapeError):
-        homology_dims({0: 1, 1: 3}, {0: b})
+        complex_ranks({0: 1, 1: 3}, {0: b})
 
 
 def test_homology_dims_never_negative(field):
@@ -167,9 +193,12 @@ def test_homology_dims_never_negative(field):
             (idx, c): v for idx, vec in enumerate(kernel) for c, v in vec.items()
         }
         z = SparseMatrix(len(kernel), n, z_rows, field)
-        dims = homology_dims({0: 1, 1: n, 2: len(kernel)}, {0: b, 1: z})
+        dims = dims_of({0: 1, 1: n, 2: len(kernel)}, {0: b, 1: z})
         assert min(dims.values()) >= 0
         assert dims[1] == n - r - rank(z)
+    # ranks that no complex has: the guard raises rather than return a negative dim
+    with pytest.raises(ComplexViolationError, match="negative homology dimension at degree 1"):
+        homology_dims({0: 1, 1: 1}, {0: 1, 1: 1})
 
 
 def test_echelon_membership(field):

@@ -26,7 +26,7 @@ from leafhom.models import (
     merge_ext,
     torus_of,
 )
-from leafhom.scalars import NumberField
+from leafhom.scalars import NumberField, sqrt_in, square_class
 
 try:  # test-only dependency
     from hypothesis import given, settings, strategies as st
@@ -142,8 +142,11 @@ def test_make_model_families(field):
         make_model({"family": "nonsense"})
     with pytest.raises(SpecParseError):
         make_model({"alpha": ["1"]})
+    # sqrt12 = 2*sqrt3 spans Q(i, sqrt3); an explicit field must list square-free radicands
+    twelve = make_model({"family": "kronecker_torus", "alpha": ["1", "sqrt12"]})
+    assert twelve.field.radicals == (3,) and twelve.alpha[1] == twelve.field.parse("2*sqrt3")
     with pytest.raises(ValidationError):
-        make_model({"family": "kronecker_torus", "alpha": ["1", "sqrt12"]})
+        make_model({"family": "kronecker_torus", "alpha": ["1", "sqrt12"], "field": {"sqrts": [12]}})
 
 
 # -- exterior algebra --------------------------------------------------------
@@ -458,8 +461,14 @@ if st is not None:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(SCALAR)
     def test_inferred_radicands_are_the_ascii_digit_runs_after_sqrt(text):
-        want = sorted({int(d) for d in re.findall(r"sqrt([0-9]+)", text)})
-        assert _infer_field_spec({"alpha": [text]}) == {"sqrts": want}
+        runs = {int(d) for d in re.findall(r"sqrt([0-9]+)", text)}
+        basis = _infer_field_spec({"alpha": [text]})["sqrts"]
+        # a basis of the runs' square classes: each radical the class of a run and
+        # outside the span of those before it, and every run read in their span
+        assert set(basis) <= {square_class(d) for d in runs if d}
+        assert all(r > 1 and sqrt_in(r, basis[:i]) is None for i, r in enumerate(basis))
+        if len(basis) <= 2:
+            assert all(sqrt_in(d, basis) is not None for d in runs)
 
 else:  # pragma: no cover
 

@@ -20,7 +20,7 @@ from leafhom.derham import (
     operator_matrix,
 )
 from leafhom.errors import ComplexViolationError, UnsupportedModelError, ValidationError
-from leafhom.linalg import homology_dims
+from leafhom.linalg import complex_ranks, homology_dims
 from leafhom.models import (
     ConicDualModel,
     CosphereCircleModel,
@@ -364,7 +364,8 @@ def delta_f_bigraded_dims(conic, r, s, l, window):
                 0: operator_matrix(conic, d_f, src, mid),
                 1: operator_matrix(conic, d_f, mid, tgt),
             }
-            total += homology_dims({0: len(src), 1: len(mid), 2: len(tgt)}, diffs)[1]
+            sizes = {0: len(src), 1: len(mid), 2: len(tgt)}
+            total += homology_dims(sizes, complex_ranks(sizes, diffs))[1]
     return total
 
 

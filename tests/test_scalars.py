@@ -11,7 +11,7 @@ from math import gcd, lcm
 import pytest
 
 from leafhom.errors import ValidationError
-from leafhom.scalars import NumberField, Scalar, ceil_sqrt, is_square_free
+from leafhom.scalars import NumberField, Scalar, ceil_sqrt, is_square_free, square_class
 
 try:  # test-only dependency
     from hypothesis import given, settings, strategies as st
@@ -139,6 +139,19 @@ def test_parse_rejects_foreign_radical(field):
         field.parse("sqrt5")
     with pytest.raises(ValidationError):
         field.parse("1+bogus")
+
+
+def test_parse_reads_every_radical_the_field_holds(field):
+    # sqrt N = k / P * prod sqrt r over the radicals r whose product P makes N P a square k^2
+    read = lambda text: field.parse(text)
+    assert read("sqrt6") == read("sqrt2*sqrt3") and read("sqrt8") == read("2*sqrt2")
+    assert read("sqrt12") == read("2*sqrt3") and read("sqrt24") == read("2*sqrt2*sqrt3")
+    assert read("sqrt4") == field.scalar(2) and read("sqrt1") == field.one
+    assert read("sqrt6") * read("sqrt6") == field.scalar(6)
+    for foreign in ("sqrt5", "sqrt10", "sqrt30"):
+        with pytest.raises(ValidationError, match="is not in"):
+            read(foreign)
+    assert [square_class(d) for d in (1, 4, 8, 12, 18, 50, 72, 30)] == [1, 1, 2, 3, 2, 2, 2, 30]
 
 
 def test_mixed_field_operations_rejected():
