@@ -13,7 +13,6 @@ from .models import (
     ConicDualModel,
     CosphereCircleModel,
     CircleProductModel,
-    Form,
     FormMonomial,
     KroneckerTorus,
     LieFrameModel,
@@ -28,7 +27,6 @@ __all__ = [
     "ConicDualModel",
     "CosphereCircleModel",
     "CircleProductModel",
-    "Form",
     "FormMonomial",
     "KroneckerTorus",
     "LieFrameModel",

@@ -85,16 +85,19 @@ class RunContext:
     `run` builds one context and hands it to every analysis.  The derived
     models (torus, cone, cosphere-circle bundle, circle product) are built on
     first use, each leafwise table is computed once per model instance and
-    homogeneity, and the cone's one boundary table computes each line once per
-    operator.  The memo is keyed by the model object, never by its repr: two
-    models can print alike and differ (`LieFrameModel.__repr__` omits the
-    structure constants).
+    homogeneity, each d_F `derham.rank_pass` once per model instance and
+    window (the frame tables, the basic table and the gysin isomorphism
+    checks read it), and the cone's one boundary table computes each line
+    once per operator.  The memos are keyed by the model object, never by its
+    repr: two models can print alike and differ (`LieFrameModel.__repr__`
+    omits the structure constants).
     """
 
     def __init__(self, model: FoliatedModel, window: ModeWindow):
         self.model = model
         self.window = window
         self._tables: dict[tuple[FoliatedModel, int | None], derham.BigradedDims] = {}
+        self._passes: dict[tuple[FoliatedModel, ModeWindow], derham.RankPass] = {}
 
     @cached_property
     def torus(self) -> KroneckerTorus:
@@ -122,8 +125,17 @@ class RunContext:
         """The leafwise cohomology table of ``model`` on the run's window."""
         key = (model, homogeneity)
         if key not in self._tables:
-            self._tables[key] = derham.cohomology_dims(model, self.window, homogeneity)
+            self._tables[key] = derham.cohomology_dims(
+                model, self.window, homogeneity, self.rank_pass
+            )
         return self._tables[key]
+
+    def rank_pass(self, model: FoliatedModel, window: ModeWindow) -> derham.RankPass:
+        """The d_F pass of ``model`` over ``window``, checked and ranked once per run."""
+        key = (model, window)
+        if key not in self._passes:
+            self._passes[key] = derham.rank_pass(model, window)
+        return self._passes[key]
 
     @cached_property
     def boundary(self) -> poisson.BoundaryDims:
@@ -155,7 +167,7 @@ def _run_derham(ctx: RunContext, cfg: RunConfig) -> tuple[dict, bool]:
     else:
         dims = ctx.table(model)
         doc["cohomology"] = dims.to_json()
-        doc["basic"] = derham.basic_cohomology_dims(model, cfg.window)
+        doc["basic"] = derham.basic_cohomology_dims(model, cfg.window, ctx.rank_pass)
         if dims.certificate is not None:
             doc["certificate"] = dims.certificate.to_json()
             doc["formal"] = dims.formal
@@ -191,7 +203,7 @@ def _run_gysin(ctx: RunContext, cfg: RunConfig) -> tuple[dict, bool]:
     from . import gysin
     total = ctx.circle_product
     base_dims, total_dims = ctx.table(ctx.torus), ctx.table(total)
-    reports = gysin.product_splitting_dims(total, base_dims, total_dims)
+    reports = gysin.product_splitting_dims(total, base_dims, total_dims, ctx.rank_pass)
     return (
         {
             "source_ops": ["gysin.product_splitting_dims"],

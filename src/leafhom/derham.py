@@ -33,7 +33,7 @@ checked on every model's exterior tables when they are built
 An operator is a term map (`models.TermMap`): its action on one monomial,
 a list of (monomial, coefficient).  `component_terms` gives d and its three
 components from the model's multiplier memo (`FoliatedModel.block_multipliers`);
-`Form.map` is the one linear extension to forms.
+`models.linear_extension` is the one linear extension of a term map.
 
 One block engine ranks the blocks no rule settles; no kernel basis is built.
 A block is given as its monomial bases by degree.  `block_ranks` is its one
@@ -45,7 +45,9 @@ ComplexViolationError naming the block and the degrees; `block_homology`
 reads dim C^t - rank d_t - rank d_(t-1) off the ranks.  `rank_pass` runs
 d_F over a window: one r-chain per block and s, summed by bidegree.  The
 leafwise tables of frame models and their cones, the basic table and the
-gysin isomorphism checks read it, and poisson's boundary homology ranks its
+gysin isomorphism checks read it from a `PassSource`, which a run memoizes
+(`cli.RunContext.rank_pass`), so each (model, window) is passed, and its
+d^2 = 0 checked, once per run.  Poisson's boundary homology ranks its
 line complexes through `block_homology`; the specseq filtration assembles
 through `block_differentials` and is checked by `linalg.complex_ranks`.
 """
@@ -53,14 +55,13 @@ through `block_differentials` and is checked by `linalg.complex_ranks`.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import ComplexViolationError, UnsupportedModelError, ValidationError
 from .linalg import SparseMatrix, add_into, complex_ranks, homology_dims
 from .models import (
     DiophantineCertificate,
     FoliatedModel,
-    Form,
     FormMonomial,
     ModeWindow,
     TermMap,
@@ -110,11 +111,6 @@ def component_terms(model: FoliatedModel, component: str) -> TermMap:
         return out + _frame_d(frame, mono) if frame else out
 
     return terms
-
-
-def differential(model: FoliatedModel, component: str, form: Form) -> Form:
-    """Apply d or one of its bigraded components to a form."""
-    return form.map(component_terms(model, component), model)
 
 
 # -- identity suite -----------------------------------------------------------
@@ -378,6 +374,10 @@ def rank_pass(model: FoliatedModel, window: ModeWindow) -> RankPass:
     return RankPass(model, d_f, cells, ranks, dims)
 
 
+# where a table reads its `rank_pass`: the function itself, or a run's memo of it
+PassSource = Callable[[FoliatedModel, ModeWindow], RankPass]
+
+
 def contracted(model: FoliatedModel, key: tuple, flags: Sequence[bool]) -> bool:
     """Whether a generator g with flags[g] has a nonzero multiplier c on a torus-family block.
 
@@ -414,13 +414,15 @@ def cohomology_dims(
     model: FoliatedModel,
     window: ModeWindow | None = None,
     homogeneity: int | None = None,
+    passes: PassSource = rank_pass,
 ) -> BigradedDims:
     """Leafwise cohomology dimensions H^{r,s}, summed over window blocks.
 
     ``homogeneity`` restricts the conic model to one radial degree, required
     there (only fixed-degree slices are finite) and rejected elsewhere.  Blocks
     of models built on a Kronecker torus are settled by `koszul_block_dims`,
-    the others ranked; a table on a torus carries `KroneckerTorus.certificate`.
+    the others ranked by the pass ``passes`` gives on the (narrowed) window;
+    a table on a torus carries `KroneckerTorus.certificate`.
     """
     window = window or ModeWindow()
     is_conic = model.has_xi
@@ -432,7 +434,7 @@ def cohomology_dims(
     # on the cone, every block at the one homogeneity, in the window's range or not
     narrowed = ModeWindow(window.bound, homogeneity, homogeneity) if is_conic else window
     if base is None:
-        totals = rank_pass(model, narrowed).dims
+        totals = passes(model, narrowed).dims
     else:
         flags, _ = _component_filter(model, "d_F")
         totals: dict[tuple[int, int], int] = {}
@@ -461,7 +463,7 @@ def cohomology_dims(
 
 
 def basic_cohomology_dims(
-    model: FoliatedModel, window: ModeWindow | None = None
+    model: FoliatedModel, window: ModeWindow | None = None, passes: PassSource = rank_pass
 ) -> dict:
     """Dimensions of the basic complex: leafwise-closed (0, s) forms under d_perp.
 
@@ -469,15 +471,15 @@ def basic_cohomology_dims(
     d = d_F + d_perp there: the matrix of d_F stacked over that of d_perp.  So
     d_perp on the basic forms ker d_F of (0, s-1) has rank (rank d - rank d_F)
     on (0, s-1), and H_b^s = |C^{0,s}| - rank d|(0,s) - that rank.  The cells
-    and the d_F ranks are those of the `rank_pass`; d is ranked per block,
-    through `block_ranks`, and every count is summed over the blocks.  The
+    and the d_F ranks are those of the pass ``passes`` gives; d is ranked per
+    block, through `block_ranks`, and every count is summed over the blocks.  The
     result is window-truncated; ``window_sensitive`` flags a nonzero
     resonance lattice (infinitely many basic functions off-window).
     """
     window = window or ModeWindow()
     if model.has_xi:
         raise UnsupportedModelError("basic complex is computed on unpunctured models")
-    q, leafwise, d = model.codim, rank_pass(model, window), component_terms(model, "d")
+    q, leafwise, d = model.codim, passes(model, window), component_terms(model, "d")
     full = [0] * (q + 1)  # rank of d out of (0, s)
     for key in model.block_keys(window):
         by_deg = _by_bidegree(model, key)

@@ -9,17 +9,19 @@ standing test, not an assumption).  Both maps are term maps; the chain-map
 checks and the splitting pi_*(pi^*c ^ dphi) = c do not depend on the
 transverse degree h and run once, as identities on every windowed monomial.
 The isomorphism checks are rank counts, with no kernel vectors: one
-`derham.rank_pass` per model checks d_F^2 = 0 and ranks every d_F matrix once
-for every h, and one mapping-cone matrix per check gives the rank of the
-induced map.  The splitting table reads the leafwise tables of the base and
-of the total space that it is given, and returns one report document per
-transverse degree, verdict included.
+`derham.rank_pass` per model, from the source the caller gives (a run's memo
+shares them with the basic table), checks d_F^2 = 0 and ranks every d_F
+matrix once for every h, and one mapping-cone matrix per check gives the
+rank of the induced map.  The splitting table reads the leafwise tables of
+the base and of the total space that it is given, and returns one report
+document per transverse degree, verdict included.
 """
 
 from __future__ import annotations
 
 from .derham import (
     BigradedDims,
+    PassSource,
     RankPass,
     check_identities,
     component_terms,
@@ -56,7 +58,10 @@ def fiber_integration_terms(total: CircleProductModel) -> TermMap:
 
 
 def product_splitting_dims(
-    total: CircleProductModel, base_dims: BigradedDims, total_dims: BigradedDims
+    total: CircleProductModel,
+    base_dims: BigradedDims,
+    total_dims: BigradedDims,
+    passes: PassSource = rank_pass,
 ) -> list[dict]:
     """Direct vs predicted dimensions for the product circle bundle, one report per h.
 
@@ -65,11 +70,12 @@ def product_splitting_dims(
     dim H^{k,h}(total) = dim H^{k,h}(base) + dim H^{k-1,h}(base).  The direct
     column is read off ``total_dims``, the short-exact splitting is exhibited
     by the fiber-class wedge, and the pullback / integration isomorphism
-    ranges are verified by rank counts.  A report passes when every row's
+    ranges are verified by rank counts on the d_F passes ``passes`` gives for
+    the base and ``total`` on that window.  A report passes when every row's
     direct dim equals its prediction and every check passes.
     """
     base, window = total.base, total_dims.window
-    identities, isos = _identity_checks(total, window), _iso_checks(total, window)
+    identities, isos = _identity_checks(total, window), _iso_checks(total, window, passes)
     reports = []
     for h in range(base.codim + 1):
         rows = []
@@ -139,10 +145,12 @@ def _dphi_terms(total: CircleProductModel) -> TermMap:
     return terms
 
 
-def _iso_checks(total: CircleProductModel, window: ModeWindow) -> list[list[dict]]:
+def _iso_checks(
+    total: CircleProductModel, window: ModeWindow, passes: PassSource
+) -> list[list[dict]]:
     """Per h: pullback (0, h) -> (0, h) and integration (p+1, h) -> (p, h), one pass per model."""
     base, p = total.base, total.base.leaf_dim
-    down, up = rank_pass(base, window), rank_pass(total, window)
+    down, up = passes(base, window), passes(total, window)
     pull, push = pullback_terms(total), fiber_integration_terms(total)
     return [
         [

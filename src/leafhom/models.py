@@ -1,4 +1,4 @@
-"""Foliated model families and their exterior form algebras.
+"""Foliated model families and the term maps of their exterior algebras.
 
 Four families are supported:
 
@@ -20,13 +20,14 @@ Four families are supported:
 itself, a bundle's base torus, or None for a frame and its cone; every table
 built on it carries the torus's one small-divisor `KroneckerTorus.certificate`.
 
-Forms are finite sums of monomials (Fourier mode x radial power x component
-label x ordered exterior monomial) with exact Scalar coefficients; a monomial
-is a `FormMonomial` named tuple.  Sums of forms and the linear extension of a
-term map (`linear_extension`) accumulate through `linalg.add_into`.  The
-monomials split into blocks (comp, mode, l), described once on
-`FoliatedModel`; l is the radial homogeneity, 0 on models without it.  All
-model and form objects are immutable and freely shareable across threads.
+A basis monomial (Fourier mode x radial power x component label x ordered
+exterior monomial) is a `FormMonomial` named tuple.  An operator is a term
+map (`TermMap`), its action on one monomial as (monomial, Scalar) pairs, and
+`linear_extension` is its one extension to sums of monomials, accumulating
+through `linalg.add_into`.  The monomials split into blocks (comp, mode, l),
+described once on `FoliatedModel`; l is the radial homogeneity, 0 on models
+without it.  All model objects are immutable and freely shareable across
+threads.
 
 The exterior structure of a model's generators is read from its
 `ExteriorTables`, built once per model from `merge_ext` and the leaf flags:
@@ -90,9 +91,6 @@ class FormMonomial(NamedTuple):
     xi: int
     comp: int
     ext: tuple[int, ...]
-
-    def sort_key(self):
-        return (self.comp, self.mode, self.xi, len(self.ext), self.ext)
 
 
 TermMap = Callable[[FormMonomial], Iterable[tuple[FormMonomial, Scalar]]]
@@ -162,109 +160,6 @@ class ExteriorTables:
         check_cartan_identity(self)
 
 
-class Form:
-    """A finite exact-coefficient form over one model."""
-
-    __slots__ = ("model", "terms")
-
-    def __init__(self, model: FoliatedModel, terms: dict[FormMonomial, Scalar]):
-        self.model = model
-        self.terms = {m: c for m, c in terms.items() if c}
-
-    @classmethod
-    def zero(cls, model: FoliatedModel) -> Form:
-        return cls(model, {})
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Form)
-            and self.model is other.model
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        raise TypeError("forms are not hashable")
-
-    def _check_model(self, other: Form) -> None:
-        if self.model is not other.model:
-            raise ValidationError("forms live on different models")
-
-    def __add__(self, other: Form) -> Form:
-        self._check_model(other)
-        return Form(self.model, add_into(dict(self.terms), other.terms.items()))
-
-    def __sub__(self, other: Form) -> Form:
-        return self + (-other)
-
-    def __neg__(self) -> Form:
-        return Form(self.model, {m: -c for m, c in self.terms.items()})
-
-    def scale(self, c: Scalar | int | Fraction) -> Form:
-        s = self.model.field.scalar(c)
-        if not s:
-            return Form.zero(self.model)
-        return Form(self.model, {m: v * s for m, v in self.terms.items()})
-
-    def __rmul__(self, c):
-        return self.scale(c)
-
-    def wedge(self, other: Form) -> Form:
-        self._check_model(other)
-
-        def times_other(ma: FormMonomial) -> Iterator[tuple[FormMonomial, Scalar]]:
-            for mb, cb in other.terms.items():
-                merged = merge_ext(ma.ext, mb.ext)
-                # forms on different components have disjoint supports
-                if merged is not None and ma.comp == mb.comp:
-                    sign, ext = merged
-                    mode = tuple(x + y for x, y in zip(ma.mode, mb.mode))
-                    yield FormMonomial(mode, ma.xi + mb.xi, ma.comp, ext), cb if sign > 0 else -cb
-
-        return self.map(times_other)
-
-    def __xor__(self, other: Form) -> Form:
-        return self.wedge(other)
-
-    def map(self, terms, model=None):
-        out = linear_extension(terms, self.terms.items())
-        return Form(self.model if model is None else model, out)
-
-    # -- grading ---------------------------------------------------------
-
-    def bidegree(self) -> tuple[int, int] | None:
-        """The common bidegree of all monomials, or None for a mixed form."""
-        degrees = {self.model.bidegree(m.ext) for m in self.terms}
-        if len(degrees) == 1:
-            return degrees.pop()
-        return None
-
-    def homogeneity_decompose(self) -> dict[int, Form]:
-        model = self.model
-        if not model.has_xi:
-            raise UnsupportedModelError("homogeneity degree requires the conic model")
-        parts: dict[int, dict[FormMonomial, Scalar]] = {}
-        for m, c in self.terms.items():
-            parts.setdefault(model.homogeneity(m), {})[m] = c
-        return {l: Form(model, t) for l, t in sorted(parts.items())}
-
-    def sorted_terms(self) -> list[tuple[FormMonomial, Scalar]]:
-        return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for m, c in self.sorted_terms():
-            bits.append(f"({c})*{self.model.monomial_label(m)}")
-        return " + ".join(bits)
-
-
 class FoliatedModel:
     """Shared machinery for the model families; subclasses fill in the data.
 
@@ -300,52 +195,6 @@ class FoliatedModel:
     def homogeneity(self, mono: FormMonomial) -> int:
         """The radial degree l of a monomial: its xi power, plus one with dxi."""
         return self.block_key(mono)[2]
-
-    # -- form builders -------------------------------------------------------
-
-    def monomial_form(
-        self,
-        coeff: Scalar | int | Fraction | str,
-        mode: Mode = (),
-        xi: int = 0,
-        comp: int | None = None,
-        ext: tuple[int, ...] | Sequence[str] = (),
-    ) -> Form:
-        """Build coeff * e_mode * xi^power * (exterior monomial).
-
-        ``ext`` may use generator names; when ``comp`` is None the monomial is
-        placed on every component (the global form).
-        """
-        if isinstance(coeff, str):
-            c = self.field.parse(coeff)
-        elif isinstance(coeff, Scalar):
-            c = coeff
-        else:
-            c = self.field.scalar(coeff)
-        mode = tuple(mode) if mode else (0,) * self.mode_len
-        if len(mode) != self.mode_len:
-            raise ValidationError(
-                f"mode length {len(mode)} != {self.mode_len} for this model"
-            )
-        if xi and not self.has_xi:
-            raise ValidationError("radial powers require the conic model")
-        indices = []
-        for g in ext:
-            if isinstance(g, str):
-                if g not in self.gen_names:
-                    raise ValidationError(f"unknown generator {g!r}")
-                indices.append(self.gen_names.index(g))
-            else:
-                indices.append(int(g))
-        sorted_idx = tuple(sorted(indices))
-        if len(set(sorted_idx)) != len(sorted_idx):
-            return Form.zero(self)
-        sign = _sort_sign(indices)
-        if sign < 0:
-            c = -c
-        comps = range(self.components_count) if comp is None else [comp]
-        terms = {FormMonomial(mode, xi, k, sorted_idx): c for k in comps}
-        return Form(self, terms)
 
     def monomial_label(self, m: FormMonomial) -> str:
         bits = []
@@ -955,7 +804,8 @@ def _build_family(spec: dict, family: str, field: NumberField):
 
 
 def pullback_terms(model: _LeafBundle) -> TermMap:
-    """Term map of `pullback_from_base`: generators moved by the bundle's slot map."""
+    """Term map of the pullback from the bundle's base: mode extended by zeros, every
+    component, generators moved by the bundle's slot map."""
     pad, moved = (0,) * (model.mode_len - model.base.mode_len), model._moved
 
     def terms(mono: FormMonomial) -> list[tuple[FormMonomial, Scalar]]:
@@ -965,9 +815,3 @@ def pullback_terms(model: _LeafBundle) -> TermMap:
 
     return terms
 
-
-def pullback_from_base(model: _LeafBundle, form: Form) -> Form:
-    """Pull a base-torus form up a bundle model (mode extended, all components)."""
-    if form.model is not model.base:
-        raise ValidationError("form does not live on the bundle base")
-    return form.map(pullback_terms(model), model)

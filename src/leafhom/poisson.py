@@ -18,7 +18,9 @@ and delta_F (`derham.contracted`, flagged on theta), so the block adds
 nothing to any line.  Frame cones, and the specseq filtration on every cone,
 rank every block.
 The tensor, the identity suite and the correspondence table return their
-report documents, the JSON the poisson report holds, verdicts included.
+report documents, the JSON the poisson report holds, verdicts included; the
+tensor writes omega from its monomials.  The bracket and delta on forms, which
+the tests state the paper's identities with, extend these maps (tests/forms.py).
 
 Sign conventions: the contraction i_G is fixed so that the induced bracket
 on scalars is {f, g} = f_xi g_x - f_x g_xi in leaf coordinates (x, xi), which
@@ -37,13 +39,11 @@ from .derham import (
     check_identities,
     component_terms,
     contracted,
-    differential,
 )
 from .errors import UnsupportedModelError, ValidationError
 from .models import (
     ConicDualModel,
     FoliatedModel,
-    Form,
     FormMonomial,
     ModeWindow,
     TermMap,
@@ -72,16 +72,21 @@ def _require_conic(model: FoliatedModel) -> ConicDualModel:
 def poisson_tensor(model: FoliatedModel) -> dict:
     """The leafwise bivector (leaf direction ^ radial direction) and its dual.
 
-    The dual is omega = theta ^ dxi on every component, 1-homogeneous.
+    The dual is omega = theta ^ dxi at the zero mode on every component,
+    written as (c)*label terms in component order; it must be 1-homogeneous.
     """
     conic = _require_conic(model)
-    omega = conic.monomial_form(1, ext=(0, 1))  # leaf covector ^ dxi
-    parts = omega.homogeneity_decompose()
-    assert list(parts) == [1], "leafwise symplectic form must be 1-homogeneous"
+    zero = (0,) * conic.mode_len
+    # the leaf covector keeps slot 0 and dxi slot 1, so theta ^ dxi is ext (0, 1)
+    omega = [FormMonomial(zero, 0, comp, (0, 1)) for comp in range(conic.components_count)]
+    degrees = sorted({conic.homogeneity(m) for m in omega})
+    if degrees != [1]:
+        raise ValidationError(f"leafwise symplectic form must be 1-homogeneous, not {degrees}")
+    one = conic.field.one
     return {
         "bivector": "T ^ d/dxi (leaf direction wedge radial direction)",
-        "omega": repr(omega),
-        "omega_homogeneity": sorted(parts),
+        "omega": " + ".join(f"({one})*{conic.monomial_label(m)}" for m in omega),
+        "omega_homogeneity": degrees,
     }
 
 
@@ -97,23 +102,6 @@ def _contraction_terms(conic: ConicDualModel) -> TermMap:
         return [(FormMonomial(mono.mode, mono.xi, mono.comp, mono.ext[2:]), minus_one)]
 
     return terms
-
-
-def contract_bivector(model: FoliatedModel, form: Form) -> Form:
-    """Interior product with the leafwise bivector: bidegree shift (-2, 0)."""
-    return form.map(_contraction_terms(_require_conic(model)), model)
-
-
-def bracket(f: Form, g: Form) -> Form:
-    """Poisson bracket of two scalar forms: i_G(df ^ dg)."""
-    model = f.model
-    _require_conic(model)
-    for form in (f, g):
-        if any(m.ext for m in form.terms):
-            raise ValidationError("poisson bracket takes scalar (bidegree (0,0)) forms")
-    df = differential(model, "d", f)
-    dg = differential(model, "d", g)
-    return contract_bivector(model, df.wedge(dg))
 
 
 def delta_terms(model: FoliatedModel, variant: str = "delta") -> TermMap:
@@ -164,11 +152,6 @@ def delta_terms(model: FoliatedModel, variant: str = "delta") -> TermMap:
         return linear_extension(frame_d, ((m, -c) for m, c in i_g(mono)), image).items()
 
     return terms
-
-
-def delta(form: Form, variant: str = "delta") -> Form:
-    """The boundary operator [i_G, d] or one of its bigraded pieces."""
-    return form.map(delta_terms(form.model, variant))
 
 
 def _star_terms(conic: ConicDualModel) -> TermMap:

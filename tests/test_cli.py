@@ -505,6 +505,36 @@ def test_one_run_computes_each_table_once(torus_spec, tmp_path, monkeypatch):
     assert len(calls) == 3 and len(set(calls)) == 3, calls
 
 
+@pytest.mark.parametrize(
+    "spec, analyses, passed",
+    [
+        # the basic table and the gysin isomorphism checks share the torus's pass
+        (
+            {"family": "kronecker_torus", "alpha": ["1", "1/2*sqrt2", "-3*sqrt3"]},
+            "derham,gysin",
+            ["CircleProductModel", "KroneckerTorus"],
+        ),
+        # the ranked frame table and the basic table share the frame's pass
+        (
+            {"family": "lie_frame", "n": 3, "brackets": [[1, 2, [[3, "1"]]]], "leaf": [3]},
+            "derham",
+            ["LieFrameModel"],
+        ),
+    ],
+    ids=["t3-derham-gysin", "heisenberg-derham"],
+)
+def test_one_rank_pass_per_model_and_window(spec, analyses, passed, tmp_path, monkeypatch):
+    # every pass, whoever calls `derham.rank_pass`, ends in one RankPass; the run has one window
+    models, real = [], derham.RankPass
+    monkeypatch.setattr(derham, "RankPass", lambda m, *rest: models.append(m) or real(m, *rest))
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(spec))
+    args = ["run", "--model", str(path), "--analyses", analyses, "--mode-bound", "1"]
+    assert cli.main([*args, "--out", str(tmp_path / "o")]) == 0
+    assert sorted(type(m).__name__ for m in models) == passed
+    assert len(set(map(id, models))) == len(models)
+
+
 def test_run_context_memo_is_keyed_by_model_instance():
     # two frames that print alike: only the structure constants differ
     field = NumberField(())

@@ -10,21 +10,21 @@ from types import SimpleNamespace
 import pytest
 
 from leafhom import cli, derham, gysin, models
-from leafhom.derham import cohomology_dims, differential
+from leafhom.derham import cohomology_dims
 from leafhom.errors import ComplexViolationError, ValidationError
 from leafhom.gysin import fiber_integration_terms, product_splitting_dims
 from leafhom.linalg import Echelon, SparseMatrix, add_into, homology_dims, rank
 from leafhom.models import (
     CircleProductModel,
     FoliatedModel,
-    Form,
     FormMonomial,
     KroneckerTorus,
     ModeWindow,
     merge_ext,
 )
-from leafhom.models import pullback_from_base as pullback
 from leafhom.scalars import NumberField
+from forms import Form, differential, monomial_form
+from forms import pullback_from_base as pullback
 from kernel_oracle import rref_rank_kernel
 
 
@@ -48,12 +48,12 @@ def splitting(bundle, h, window):
 
 
 def test_pullback_of_coframe(bundle, torus):
-    theta = torus.monomial_form(1, ext=("theta",))
+    theta = monomial_form(torus, 1, ext=("theta",))
     up = pullback(bundle, theta)
-    assert up == bundle.monomial_form(1, ext=("theta",))
-    e_eta = torus.monomial_form(1, mode=(2, 1), ext=("eta1",))
+    assert up == monomial_form(bundle, 1, ext=("theta",))
+    e_eta = monomial_form(torus, 1, mode=(2, 1), ext=("eta1",))
     up2 = pullback(bundle, e_eta)
-    assert up2 == bundle.monomial_form(1, mode=(2, 1, 0), ext=("eta1",))
+    assert up2 == monomial_form(bundle, 1, mode=(2, 1, 0), ext=("eta1",))
 
 
 def test_pullback_injective_on_monomials(bundle, torus):
@@ -68,7 +68,7 @@ def test_pullback_injective_on_monomials(bundle, torus):
 
 def test_pullback_commutes_with_leafwise_differential(bundle, torus):
     total = bundle
-    e_m = torus.monomial_form(1, mode=(1, 0))
+    e_m = monomial_form(torus, 1, mode=(1, 0))
     lhs = differential(total, "d_F", pullback(bundle, e_m))
     rhs = pullback(bundle, differential(torus, "d_F", e_m))
     assert lhs == rhs
@@ -76,25 +76,25 @@ def test_pullback_commutes_with_leafwise_differential(bundle, torus):
 
 def test_fiber_integration_normalization(bundle):
     total = bundle
-    dphi = total.monomial_form(1, ext=("dphi",))
-    assert integrate(bundle, dphi) == bundle.base.monomial_form(1)
+    dphi = monomial_form(total, 1, ext=("dphi",))
+    assert integrate(bundle, dphi) == monomial_form(bundle.base, 1)
 
 
 def test_fiber_integration_kills_base_forms(bundle, torus):
     total = bundle
-    e_theta = total.monomial_form(1, mode=(1, 0, 0), ext=("theta",))
+    e_theta = monomial_form(total, 1, mode=(1, 0, 0), ext=("theta",))
     assert integrate(bundle, e_theta).is_zero()
     # nonzero circle mode integrates to zero even with a dphi factor
-    osc = total.monomial_form(1, mode=(0, 0, 2), ext=("dphi",))
+    osc = monomial_form(total, 1, mode=(0, 0, 2), ext=("dphi",))
     assert integrate(bundle, osc).is_zero()
 
 
 def test_fiber_integration_sign(bundle, torus):
     total = bundle
-    theta_dphi = total.monomial_form(1, mode=(1, 0, 0), ext=("theta", "dphi"))
+    theta_dphi = monomial_form(total, 1, mode=(1, 0, 0), ext=("theta", "dphi"))
     out = integrate(bundle, theta_dphi)
     # rightmost-removal convention: positive sign here, pinned by intertwining
-    assert out == torus.monomial_form(1, mode=(1, 0), ext=("theta",))
+    assert out == monomial_form(torus, 1, mode=(1, 0), ext=("theta",))
 
 
 def test_integration_intertwines_leafwise_differential(bundle, torus):
@@ -109,7 +109,7 @@ def test_integration_intertwines_leafwise_differential(bundle, torus):
 
 def test_form_from_other_model_rejected(bundle, torus):
     with pytest.raises(ValidationError):
-        pullback(bundle, bundle.monomial_form(1))
+        pullback(bundle, monomial_form(bundle, 1))
 
 
 def test_splitting_table_h0(bundle):
@@ -297,7 +297,7 @@ def test_iso_checks_reject_a_broken_complex(bundle, monkeypatch):
         ComplexViolationError,
         match=r"^block \(0, \(-1, -1, -1\), 0\), s = 0: d\^2 != 0 between degrees 0 and 2$",
     ):
-        gysin._iso_checks(bundle, ModeWindow(bound=1))
+        gysin._iso_checks(bundle, ModeWindow(bound=1), derham.rank_pass)
 
 
 # -- the mapping-cone rank against the Z/B count of a kernel oracle --------------------

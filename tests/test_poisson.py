@@ -16,7 +16,6 @@ from leafhom.derham import (
     cohomology_dims,
     component_terms,
     contracted,
-    differential,
     operator_matrix,
 )
 from leafhom.errors import ComplexViolationError, UnsupportedModelError, ValidationError
@@ -24,7 +23,6 @@ from leafhom.linalg import complex_ranks, homology_dims
 from leafhom.models import (
     ConicDualModel,
     CosphereCircleModel,
-    Form,
     KroneckerTorus,
     LieFrameModel,
     ModeWindow,
@@ -33,9 +31,6 @@ from leafhom.models import (
 )
 from leafhom.poisson import (
     BoundaryDims,
-    bracket,
-    contract_bivector,
-    delta,
     delta_terms,
     line_blocks,
     poisson_tensor,
@@ -43,6 +38,7 @@ from leafhom.poisson import (
     verify_star_delta_identity,
 )
 from leafhom.scalars import NumberField, Scalar
+from forms import Form, bracket, contract_bivector, delta, differential, monomial_form
 
 
 @pytest.fixture(scope="module")
@@ -71,26 +67,33 @@ def affine_conic(field):
 
 def test_poisson_tensor_omega(conic):
     tensor = poisson_tensor(conic)
-    omega = conic.monomial_form(1, ext=(0, 1))  # theta ^ dxi
+    omega = monomial_form(conic, 1, ext=(0, 1))  # theta ^ dxi
     assert tensor["omega"] == repr(omega) and omega.bidegree() == (2, 0)
     assert tensor["omega_homogeneity"] == [1]
 
 
+def test_poisson_tensor_rejects_a_form_that_is_not_1_homogeneous(conic, monkeypatch):
+    # the check is an exact one, not an assert that python -O strips
+    monkeypatch.setattr(conic, "homogeneity", lambda mono: 2)
+    with pytest.raises(ValidationError, match="1-homogeneous"):
+        poisson_tensor(conic)
+
+
 def test_contraction_of_leaf_area(conic):
     # orientation pinned by the coordinate bracket table: i_G(theta^dxi) = -1
-    area = conic.monomial_form(1, ext=("theta", "dxi"))
-    assert contract_bivector(conic, area) == conic.monomial_form(-1)
+    area = monomial_form(conic, 1, ext=("theta", "dxi"))
+    assert contract_bivector(conic, area) == monomial_form(conic, -1)
 
 
 def test_contraction_needs_both_leaf_factors(conic):
-    assert contract_bivector(conic, conic.monomial_form(1, ext=("theta", "eta1"))).is_zero()
-    assert contract_bivector(conic, conic.monomial_form(1, ext=("dxi",))).is_zero()
+    assert contract_bivector(conic, monomial_form(conic, 1, ext=("theta", "eta1"))).is_zero()
+    assert contract_bivector(conic, monomial_form(conic, 1, ext=("dxi",))).is_zero()
 
 
 def test_contraction_module_property(conic):
-    f = conic.monomial_form(1, mode=(1, 0), xi=2)
-    omega = conic.monomial_form(1, ext=("theta", "dxi"))
-    eta = conic.monomial_form(1, ext=("eta1",))
+    f = monomial_form(conic, 1, mode=(1, 0), xi=2)
+    omega = monomial_form(conic, 1, ext=("theta", "dxi"))
+    eta = monomial_form(conic, 1, ext=("eta1",))
     lhs = contract_bivector(conic, f.wedge(omega).wedge(eta))
     rhs = contract_bivector(conic, f.wedge(omega)).wedge(eta)
     assert lhs == rhs
@@ -100,31 +103,31 @@ def test_contraction_module_property(conic):
 def test_contraction_requires_conic(field):
     torus = KroneckerTorus(field, ["1", "sqrt2"])
     with pytest.raises(UnsupportedModelError):
-        contract_bivector(torus, torus.monomial_form(1))
+        contract_bivector(torus, monomial_form(torus, 1))
 
 
 # -- bracket -------------------------------------------------------------------
 
 
 def test_bracket_antisymmetry(conic):
-    f = conic.monomial_form(1, mode=(1, 0), xi=1)
+    f = monomial_form(conic, 1, mode=(1, 0), xi=1)
     assert bracket(f, f).is_zero()
-    g = conic.monomial_form(1, mode=(0, 1))
+    g = monomial_form(conic, 1, mode=(0, 1))
     assert bracket(f, g) == -bracket(g, f)
 
 
 def test_bracket_radial_against_mode(conic, field):
     # {xi, e_m} = (m . alpha) e_m in the reduced normalization
-    xi = conic.monomial_form(1, xi=1)
+    xi = monomial_form(conic, 1, xi=1)
     for mode in [(1, 0), (0, 1), (2, 1)]:
-        e_m = conic.monomial_form(1, mode=mode)
+        e_m = monomial_form(conic, 1, mode=mode)
         lam = field.scalar(mode[0]) + field.parse("sqrt2") * mode[1]
         assert bracket(xi, e_m) == e_m.scale(lam)
 
 
 def test_bracket_of_mode_functions_vanishes(conic):
-    a = conic.monomial_form(1, mode=(1, 0))
-    b = conic.monomial_form(1, mode=(0, 1))
+    a = monomial_form(conic, 1, mode=(1, 0))
+    b = monomial_form(conic, 1, mode=(0, 1))
     assert bracket(a, b).is_zero()
 
 
@@ -135,8 +138,8 @@ def test_bracket_jacobi_random(conic):
         scalars = []
         for _k in range(3):
             scalars.append(
-                conic.monomial_form(
-                    rng.randint(1, 3), mode=rng.choice(modes), xi=rng.randint(-1, 2)
+                monomial_form(
+                    conic, rng.randint(1, 3), mode=rng.choice(modes), xi=rng.randint(-1, 2)
                 )
             )
         f, g, h = scalars
@@ -150,14 +153,14 @@ def test_bracket_jacobi_random(conic):
 
 def test_bracket_rejects_nonscalars(conic):
     with pytest.raises(ValidationError):
-        bracket(conic.monomial_form(1, ext=("theta",)), conic.monomial_form(1))
+        bracket(monomial_form(conic, 1, ext=("theta",)), monomial_form(conic, 1))
 
 
 # -- delta ----------------------------------------------------------------------
 
 
 def test_delta_on_scalars_vanishes(conic):
-    f = conic.monomial_form(3, mode=(2, 1), xi=-1)
+    f = monomial_form(conic, 3, mode=(2, 1), xi=-1)
     assert delta(f).is_zero()
 
 
@@ -182,7 +185,7 @@ def test_delta_perp_vanishes_on_flat_cone(conic):
 
 def test_delta_perp_nonzero_witness_on_affine_cone(field):
     model = affine_conic(field)
-    area = model.monomial_form(1, ext=(0, 1))
+    area = monomial_form(model, 1, ext=(0, 1))
     witness = delta(area, "delta_perp")
     assert not witness.is_zero()
     # shift is (-2, +1): from (2, 0) to (0, 1)
@@ -192,8 +195,8 @@ def test_delta_perp_nonzero_witness_on_affine_cone(field):
 def test_delta_perp_module_property_over_transverse(field):
     # delta_perp(omega ^ beta) = delta_perp(omega) ^ beta for transverse beta
     model = affine_conic(field)
-    omega = model.monomial_form(1, xi=1, ext=(0, 1))
-    beta = model.monomial_form(1, ext=(2,))
+    omega = monomial_form(model, 1, xi=1, ext=(0, 1))
+    beta = monomial_form(model, 1, ext=(2,))
     lhs = delta(omega.wedge(beta), "delta_perp")
     rhs = delta(omega, "delta_perp").wedge(beta)
     assert not delta(omega, "delta_perp").is_zero()
@@ -201,7 +204,7 @@ def test_delta_perp_module_property_over_transverse(field):
 
 
 def test_delta_homogeneity_shift(conic):
-    a = conic.monomial_form(1, mode=(1, 0), xi=2, ext=("theta", "eta1"))
+    a = monomial_form(conic, 1, mode=(1, 0), xi=2, ext=("theta", "eta1"))
     out = delta(a)
     assert out and list(out.homogeneity_decompose()) == [1]
 
@@ -213,7 +216,7 @@ def test_bracket_expansion_formula(conic):
     dF = lambda a: differential(conic, "d_F", a)
     for _ in range(6):
         f0, f1, f2 = (
-            conic.monomial_form(1, mode=rng.choice(modes), xi=rng.randint(0, 2))
+            monomial_form(conic, 1, mode=rng.choice(modes), xi=rng.randint(0, 2))
             for _ in range(3)
         )
         lhs = delta(f0.wedge(dF(f1)).wedge(dF(f2)), "delta_F")
@@ -229,10 +232,10 @@ def test_bracket_expansion_formula(conic):
 
 
 def test_star_tables_on_leaf_factor(conic):
-    one = conic.monomial_form(1)
-    theta = conic.monomial_form(1, ext=("theta",))
-    dxi = conic.monomial_form(1, ext=("dxi",))
-    area = conic.monomial_form(1, ext=("theta", "dxi"))
+    one = monomial_form(conic, 1)
+    theta = monomial_form(conic, 1, ext=("theta",))
+    dxi = monomial_form(conic, 1, ext=("dxi",))
+    area = monomial_form(conic, 1, ext=("theta", "dxi"))
     assert star(one) == area
     assert star(theta) == -theta
     assert star(dxi) == -dxi
@@ -240,12 +243,12 @@ def test_star_tables_on_leaf_factor(conic):
 
 
 def test_star_transverse_extension(conic):
-    f = conic.monomial_form(1, mode=(1, 0), xi=2)
-    eta = conic.monomial_form(1, ext=("eta1",))
-    area = conic.monomial_form(1, ext=("theta", "dxi"))
+    f = monomial_form(conic, 1, mode=(1, 0), xi=2)
+    eta = monomial_form(conic, 1, ext=("eta1",))
+    area = monomial_form(conic, 1, ext=("theta", "dxi"))
     assert star(f.wedge(area).wedge(eta)) == f.wedge(eta)
     assert star(f.wedge(eta)) == f.wedge(area).wedge(eta)
-    theta_eta = conic.monomial_form(1, ext=("theta", "eta1"))
+    theta_eta = monomial_form(conic, 1, ext=("theta", "eta1"))
     assert star(theta_eta) == -theta_eta
 
 
