@@ -19,16 +19,17 @@ field's cached `one` or `minus_one` takes no arithmetic (see `scalars`).
 Cohomology dimensions are computed block by block: every supported
 differential preserves the block (comp, mode, l) of `FoliatedModel.block_key`,
 so the complex is a direct sum of small exact-arithmetic complexes indexed by
-the window; a block's monomials are grouped by bidegree once
-(`_by_bidegree`).  On a model built on a Kronecker torus (``model.torus`` is
-not None), d on a block is sum c_g eps_g over the block's multipliers.  One
-rule, `contracted`, settles a block as acyclic when a flagged generator has a
-nonzero multiplier, by a contracting homotopy: c_j^-1 iota_j for d and d_F
-(`koszul_block_dims`; with no such multiplier the differential vanishes),
--c^-1 eps_dxi for the cone's delta and delta_F, flagged on theta.  The
-Cartan identity eps_g iota_j + iota_j eps_g = delta_gj behind both is
-checked on every model's exterior tables when they are built
-(`models.ExteriorTables`), and each caller reads its flags from those tables.
+the window.  On a model built on a Kronecker torus (``model.torus`` is not
+None), d on a block is sum c_g eps_g over the block's multipliers.  One rule,
+`contracted`, settles a block as acyclic when a flagged generator has a
+nonzero multiplier, by a contracting homotopy: c_j^-1 iota_j for d and d_F,
+-c^-1 eps_dxi for the cone's delta and delta_F, flagged on theta.  On every
+other block the differential vanishes, so the leafwise table and the Betti
+numbers are the count of open blocks (`open_blocks`) times C(p, r) * C(q, s),
+or C(p + q, k).  The Cartan identity eps_g iota_j + iota_j eps_g = delta_gj
+behind both homotopies is checked on every model's exterior tables when they
+are built (`models.ExteriorTables`), and each caller reads its flags from
+those tables.
 
 An operator is a term map (`models.TermMap`): its action on one monomial,
 a list of (monomial, coefficient).  `component_terms` gives d and its three
@@ -43,9 +44,11 @@ check), and `linalg.complex_ranks` checks d_(t+1) d_t = 0 once per
 consecutive pair and ranks each d_t once.  Each failure raises
 ComplexViolationError naming the block and the degrees; `block_homology`
 reads dim C^t - rank d_t - rank d_(t-1) off the ranks.  `rank_pass` runs
-d_F over a window: one r-chain per block and s, summed by bidegree.  The
-leafwise tables of frame models and their cones, the basic table and the
-gysin isomorphism checks read it from a `PassSource`, which a run memoizes
+d_F over a window: each block's monomials are grouped by bidegree once, into
+the cells its record keeps (`RankPass.blocks`), and ranked by one r-chain per
+s; ranks and dims are summed by bidegree.  The leafwise tables of frame
+models and their cones, the basic table (which ranks d on the same cells) and
+the gysin isomorphism checks read it from a `PassSource`, which a run memoizes
 (`cli.RunContext.rank_pass`), so each (model, window) is passed, and its
 d^2 = 0 checked, once per run.  Poisson's boundary homology ranks its
 line complexes through `block_homology`; the specseq filtration assembles
@@ -331,47 +334,49 @@ class BigradedDims(NamedTuple):
         return out
 
 
-def _by_bidegree(model: FoliatedModel, key: tuple) -> dict[tuple[int, int], list[FormMonomial]]:
-    """The monomials of one block grouped by bidegree, in block order."""
-    by_deg: dict[tuple[int, int], list[FormMonomial]] = {}
-    for m in model.block_monomials(key):
-        by_deg.setdefault(model.bidegree(m.ext), []).append(m)
-    return by_deg
+Cells = dict[tuple[int, int], list[FormMonomial]]  # one block's monomials by bidegree
 
 
 class RankPass(NamedTuple):
-    """d_F over a window's blocks (`rank_pass`): its cells, ranks and dims by bidegree."""
+    """d_F over a window (`rank_pass`): each block's cells, and ranks and dims by bidegree."""
 
     model: FoliatedModel
     d_f: TermMap
-    cells: dict[tuple[int, int], list[FormMonomial]]  # the window's monomials
-    ranks: dict[tuple[int, int], int]  # the rank of d_F out of each cell
+    blocks: list[tuple[tuple, Cells]]  # (key, cells) per block, in window order
+    ranks: dict[tuple[int, int], int]  # the rank of d_F out of each bidegree, summed
     dims: dict[tuple[int, int], int]  # H^{r,s}, nonzero entries only
+
+    def cell(self, r: int, s: int) -> list[FormMonomial]:
+        """The window's monomials of bidegree (r, s): the blocks' cells, in block order."""
+        return [m for _key, cells in self.blocks for m in cells.get((r, s), ())]
 
 
 def rank_pass(model: FoliatedModel, window: ModeWindow) -> RankPass:
     """d_F on the window's blocks: one `block_ranks` chain per block and s.
 
-    A chain runs over r = 0 .. leaf_dim + 1, the last cell empty, so the top
-    degree must map to zero.  Cells and ranks are summed over the blocks and
-    the dims computed once, from the sums.
+    Each block's monomials are grouped by bidegree once, into the cells the
+    record keeps.  A chain runs over r = 0 .. leaf_dim + 1, the last cell
+    empty, so the top degree must map to zero.  The dims are computed once,
+    from the cell sizes and ranks summed over the blocks.
     """
     d_f, top = component_terms(model, "d_F"), model.leaf_dim + 1
-    cells: dict[tuple[int, int], list[FormMonomial]] = {}
+    blocks: list[tuple[tuple, Cells]] = []
     ranks: dict[tuple[int, int], int] = {}
     for key in model.block_keys(window):
-        by_deg = _by_bidegree(model, key)
-        for s in sorted({s for _r, s in by_deg}):
-            chain = {r: by_deg.get((r, s), []) for r in range(top + 1)}
+        cells: Cells = {}
+        for m in model.block_monomials(key):
+            cells.setdefault(model.bidegree(m.ext), []).append(m)
+        blocks.append((key, cells))
+        for s in sorted({s for _r, s in cells}):
+            chain = {r: cells.get((r, s), []) for r in range(top + 1)}
             for r, n in block_ranks(model, d_f, chain, f"{key}, s = {s}").items():
-                cells.setdefault((r, s), []).extend(chain[r])
                 ranks[(r, s)] = ranks.get((r, s), 0) + n
     dims: dict[tuple[int, int], int] = {}
-    for s in sorted({s for _r, s in cells}):
-        sizes = {r: len(cells[(r, s)]) for r in range(top)}
+    for s in sorted({s for _r, s in ranks}):
+        sizes = {r: sum(len(cells.get((r, s), ())) for _key, cells in blocks) for r in range(top)}
         chain = homology_dims(sizes, {r: ranks[(r, s)] for r in range(top)})
         dims.update(((r, s), h) for r, h in chain.items() if h)
-    return RankPass(model, d_f, cells, ranks, dims)
+    return RankPass(model, d_f, blocks, ranks, dims)
 
 
 # where a table reads its `rank_pass`: the function itself, or a run's memo of it
@@ -395,19 +400,15 @@ def contracted(model: FoliatedModel, key: tuple, flags: Sequence[bool]) -> bool:
     return model.torus is not None and any(flags[g] and c for g, c in model.multipliers(key))
 
 
-def koszul_block_dims(
-    model: FoliatedModel, key: tuple, flags: Sequence[bool]
-) -> dict[tuple[int, int], int]:
-    """H^{r,s} of one block of a torus-family model for d or d_F, by `contracted`.
+def open_blocks(model: FoliatedModel, window: ModeWindow, component: str) -> int:
+    """How many of the window's blocks of a torus-family model `contracted` leaves open.
 
-    ``flags`` are the operator's kept flags (`_component_filter`).  A
-    contracted block has no classes; otherwise the operator vanishes on it:
-    C(p, r) * C(q, s) classes.
+    ``component`` is d or d_F; the flags are read first, so the exterior tables
+    pass the Cartan check before any block is settled.  The operator vanishes on
+    an open block: C(p, r) * C(q, s) classes each.
     """
-    if contracted(model, key, flags):
-        return {}
-    p, q = model.leaf_dim, model.codim
-    return {(r, s): math.comb(p, r) * math.comb(q, s) for r in range(p + 1) for s in range(q + 1)}
+    flags, _ = _component_filter(model, component)
+    return sum(not contracted(model, key, flags) for key in model.block_keys(window))
 
 
 def cohomology_dims(
@@ -420,8 +421,8 @@ def cohomology_dims(
 
     ``homogeneity`` restricts the conic model to one radial degree, required
     there (only fixed-degree slices are finite) and rejected elsewhere.  Blocks
-    of models built on a Kronecker torus are settled by `koszul_block_dims`,
-    the others ranked by the pass ``passes`` gives on the (narrowed) window;
+    of models built on a Kronecker torus are counted by `open_blocks`, the
+    others ranked by the pass ``passes`` gives on the (narrowed) window;
     a table on a torus carries `KroneckerTorus.certificate`.
     """
     window = window or ModeWindow()
@@ -436,12 +437,9 @@ def cohomology_dims(
     if base is None:
         totals = passes(model, narrowed).dims
     else:
-        flags, _ = _component_filter(model, "d_F")
-        totals: dict[tuple[int, int], int] = {}
-        for key in model.block_keys(narrowed):
-            for rs, v in koszul_block_dims(model, key, flags).items():
-                if v:
-                    totals[rs] = totals.get(rs, 0) + v
+        n, p, q = open_blocks(model, narrowed, "d_F"), model.leaf_dim, model.codim
+        bidegrees = [(r, s) for r in range(p + 1) for s in range(q + 1)] if n else []
+        totals = {(r, s): n * math.comb(p, r) * math.comb(q, s) for r, s in bidegrees}
     cert = None if base is None else base.certificate
     formal = cert is not None and cert.verdict != "diophantine"
     # every resonant mode block has a vanishing leafwise differential, so a
@@ -471,8 +469,9 @@ def basic_cohomology_dims(
     d = d_F + d_perp there: the matrix of d_F stacked over that of d_perp.  So
     d_perp on the basic forms ker d_F of (0, s-1) has rank (rank d - rank d_F)
     on (0, s-1), and H_b^s = |C^{0,s}| - rank d|(0,s) - that rank.  The cells
-    and the d_F ranks are those of the pass ``passes`` gives; d is ranked per
-    block, through `block_ranks`, and every count is summed over the blocks.  The
+    and the d_F ranks are those of the pass ``passes`` gives; d is ranked on
+    each of its blocks' cells, through `block_ranks`, so a leak names the
+    block, and every count is summed over the blocks.  The
     result is window-truncated; ``window_sensitive`` flags a nonzero
     resonance lattice (infinitely many basic functions off-window).
     """
@@ -481,16 +480,15 @@ def basic_cohomology_dims(
         raise UnsupportedModelError("basic complex is computed on unpunctured models")
     q, leafwise, d = model.codim, passes(model, window), component_terms(model, "d")
     full = [0] * (q + 1)  # rank of d out of (0, s)
-    for key in model.block_keys(window):
-        by_deg = _by_bidegree(model, key)
+    for key, cells in leafwise.blocks:
         for s in range(q + 1):
             # (0, q+1) is empty, so the top degree must map to zero
-            target = by_deg.get((1, s), []) + by_deg.get((0, s + 1), [])
-            graded = {0: by_deg.get((0, s), []), 1: target}
+            target = cells.get((1, s), []) + cells.get((0, s + 1), [])
+            graded = {0: cells.get((0, s), []), 1: target}
             full[s] += block_ranks(model, d, graded, f"{key}, s = {s}")[0]
     dims, induced = [], 0  # rank of d_perp on the basic (s-1)-forms
     for s in range(q + 1):
-        dims.append(len(leafwise.cells.get((0, s), [])) - full[s] - induced)
+        dims.append(len(leafwise.cell(0, s)) - full[s] - induced)
         induced = full[s] - leafwise.ranks.get((0, s), 0)
     sensitive = model.torus is not None and model.torus.resonant
     return {"model": repr(model), "dims": dims, "window_sensitive": sensitive}
@@ -499,14 +497,10 @@ def basic_cohomology_dims(
 def ordinary_derham_dims(
     model: FoliatedModel, window: ModeWindow | None = None
 ) -> list[int]:
-    """Betti numbers of the windowed complex: `koszul_block_dims` on the full d, summed."""
+    """Betti numbers of the windowed complex: C(p + q, k) per block `open_blocks` counts for d."""
     if model.torus is None or model.has_xi:
         raise UnsupportedModelError(
             "ordinary de Rham dims are computed on torus and circle bundle models"
         )
-    flags, _ = _component_filter(model, "d")
-    dims = [0] * (len(model.gen_names) + 1)
-    for key in model.block_keys(window or ModeWindow()):
-        for (r, s), h in koszul_block_dims(model, key, flags).items():
-            dims[r + s] += h
-    return dims
+    n, k_max = open_blocks(model, window or ModeWindow(), "d"), len(model.gen_names)
+    return [n * math.comb(k_max, k) for k in range(k_max + 1)]

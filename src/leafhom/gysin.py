@@ -175,13 +175,14 @@ def _induces_iso(f: TermMap, a: RankPass, b: RankPass, degrees: tuple[int, int],
     dim H^k(A) and dim H^j(B) are read off each side's pass, and the
     induced map has rank rank M - rank D_A^k - rank D_B^(j-1), where
     M(x, y) = (D_A x, f x + D_B y) on A^k + B^(j-1) is the mapping cone's
-    differential.  Base and total monomials differ in mode length, so one
-    index holds both sides.
+    differential, on the cells each pass concatenates over its blocks
+    (`RankPass.cell`).  Base and total monomials differ in mode length, so
+    one index holds both sides.
     """
     k, j = degrees
-    cell = lambda side, r: side.cells.get((r, h), [])
     rk = lambda side, r: side.ranks.get((r, h), 0)
-    on_a = set(cell(a, k))
+    source = a.cell(k, h)
+    on_a = set(source)
     cone = lambda mono: a.d_f(mono) + f(mono) if mono in on_a else b.d_f(mono)
-    m = operator_matrix(a.model, cone, cell(a, k) + cell(b, j - 1), cell(a, k + 1) + cell(b, j))
+    m = operator_matrix(a.model, cone, source + b.cell(j - 1, h), a.cell(k + 1, h) + b.cell(j, h))
     return rank(m) - rk(a, k) - rk(b, j - 1) == a.dims.get((k, h), 0) == b.dims.get((j, h), 0)

@@ -52,6 +52,9 @@ from .scalars import NumberField, Scalar, sqrt_in, square_class
 
 Mode = tuple[int, ...]
 BLOCK_CACHE_SIZE = 64  # blocks a model keeps multipliers for; a full memo is cleared
+# the most generators an exterior basis is built for: a bundle over a 12-entry
+# torus; the tables and their Cartan check grow as 2^n
+MAX_GENERATORS = 13
 
 
 class _WindowFields(NamedTuple):
@@ -142,13 +145,18 @@ class ExteriorTables:
 
     ``subsets`` lists the increasing index tuples by size, ``bidegree[ext]`` is
     (leaf count, transverse count), and ``insert[g][ext]`` is merge_ext((g,), ext):
-    (sign, ext with g) or None when g is in ext.  Building them checks the Cartan identity.
+    (sign, ext with g) or None when g is in ext.  Building them checks the Cartan identity;
+    more than MAX_GENERATORS generators raise ValidationError.
     """
 
     __slots__ = ("subsets", "bidegree", "insert")
 
     def __init__(self, long_flags: tuple[bool, ...]):
         n = len(long_flags)
+        if n > MAX_GENERATORS:
+            raise ValidationError(
+                f"{n} generators: the exterior basis is built for at most {MAX_GENERATORS}"
+            )
         self.subsets = tuple(
             itertools.chain.from_iterable(itertools.combinations(range(n), k) for k in range(n + 1))
         )
@@ -631,16 +639,12 @@ def diophantine_certificate(torus: KroneckerTorus) -> DiophantineCertificate:
             witness=witness,
             method="exact integer kernel of the component matrix of alpha",
         )
-    # the subfield generated by the entries: subgroup of sign patterns fixing
-    # every used basis mask
-    used_masks = {mask for mask in range(field.dim) if any(a.coeffs[mask] for a in alpha)}
-    t = len(field.radicals)
-    fixers = []
-    for bits in range(1 << t):
-        signs = tuple(-1 if bits & (1 << j) else 1 for j in range(t))
-        if all(_mask_fixed(mask, signs) for mask in used_masks):
-            fixers.append(signs)
-    degree = (1 << t) // len(fixers)
+    # the subfield generated by the entries has degree |span|, the GF(2) span of
+    # the radical bits (mask >> 1) of the basis masks the entries use
+    span = {0}
+    for mask in {mask for mask in range(field.dim) if any(a.coeffs[mask] for a in alpha)}:
+        span |= {v ^ (mask >> 1) for v in span}
+    degree = len(span)
     den = 1
     cprime = Fraction(0)
     for a in alpha:
@@ -658,14 +662,6 @@ def diophantine_certificate(torus: KroneckerTorus) -> DiophantineCertificate:
             f"{cprime} * |m|_1"
         ),
     )
-
-
-def _mask_fixed(mask: int, signs: tuple[int, ...]) -> bool:
-    prod = 1
-    for j, s in enumerate(signs):
-        if mask & (1 << (1 + j)):
-            prod *= s
-    return prod == 1
 
 
 def torus_of(model: FoliatedModel) -> KroneckerTorus:
@@ -766,8 +762,10 @@ def _build_family(spec: dict, family: str, field: NumberField):
         n = spec.get("n")
         brackets = spec.get("brackets", [])
         leaf = spec.get("leaf")
-        if not isinstance(n, int) or n < 2:
-            raise SpecParseError("lie_frame spec needs an integer dimension n >= 2")
+        if not isinstance(n, int) or not 2 <= n <= MAX_GENERATORS:
+            raise SpecParseError(
+                f"lie_frame spec needs an integer dimension 2 <= n <= {MAX_GENERATORS}"
+            )
         if not isinstance(leaf, (list, tuple)) or not leaf:
             raise SpecParseError("lie_frame spec needs a nonempty 'leaf' index list")
         if not isinstance(brackets, list):

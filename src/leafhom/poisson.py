@@ -15,8 +15,9 @@ a second route to delta_F that never reads delta: star d_F star, signed by
 The boundary homology (`BoundaryDims`) ranks a block of a torus cone only
 when its theta multiplier c is zero: for c != 0, -c^-1 eps_dxi contracts delta
 and delta_F (`derham.contracted`, flagged on theta), so the block adds
-nothing to any line.  Frame cones, and the specseq filtration on every cone,
-rank every block.
+nothing to any line.  The table settles each (comp, mode) block once, and
+every line of both operators walks the blocks left open.  Frame cones, and
+the specseq filtration on every cone, rank every block.
 The tensor, the identity suite and the correspondence table return their
 report documents, the JSON the poisson report holds, verdicts included; the
 tensor writes omega from its monomials.  The bracket and delta on forms, which
@@ -225,17 +226,11 @@ def line_blocks(
 
     A boundary operator lowers degree and homogeneity by one, so on each
     (component, mode) block the cells of degree k = c + l at homogeneity l,
-    k = 0 .. top, form one complex in degrees t = -l (`_line_cells`).
+    k = 0 .. top, form one complex in degrees t = -l (`_line_cells`).  The
+    blocks are the window's `block_keys` at l = 0, as in `BoundaryDims`.
     """
-    for block in _line_keys(conic, window):
-        yield block, _line_cells(conic, c, block)
-
-
-def _line_keys(conic: ConicDualModel, window: ModeWindow) -> Iterator[tuple]:
-    """The (comp, mode) blocks of every line, in `line_blocks` order."""
-    for comp in range(conic.components_count):
-        for mode in window.modes(conic.mode_len):
-            yield comp, mode
+    for comp, mode, _l in conic.block_keys(ModeWindow(window.bound, 0, 0)):
+        yield (comp, mode), _line_cells(conic, c, (comp, mode))
 
 
 def _line_cells(conic: ConicDualModel, c: int, block: tuple) -> dict[int, list[FormMonomial]]:
@@ -250,43 +245,26 @@ def _line_cells(conic: ConicDualModel, c: int, block: tuple) -> dict[int, list[F
     return cells
 
 
-def _line_dims(
-    conic: ConicDualModel, operator: str, c: int, window: ModeWindow
-) -> dict[str, dict[int, int]]:
-    """Homology of a boundary operator along the line k - l = c, per component.
-
-    A block `derham.contracted` settles, flagged on theta, adds nothing to any
-    line, so its cells are never built; every other block is ranked.
-    """
-    top = conic.leaf_dim + conic.codim
-    out = {name: dict.fromkeys(range(top + 1), 0) for name in conic.components}
-    op = delta_terms(conic, operator)  # reads conic.exterior: its tables passed the Cartan check
-    theta = [g == 0 for g in range(len(conic.gen_names))]
-    for block in _line_keys(conic, window):
-        if contracted(conic, (*block, 0), theta):
-            continue
-        cells = _line_cells(conic, c, block)
-        dims = block_homology(conic, op, cells, f"{block}, {operator} line k - l = {c}")
-        for t, h in dims.items():
-            out[conic.components[block[0]]][c - t] += h
-    return out
-
-
 class BoundaryDims:
     """Homology dims of delta and delta_F on the cone, read cell by cell.
 
-    One table serves both operators.  The first read of a cell (k, l) under
-    an operator computes that operator's whole line k - l = c, each block
-    complex once; only the integer dims are kept.  On a torus cone the
-    blocks with a nonzero theta multiplier are settled as acyclic by the
-    homotopy of `derham.contracted`, so only the others are ranked; the
-    Cartan identity behind it is checked when the cone's exterior tables are
-    built.  Frame cones rank every block.
+    One table serves both operators.  It finds its open (comp, mode) blocks
+    once, when it is built, from the window's `block_keys` at l = 0: on a
+    torus cone the blocks with a nonzero theta multiplier are settled as
+    acyclic by the homotopy of `derham.contracted`, whose Cartan identity the
+    cone's exterior tables, read first, have checked; frame cones leave every
+    block open.  The first read of a cell (k, l) under an operator computes
+    that operator's whole line k - l = c over the open blocks, each block
+    complex once; only the integer dims are kept.
     """
 
     def __init__(self, model: FoliatedModel, window: ModeWindow | None = None):
-        self.conic = _require_conic(model)
+        conic = self.conic = _require_conic(model)
         self.window = window or ModeWindow()
+        # reading the exterior tables (one insertion table per generator) checks them first
+        theta = [g == 0 for g in range(len(conic.exterior.insert))]
+        keys = conic.block_keys(ModeWindow(self.window.bound, 0, 0))
+        self._open = [key[:2] for key in keys if not contracted(conic, key, theta)]
         self._lines: dict[tuple[str, int], dict[str, dict[int, int]]] = {}
 
     def get(self, operator: str, k: int, l: int, per_component: bool = False):
@@ -296,11 +274,24 @@ class BoundaryDims:
         if 0 <= k <= self.conic.leaf_dim + self.conic.codim:
             line = (operator, k - l)
             if line not in self._lines:
-                self._lines[line] = _line_dims(self.conic, operator, k - l, self.window)
+                self._lines[line] = self._line_dims(operator, k - l)
             per_comp = {name: dims[k] for name, dims in self._lines[line].items()}
         else:
             per_comp = dict.fromkeys(self.conic.components, 0)
         return per_comp if per_component else sum(per_comp.values())
+
+    def _line_dims(self, operator: str, c: int) -> dict[str, dict[int, int]]:
+        """Homology of ``operator`` along the line k - l = c, per component: each
+        open block is ranked, and a settled block adds nothing to any line."""
+        conic, top = self.conic, self.conic.leaf_dim + self.conic.codim
+        out = {name: dict.fromkeys(range(top + 1), 0) for name in conic.components}
+        op = delta_terms(conic, operator)
+        for block in self._open:
+            cells = _line_cells(conic, c, block)
+            dims = block_homology(conic, op, cells, f"{block}, {operator} line k - l = {c}")
+            for t, h in dims.items():
+                out[conic.components[block[0]]][c - t] += h
+        return out
 
 
 # -- the three-pipeline correspondence ----------------------------------------------

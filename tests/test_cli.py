@@ -8,6 +8,7 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -345,6 +346,46 @@ def test_bad_input_exits_2_with_one_line(spec, args, message, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        (
+            {"family": "lie_frame", "n": 40, "brackets": [], "leaf": [1]},
+            "lie_frame spec needs an integer dimension 2 <= n <= 13",
+        ),
+        (
+            {"family": "lie_frame", "n": 10**8, "brackets": [], "leaf": [1]},
+            "lie_frame spec needs an integer dimension 2 <= n <= 13",
+        ),
+        (
+            {"family": "kronecker_torus", "alpha": ["1"] * 14},
+            "14 generators: the exterior basis is built for at most 13",
+        ),
+    ],
+    ids=["frame-40", "frame-1e8", "torus-14"],
+)
+def test_oversized_model_exits_2_under_a_memory_cap(spec, message, tmp_path):
+    # 2^40 exterior subsets, 10^8 frame generators, 2^14 subsets and their
+    # Cartan check: the interpreter runs under a 1.5 GB address-space limit,
+    # so a regression fails here instead of exhausting the host
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(spec))
+    cap = 1_500_000_000
+    pythonpath = (str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH"))
+    args = ["derham", "--model", str(path), "--out", str(tmp_path / "o")]
+    done = subprocess.run(
+        [sys.executable, "-m", "leafhom", *args],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 2
+    assert done.stderr.count("\n") == 1 and done.stderr.startswith("error: ")
+    assert message in done.stderr
 
 
 @pytest.mark.parametrize(

@@ -23,11 +23,13 @@ from leafhom.models import (
     CircleProductModel,
     ConicDualModel,
     CosphereCircleModel,
+    FoliatedModel,
     FormMonomial,
     KroneckerTorus,
     LieFrameModel,
     ModeWindow,
     linear_extension,
+    make_model,
 )
 from leafhom.scalars import NumberField
 from forms import Form, differential, monomial_form, pullback_from_base
@@ -469,6 +471,21 @@ def test_certificate_detects_rational_combination_resonance(field):
     assert cert.witness == (1, 0, -3)
 
 
+@pytest.mark.parametrize(
+    "alpha, degree",
+    [(["1", "sqrt6"], 2), (["1", "sqrt2", "sqrt6"], 4)],
+    ids=["sqrt6", "sqrt2_sqrt6"],
+)
+def test_certificate_reads_the_degree_of_a_proper_subfield(alpha, degree):
+    # Q(sqrt6) and Q(sqrt2, sqrt6) inside the explicit Q(i, sqrt2, sqrt3): the norm
+    # bound runs over the subfield alpha generates, not over the whole field
+    spec = {"family": "kronecker_torus", "alpha": alpha, "field": {"sqrts": [2, 3]}}
+    cert = make_model(spec).certificate
+    assert cert.verdict == "diophantine"
+    assert f"over the degree-{degree} subfield generated by alpha" in cert.method
+    assert cert.N == degree - 1
+
+
 @pytest.mark.parametrize("alpha", [["1", "sqrt2"], ["1", "2"]])
 def test_every_table_carries_its_torus_certificate(field, alpha):
     torus = KroneckerTorus(field, alpha)
@@ -532,6 +549,30 @@ def test_basic_dims_heisenberg(field):
     assert rep["dims"] == [1, 2, 1] == basic_reference(model, ModeWindow(bound=1))
 
 
+@pytest.mark.parametrize("name", ["torus", "rational_slope", "heisenberg"])
+def test_basic_table_reads_the_cells_of_its_pass(name, torus, field, monkeypatch):
+    # given a computed pass, the basic table ranks d on the pass's own cells:
+    # no block's monomials are listed and grouped by bidegree a second time
+    model = {
+        "torus": torus,
+        "rational_slope": KroneckerTorus(field, ["1", "0"]),
+        "heisenberg": heisenberg(field),
+    }[name]
+    window = ModeWindow(bound=1)
+    run, expected = rank_pass(model, window), basic_cohomology_dims(model, window)
+
+    def computed(m, w):
+        assert m is model and w == window
+        return run
+
+    listed, real = [], FoliatedModel.block_monomials
+    monkeypatch.setattr(
+        FoliatedModel, "block_monomials", lambda self, key: listed.append(key) or real(self, key)
+    )
+    assert basic_cohomology_dims(model, window, computed) == expected
+    assert listed == []
+
+
 def test_mode_zero_block_quotient(torus):
     # ker dim 1, im dim 0 at leafwise degree 1 of the zero-mode block
     window = ModeWindow(bound=1)
@@ -566,11 +607,14 @@ def test_closed_and_exact_match_block_dims(name, torus, field):
     window = ModeWindow(bound=1)
     run = rank_pass(model, window)
     monos = list(model.basis_monomials(window))
-    assert sorted(m for cell in run.cells.values() for m in cell) == sorted(monos)
-    assert run.ranks.keys() == run.cells.keys()
+    # the pass's blocks are the window's, each cell keeping one bidegree of its block
+    assert [key for key, _cells in run.blocks] == model.block_keys(window)
+    walked = [m for _key, cells in run.blocks for cell in cells.values() for m in cell]
+    assert sorted(walked) == sorted(monos)
+    assert set(run.ranks) == {rs for _key, cells in run.blocks for rs in cells}
     for s in range(model.codim + 1):
         for r in range(model.leaf_dim + 2):
-            cell, above = run.cells.get((r, s), []), run.cells.get((r + 1, s), [])
+            cell, above = run.cell(r, s), run.cell(r + 1, s)
             assert all(model.bidegree(m.ext) == (r, s) for m in cell)
             closed = len(cell) - run.ranks.get((r, s), 0)
             exact = run.ranks.get((r - 1, s), 0)

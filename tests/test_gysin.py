@@ -344,7 +344,8 @@ def hand_built(name, low, d_low, d_mid):
     ranks = {t: rank(m) for t, m in diffs.items()}
     dims = {(t, 0): h for t, h in homology_dims(sizes, ranks).items() if h}
     model = SimpleNamespace(field=d_low.field, monomial_label=repr)
-    return derham.RankPass(model, d_f, cells, {(t, 0): n for t, n in ranks.items()}, dims)
+    blocks = [(name, cells)]  # one block
+    return derham.RankPass(model, d_f, blocks, {(t, 0): n for t, n in ranks.items()}, dims)
 
 
 def zb_count(d_a, f, d_b):

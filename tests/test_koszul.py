@@ -1,12 +1,13 @@
 """The Cartan-homotopy rule for torus-family blocks against the rank engine.
 
 `derham.contracted` settles a block of a model built on a Kronecker torus
-from its multipliers alone, and `derham.koszul_block_dims` reads the
-leafwise table off it.  Here every such block is also ranked by the engine
-(`block_homology` on each r-chain of d_F for the leafwise table, and on the
-full differential for the Betti numbers), for the golden specs and two
-resonant tori, and the two must agree block by block; the leafwise totals
-must equal those of the window's `rank_pass`.
+from its multipliers alone, and the leafwise table counts the blocks it
+leaves open (`derham.open_blocks`), C(p, r) C(q, s) classes each.  Here
+every such block is also ranked by the engine (`block_homology` on each
+r-chain of d_F for the leafwise table, and on the full differential for the
+Betti numbers), for the golden specs and two resonant tori, and the two must
+agree block by block; the leafwise totals must equal those of the window's
+`rank_pass`.
 The engine ranks `component_terms(model, "d_F")` and `component_terms(model,
 "d")`, which are built from the same multipliers, so a wrong multiplier is
 caught by the closed-form oracles (test_oracles.py), not here.
@@ -26,7 +27,6 @@ from leafhom.derham import (
     cohomology_dims,
     component_terms,
     contracted,
-    koszul_block_dims,
     ordinary_derham_dims,
     rank_pass,
 )
@@ -93,9 +93,16 @@ def test_rule_matches_rank_engine(name, bound):
         for l in window.homogeneities() if is_conic else [None]:
             keys = [k for k in model.block_keys(window) if not is_conic or k[2] == l]
             ranked: dict = {}
+            p, q = model.leaf_dim, model.codim
             for key in keys:
                 block = _leafwise_block(model, key, dF)
-                assert koszul_block_dims(model, key, dF_flags) == block, key
+                # a contracted block is acyclic; on any other d_F vanishes
+                rule_block = {} if contracted(model, key, dF_flags) else {
+                    (r, s): math.comb(p, r) * math.comb(q, s)
+                    for r in range(p + 1)
+                    for s in range(q + 1)
+                }
+                assert rule_block == block, key
                 _add(ranked, block)
             narrowed = ModeWindow(bound, l, l) if is_conic else window
             assert rank_pass(model, narrowed).dims == ranked, (model, l)

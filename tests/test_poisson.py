@@ -777,6 +777,22 @@ def test_homotopy_contracts_every_settled_block(name):
                 assert total == {mono: one}, (operator, conic.monomial_label(mono))
 
 
+def test_boundary_table_settles_each_block_once(monkeypatch):
+    # one table reading every line of delta and delta_F settles each (comp, mode)
+    # block once, when it is built: 2 components x 9 modes on the T^2 cone
+    conic, window = cone("t2"), ModeWindow(bound=1)
+    settled, real = [], poisson.contracted
+    monkeypatch.setattr(poisson, "contracted", lambda *args: settled.append(args[1]) or real(*args))
+    table = BoundaryDims(conic, window)
+    p, top = conic.leaf_dim // 2, conic.leaf_dim + conic.codim
+    for operator in ("delta", "delta_F"):
+        for k in range(top + 1):
+            for l in range(-p - 1, p + 2):
+                table.get(operator, k, l)
+    assert len(settled) == 18
+    assert settled == conic.block_keys(ModeWindow(bound=1, l_min=0, l_max=0))
+
+
 def test_frame_cones_rank_every_block(field, monkeypatch):
     ranked: Counter = Counter()
     real = poisson.block_homology
